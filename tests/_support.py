@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -138,6 +139,86 @@ def max_z_score(empirical, exact, replicas):
     diff = np.abs(empirical - exact)
     z = np.where(sigma > 0, diff / np.maximum(sigma, 1e-300), np.where(diff > 0, np.inf, 0.0))
     return float(z.max())
+
+
+# Pearson chi-square gates against exact oracle laws.  A test file runs its
+# gates at a family-wise false-alarm level of GATE_LEVEL, split evenly
+# (Bonferroni) over the gates of one test, so a correct simulator fails a
+# test with probability at most GATE_LEVEL whatever its RNG use.
+GATE_LEVEL = 1e-3
+
+
+def chi2_sf(stat, df):
+    """P(X >= stat) for X chi-square with `df` degrees of freedom: the
+    regularized upper incomplete gamma Q(df/2, stat/2), by its power series
+    below a+1 and by Lentz's continued fraction above."""
+    a, x = 0.5 * df, 0.5 * stat
+    if x <= 0.0:
+        return 1.0
+    front = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        k = a
+        while abs(term) > 1e-16 * total:
+            k += 1.0
+            term *= x / k
+            total += term
+        return max(0.0, 1.0 - total * front)
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return h * front
+
+
+def pooled_chi_square(counts, probs, min_expected=5.0):
+    """Pearson goodness of fit of observed `counts` to the exact law `probs`.
+
+    Cells whose expected count is below `min_expected` are pooled into one
+    extra cell (merged into the smallest big cell if the pool itself stays
+    below `min_expected`).  Observations in a cell of probability zero give
+    p = 0.  Returns (statistic, degrees of freedom, p-value).
+    """
+    counts = np.asarray(counts, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    if (counts[probs <= 0.0] > 0).any():
+        return math.inf, 0, 0.0
+    expected = probs * counts.sum()
+    big = expected >= min_expected
+    obs, exp = list(counts[big]), list(expected[big])
+    rest_obs, rest_exp = counts[~big].sum(), expected[~big].sum()
+    if rest_exp >= min_expected:
+        obs.append(rest_obs)
+        exp.append(rest_exp)
+    elif rest_exp > 0.0:
+        k = int(np.argmin(exp))
+        obs[k] += rest_obs
+        exp[k] += rest_exp
+    obs, exp = np.array(obs), np.array(exp)
+    df = obs.size - 1
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    return stat, df, chi2_sf(stat, df)
+
+
+def scaled_deaths(spec, factor):
+    """`spec` with every death rate (center-1 entry of both spin tables)
+    multiplied by `factor`: the planted defect the gates must catch."""
+
+    def table(values):
+        return LocalSpinRates(tuple(v * factor if (w >> 1) & 1 else v for w, v in enumerate(values)))
+
+    pair = SpinRatePair(table(spec.spin.c0.values), table(spec.spin.c1.values))
+    return ModelSpec(pair, spec.env, spec.size, spec.boundary)
 
 
 # worked three-layer interval example (11 sites, both functionals known)
