@@ -194,8 +194,8 @@ def cmd_validate(args, parser):
         return 1
     c = spec.constants()
     print("ok: attractive and compatible")
-    print("C=%g K=%g b_bar=%g c_bar0=%g c_bar1=%g c_bar=%g"
-          % (c.C, c.K, c.b_bar, c.c_bar0, c.c_bar1, c.c_bar))
+    print("C=%g K=%g b_bar=%g c_bar0=%g c_bar1=%g c_bar=%g c_hat=%g"
+          % (c.C, c.K, c.b_bar, c.c_bar0, c.c_bar1, c.c_bar, c.c_hat))
     return 0
 
 

@@ -31,7 +31,7 @@ from .lattice import (
     neighborhood,
     order_pairs,
 )
-from .graphical import Event, OrderViolationError, Trajectory, _BatchState, exact_table
+from .graphical import Event, OrderViolationError, Trajectory, _field_rows, _site_columns, exact_table
 from .rates import ModelSpec, ModelViolationError
 
 
@@ -326,27 +326,24 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     (background, spin) arrays at time t."""
     n = spec.size
     rng = np.random.default_rng(seed)
-    halo = max(1, spec.env.range)
-    B = _BatchState(beta0, replicas, halo)
-    E = _BatchState(eta0, replicas, halo)
+    radius = spec.env.range
+    halo = max(1, radius)
+    B, b_boundary = _field_rows(beta0, replicas, halo)
+    E, e_boundary = _field_rows(eta0, replicas, halo)
+    b_cols = _site_columns(b_boundary, n, halo, radius)
+    e_cols = _site_columns(e_boundary, n, halo, 1)
+    b_weights = 1 << np.arange(2 * radius, -1, -1)
+    e_weights = 1 << np.arange(2, -1, -1)
+    centers = halo + np.arange(n)
     btab = spec.env.as_array()
-    c0tab = spec.spin.c0.as_array()
-    c1tab = spec.spin.c1.as_array()
+    ctab2 = np.stack([spec.spin.c0.as_array(), spec.spin.c1.as_array()])
 
-    rows_all = np.arange(replicas)
     clock = np.zeros(replicas)
     frozen_done = np.zeros(replicas, dtype=bool)
 
     while True:
-        bg_rates = np.empty((replicas, n))
-        sp_rates = np.empty((replicas, n))
-        for x in range(n):
-            xs = np.full(replicas, x)
-            widx = B.word_index(rows_all, xs, spec.env.range)
-            bg_rates[:, x] = btab[widx]
-            sidx = E.word_index(rows_all, xs, 1)
-            bit = B.centers(rows_all, xs)
-            sp_rates[:, x] = np.where(bit == 0, c0tab[sidx], c1tab[sidx])
+        bg_rates = btab[B[:, b_cols] @ b_weights]
+        sp_rates = ctab2[B[:, centers], E[:, e_cols] @ e_weights]
         rates = np.concatenate([bg_rates, sp_rates], axis=1)
         total = rates.sum(axis=1)
         live = (~frozen_done) & (total > 0)
@@ -362,12 +359,10 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
         u = rng.uniform(0.0, 1.0, replicas) * total
         cum = np.cumsum(rates, axis=1)
         slot = (cum >= u[:, None]).argmax(axis=1)
-        site = slot % n
-        is_bg = slot < n
         rows = np.nonzero(act)[0]
-        xs = site[rows]
-        bg_mask = is_bg[rows]
-        B.flip(rows, xs, bg_mask)
-        E.flip(rows, xs, ~bg_mask)
+        cols = halo + slot[rows] % n
+        bg = slot[rows] < n
+        B[rows[bg], cols[bg]] ^= 1
+        E[rows[~bg], cols[~bg]] ^= 1
 
-    return B.snapshot(), E.snapshot()
+    return B[:, halo:halo + n].copy(), E[:, halo:halo + n].copy()

@@ -1,9 +1,8 @@
 """Trajectories built from pre-generated event clocks and uniform marks.
 
-Every site carries two independent Poisson clocks: a background clock of rate
-b_bar and a spin clock of rate c_bar (both dominating rates from the tables).
-Each clock ring comes with uniform marks, and a deterministic acceptance rule
-turns rings into flips:
+The per-site event streams are the exact reference.  Every site carries a
+background clock of rate b_bar and a spin clock of rate c_bar, and each ring
+comes with uniform marks that a deterministic acceptance rule turns into flips:
 
 * background, center 0: flip iff the mark lands in the top b(x, .) of [0, b_bar];
   center 1: flip iff it lands in the bottom b(x, .).
@@ -11,17 +10,25 @@ turns rings into flips:
   center 0 flip iff it lands in the top (c_bar_i/c_bar)*c_i(x, .) of that
   interval, at center 1 iff it lands in the bottom (c_bar_i/c_bar)*c_i(x, .).
 
+The lockstep engine (`batch_evolve`, `batch_envelope`) runs many replicas of
+the same rules on a tighter clock: a site rings at rate b_bar + c_hat, where
+c_hat is the largest up-rate plus the largest down-rate over both spin
+tables, and each ring draws one mark U on [0, b_bar + c_hat).  U < b_bar is a
+background ring with mark U; otherwise every spin layer reads U - b_bar with
+the windows of `accept_window`: the top c_i(x, .) of [0, c_hat] for up-flips,
+the bottom c_i(x, .) for down-flips.
+
 Top-anchored up-windows and bottom-anchored down-windows nest across ordered
-configurations, so several spin layers evolved from one stream flip together
-as much as possible and never cross: this is the maximal monotone coupling.
+configurations, so several layers evolved from one stream flip together as
+much as possible and never cross: this is the maximal monotone coupling.
 `window_rates` computes the induced joint flip rates by exact interval
-arithmetic; `batch_evolve` runs many replicas of the same rules in lockstep.
+arithmetic on the engine's own windows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -36,7 +43,7 @@ from .lattice import (
     initially_ordered_pairs,
     layer_names,
 )
-from .rates import ModelSpec, SpinRatePair, _centered_sups, dominating_rates
+from .rates import ModelSpec, SpinRatePair, dominating_rates, tight_clock
 
 
 class EventBudgetError(RuntimeError):
@@ -307,13 +314,9 @@ def exact_table(values):
 
 
 @lru_cache(maxsize=1024)
-def exact_clock(values_own, values_other):
-    """(own clock rate, total clock rate, scale) as exact Fractions."""
-    s0, s1 = _centered_sups(values_own, 1)
-    o0, o1 = _centered_sups(values_other, 1)
-    cb_i = Fraction(s0) + Fraction(s1)
-    cbar = cb_i + Fraction(o0) + Fraction(o1)
-    return cb_i, cbar, (cb_i / cbar if cbar else Fraction(0))
+def exact_clock(values0, values1):
+    """The tight spin clock c_hat of two spin tables, as an exact Fraction."""
+    return tight_clock(exact_table(values0), exact_table(values1))
 
 
 def window_rates(pair: SpinRatePair, background_bit, windows):
@@ -322,37 +325,30 @@ def window_rates(pair: SpinRatePair, background_bit, windows):
     `windows` holds one 3-bit neighborhood word per layer.  The result maps a
     target local state (background bit, new center per layer) to its rate, as
     an exact Fraction; targets with zero rate are omitted.  No randomness is
-    involved: the mark interval of the given background state is partitioned
-    into acceptance atoms, each atom's flip set read off, and its length
-    scaled by the clock rate.  The arithmetic runs on the mark divided by the
-    interval's scale factor, where the acceptance windows for rate c sit at
-    [c_bar - c, c_bar] (up) and [0, c) (down) and an atom's rate equals its
-    plain length.
+    involved: the lockstep engine's spin mark on [0, c_hat] is partitioned
+    into acceptance atoms by the engine's own windows (`accept_window`),
+    each atom's flip set read off, and its rate is its length.
     """
-    ctab = pair.table(background_bit)
-    cb_i, cbar, _ = exact_clock(ctab.values, pair.table(1 - background_bit).values)
-    if cb_i == 0:
-        return {}
-    table = exact_table(ctab.values)
+    table = exact_table(pair.table(background_bit).values)
+    c_hat = exact_clock(pair.c0.values, pair.c1.values)
     n_layers = len(windows)
     centers = [int(w[1]) for w in windows]
     bit = int(background_bit)
 
-    # sweep the normalized mark from 0 to c_bar: a down-window [0, c) closes
-    # at its threshold, an up-window [c_bar - c, c_bar] opens at its
-    # threshold, and each segment between consecutive points is one atom
-    # whose rate is its length
+    # sweep the mark from 0 to c_hat: an up-window opens at its lower end, a
+    # down-window closes at its upper end, and each segment between
+    # consecutive points is one atom
     events = []
     for k, ctr in enumerate(centers):
-        c = table[int(windows[k], 2)]
-        events.append(((cbar - c) if ctr == 0 else c, ctr, k))
+        lo, hi = accept_window(ctr, table[int(windows[k], 2)], c_hat)
+        events.append((lo if ctr == 0 else hi, ctr, k))
     events.sort(key=lambda e: e[0])
     active = {k for k, ctr in enumerate(centers) if ctr == 1}
 
     out = {}
     pos = Fraction(0)
     idx = 0
-    while pos < cbar:
+    while pos < c_hat:
         while idx < len(events) and events[idx][0] == pos:
             _, ctr, k = events[idx]
             if ctr == 1:
@@ -360,9 +356,9 @@ def window_rates(pair: SpinRatePair, background_bit, windows):
             else:
                 active.add(k)
             idx += 1
-        nxt = events[idx][0] if idx < len(events) else cbar
-        if nxt > cbar:
-            nxt = cbar
+        nxt = events[idx][0] if idx < len(events) else c_hat
+        if nxt > c_hat:
+            nxt = c_hat
         if active and nxt > pos:
             kinds = {centers[k] for k in active}
             assert len(kinds) == 1, "up and down acceptance windows overlap"
@@ -375,97 +371,239 @@ def window_rates(pair: SpinRatePair, background_bit, windows):
 
 
 # ---------------------------------------------------------------------------
-# vectorized lockstep replica engine (same flip rules, uniformized clocks)
+# vectorized lockstep replica engine (tight clock, one mark per event)
 
 
 @dataclass
 class BatchResult:
+    """Snapshots at each grid time, the order violations counted, and
+    `counters`: `steps` (lockstep steps), `events` (rings summed over
+    replicas) split into `background_rings` and `spin_rings`, `null_rings`
+    (rings that flipped nothing), `flips` (accepted flips per field: "beta",
+    "layer0", "layer1", ...) and `order_checks` (two fields compared at a site).
+    """
+
     times: list
     background: list
     layers: list
     order_violations: int
+    counters: dict = field(default_factory=dict)
 
 
-class _BatchState:
-    """Replica-stacked window with boundary-aware gathers; frozen boundaries
-    become constant halo columns, periodic windows gather modularly.
+def _field_rows(init, replicas, halo):
+    """One field stacked over replicas, and its boundary.  `init` is a
+    Configuration tiled across replicas or a pair (bits of shape (replicas,
+    n), boundary).  The int8 rows are n + 2*halo wide: frozen boundary words
+    fill the halo columns and never change; a ring wraps (`_site_columns`)."""
+    if isinstance(init, Configuration):
+        body = np.tile(init.as_array(), (replicas, 1))
+        boundary = init.boundary
+    else:
+        bits, boundary = init
+        body = np.asarray(bits, dtype=np.int8)
+        if body.ndim != 2 or body.shape[0] != replicas:
+            raise ValueError("per-replica bits must have shape (replicas, n)")
+    n = body.shape[1]
+    rows = np.zeros((replicas, n + 2 * halo), dtype=np.int8)
+    rows[:, halo:halo + n] = body
+    if isinstance(boundary, FrozenWords):
+        left, right = boundary.left, boundary.right
+        if len(left) < halo or len(right) < halo:
+            raise ValueError("boundary words shorter than the needed halo %d" % halo)
+        rows[:, :halo] = [int(ch) for ch in left[len(left) - halo:]]
+        rows[:, halo + n:] = [int(ch) for ch in right[:halo]]
+    return rows, boundary
 
-    `init` is either one Configuration tiled across replicas, or a pair
-    (bits array of shape (replicas, n), boundary) for per-replica starts.
+
+def _site_columns(boundary, n, halo, radius):
+    """Row columns of the offsets -radius..radius around every site, shape
+    (n, 2*radius + 1): a ring wraps, frozen words are read from the halo."""
+    cols = np.arange(n)[:, None] + np.arange(-radius, radius + 1)
+    if isinstance(boundary, Periodic):
+        cols %= n
+    return cols + halo
+
+
+def accept_window(center, rate, clock):
+    """The mark interval [lo, hi) of [0, clock) on which a site flips: the top
+    `rate` for center 0 (up), the bottom `rate` for center 1 (down).
+
+    Up-windows of ordered configurations nest at the top and down-windows at
+    the bottom; an up- and a down-window stay disjoint while the clock covers
+    the largest up-rate plus the largest down-rate.  The lockstep engine uses
+    it with floats, `window_rates` with Fractions.
     """
+    if center == 0:
+        return clock - rate, clock
+    return 0, rate
 
-    def __init__(self, init, replicas, halo):
-        if isinstance(init, Configuration):
-            body = np.tile(init.as_array(), (replicas, 1))
-            boundary = init.boundary
+
+class _Kind(NamedTuple):
+    """What a ring reads and writes for one kind of field in `_lockstep`."""
+
+    names: list  # of the fields of this kind
+    cols: np.ndarray  # column of every read slot at each site, (slots, n)
+    offsets: np.ndarray  # field offset of every slot and field, (slots, fields, 1)
+    center: int  # slot of the field's own center
+    weights: np.ndarray  # weight of every slot in the word read, (slots, 1, 1)
+    lo: np.ndarray  # acceptance window [lo, hi) on [0, b_bar + c_hat) of every word
+    hi: np.ndarray
+    pairs: list  # (lower, upper) fields compared after each ring
+    flips: np.ndarray  # accepted flips per field and replica sort position
+
+
+def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_violation):
+    """Run `replicas` copies of G groups of (background, spin layers) in lockstep.
+
+    `groups` holds (background start, [spin layer starts]) per group and
+    `names` names every field, group by group, background first.  Per grid
+    interval each replica gets a Poisson number of rings of its clock of rate
+    N*(b_bar + c_hat), and each ring draws a site x and one mark U on
+    [0, b_bar + c_hat): U < b_bar rings every background at x with mark U,
+    otherwise every spin layer reads U - b_bar against its own group's
+    background.  Every initially ordered pair of fields that the coupling
+    keeps ordered is compared at x after each ring.  RNG use depends only on
+    (seed, grid, Poisson counts), never on the state.
+
+    Returns the grid times, per grid time the in-window bits of every field,
+    the order violations counted and the counters of `BatchResult`.
+    """
+    grid = [float(t) for t in t_grid]
+    if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
+        raise ValueError("t_grid must be nondecreasing and nonnegative")
+    consts = dominating_rates(spec)
+    n, radius = spec.size, spec.env.range
+    b_bar, lam = consts.b_bar, consts.b_bar + consts.c_hat
+    halo = max(1, radius)
+    width = n + 2 * halo
+
+    starts, owner = [], []
+    for beta0, layers in groups:
+        owner += [len(starts)] * (1 + len(layers))
+        starts += [beta0, *layers]
+    n_fields = len(starts)
+    state = np.empty((replicas, n_fields, width), dtype=np.int8)
+    boundaries = []
+    for f, start in enumerate(starts):
+        rows, boundary = _field_rows(start, replicas, halo)
+        if rows.shape[1] != width:
+            raise ValueError("%s has %d sites, the spec %d" % (names[f], rows.shape[1] - 2 * halo, n))
+        state[:, f] = rows
+        boundaries.append(boundary)
+    if len({isinstance(b, Periodic) for b in boundaries}) > 1:
+        raise ValueError("fields mix periodic and frozen boundaries")
+    flat = state.reshape(-1)
+    body = state[:, :, halo:halo + n]
+
+    def below(p, q):
+        return bool((body[:, p] <= body[:, q]).all())
+
+    def kind(fields, cols, offsets, center, windows):
+        pairs = [
+            (i, j)
+            for i, p in enumerate(fields)
+            for j, q in enumerate(fields)
+            # equal fields need one orientation only
+            if i != j and below(p, q) and not (i > j and below(q, p)) and below(owner[p], owner[q])
+        ]
+        weights = 1 << np.arange(len(cols) - 1, -1, -1)
+        lo, hi = np.array(windows, dtype=float).T
+        return _Kind(
+            names=[names[f] for f in fields],
+            cols=cols,
+            offsets=np.array(offsets, dtype=np.intp)[:, :, None] * width,
+            center=center,
+            weights=weights.astype(np.int8 if len(cols) < 8 else np.int64)[:, None, None],
+            lo=lo.copy(),
+            hi=hi.copy(),
+            pairs=pairs if check_order else [],
+            flips=np.zeros((len(fields), replicas), dtype=np.int64),
+        )
+
+    # a background reads its window -radius..radius and flips on marks below
+    # b_bar; a spin layer reads its group background's center and its own
+    # window -1..1 and flips on marks in b_bar + [0, c_hat)
+    btab = spec.env.as_array()
+    ctabs = np.concatenate([spec.spin.c0.as_array(), spec.spin.c1.as_array()])
+    bg = [f for f in range(n_fields) if owner[f] == f]
+    spin = [f for f in range(n_fields) if owner[f] != f]
+    kinds = (
+        kind(
+            bg,
+            _site_columns(boundaries[0], n, halo, radius).T,
+            [bg] * (2 * radius + 1),
+            radius,
+            [accept_window((w >> radius) & 1, btab[w], b_bar) for w in range(btab.size)],
+        ),
+        kind(
+            spin,
+            np.vstack([halo + np.arange(n), _site_columns(boundaries[0], n, halo, 1).T]),
+            [[owner[f] for f in spin]] + [spin] * 3,
+            2,
+            [
+                np.add(b_bar, accept_window((w >> 1) & 1, ctabs[w], consts.c_hat))
+                for w in range(ctabs.size)
+            ],
+        ),
+    )
+
+    rng = np.random.default_rng(seed)
+    times, snaps = [], []
+    violations = steps = events = bg_rings = null_rings = 0
+    t_prev = 0.0
+    for t in grid:
+        dt, t_prev = t - t_prev, t
+        if lam > 0 and dt > 0:
+            counts = rng.poisson(lam * n * dt, replicas)
         else:
-            bits, boundary = init
-            body = np.array(bits, dtype=np.int8)
-            if body.shape != (replicas, bits.shape[1]):
-                raise ValueError("per-replica bits must have shape (replicas, n)")
-        self.n = body.shape[1]
-        self.halo = halo if isinstance(boundary, FrozenWords) else 0
-        self.periodic = isinstance(boundary, Periodic)
-        if self.periodic:
-            self.arr = body
-        else:
-            words = boundary
-            if len(words.left) < halo or len(words.right) < halo:
-                raise ValueError("boundary words shorter than the needed halo %d" % halo)
-            left = [int(ch) for ch in words.left[len(words.left) - halo:]]
-            right = [int(ch) for ch in words.right[:halo]]
-            self.arr = np.concatenate(
-                [
-                    np.tile(np.array(left, dtype=np.int8), (replicas, 1)),
-                    body,
-                    np.tile(np.array(right, dtype=np.int8), (replicas, 1)),
-                ],
-                axis=1,
-            )
-        self.boundary = boundary
+            counts = np.zeros(replicas, dtype=np.int64)
+        # replicas by decreasing ring count: those still active at step j
+        # are a prefix of `order`
+        order = np.argsort(-counts, kind="stable")
+        base = order * (n_fields * width)
+        n_steps = int(counts.max()) if replicas else 0
+        active = replicas - np.cumsum(np.bincount(counts, minlength=n_steps))[:n_steps]
+        steps += n_steps
+        events += int(counts.sum())
+        for a in active.tolist():
+            x = rng.integers(0, n, a)
+            u = rng.uniform(0.0, lam, a)
+            bg_rings += int(np.count_nonzero(u < b_bar))
+            hit = np.zeros(a, dtype=bool)
+            for k in kinds:
+                idx = k.cols.take(x, axis=1)
+                idx += base[:a]
+                idx = idx[:, None] + k.offsets  # (slots, fields, active replicas)
+                val = flat.take(idx)
+                word = (val * k.weights).sum(axis=0, dtype=k.weights.dtype)
+                flip = (u >= k.lo.take(word)) & (u < k.hi.take(word))
+                new = val[k.center] ^ flip
+                flat[idx[k.center]] = new
+                k.flips[:, :a] += flip
+                hit |= flip.any(axis=0)
+                for i, j in k.pairs:
+                    bad = new[i] > new[j]
+                    if bad.any():
+                        if on_violation == "raise":
+                            raise OrderViolationError(
+                                "%s and %s crossed in a lockstep step" % (k.names[i], k.names[j])
+                            )
+                        violations += int(bad.sum())
+            null_rings += a - int(np.count_nonzero(hit))
+        times.append(t)
+        snaps.append([body[:, f].copy() for f in range(n_fields)])
 
-    def cols(self, x, off):
-        if self.periodic:
-            return (x + off) % self.n
-        return x + off + self.halo
-
-    def col_block(self, x, radius):
-        """Column indices for offsets -radius..radius, shape (2r+1, len(x))."""
-        offs = np.arange(-radius, radius + 1)[:, None]
-        if self.periodic:
-            return (x[None, :] + offs) % self.n
-        return x[None, :] + offs + self.halo
-
-    def gather(self, rows, x, off):
-        return self.arr[rows, self.cols(x, off)]
-
-    def word_index(self, rows, x, radius):
-        return self.word_index_cols(rows, self.col_block(x, radius))
-
-    def word_index_cols(self, rows, cols):
-        idx = self.arr[rows, cols[0]].astype(np.int64)
-        for k in range(1, cols.shape[0]):
-            idx = (idx << 1) | self.arr[rows, cols[k]]
-        return idx
-
-    def centers(self, rows, x):
-        return self.arr[rows, self.cols(x, 0)]
-
-    def flip(self, rows, x, mask):
-        cols = self.cols(x, 0)
-        self.arr[rows[mask], cols[mask]] ^= 1
-
-    def flip_cols(self, rows, cols, mask):
-        self.arr[rows[mask], cols[mask]] ^= 1
-
-    def snapshot(self):
-        if self.periodic:
-            return self.arr.copy()
-        return self.arr[:, self.halo:self.halo + self.n].copy()
-
-    def to_configuration(self, r):
-        body = self.arr[r] if self.periodic else self.arr[r, self.halo:self.halo + self.n]
-        return Configuration(tuple(int(v) for v in body), self.boundary)
+    flips = {name: int(v) for k in kinds for name, v in zip(k.names, k.flips.sum(axis=1))}
+    counters = {
+        "steps": steps,
+        "events": events,
+        "background_rings": bg_rings,
+        "spin_rings": events - bg_rings,
+        "null_rings": null_rings,
+        "flips": {name: flips[name] for name in names},
+        "order_checks": sum(len(k.pairs) for k in kinds) * events,
+    }
+    return times, snaps, violations, counters
 
 
 def batch_evolve(
@@ -478,175 +616,43 @@ def batch_evolve(
     check_order=True,
     on_violation="raise",
 ):
-    """Run `replicas` independent copies of the graphical rules in lockstep.
+    """Run `replicas` copies of one background and its spin layers in
+    lockstep, one group of `_lockstep`.
 
-    Events are the merged per-site clocks (total rate N*(b_bar+c_bar)); each
-    replica receives its own Poisson number of events per grid interval and
-    its own site choices and marks.  Returns in-window snapshots at each grid
-    time.  With `check_order`, every pair of layers that starts ordered is
-    checked after each event; violations either raise or are counted.
+    `beta0` and each layer are a Configuration tiled over replicas or a pair
+    (bits of shape (replicas, n), boundary).  The layers share the background
+    and every mark: the maximal monotone coupling.  Returns in-window
+    snapshots at each grid time.  With `check_order`, every pair of layers
+    that starts ordered is compared at each ring; violations raise or count.
     """
-    consts = dominating_rates(spec)
-    n = spec.size
-    lam_site = consts.b_bar + consts.c_bar
-    p_bg = consts.b_bar / lam_site if lam_site > 0 else 0.0
-    rng = np.random.default_rng(seed)
-    halo = max(1, spec.env.range)
-
-    bstate = _BatchState(beta0, replicas, halo)
-    lstates = [_BatchState(cfg, replicas, halo) for cfg in spin_layers]
-    pairs = ()
-    if check_order:
-        bodies = [s.snapshot() for s in lstates]
-        pairs = tuple(
-            (i, j)
-            for i in range(len(bodies))
-            for j in range(i + 1, len(bodies))
-            if (bodies[i] <= bodies[j]).all()
-        )
-
-    btab = spec.env.as_array()
-    ctab2 = np.stack([spec.spin.c0.as_array(), spec.spin.c1.as_array()])
-    b_bar, cb0, cb1, cbar = consts.b_bar, consts.c_bar0, consts.c_bar1, consts.c_bar
-    cb_of = np.array([cb0, cb1])
-
-    times, bg_out, layers_out = [], [], []
-    violations = 0
-    t_prev = 0.0
-    grid = [float(t) for t in t_grid]
-    if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
-        raise ValueError("t_grid must be nondecreasing and nonnegative")
-
-    for t in grid:
-        dt = t - t_prev
-        t_prev = t
-        counts = (
-            rng.poisson(lam_site * n * dt, replicas)
-            if lam_site > 0 and dt > 0
-            else np.zeros(replicas, dtype=np.int64)
-        )
-        for j in range(int(counts.max()) if counts.size else 0):
-            active = j < counts
-            x = rng.integers(0, n, replicas)
-            is_bg = rng.random(replicas) < p_bg
-
-            rows = np.nonzero(active & is_bg)[0]
-            if rows.size:
-                xs = x[rows]
-                rate = btab[bstate.word_index(rows, xs, spec.env.range)]
-                ctr = bstate.centers(rows, xs)
-                mark = rng.uniform(0.0, b_bar, rows.size)
-                flip = np.where(ctr == 0, mark >= b_bar - rate, mark < rate)
-                bstate.flip(rows, xs, flip)
-
-            rows = np.nonzero(active & ~is_bg)[0]
-            if rows.size and lstates:
-                xs = x[rows]
-                cols = lstates[0].col_block(xs, 1)
-                i = bstate.centers(rows, xs)
-                cb = cb_of[i]
-                u = np.where(
-                    i == 0,
-                    rng.uniform(0.0, cb0, rows.size) if cb0 > 0 else 0.0,
-                    rng.uniform(0.0, cb1, rows.size) if cb1 > 0 else 0.0,
-                )
-                s = cb / cbar
-                live = cb > 0
-                for state in lstates:
-                    c = ctab2[i, state.word_index_cols(rows, cols)]
-                    ctr = state.arr[rows, cols[1]]
-                    flip = np.where(ctr == 0, u >= cb - s * c, u < s * c) & live
-                    state.flip_cols(rows, cols[1], flip)
-                for a, b in pairs:
-                    bad = lstates[a].arr[rows, cols[1]] > lstates[b].arr[rows, cols[1]]
-                    if bad.any():
-                        if on_violation == "raise":
-                            raise OrderViolationError(
-                                "layers %d and %d crossed in batch step" % (a, b)
-                            )
-                        violations += int(bad.sum())
-        times.append(t)
-        bg_out.append(bstate.snapshot())
-        layers_out.append([state.snapshot() for state in lstates])
-
-    return BatchResult(times=times, background=bg_out, layers=layers_out, order_violations=violations)
+    names = ["beta"] + ["layer%d" % k for k in range(len(spin_layers))]
+    times, snaps, violations, counters = _lockstep(
+        spec, [(beta0, list(spin_layers))], names, t_grid, replicas, seed, check_order, on_violation
+    )
+    return BatchResult(
+        times=times,
+        background=[s[0] for s in snaps],
+        layers=[s[1:] for s in snaps],
+        order_violations=violations,
+        counters=counters,
+    )
 
 
 def batch_envelope(spec: ModelSpec, t_grid, replicas, seed, on_violation="raise"):
-    """Coupled replicas of the two extreme joint starts (all zeros, all ones).
+    """Coupled replicas of the two extreme joint starts (all zeros, all ones):
+    two groups of `_lockstep`, each one (background, spin) pair.
 
-    Each replica carries two full (background, spin) pairs.  Backgrounds share
-    their clock and mark, spins share their clock and a single mark drawn
-    uniformly on [0, c_bar]; a spin layer accepts a flip against its own
-    background bit i with windows of length c_i(x, .) anchored at the top
-    (up-flips) and bottom (down-flips).  Because compatibility nests those
-    windows across the two tables, the pair order (background and spin alike)
-    is preserved even while the backgrounds disagree, which the per-table
-    mark scheme cannot guarantee.  Each pair alone still evolves with the
-    exact model rates.
+    Compatibility and attractivity nest the acceptance windows across the two
+    spin tables, so the pair order (background and spin alike) holds even
+    while the backgrounds disagree; it is checked at every ring.  Each pair
+    alone evolves with the exact model rates.  Returns (times, per grid time
+    (beta_lo, eta_lo, beta_hi, eta_hi), violations).
     """
-    consts = dominating_rates(spec)
     n = spec.size
-    lam_site = consts.b_bar + consts.c_bar
-    p_bg = consts.b_bar / lam_site if lam_site > 0 else 0.0
-    rng = np.random.default_rng(seed)
-    halo = max(1, spec.env.range)
-
-    b_lo = _BatchState(Configuration.all_zero(n, spec.env_boundary), replicas, halo)
-    b_hi = _BatchState(Configuration.all_one(n, spec.env_boundary), replicas, halo)
-    e_lo = _BatchState(Configuration.all_zero(n, spec.spin_boundary), replicas, halo)
-    e_hi = _BatchState(Configuration.all_one(n, spec.spin_boundary), replicas, halo)
-
-    btab = spec.env.as_array()
-    ctabs = (spec.spin.c0.as_array(), spec.spin.c1.as_array())
-    b_bar, cbar = consts.b_bar, consts.c_bar
-
-    times, snaps = [], []
-    violations = 0
-    t_prev = 0.0
-    for t in (float(v) for v in t_grid):
-        dt = t - t_prev
-        t_prev = t
-        counts = (
-            rng.poisson(lam_site * n * dt, replicas)
-            if lam_site > 0 and dt > 0
-            else np.zeros(replicas, dtype=np.int64)
-        )
-        for j in range(int(counts.max()) if counts.size else 0):
-            active = j < counts
-            x = rng.integers(0, n, replicas)
-            is_bg = rng.random(replicas) < p_bg
-
-            rows = np.nonzero(active & is_bg)[0]
-            if rows.size:
-                xs = x[rows]
-                mark = rng.uniform(0.0, b_bar, rows.size)
-                for bstate in (b_lo, b_hi):
-                    rate = btab[bstate.word_index(rows, xs, spec.env.range)]
-                    ctr = bstate.centers(rows, xs)
-                    flip = np.where(ctr == 0, mark >= b_bar - rate, mark < rate)
-                    bstate.flip(rows, xs, flip)
-
-            rows = np.nonzero(active & ~is_bg)[0]
-            if rows.size and cbar > 0:
-                xs = x[rows]
-                u = rng.uniform(0.0, cbar, rows.size)
-                for bstate, estate in ((b_lo, e_lo), (b_hi, e_hi)):
-                    i = bstate.centers(rows, xs)
-                    widx = estate.word_index(rows, xs, 1)
-                    c = np.where(i == 0, ctabs[0][widx], ctabs[1][widx])
-                    ctr = estate.centers(rows, xs)
-                    flip = np.where(ctr == 0, u >= cbar - c, u < c)
-                    estate.flip(rows, xs, flip)
-                bad = (b_lo.centers(rows, xs) > b_hi.centers(rows, xs)) | (
-                    e_lo.centers(rows, xs) > e_hi.centers(rows, xs)
-                )
-                if bad.any():
-                    if on_violation == "raise":
-                        raise OrderViolationError("joint point-mass pairs crossed")
-                    violations += int(bad.sum())
-        times.append(t)
-        snaps.append(
-            (b_lo.snapshot(), e_lo.snapshot(), b_hi.snapshot(), e_hi.snapshot())
-        )
-    return times, snaps, violations
+    groups = [
+        (Configuration.all_zero(n, spec.env_boundary), [Configuration.all_zero(n, spec.spin_boundary)]),
+        (Configuration.all_one(n, spec.env_boundary), [Configuration.all_one(n, spec.spin_boundary)]),
+    ]
+    names = ("beta_lo", "eta_lo", "beta_hi", "eta_hi")
+    times, snaps, violations, _ = _lockstep(spec, groups, names, t_grid, replicas, seed, True, on_violation)
+    return times, [tuple(s) for s in snaps], violations

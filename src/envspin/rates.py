@@ -224,7 +224,11 @@ class DerivedConstants:
     b_bar  sup of b over center-0 words plus sup over center-1 words (the
            dominating background clock rate, site-independent);
     c_bar0, c_bar1  same centered-sup sums for the two spin tables;
-    c_bar  c_bar0 + c_bar1 (the dominating spin clock rate).
+    c_bar  c_bar0 + c_bar1, the spin clock of the per-site event streams,
+           which keep one mark per background state;
+    c_hat  max over both tables of the center-0 sups plus max over both of
+           the center-1 sups: the tight spin clock of the lockstep engine,
+           whose single mark serves either background state (c_hat <= c_bar).
     """
 
     C: float
@@ -233,6 +237,7 @@ class DerivedConstants:
     c_bar0: float
     c_bar1: float
     c_bar: float
+    c_hat: float
 
 
 def min_boundary_pair_sum(pair: SpinRatePair) -> float:
@@ -261,6 +266,16 @@ def _centered_sups(values, radius):
     return sup0, sup1
 
 
+def tight_clock(values0, values1):
+    """The tight spin clock c_hat of two spin tables (numbers of any exact or
+    float type): the largest up-rate plus the largest down-rate over both.
+    It is the least clock on which an up-window of either table and a
+    down-window of either table never overlap."""
+    up0, down0 = _centered_sups(values0, 1)
+    up1, down1 = _centered_sups(values1, 1)
+    return max(up0, up1) + max(down0, down1)
+
+
 def dominating_rates(spec) -> DerivedConstants:
     """All derived constants for a model (or for a (pair, env) tuple)."""
     pair, env = (spec.spin, spec.env) if isinstance(spec, ModelSpec) else spec
@@ -274,6 +289,7 @@ def dominating_rates(spec) -> DerivedConstants:
         c_bar0=c_bar0,
         c_bar1=c_bar1,
         c_bar=c_bar0 + c_bar1,
+        c_hat=tight_clock(pair.c0.values, pair.c1.values),
     )
 
 

@@ -18,7 +18,7 @@ def read(path):
 def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", *CPREE, "--sites", "8"]) == 0
     out = capsys.readouterr().out
-    assert "C=2" in out and "K=2" in out
+    assert "C=2" in out and "K=2" in out and "c_hat=4" in out
 
     assert main(["validate", "--preset", "cpree", "--gamma", "1", "--delta0", "1",
                  "--delta1", "2", "--p", "0.5", "--sites", "8"]) == 1

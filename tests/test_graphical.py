@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,14 +9,16 @@ from envspin import (
     Configuration,
     EnvRateSpec,
     SpinRatePair,
+    batch_envelope,
     batch_evolve,
+    density_curves,
     evolve_background,
     evolve_spins,
     generate_streams,
     preset,
     window_rates,
 )
-from envspin.graphical import EventBudgetError
+from envspin.graphical import EventBudgetError, accept_window, exact_clock, exact_table
 from envspin.lattice import MutableWindow
 from envspin.rates import LocalSpinRates, ModelSpec, TRIPLES
 
@@ -266,3 +269,78 @@ def test_batch_evolve_matches_stream_law():
         acc += sum(traj.final["eta"].bits)
     stream_density = acc / (small * 3)
     assert abs(batch_density - stream_density) < 4.0 * math.sqrt(0.25 / small)
+
+
+def test_lockstep_engines_reject_decreasing_or_negative_grid():
+    spec = cpree(sites=4)
+    bad = [1.0, 0.5, -2.0]
+    with pytest.raises(ValueError):
+        batch_envelope(spec, bad, 10, seed=1)
+    with pytest.raises(ValueError):
+        batch_evolve(spec, spec.env_config((0,) * 4), [spec.spin_config((1,) * 4)], bad, 10, seed=1)
+    with pytest.raises(ValueError):
+        density_curves(spec, bad, 10, seed=1)
+    with pytest.raises(ValueError):
+        batch_envelope(spec, [-1.0], 10, seed=1)
+
+
+def _window_defects(pair, clock):
+    """Exact checks of the engine's acceptance windows on [0, clock] for one
+    spin pair: windows inside [0, clock]; for every ordered pair of
+    neighborhoods on equal or ordered backgrounds, the lower up-window inside
+    the upper one and the upper down-window inside the lower one; and every
+    up-window disjoint from every down-window, over both tables."""
+    tables = [exact_table(pair.table(bit).values) for bit in (0, 1)]
+    words = ["".join(w) for w in itertools.product("01", repeat=3)]
+    window = {
+        (bit, w): accept_window(int(w[1]), tables[bit][int(w, 2)], clock)
+        for bit in (0, 1)
+        for w in words
+    }
+    defects = [key for key, (lo, hi) in window.items() if not 0 <= lo <= hi <= clock]
+    for (i, w), (j, v) in itertools.product(window, repeat=2):
+        if i <= j and w[1] == v[1] and all(a <= b for a, b in zip(w, v)):
+            (lo_w, hi_w), (lo_v, hi_v) = window[(i, w)], window[(j, v)]
+            if w[1] == "0" and not lo_v <= lo_w:
+                defects.append(("up-windows do not nest", i, w, j, v))
+            if w[1] == "1" and not hi_v <= hi_w:
+                defects.append(("down-windows do not nest", i, w, j, v))
+        if w[1] == "0" and v[1] == "1":
+            (up_lo, up_hi), (down_lo, down_hi) = window[(i, w)], window[(j, v)]
+            if max(up_lo, down_lo) < min(up_hi, down_hi):
+                defects.append(("up- and down-window overlap", i, w, j, v))
+    return defects
+
+
+def test_accept_windows_nest_and_stay_disjoint_exactly():
+    rng = np.random.default_rng(34)
+    for _ in range(30):
+        pair = random_compatible_pair(rng)
+        c_hat = exact_clock(pair.c0.values, pair.c1.values)
+        assert _window_defects(pair, c_hat) == []
+        # a clock 1/8 below c_hat lets some up- and down-window overlap
+        short = _window_defects(pair, c_hat - Fraction(1, 8))
+        assert any(d[0] == "up- and down-window overlap" for d in short)
+
+
+def test_batch_counters_add_up():
+    spec = cpree(sites=5)
+    n, t, replicas, seed = 5, 1.5, 4000, 9
+    beta0 = spec.env_config((0,) * n)
+    layers = [spec.spin_config((0, 1, 0, 1, 0)), spec.spin_config((1,) * n)]
+    res = batch_evolve(spec, beta0, layers, [t], replicas, seed)
+    c = res.counters
+    consts = spec.constants()
+    rate = (consts.b_bar + consts.c_hat) * n * t
+    # the engine's first draw is the per-replica Poisson ring counts
+    counts = np.random.default_rng(seed).poisson(rate, replicas)
+    assert c["events"] == counts.sum() == c["background_rings"] + c["spin_rings"]
+    assert c["steps"] == counts.max()
+    assert abs(c["events"] / replicas - rate) < 5 * math.sqrt(rate / replicas)
+    # every ring that is not null flips at least one field
+    assert 0 < c["events"] - c["null_rings"] <= sum(c["flips"].values())
+    assert c["order_checks"] == c["events"]  # one ordered pair of layers
+    finals = [res.background[-1]] + res.layers[-1]
+    for cfg, final, (name, flips) in zip([beta0] + layers, finals, c["flips"].items()):
+        changed = int((final != cfg.as_array()).sum())
+        assert flips >= changed and (flips - changed) % 2 == 0, name

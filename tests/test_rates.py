@@ -107,6 +107,8 @@ def test_dominating_rates_background():
     assert consts.c_bar0 == 2 + 2.0
     assert consts.c_bar1 == 2 + 0.5
     assert consts.c_bar == consts.c_bar0 + consts.c_bar1
+    # tight clock: largest up-rate plus largest down-rate over both tables
+    assert consts.c_hat == 2 + 2.0
 
 
 def test_preset_validation():
