@@ -334,7 +334,6 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     e_cols = _site_columns(e_boundary, n, halo, 1)
     b_weights = 1 << np.arange(2 * radius, -1, -1)
     e_weights = 1 << np.arange(2, -1, -1)
-    centers = halo + np.arange(n)
     btab = spec.env.as_array()
     ctab2 = np.stack([spec.spin.c0.as_array(), spec.spin.c1.as_array()])
 
@@ -343,7 +342,7 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
 
     while True:
         bg_rates = btab[B[:, b_cols] @ b_weights]
-        sp_rates = ctab2[B[:, centers], E[:, e_cols] @ e_weights]
+        sp_rates = ctab2[B[:, halo:halo + n], E[:, e_cols] @ e_weights]
         rates = np.concatenate([bg_rates, sp_rates], axis=1)
         total = rates.sum(axis=1)
         live = (~frozen_done) & (total > 0)

@@ -407,11 +407,10 @@ def _field_rows(init, replicas, halo):
     rows = np.zeros((replicas, n + 2 * halo), dtype=np.int8)
     rows[:, halo:halo + n] = body
     if isinstance(boundary, FrozenWords):
-        left, right = boundary.left, boundary.right
-        if len(left) < halo or len(right) < halo:
+        if len(boundary.left) < halo or len(boundary.right) < halo:
             raise ValueError("boundary words shorter than the needed halo %d" % halo)
-        rows[:, :halo] = [int(ch) for ch in left[len(left) - halo:]]
-        rows[:, halo + n:] = [int(ch) for ch in right[:halo]]
+        rows[:, :halo] = [int(ch) for ch in boundary.left[-halo:]]
+        rows[:, halo + n:] = [int(ch) for ch in boundary.right[:halo]]
     return rows, boundary
 
 
@@ -445,11 +444,11 @@ class _Kind(NamedTuple):
     cols: np.ndarray  # column of every read slot at each site, (slots, n)
     offsets: np.ndarray  # field offset of every slot and field, (slots, fields, 1)
     center: int  # slot of the field's own center
-    weights: np.ndarray  # weight of every slot in the word read, (slots, 1, 1)
+    weights: np.ndarray  # weight of every slot in the word read, (slots, 1, 1), int8 when it fits
     lo: np.ndarray  # acceptance window [lo, hi) on [0, b_bar + c_hat) of every word
     hi: np.ndarray
     pairs: list  # (lower, upper) fields compared after each ring
-    flips: np.ndarray  # accepted flips per field and replica sort position
+    flips: np.ndarray  # accepted flips per field
 
 
 def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_violation):
@@ -473,7 +472,8 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
         raise ValueError("t_grid must be nondecreasing and nonnegative")
     consts = dominating_rates(spec)
     n, radius = spec.size, spec.env.range
-    b_bar, lam = consts.b_bar, consts.b_bar + consts.c_hat
+    b_bar, c_hat = consts.b_bar, consts.c_hat
+    lam = b_bar + c_hat
     halo = max(1, radius)
     width = n + 2 * halo
 
@@ -487,7 +487,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
     for f, start in enumerate(starts):
         rows, boundary = _field_rows(start, replicas, halo)
         if rows.shape[1] != width:
-            raise ValueError("%s has %d sites, the spec %d" % (names[f], rows.shape[1] - 2 * halo, n))
+            raise ValueError("%s has %d sites, not %d" % (names[f], rows.shape[1] - 2 * halo, n))
         state[:, f] = rows
         boundaries.append(boundary)
     if len({isinstance(b, Periodic) for b in boundaries}) > 1:
@@ -505,7 +505,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
             for j, q in enumerate(fields)
             # equal fields need one orientation only
             if i != j and below(p, q) and not (i > j and below(q, p)) and below(owner[p], owner[q])
-        ]
+        ] if check_order else []
         weights = 1 << np.arange(len(cols) - 1, -1, -1)
         lo, hi = np.array(windows, dtype=float).T
         return _Kind(
@@ -516,8 +516,8 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
             weights=weights.astype(np.int8 if len(cols) < 8 else np.int64)[:, None, None],
             lo=lo.copy(),
             hi=hi.copy(),
-            pairs=pairs if check_order else [],
-            flips=np.zeros((len(fields), replicas), dtype=np.int64),
+            pairs=pairs,
+            flips=np.zeros(len(fields), dtype=np.int64),
         )
 
     # a background reads its window -radius..radius and flips on marks below
@@ -533,17 +533,14 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
             _site_columns(boundaries[0], n, halo, radius).T,
             [bg] * (2 * radius + 1),
             radius,
-            [accept_window((w >> radius) & 1, btab[w], b_bar) for w in range(btab.size)],
+            [accept_window((w >> radius) & 1, b, b_bar) for w, b in enumerate(btab)],
         ),
         kind(
             spin,
             np.vstack([halo + np.arange(n), _site_columns(boundaries[0], n, halo, 1).T]),
             [[owner[f] for f in spin]] + [spin] * 3,
             2,
-            [
-                np.add(b_bar, accept_window((w >> 1) & 1, ctabs[w], consts.c_hat))
-                for w in range(ctabs.size)
-            ],
+            [np.add(b_bar, accept_window((w >> 1) & 1, c, c_hat)) for w, c in enumerate(ctabs)],
         ),
     )
 
@@ -579,7 +576,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
                 flip = (u >= k.lo.take(word)) & (u < k.hi.take(word))
                 new = val[k.center] ^ flip
                 flat[idx[k.center]] = new
-                k.flips[:, :a] += flip
+                k.flips[:] += flip.sum(axis=1)
                 hit |= flip.any(axis=0)
                 for i, j in k.pairs:
                     bad = new[i] > new[j]
@@ -593,7 +590,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
         times.append(t)
         snaps.append([body[:, f].copy() for f in range(n_fields)])
 
-    flips = {name: int(v) for k in kinds for name, v in zip(k.names, k.flips.sum(axis=1))}
+    flips = {name: int(v) for k in kinds for name, v in zip(k.names, k.flips)}
     counters = {
         "steps": steps,
         "events": events,
@@ -654,5 +651,7 @@ def batch_envelope(spec: ModelSpec, t_grid, replicas, seed, on_violation="raise"
         (Configuration.all_one(n, spec.env_boundary), [Configuration.all_one(n, spec.spin_boundary)]),
     ]
     names = ("beta_lo", "eta_lo", "beta_hi", "eta_hi")
-    times, snaps, violations, _ = _lockstep(spec, groups, names, t_grid, replicas, seed, True, on_violation)
+    times, snaps, violations, _ = _lockstep(
+        spec, groups, names, t_grid, replicas, seed, True, on_violation
+    )
     return times, [tuple(s) for s in snaps], violations
