@@ -181,12 +181,11 @@ def chi2_sf(stat, df):
     return h * front
 
 
-def pooled_chi_square(counts, probs, min_expected=5.0):
+def pooled_chi_square(counts, probs):
     """Pearson goodness of fit of observed `counts` to the exact law `probs`.
 
-    Cells whose expected count is below `min_expected` are pooled into one
-    extra cell (merged into the smallest big cell if the pool itself stays
-    below `min_expected`).  Observations in a cell of probability zero give
+    Cells whose expected count is below 5 are pooled into one extra cell
+    (merged into the smallest big cell if the pool itself stays below 5).  Observations in a cell of probability zero give
     p = 0.  Returns (statistic, degrees of freedom, p-value).
     """
     counts = np.asarray(counts, dtype=float)
@@ -194,10 +193,10 @@ def pooled_chi_square(counts, probs, min_expected=5.0):
     if (counts[probs <= 0.0] > 0).any():
         return math.inf, 0, 0.0
     expected = probs * counts.sum()
-    big = expected >= min_expected
+    big = expected >= 5.0
     obs, exp = list(counts[big]), list(expected[big])
     rest_obs, rest_exp = counts[~big].sum(), expected[~big].sum()
-    if rest_exp >= min_expected:
+    if rest_exp >= 5.0:
         obs.append(rest_obs)
         exp.append(rest_exp)
     elif rest_exp > 0.0:

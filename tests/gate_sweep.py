@@ -1,13 +1,13 @@
 """False-alarm and planted-defect rates of the chi-square gates (not part of tier 1).
 
-    python tests/gate_sweep.py [seeds] [planted_seeds]
+    python tests/gate_sweep.py
 
 Runs the simulators behind criterion 3 and the three-layer batch law test on
-`seeds` simulator seeds outside the tests' own (default 40) and counts the
-runs each gate rejects at its level; then hands them the spec with every death
-rate 10 % high on `planted_seeds` other seeds (default 5) and counts the runs
-caught.  A calibrated gate rejects a correct simulator on about GATE_LEVEL of
-the seeds and catches the planted defect on all of them.
+SEEDS simulator seeds outside the tests' own and counts the runs each gate
+rejects at its level; then hands them the spec with every death rate 10 %
+high on PLANTED_SEEDS other seeds and counts the runs caught.  A calibrated
+gate rejects a correct simulator on about GATE_LEVEL of the seeds and catches
+the planted defect on all of them.
 """
 
 import sys
@@ -20,6 +20,9 @@ import test_acceptance  # noqa: E402
 import test_coupling  # noqa: E402
 from _support import GATE_LEVEL  # noqa: E402
 
+SEEDS = 40
+PLANTED_SEEDS = 5
+
 
 def criterion_3(seed, factor):
     return test_acceptance._criterion_3_pvalues(factor, seeds=(5000 + seed, 6000 + seed))
@@ -29,26 +32,24 @@ def three_layer_law(seed, factor):
     return [test_coupling._three_layer_law_pvalue(factor, seed=7000 + seed)]
 
 
-def main(argv):
-    n_seeds = int(argv[0]) if argv else 40
-    n_planted = int(argv[1]) if len(argv) > 1 else 5
+def main():
     # each gate splits GATE_LEVEL evenly over its tests
     for gate, level in ((criterion_3, GATE_LEVEL / 2), (three_layer_law, GATE_LEVEL)):
-        correct = [gate(s, 1.0) for s in range(n_seeds)]
-        planted = [gate(1000 + s, 1.1) for s in range(n_planted)]
+        correct = [gate(s, 1.0) for s in range(SEEDS)]
+        planted = [gate(1000 + s, 1.1) for s in range(PLANTED_SEEDS)]
         print(
             "%s: false alarms %d/%d (smallest p %.3g); planted defect caught %d/%d (largest p %.3g)"
             % (
                 gate.__name__,
                 sum(min(ps) < level for ps in correct),
-                n_seeds,
+                SEEDS,
                 min(min(ps) for ps in correct),
                 sum(max(ps) < level for ps in planted),
-                n_planted,
+                PLANTED_SEEDS,
                 max(max(ps) for ps in planted),
             )
         )
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
