@@ -20,5 +20,5 @@ vi = scenario_remarks("vi", sites=5)
 print("staircase profiles and their outflow rates:")
 for st in vi["staircases"]:
     print("   %s  out-rate %g  absorbing=%s" % (st["profile"], st["out_rate"], st["absorbing"]))
-print("extreme stationary laws:", vi["n_extreme_points"])
+print("closed classes (extreme stationary laws):", vi["n_closed_classes"])
 print("caveats:", "; ".join(vi["caveats"]))

@@ -36,6 +36,7 @@ from .functionals import (
     interior_run_histogram,
     interval_run_count,
     interval_stats,
+    run_counts,
 )
 from .graphical import (
     EventStream,

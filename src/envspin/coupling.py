@@ -264,12 +264,10 @@ def _extended_positions(config: Configuration):
     return range(len(config))
 
 
-def agreement_memberships(lower, middle, upper) -> frozenset:
-    """Which agreement classes the ordered triple belongs to.
-
-    The result is a singleton except for the fully coalesced state (no
-    disagreement sites at all), which lies in both full-agreement classes.
-    """
+def _agreement_scan(lower, middle, upper):
+    """Disagreement positions (lower 0, upper 1) of an ordered triple, frozen
+    boundary words included, the middle layer's values there, and the
+    agreement classes those values put the triple in."""
     if not (leq(lower, middle) and leq(middle, upper)):
         raise ValueError("layers must satisfy lower <= middle <= upper")
     lo_w, mid_w, up_w = MutableWindow(lower), MutableWindow(middle), MutableWindow(upper)
@@ -278,16 +276,27 @@ def agreement_memberships(lower, middle, upper) -> frozenset:
     ]
     seq = [mid_w.value(p) for p in positions]
     if not seq:
-        return frozenset({"A1", "A2"})
-    if all(v == 0 for v in seq):
-        return frozenset({"A1"})
-    if all(v == 1 for v in seq):
-        return frozenset({"A2"})
-    if all(a <= b for a, b in zip(seq, seq[1:])):
-        return frozenset({"A3"})
-    if all(a >= b for a, b in zip(seq, seq[1:])):
-        return frozenset({"A4"})
-    return frozenset({"NONE"})
+        kinds = {"A1", "A2"}
+    elif all(v == 0 for v in seq):
+        kinds = {"A1"}
+    elif all(v == 1 for v in seq):
+        kinds = {"A2"}
+    elif all(a <= b for a, b in zip(seq, seq[1:])):
+        kinds = {"A3"}
+    elif all(a >= b for a, b in zip(seq, seq[1:])):
+        kinds = {"A4"}
+    else:
+        kinds = {"NONE"}
+    return positions, seq, frozenset(kinds)
+
+
+def agreement_memberships(lower, middle, upper) -> frozenset:
+    """Which agreement classes the ordered triple belongs to.
+
+    The result is a singleton except for the fully coalesced state (no
+    disagreement sites at all), which lies in both full-agreement classes.
+    """
+    return _agreement_scan(lower, middle, upper)[2]
 
 
 def classify_agreement(lower, middle, upper) -> AgreementClass:
@@ -298,16 +307,11 @@ def classify_agreement(lower, middle, upper) -> AgreementClass:
     the window is read left to right, which makes A3/A4 a windowed notion.
     A state with no disagreement at all is reported as A1.
     """
-    kinds = agreement_memberships(lower, middle, upper)
+    positions, seq, kinds = _agreement_scan(lower, middle, upper)
     if "A1" in kinds:
         return AgreementClass("A1")
     if "A2" in kinds:
         return AgreementClass("A2")
-    lo_w, mid_w, up_w = MutableWindow(lower), MutableWindow(middle), MutableWindow(upper)
-    positions = [
-        p for p in _extended_positions(lower) if lo_w.value(p) == 0 and up_w.value(p) == 1
-    ]
-    seq = [mid_w.value(p) for p in positions]
     if "A3" in kinds:
         return AgreementClass("A3", interface=max(p for p, v in zip(positions, seq) if v == 0))
     if "A4" in kinds:

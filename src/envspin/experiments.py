@@ -211,18 +211,12 @@ def run_length_decay(spec: ModelSpec, windows, t, replicas, seed, initial=None) 
     else:
         beta0, layers = initial
         result = graphical.batch_evolve(spec, beta0, list(layers), [float(t)], replicas, seed)
-    low_arr, mid_arr, up_arr = result.layers[-1]
+    lower, middle, upper = result.layers[-1]
     rows = []
     for m, n in windows:
-        vals = np.empty(replicas)
-        hist_sums = {}
-        for r in range(replicas):
-            vals[r] = functionals.interval_run_count(low_arr[r], mid_arr[r], up_arr[r], m, n)
-            for l, c in functionals.interior_run_histogram(
-                low_arr[r], mid_arr[r], up_arr[r], m, n
-            ).items():
-                hist_sums[l] = hist_sums.get(l, 0) + c
-        mean, se = _mean_se(vals)
+        runs, interior = functionals.run_counts(lower, middle, upper, m, n)
+        totals = interior.sum(axis=0)
+        mean, se = _mean_se(runs)
         width = n - m if n > m else 1
         rows.append(
             {
@@ -231,7 +225,7 @@ def run_length_decay(spec: ModelSpec, windows, t, replicas, seed, initial=None) 
                 "mean_runs": mean,
                 "se": se,
                 "normalized": mean / width,
-                "mean_interior_runs": {l: c / replicas for l, c in sorted(hist_sums.items())},
+                "mean_interior_runs": {int(l): int(totals[l]) / replicas for l in np.flatnonzero(totals)},
             }
         )
     return EstimateReport(
@@ -262,27 +256,19 @@ def interval_inequality_check(spec: ModelSpec, t, replicas, seed, m, n, l=1) -> 
     if not (0 < m <= n < spec.size - 1):
         raise ValueError("need 0 < m <= n < size-1 so both window extensions exist")
     result = _random_coupled_run(spec, [float(t)], replicas, seed)
-    low_arr, mid_arr, up_arr = result.layers[-1]
+    lower, middle, upper = result.layers[-1]
     consts = dominating_rates(spec)
     C, K = consts.C, consts.K
 
-    slack_d = np.empty(replicas)
-    slack_e = np.empty(replicas)
-    g_first = np.empty(replicas)
-    curvature = np.empty(replicas)
-    for r in range(replicas):
-        lo, mi, up = low_arr[r], mid_arr[r], up_arr[r]
-        hist = functionals.interior_run_histogram(lo, mi, up, m, n)
-        f_mn = functionals.interval_run_count(lo, mi, up, m, n)
-        f_left = functionals.interval_run_count(lo, mi, up, m - 1, n)
-        f_right = functionals.interval_run_count(lo, mi, up, m, n + 1)
-        g1 = hist.get(1, 0)
-        g_l = hist.get(l, 0)
-        g_l1 = hist.get(l + 1, 0)
-        g_first[r] = g1
-        curvature[r] = f_left + f_right - 2 * f_mn
-        slack_d[r] = K * (f_left + f_right - 2 * f_mn) - C * g1
-        slack_e[r] = 12.0 * K * l * g_l - C * g_l1
+    f_mn, interior = functionals.run_counts(lower, middle, upper, m, n)
+    f_left = functionals.run_counts(lower, middle, upper, m - 1, n)[0]
+    f_right = functionals.run_counts(lower, middle, upper, m, n + 1)[0]
+
+    g = dict(enumerate(interior.T))  # length -> per-replica interior run counts
+    g_first = g[1]
+    curvature = f_left + f_right - 2 * f_mn
+    slack_d = K * curvature - C * g_first
+    slack_e = 12.0 * K * l * g.get(l, 0) - C * g.get(l + 1, 0)
 
     mean_d, se_d = _mean_se(slack_d)
     mean_e, se_e = _mean_se(slack_e)
@@ -391,7 +377,6 @@ def scenario_remarks(name, sites=5, spec=None, **params):
             "sites": sites,
             "frozen_background_words": frozen_bg_words,
             "n_closed_classes": S.dimension,
-            "n_extreme_points": S.dimension,
             "closed_classes_decoded": [
                 [[format(f, "0%db" % sites) for f in state] for state in comp[:4]]
                 for comp in classes
@@ -426,7 +411,6 @@ def scenario_remarks(name, sites=5, spec=None, **params):
             "scenario": "remark-vi",
             "sites": sites,
             "n_closed_classes": S.dimension,
-            "n_extreme_points": S.dimension,
             "staircases": staircases,
             "all_staircases_absorbing": all(st["absorbing"] for st in staircases),
             "flagged": S.flagged,

@@ -2,84 +2,97 @@
 
 Given layers lower <= middle <= upper and an inclusive window [m, n], restrict
 attention to the disagreement sites (lower 0, upper 1) inside the window and
-read off the middle layer along that subsequence.  `interval_run_count` is the
-number of maximal constant runs; `interior_run_histogram` counts runs of each
-exact length that are flanked on both sides by further disagreement sites.
+read off the middle layer along that subsequence: its run count is the number
+of maximal constant runs, and its interior runs are those flanked on both
+sides by further disagreement sites.  `run_counts` computes both for a whole
+stack of triples; the scalar functions are batches of one over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .lattice import Configuration
 
 
-def _bits(layer):
+def _rows(layer):
+    """One layer as an (R, N) array: a stack, or a single triple's tuple,
+    1-D array, Configuration or 0/1 string as one row."""
     if isinstance(layer, Configuration):
-        return layer.bits
-    return tuple(int(v) for v in layer)
+        layer = layer.bits
+    elif isinstance(layer, str):
+        layer = [int(v) for v in layer]
+    return np.atleast_2d(np.asarray(layer))
 
 
-def _validated(lower, middle, upper, m, n):
-    lo, mid, up = _bits(lower), _bits(middle), _bits(upper)
-    if not (len(lo) == len(mid) == len(up)):
+def run_counts(lower, middle, upper, m, n):
+    """Both functionals on [m, n] for every row of a stack of triples.
+
+    Returns (runs, interior): `runs[r]` is row r's run count (0 when the
+    window holds no disagreement site) and `interior[r, l]` its number of
+    interior runs of exact length l, an (R, N + 1) integer array.  Every row
+    must be ordered over the whole lattice, and the window must lie in it.
+    The disagreement sites of all rows are laid end to end, so a run is a
+    stretch of constant (row, middle value), and the first and last run of
+    each row are the ones that are not interior.
+    """
+    lo, mid, up = _rows(lower), _rows(middle), _rows(upper)
+    if not (lo.shape == mid.shape == up.shape) or lo.ndim != 2:
         raise ValueError("layers must have equal length")
-    if any(a > b for a, b in zip(lo, mid)) or any(a > b for a, b in zip(mid, up)):
+    if (lo > mid).any() or (mid > up).any():
         raise ValueError("layers must be ordered lower <= middle <= upper")
     if m > n:
         raise ValueError("window endpoints must satisfy m <= n")
-    if m < 0 or n >= len(lo):
+    replicas, size = lo.shape
+    if m < 0 or n >= size:
         raise ValueError("window [%d, %d] outside the lattice" % (m, n))
-    return lo, mid, up
+    window = slice(m, n + 1)
+    row, col = np.nonzero((lo[:, window] == 0) & (up[:, window] == 1))
+    starts = np.flatnonzero(np.diff(2 * row + mid[:, window][row, col], prepend=-1))
+    run_row = row[starts]
+    lengths = np.diff(starts, append=row.size)
+    inner = (np.diff(run_row, prepend=-1) == 0) & (np.diff(run_row, append=replicas) == 0)
+    interior = np.bincount(
+        run_row[inner] * (size + 1) + lengths[inner], minlength=replicas * (size + 1)
+    ).reshape(replicas, size + 1)
+    return np.bincount(run_row, minlength=replicas), interior
 
 
-def disagreement_values(lower, middle, upper, m, n):
-    """Middle-layer values at the window sites where lower=0 and upper=1."""
-    lo, mid, up = _validated(lower, middle, upper, m, n)
-    return [mid[x] for x in range(m, n + 1) if lo[x] == 0 and up[x] == 1]
+def _one(lower, middle, upper, m, n):
+    runs, interior = run_counts(lower, middle, upper, m, n)
+    if runs.size != 1:
+        raise ValueError("expected one triple, got a stack of %d" % runs.size)
+    return int(runs[0]), interior[0]
 
 
 def interval_run_count(lower, middle, upper, m, n) -> int:
     """Number of maximal constant runs of the middle layer along the
     disagreement subsequence of [m, n] (0 when there is no disagreement)."""
-    seq = disagreement_values(lower, middle, upper, m, n)
-    if not seq:
-        return 0
-    return 1 + sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+    return _one(lower, middle, upper, m, n)[0]
+
+
+def _histogram(interior):
+    return {int(l): int(interior[l]) for l in np.flatnonzero(interior)}
 
 
 def interior_run_histogram(lower, middle, upper, m, n) -> dict:
     """Map length -> number of constant runs of that exact length that have a
     differing disagreement site on both sides.  Runs touching either end of
     the subsequence are not counted."""
-    seq = disagreement_values(lower, middle, upper, m, n)
-    counts = {}
-    k = len(seq)
-    start = 0
-    while start < k:
-        end = start
-        while end + 1 < k and seq[end + 1] == seq[start]:
-            end += 1
-        if start > 0 and end < k - 1:
-            length = end - start + 1
-            counts[length] = counts.get(length, 0) + 1
-        start = end + 1
-    return counts
+    return _histogram(_one(lower, middle, upper, m, n)[1])
 
 
 def check_window_monotone(lower, middle, upper, m, n) -> bool:
     """True iff both functionals grow (weakly) when the window is extended one
     site on either side.  The window must be extendable within the lattice."""
-    lo, _, _ = _validated(lower, middle, upper, m, n)
-    if m - 1 < 0 or n + 1 >= len(lo):
+    f, g = _one(lower, middle, upper, m, n)
+    if m - 1 < 0 or n + 1 >= g.size - 1:
         raise ValueError("window must be extendable by one site on both sides")
-    f = interval_run_count(lower, middle, upper, m, n)
-    g = interior_run_histogram(lower, middle, upper, m, n)
     for mm, nn in ((m - 1, n), (m, n + 1)):
-        if interval_run_count(lower, middle, upper, mm, nn) < f:
-            return False
-        g_big = interior_run_histogram(lower, middle, upper, mm, nn)
-        if any(g_big.get(l, 0) < cnt for l, cnt in g.items()):
+        f_big, g_big = _one(lower, middle, upper, mm, nn)
+        if f_big < f or (g_big < g).any():
             return False
     return True
 
@@ -106,9 +119,5 @@ class IntervalStats:
 
 
 def interval_stats(lower, middle, upper, m, n) -> IntervalStats:
-    return IntervalStats(
-        m,
-        n,
-        interval_run_count(lower, middle, upper, m, n),
-        interior_run_histogram(lower, middle, upper, m, n),
-    )
+    f, g = _one(lower, middle, upper, m, n)
+    return IntervalStats(m, n, f, _histogram(g))

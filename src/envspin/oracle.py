@@ -243,7 +243,6 @@ class StationarySet:
 
     distributions: list
     closed_classes: list
-    extremal: list
     dimension: int
     flagged: bool
     notes: list = field(default_factory=list)
@@ -379,7 +378,6 @@ def stationary_set(G: GeneratorMatrix, svd_check="auto", residual_tol=1e-10) -> 
     return StationarySet(
         distributions=distributions,
         closed_classes=closed,
-        extremal=[True] * len(closed),
         dimension=len(closed),
         flagged=flagged,
         notes=notes,

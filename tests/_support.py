@@ -75,13 +75,12 @@ def ordered_triple_configs(words):
     return (Configuration(lower), Configuration(middle), Configuration(upper))
 
 
-def all_ordered_triples(length):
-    """Exhaustive ordered (lower, middle, upper) bit tuples of a given length."""
-    for cols in itertools.product(range(4), repeat=length):
-        lower = tuple(1 if c == 3 else 0 for c in cols)
-        middle = tuple(1 if c >= 2 else 0 for c in cols)
-        upper = tuple(1 if c >= 1 else 0 for c in cols)
-        yield lower, middle, upper
+def ordered_stack(cols):
+    """(lower, middle, upper) stacks from an array of ordered-column codes:
+    code c in 0..3 gives the column ([c == 3], [c >= 2], [c >= 1]), as in
+    `random_ordered_triple`."""
+    cols = np.asarray(cols)
+    return (cols == 3).astype(np.int8), (cols >= 2).astype(np.int8), (cols >= 1).astype(np.int8)
 
 
 def random_ordered_triple(rng, length):

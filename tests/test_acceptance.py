@@ -6,6 +6,7 @@ values computed in-process: criterion 3 by chi-square tests at the stated
 family-wise level `GATE_LEVEL`, the other estimates at 3 standard errors.
 """
 
+import itertools
 import json
 import math
 import time
@@ -31,6 +32,7 @@ from envspin import (
     interval_run_count,
     limit_distributions,
     preset,
+    run_counts,
     semigroup_apply,
     simulate_coupled,
     stationary_set,
@@ -46,12 +48,11 @@ from _support import (
     WORKED_LOWER,
     WORKED_MIDDLE,
     WORKED_UPPER,
-    all_ordered_triples,
     empirical_pair_distribution,
+    ordered_stack,
     ordered_window_triples,
     pooled_chi_square,
     random_compatible_pair,
-    random_ordered_triple,
     random_positive_spec,
     scaled_deaths,
 )
@@ -237,43 +238,49 @@ def test_criterion_4_monotonicity_suite():
 
 
 def test_criterion_5_deterministic_functional_suite():
+    def bounded(f, g, m, n):
+        # run count <= 2 + interior runs; interior runs fit in the window
+        return (f <= 2 + g.sum(axis=1)).all() and (g @ np.arange(g.shape[1]) <= n - m + 1).all()
+
     checks = 0
     for length in range(1, 7):
-        for lo, mid, up in all_ordered_triples(length):
-            cache = {}
-            for m in range(length):
-                for n in range(m, length):
-                    f = interval_run_count(lo, mid, up, m, n)
-                    g = interior_run_histogram(lo, mid, up, m, n)
-                    cache[(m, n)] = (f, g)
-                    assert f <= 2 + sum(g.values())
-                    assert sum(l * c for l, c in g.items()) <= n - m + 1
-                    checks += 1
-            for (m, n), (f, g) in cache.items():
-                for wider in ((m - 1, n), (m, n + 1)):
-                    if wider in cache:
-                        f2, g2 = cache[wider]
-                        assert f2 >= f
-                        assert f2 <= f + 1
-                        assert all(g2.get(l, 0) >= c for l, c in g.items())
+        stack = ordered_stack(list(itertools.product(range(4), repeat=length)))
+        cache = {}
+        for m in range(length):
+            for n in range(m, length):
+                f, g = run_counts(*stack, m, n)
+                cache[(m, n)] = (f, g)
+                assert bounded(f, g, m, n)
+                checks += len(f)
+        for (m, n), (f, g) in cache.items():
+            for wider in ((m - 1, n), (m, n + 1)):
+                if wider in cache:
+                    f2, g2 = cache[wider]
+                    assert (f2 >= f).all()
+                    assert (f2 <= f + 1).all()
+                    assert (g2 >= g).all()
 
+    # random triples (the draws of `random_ordered_triple`, in sequence),
+    # checked in groups that share a length and a window
     rng = np.random.default_rng(505)
+    groups = {}
     for _ in range(100_000):
         length = int(rng.integers(1, 13))
-        lo, mid, up = random_ordered_triple(rng, length)
+        cols = rng.integers(0, 4, length)
         m = int(rng.integers(0, length))
         n = int(rng.integers(m, length))
-        f = interval_run_count(lo, mid, up, m, n)
-        g = interior_run_histogram(lo, mid, up, m, n)
-        assert f <= 2 + sum(g.values())
-        assert sum(l * c for l, c in g.items()) <= n - m + 1
+        groups.setdefault((length, m, n), []).append(cols)
+    for (length, m, n), codes in groups.items():
+        stack = ordered_stack(codes)
+        f, g = run_counts(*stack, m, n)
+        assert bounded(f, g, m, n)
         if m > 0:
-            f2 = interval_run_count(lo, mid, up, m - 1, n)
-            assert f <= f2 <= f + 1
+            f2 = run_counts(*stack, m - 1, n)[0]
+            assert ((f <= f2) & (f2 <= f + 1)).all()
         if n < length - 1:
-            g2 = interior_run_histogram(lo, mid, up, m, n + 1)
-            assert all(g2.get(l, 0) >= c for l, c in g.items())
-        checks += 1
+            g2 = run_counts(*stack, m, n + 1)[1]
+            assert (g2 >= g).all()
+        checks += len(codes)
     print("ACCEPTANCE 5 PASS: growth/bound identities over %d windows"
           " (exhaustive length <= 6 plus 1e5 random length <= 12), zero violations" % checks)
 

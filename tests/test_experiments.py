@@ -6,6 +6,9 @@ import pytest
 
 from envspin import (
     build_coupled_generator,
+    dominating_rates,
+    interior_run_histogram,
+    interval_run_count,
     build_generator,
     calibrate_burn_in,
     density_curves,
@@ -16,7 +19,15 @@ from envspin import (
     scenario_remarks,
     semigroup_apply,
 )
-from envspin.experiments import EstimateReport, density_csv_text, sample_ordered_quadruples, sample_ordered_triples
+from envspin.experiments import (
+    EstimateReport,
+    _mean_se,
+    _random_coupled_run,
+    density_csv_text,
+    run_decay_csv_text,
+    sample_ordered_quadruples,
+    sample_ordered_triples,
+)
 
 from _support import random_positive_spec
 
@@ -119,6 +130,77 @@ def test_interval_inequalities_small_window():
     assert rep.extra["holds_e_within_3sigma"]
     with pytest.raises(ValueError):
         interval_inequality_check(spec, 1.0, 10, 0, m=0, n=5)
+
+
+def _replica_samples(spec, t, replicas, seed):
+    """The coupled triples both estimators draw for (spec, t, replicas, seed),
+    one (lower, middle, upper) tuple of rows per replica."""
+    layers = _random_coupled_run(spec, [float(t)], replicas, seed).layers[-1]
+    return list(zip(*layers))
+
+
+def test_run_length_decay_equals_per_replica_scalar_loop():
+    spec = cpree(16, lam=3.0, delta0=1.0, delta1=0.5)
+    windows = [(7, 8), (5, 10), (2, 13), (0, 15)]
+    rep = run_length_decay(spec, windows, t=0.5, replicas=150, seed=21)
+    samples = _replica_samples(spec, 0.5, 150, 21)
+    for row, (m, n) in zip(rep.extra["rows"], windows):
+        mean, se = _mean_se([float(interval_run_count(*triple, m, n)) for triple in samples])
+        totals = {}
+        for triple in samples:
+            for l, c in interior_run_histogram(*triple, m, n).items():
+                totals[l] = totals.get(l, 0) + c
+        expected = {
+            "m": m,
+            "n": n,
+            "mean_runs": mean,
+            "se": se,
+            "normalized": mean / (n - m),
+            "mean_interior_runs": {l: c / 150 for l, c in sorted(totals.items())},
+        }
+        assert row == expected
+        assert list(row["mean_interior_runs"]) == list(expected["mean_interior_runs"])
+        assert all(type(l) is int and type(v) is float for l, v in row["mean_interior_runs"].items())
+        assert all(type(row[key]) is float for key in ("mean_runs", "se", "normalized"))
+    assert len(rep.extra["rows"][-1]["mean_interior_runs"]) >= 2
+    text = run_decay_csv_text(rep)
+    assert "np." not in text and len(text.splitlines()) == len(windows) + 1
+
+
+def test_interval_inequality_check_equals_per_replica_scalar_loop():
+    spec = cpree(12, lam=3.0, delta0=1.0, delta1=0.5)
+    m, n, l = 3, 8, 1
+    rep = interval_inequality_check(spec, t=0.5, replicas=200, seed=22, m=m, n=n, l=l)
+    consts = dominating_rates(spec)
+    C, K = consts.C, consts.K
+    slack_d, slack_e, g_first, curvature = [], [], [], []
+    for triple in _replica_samples(spec, 0.5, 200, 22):
+        hist = interior_run_histogram(*triple, m, n)
+        f_mn = interval_run_count(*triple, m, n)
+        f_left = interval_run_count(*triple, m - 1, n)
+        f_right = interval_run_count(*triple, m, n + 1)
+        g_first.append(float(hist.get(1, 0)))
+        curvature.append(float(f_left + f_right - 2 * f_mn))
+        slack_d.append(K * (f_left + f_right - 2 * f_mn) - C * hist.get(1, 0))
+        slack_e.append(12.0 * K * l * hist.get(l, 0) - C * hist.get(l + 1, 0))
+    mean_d, se_d = _mean_se(slack_d)
+    mean_e, se_e = _mean_se(slack_e)
+    mean_g1 = _mean_se(g_first)[0]
+    mean_curv = _mean_se(curvature)[0]
+    assert rep.extra == {
+        "lhs_d": C * mean_g1,
+        "rhs_d": K * mean_curv,
+        "slack_d_mean": mean_d,
+        "slack_d_se": se_d,
+        "holds_d_within_3sigma": mean_d >= -3.0 * se_d,
+        "slack_e_mean": mean_e,
+        "slack_e_se": se_e,
+        "holds_e_within_3sigma": mean_e >= -3.0 * se_e,
+        "mean_interior_singletons": mean_g1,
+        "mean_curvature": mean_curv,
+    }
+    assert mean_g1 > 0 and mean_curv != 0
+    assert all(type(v) in (float, bool) for v in rep.extra.values())
 
 
 def test_coalescence_heavy_death_contact():

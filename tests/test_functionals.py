@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from envspin import (
+    Configuration,
     IntervalStats,
     check_window_monotone,
     interior_run_histogram,
     interval_run_count,
     interval_stats,
+    run_counts,
 )
 
 from _support import (
@@ -15,6 +17,7 @@ from _support import (
     WORKED_UPPER,
     brute_interior_runs,
     brute_run_count,
+    ordered_stack,
     random_ordered_triple,
 )
 
@@ -105,3 +108,63 @@ def test_interval_stats_bounds():
         IntervalStats(0, 3, run_count=9, interior_runs={1: 1})
     with pytest.raises(ValueError):
         IntervalStats(0, 3, run_count=2, interior_runs={5: 1})
+
+
+def test_run_counts_rows_match_brute_force():
+    rng = np.random.default_rng(6)
+    for size in (1, 2, 5, 12):
+        cols = rng.integers(0, 4, (60, size))
+        cols[0] = 0  # lower = middle = upper = 0: no disagreement site
+        cols[1] = 3  # all ones: no disagreement site
+        cols[2:4] = rng.integers(1, 3, (2, size))  # every site disagrees
+        lo, mid, up = ordered_stack(cols)
+        for m in range(size):
+            for n in range(m, size):
+                runs, interior = run_counts(lo, mid, up, m, n)
+                assert runs.shape == (60,) and interior.shape == (60, size + 1)
+                for r in range(60):
+                    assert runs[r] == brute_run_count(lo[r], mid[r], up[r], m, n)
+                    hist = {l: int(interior[r, l]) for l in np.flatnonzero(interior[r])}
+                    assert hist == brute_interior_runs(lo[r], mid[r], up[r], m, n)
+                assert (runs[:2] == 0).all() and (interior[:2] == 0).all()
+
+
+def test_run_counts_rejects_bad_stacks():
+    rng = np.random.default_rng(7)
+    lo, mid, up = ordered_stack(rng.integers(0, 4, (5, 8)))
+    run_counts(lo, mid, up, 0, 2)
+    for r, column in ((3, (1, 0, 1)), (4, (0, 1, 0))):
+        # one row unordered at one site outside the window
+        bad = [layer.copy() for layer in (lo, mid, up)]
+        for layer, v in zip(bad, column):
+            layer[r, 6] = v
+        with pytest.raises(ValueError, match="ordered"):
+            run_counts(*bad, 0, 2)
+    with pytest.raises(ValueError):
+        run_counts(lo, mid, up, 4, 3)
+    for m, n in ((-1, 3), (2, 8)):
+        with pytest.raises(ValueError, match="outside"):
+            run_counts(lo, mid, up, m, n)
+    for short in (mid[:4], mid[:, :7]):
+        with pytest.raises(ValueError):
+            run_counts(lo, short, up, 0, 2)
+
+
+def test_scalar_names_accept_every_single_triple_form():
+    lo, mid, up = worked()
+    forms = [
+        (lo, mid, up),
+        (WORKED_LOWER, WORKED_MIDDLE, WORKED_UPPER),
+        tuple(np.array(layer) for layer in (lo, mid, up)),
+        tuple(Configuration(layer) for layer in (WORKED_LOWER, WORKED_MIDDLE, WORKED_UPPER)),
+    ]
+    for form in forms:
+        assert interval_run_count(*form, 0, 10) == 4
+        hist = interior_run_histogram(*form, 0, 10)
+        assert hist == {2: 1, 3: 1}
+        assert all(type(k) is int and type(v) is int for k, v in hist.items())
+        assert check_window_monotone(*form, 1, 9)
+        assert interval_stats(*form, 0, 10) == IntervalStats(0, 10, 4, {2: 1, 3: 1})
+    stack = [np.array([layer, layer]) for layer in (lo, mid, up)]
+    with pytest.raises(ValueError, match="one triple"):
+        interval_run_count(*stack, 0, 10)
