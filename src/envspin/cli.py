@@ -295,8 +295,6 @@ def cmd_oracle(args, parser):
         "svd_null_dim": S.svd_null_dim,
         "tv_nu0_nu1": L.tv_distance,
         "limits_converged": L.converged,
-        "t_lower": L.t_lower,
-        "t_upper": L.t_upper,
     }
     path = Path(prefix + ".summary.json")
     path.write_text(json.dumps(summary, indent=2) + "\n")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .lattice import (
     order_pairs,
 )
 from .graphical import Event, OrderViolationError, Trajectory, _field_rows, _site_columns, exact_table
-from .rates import ModelSpec, ModelViolationError
+from .rates import EnvRateSpec, ModelSpec, ModelViolationError, SpinRatePair
 
 
 @dataclass(frozen=True)
@@ -98,27 +99,44 @@ def spin_flip_groups(pair, background_bit, windows, pairs, exact=True):
     return out
 
 
-def coupled_event_rates(spec: ModelSpec, state: JointState, x):
-    """All transitions available at site x: joint spin flips per the coupling
-    rule plus the lone background flip.  Keys are the target local states
-    (background bit first, then each layer's new center); rates are exact
-    Fractions and zero-rate targets are omitted."""
-    n_layers = len(state.layers)
-    windows = [neighborhood(layer, x, 1) for layer in state.layers]
-    bit = state.beta[x]
-    centers = tuple(int(w[1]) for w in windows)
-    out = {}
-    for flips, rate in spin_flip_groups(
-        spec.spin, bit, windows, order_pairs(n_layers), exact=True
-    ):
-        target = (bit,) + tuple(
-            1 - centers[k] if k in flips else centers[k] for k in range(n_layers)
-        )
-        out[target] = rate
-    b = Fraction(spec.env.rate_word(neighborhood(state.beta, x, spec.env.range)))
+@lru_cache(maxsize=4096)
+def site_menu(pair: SpinRatePair, env: EnvRateSpec, env_word, layer_words):
+    """All transitions at one site, from its local words alone.
+
+    `env_word` is the background's (2*range+1)-bit word index around the
+    site and `layer_words` holds each spin layer's 3-bit word index.  Returns
+    a tuple of (target, rate): joint spin flips per the coupling rule, then
+    the lone background flip; a target is the new local state (background
+    bit first, then each layer's new center) and rates are exact Fractions,
+    zero-rate targets omitted.  Results are cached; a ModelViolationError is
+    not, so it is raised on every call.
+    """
+    bit = (env_word >> env.range) & 1
+    windows = [format(w, "03b") for w in layer_words]
+    centers = tuple((w >> 1) & 1 for w in layer_words)
+    out = []
+    for flips, rate in spin_flip_groups(pair, bit, windows, order_pairs(len(windows)), exact=True):
+        out.append(((bit,) + tuple(1 - c if k in flips else c for k, c in enumerate(centers)), rate))
+    b = Fraction(env.rate_index(env_word))
     if b > 0:
-        out[(1 - bit,) + centers] = b
-    return out
+        out.append(((1 - bit,) + centers, b))
+    return tuple(out)
+
+
+def coupled_event_rates(spec: ModelSpec, state: JointState, x):
+    """All transitions available at site x, as a dict from target local state
+    (background bit first, then each layer's new center) to exact Fraction
+    rate; see `site_menu`."""
+    env_word = int(neighborhood(state.beta, x, spec.env.range), 2)
+    layer_words = tuple(int(neighborhood(layer, x, 1), 2) for layer in state.layers)
+    return dict(site_menu(spec.spin, spec.env, env_word, layer_words))
+
+
+@lru_cache(maxsize=4096)
+def _float_menu(pair, env, env_word, layer_words):
+    """`site_menu` with float rates, and their total, for `simulate_coupled`."""
+    menu = tuple((target, float(rate)) for target, rate in site_menu(pair, env, env_word, layer_words))
+    return menu, sum(r for _, r in menu)
 
 
 def simulate_coupled(
@@ -134,35 +152,30 @@ def simulate_coupled(
     Holding times are exponential in the total rate over sites; the jump is
     drawn categorically among every site's transitions.  A flip at x only
     perturbs rates within one interaction radius, so only those sites are
-    recomputed.  With `watch_class`, the agreement memberships of an ordered
-    triple are tracked after every event: full-agreement memberships must
-    persist, an interface class may only collapse into full agreement, and
-    leaving the union entirely raises.
+    recomputed, each from its local words (`site_menu`).  With `watch_class`,
+    the agreement memberships of an ordered triple are tracked after every
+    event: full-agreement memberships must persist, an interface class may
+    only collapse into full agreement, and leaving the union entirely raises.
     """
     spec = cspec.base if isinstance(cspec, CoupledSpec) else cspec
     names = initial.names
     n = spec.size
-    radius = max(1, spec.env.range)
+    pair, env = spec.spin, spec.env
+    radius = max(1, env.range)
     rng = np.random.default_rng(seed)
 
     beta = MutableWindow(initial.beta)
     layers = [MutableWindow(cfg) for cfg in initial.layers]
     pairs = order_pairs(len(layers))
 
-    def local_state():
-        return JointState(
-            beta.to_configuration(),
-            tuple(l.to_configuration() for l in layers),
-            names,
+    def menu_at(x):
+        return _float_menu(
+            pair, env, beta.word_index(x, env.range), tuple(l.word_index(x, 1) for l in layers)
         )
 
-    def site_menu(x):
-        state = local_state()
-        menu = coupled_event_rates(spec, state, x)
-        return [(target, float(rate)) for target, rate in menu.items()]
-
-    menus = [site_menu(x) for x in range(n)]
-    totals = np.array([sum(r for _, r in menu) for menu in menus])
+    menus, totals = zip(*(menu_at(x) for x in range(n)))
+    menus = list(menus)
+    totals = np.array(totals)
     current = agreement_memberships(*initial.layers) if watch_class else None
 
     events = []
@@ -231,14 +244,12 @@ def simulate_coupled(
                 y %= n
             elif not 0 <= y < n:
                 continue
-            menus[y] = site_menu(y)
-            totals[y] = sum(r for _, r in menus[y])
+            menus[y], totals[y] = menu_at(y)
 
-    final_state = local_state()
     initial_dict = {"beta": initial.beta}
     initial_dict.update(zip(names, initial.layers))
-    final_dict = {"beta": final_state.beta}
-    final_dict.update(zip(names, final_state.layers))
+    final_dict = {"beta": beta.to_configuration()}
+    final_dict.update(zip(names, (l.to_configuration() for l in layers)))
     return Trajectory(initial=initial_dict, events=events, final=final_dict, t_max=float(t_max))
 
 

@@ -7,7 +7,9 @@ Coupled generators append further layer fields below, one N-bit block each.
 
 Everything here is brute force on purpose: dense or coordinate-format rate
 matrices, stationary laws from closed communicating classes of the jump
-graph, and time-t laws by uniformization with explicit truncation error.
+graph, long-time limits as absorption-weighted mixtures of those laws (one
+dense solve over the transient states), and time-t laws by uniformization
+with explicit truncation error.
 """
 
 from __future__ import annotations
@@ -249,6 +251,9 @@ class StationarySet:
     svd_null_dim: int = None
 
 
+RESIDUAL_TOL = 1e-10  # largest |pi Q| entry accepted as stationary
+
+
 def _strongly_connected_components(dim, adj):
     """Iterative Tarjan; returns a list of components (lists of states)."""
     index = np.full(dim, -1, dtype=np.int64)
@@ -298,7 +303,56 @@ def _strongly_connected_components(dim, adj):
     return components
 
 
-def stationary_set(G: GeneratorMatrix, svd_check="auto", residual_tol=1e-10) -> StationarySet:
+def _closed_classes(G: GeneratorMatrix):
+    """Closed classes of the jump graph and their stationary laws.
+
+    Returns (classes, laws, label): each class as a sorted list of states,
+    its stationary law as a full-length vector (one dense solve on the class
+    block of the generator), and `label[s]`, the index of the class holding
+    s or -1 for a transient state.
+    """
+    dim = G.dim
+    order = np.argsort(G.rows, kind="stable")
+    bounds = np.cumsum(np.bincount(G.rows, minlength=dim))[:-1]
+    adj = [targets.tolist() for targets in np.split(G.cols[order], bounds)]
+    comps = _strongly_connected_components(dim, adj)
+    comp_id = np.empty(dim, dtype=np.int64)
+    for k, comp in enumerate(comps):
+        comp_id[comp] = k
+    has_exit = np.zeros(len(comps), dtype=bool)
+    has_exit[comp_id[G.rows[comp_id[G.rows] != comp_id[G.cols]]]] = True
+    classes = [sorted(comp) for k, comp in enumerate(comps) if not has_exit[k]]
+
+    label = np.full(dim, -1, dtype=np.int64)
+    laws = []
+    for k, comp in enumerate(classes):
+        label[comp] = k
+        pi = np.zeros(dim)
+        if len(comp) == 1:
+            pi[comp[0]] = 1.0
+        else:
+            m = len(comp)
+            pos = np.full(dim, -1, dtype=np.int64)
+            pos[comp] = np.arange(m)
+            inside = (pos[G.rows] >= 0) & (pos[G.cols] >= 0)
+            Qc = np.zeros((m, m))
+            np.add.at(Qc, (pos[G.rows[inside]], pos[G.cols[inside]]), G.vals[inside])
+            Qc[np.arange(m), np.arange(m)] = -Qc.sum(axis=1)
+            M = Qc.T.copy()
+            M[-1, :] = 1.0
+            b = np.zeros(m)
+            b[-1] = 1.0
+            local = np.clip(np.linalg.solve(M, b), 0.0, None)
+            pi[comp] = local / local.sum()
+        laws.append(pi)
+    return classes, laws, label
+
+
+def _residual(G: GeneratorMatrix, dist):
+    return float(np.abs(G.matvec_left(dist)).max())
+
+
+def stationary_set(G: GeneratorMatrix, svd_check="auto", residual_tol=RESIDUAL_TOL) -> StationarySet:
     """All extreme stationary laws, via closed communicating classes.
 
     The extreme stationary laws of a finite chain are exactly the stationary
@@ -309,53 +363,14 @@ def stationary_set(G: GeneratorMatrix, svd_check="auto", residual_tol=1e-10) -> 
     tolerance set the `flagged` bit instead of being silently resolved.
     """
     dim = G.dim
-    adj = [[] for _ in range(dim)]
-    for r, c in zip(G.rows, G.cols):
-        adj[r].append(int(c))
-    comps = _strongly_connected_components(dim, adj)
-    comp_id = np.empty(dim, dtype=np.int64)
-    for k, comp in enumerate(comps):
-        for s in comp:
-            comp_id[s] = k
-    closed = []
-    open_flags = np.zeros(len(comps), dtype=bool)
-    for r, c in zip(G.rows, G.cols):
-        if comp_id[r] != comp_id[c]:
-            open_flags[comp_id[r]] = True
-    for k, comp in enumerate(comps):
-        if not open_flags[k]:
-            closed.append(sorted(comp))
-
+    closed, distributions, _ = _closed_classes(G)
     notes = []
     flagged = False
-    distributions = []
-    for comp in closed:
-        pi = np.zeros(dim)
-        if len(comp) == 1:
-            pi[comp[0]] = 1.0
-        else:
-            pos = {s: i for i, s in enumerate(comp)}
-            k = len(comp)
-            Qc = np.zeros((k, k))
-            member = np.zeros(dim, dtype=bool)
-            member[comp] = True
-            for r, c, v in zip(G.rows, G.cols, G.vals):
-                if member[r] and member[c]:
-                    Qc[pos[r], pos[c]] += v
-            Qc[np.arange(k), np.arange(k)] = -Qc.sum(axis=1)
-            M = Qc.T.copy()
-            M[-1, :] = 1.0
-            b = np.zeros(k)
-            b[-1] = 1.0
-            local = np.linalg.solve(M, b)
-            local = np.clip(local, 0.0, None)
-            local /= local.sum()
-            pi[comp] = local
-        resid = float(np.abs(G.matvec_left(pi)).max())
+    for pi in distributions:
+        resid = _residual(G, pi)
         if resid > residual_tol:
             flagged = True
             notes.append("stationary residual %.3e exceeds %.0e" % (resid, residual_tol))
-        distributions.append(pi)
 
     svd_null_dim = None
     do_svd = svd_check is True or (svd_check == "auto" and dim <= 1024)
@@ -442,46 +457,60 @@ class LimitDistributions:
     lower: np.ndarray
     upper: np.ndarray
     tv_distance: float
-    t_lower: float
-    t_upper: float
     converged: bool
-    truncation_error: float
 
 
-def limit_distributions(G: GeneratorMatrix, tol=1e-8, t0=1.0, max_doublings=40) -> LimitDistributions:
-    """Long-time laws from the all-zeros and all-ones point masses.
+def limit_distributions(G: GeneratorMatrix) -> LimitDistributions:
+    """Long-time laws from the all-zeros and all-ones point masses, exactly.
 
-    Each start is pushed through doubling time steps until two successive
-    laws differ by less than `tol` in total variation; failure to converge
-    within the cap is reported, not papered over.
+    A finite chain started at s is absorbed in closed class C_k with some
+    probability a_k and then follows that class's stationary law pi_k, so its
+    limit is sum_k a_k pi_k.  A start inside a closed class returns that
+    class's law.  From a transient start, the expected occupation times nu of
+    the transient states T solve nu (-Q_TT) = e_s (one dense solve for both
+    starts), and a_k is the total rate flow nu Q_{T,C_k} into C_k.
+    `converged` states that each limit has mass within RESIDUAL_TOL of 1 and
+    a stationarity residual of at most RESIDUAL_TOL; a failure is reported,
+    not papered over.
     """
-
-    def run(start):
-        p = G.point_mass(start)
-        t_total = 0.0
-        step = t0
-        err = 0.0
-        for _ in range(max_doublings):
-            res = semigroup_apply(G, p, step)
-            err += res.truncation_error
-            t_total += step
-            tv = total_variation(res.dist, p)
-            p = res.dist
-            if tv < tol:
-                return p, t_total, True, err
-            step *= 2.0
-        return p, t_total, False, err
-
-    lower, t_lo, ok_lo, err_lo = run(0)
-    upper, t_hi, ok_hi, err_hi = run(G.dim - 1)
+    classes, laws, label = _closed_classes(G)
+    starts = (0, G.dim - 1)
+    limits = {s: laws[label[s]] for s in starts if label[s] >= 0}
+    pending = [s for s in starts if label[s] < 0]
+    if pending:
+        transient = np.flatnonzero(label < 0)
+        pos = np.full(G.dim, -1, dtype=np.int64)
+        pos[transient] = np.arange(transient.size)
+        src, dst = pos[G.rows], pos[G.cols]
+        within = (src >= 0) & (dst >= 0)
+        # (-Q_TT)^T, so that a column solve gives the row vector nu
+        A = np.zeros((transient.size, transient.size))
+        np.add.at(A, (dst[within], src[within]), -G.vals[within])
+        A[np.arange(transient.size), np.arange(transient.size)] -= G.diag[transient]
+        rhs = np.zeros((transient.size, len(pending)))
+        rhs[pos[pending], np.arange(len(pending))] = 1.0
+        nu = np.linalg.solve(A, rhs)
+        exits = (src >= 0) & (dst < 0)
+        into = label[G.cols[exits]]
+        # the class laws have disjoint supports, so their sum holds each one
+        closed = label >= 0
+        stationary = np.sum(laws, axis=0)[closed]
+        for j, s in enumerate(pending):
+            flow = nu[src[exits], j] * G.vals[exits]
+            weights = np.bincount(into, weights=flow, minlength=len(classes))
+            dist = np.zeros(G.dim)
+            dist[closed] = weights[label[closed]] * stationary
+            limits[s] = dist
+    lower, upper = limits[starts[0]], limits[starts[1]]
+    converged = all(
+        abs(dist.sum() - 1.0) <= RESIDUAL_TOL and _residual(G, dist) <= RESIDUAL_TOL
+        for dist in (lower, upper)
+    )
     return LimitDistributions(
         lower=lower,
         upper=upper,
         tv_distance=total_variation(lower, upper),
-        t_lower=t_lo,
-        t_upper=t_hi,
-        converged=ok_lo and ok_hi,
-        truncation_error=err_lo + err_hi,
+        converged=converged,
     )
 
 

@@ -133,13 +133,6 @@ def empirical_pair_distribution(B, E):
     return np.bincount(states, minlength=4**n) / len(states)
 
 
-def max_z_score(empirical, exact, replicas):
-    sigma = np.sqrt(exact * (1.0 - exact) / replicas)
-    diff = np.abs(empirical - exact)
-    z = np.where(sigma > 0, diff / np.maximum(sigma, 1e-300), np.where(diff > 0, np.inf, 0.0))
-    return float(z.max())
-
-
 # Pearson chi-square gates against exact oracle laws.  A test file runs its
 # gates at a family-wise false-alarm level of GATE_LEVEL, split evenly
 # (Bonferroni) over the gates of one test, so a correct simulator fails a

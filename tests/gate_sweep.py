@@ -2,12 +2,13 @@
 
     python tests/gate_sweep.py
 
-Runs the simulators behind criterion 3 and the three-layer batch law test on
-SEEDS simulator seeds outside the tests' own and counts the runs each gate
-rejects at its level; then hands them the spec with every death rate 10 %
-high on PLANTED_SEEDS other seeds and counts the runs caught.  A calibrated
-gate rejects a correct simulator on about GATE_LEVEL of the seeds and catches
-the planted defect on all of them.
+Runs the simulators behind criterion 3, the three-layer batch law test and
+the `simulate_coupled` pair law test on SEEDS simulator seeds outside the
+tests' own and counts the runs each gate rejects at its level; then hands
+them the spec with every death rate too high (10 %, or 30 % for the
+3000-replica `simulate_coupled` gate) on PLANTED_SEEDS other seeds and counts
+the runs caught.  A calibrated gate rejects a correct simulator on about
+GATE_LEVEL of the seeds and catches the planted defect on all of them.
 """
 
 import sys
@@ -32,11 +33,21 @@ def three_layer_law(seed, factor):
     return [test_coupling._three_layer_law_pvalue(factor, seed=7000 + seed)]
 
 
+def simulate_coupled_law(seed, factor):
+    # replica r of sweep seed s runs on simulator seed 10**6 + 10**4 * s + r
+    return [test_coupling._simulate_coupled_marginal_pvalue(factor, seed=10**6 + 10**4 * seed)]
+
+
 def main():
     # each gate splits GATE_LEVEL evenly over its tests
-    for gate, level in ((criterion_3, GATE_LEVEL / 2), (three_layer_law, GATE_LEVEL)):
+    gates = (
+        (criterion_3, GATE_LEVEL / 2, 1.1),
+        (three_layer_law, GATE_LEVEL, 1.1),
+        (simulate_coupled_law, GATE_LEVEL, 1.3),
+    )
+    for gate, level, defect in gates:
         correct = [gate(s, 1.0) for s in range(SEEDS)]
-        planted = [gate(1000 + s, 1.1) for s in range(PLANTED_SEEDS)]
+        planted = [gate(1000 + s, defect) for s in range(PLANTED_SEEDS)]
         print(
             "%s: false alarms %d/%d (smallest p %.3g); planted defect caught %d/%d (largest p %.3g)"
             % (

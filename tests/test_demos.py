@@ -1,5 +1,6 @@
 """Smoke test: the demos that call the run-count functionals, the agreement
-classification and the stationary-set reports run to completion."""
+classification, the stationary-set reports and the exact limits run to
+completion."""
 
 import os
 import subprocess
@@ -13,7 +14,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "demo",
-    ["04_interval_functionals.py", "06_stationary_counterexamples.py", "08_stationary_inequalities.py"],
+    [
+        "04_interval_functionals.py",
+        "05_exact_oracle.py",
+        "06_stationary_counterexamples.py",
+        "08_stationary_inequalities.py",
+    ],
 )
 def test_demo_exits_cleanly(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

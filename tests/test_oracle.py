@@ -195,6 +195,50 @@ def test_remark_vi_limits_stay_apart():
     assert L.tv_distance > 0.9
 
 
+def _exact_limit_cases():
+    rng = np.random.default_rng(68)
+    cases = [(random_positive_spec(rng), 200.0) for _ in range(3)]
+    cases.append((preset("remark_iv", sites=3), 200.0))
+    cases.append((preset("remark_vi", sites=4), 200.0))
+    # the spins die out only after a long survival on the supercritical ring
+    cases.append((preset("cpree", gamma=1.0, delta0=1.0, delta1=0.5, p=0.5, lam=3.0, sites=3), 800.0))
+    return cases
+
+
+def test_limits_match_long_horizon_semigroup():
+    for spec, horizon in _exact_limit_cases():
+        G = build_generator(spec)
+        L = limit_distributions(G)
+        assert L.converged
+        for start, dist in ((0, L.lower), (G.dim - 1, L.upper)):
+            pushed = semigroup_apply(G, G.point_mass(start), horizon).dist
+            assert total_variation(pushed, dist) <= 1e-9
+
+
+def test_limits_are_mixtures_of_closed_class_laws():
+    for spec, _ in _exact_limit_cases():
+        G = build_generator(spec)
+        S = stationary_set(G)
+        L = limit_distributions(G)
+        for dist in (L.lower, L.upper):
+            weights = np.array([dist[comp].sum() for comp in S.closed_classes])
+            assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-10
+            mixture = sum(w * pi for w, pi in zip(weights, S.distributions))
+            assert np.abs(dist - mixture).max() <= 1e-12
+
+
+def test_limit_from_a_closed_class_is_its_law():
+    # on the remark-vi window the all-ones state is a frozen staircase and on
+    # the remark-iv window the all-zeros state never moves: a start inside a
+    # closed class stays with that class's law
+    for name, sites, start in (("remark_vi", 4, "upper"), ("remark_iv", 3, "lower")):
+        G = build_generator(preset(name, sites=sites))
+        S = stationary_set(G)
+        s = G.dim - 1 if start == "upper" else 0
+        (k,) = [k for k, comp in enumerate(S.closed_classes) if s in comp]
+        assert np.array_equal(getattr(limit_distributions(G), start), S.distributions[k])
+
+
 def test_coupled_generator_marginals_match_pair_generator():
     # summing the two-layer coupled chain over either layer reproduces the
     # plain pair semigroup
