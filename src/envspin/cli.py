@@ -7,7 +7,7 @@ replay MANIFEST` re-runs the command and reproduces the data files byte for
 byte (timestamps and runtime fields live only in the manifest and reports).
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical flag
-(rank ambiguity or non-convergence in the oracle).
+(a failed class certificate or residual, or non-convergence in the oracle).
 """
 
 from __future__ import annotations
@@ -292,7 +292,6 @@ def cmd_oracle(args, parser):
         "stationary_dimension": S.dimension,
         "flagged": S.flagged,
         "notes": S.notes,
-        "svd_null_dim": S.svd_null_dim,
         "tv_nu0_nu1": L.tv_distance,
         "limits_converged": L.converged,
     }

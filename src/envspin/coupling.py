@@ -27,18 +27,21 @@ from .lattice import (
     JointState,
     MutableWindow,
     Periodic,
+    _field_rows,
+    _site_columns,
     layer_names,
     leq,
-    neighborhood,
     order_pairs,
+    site_value,
+    word_index,
 )
-from .graphical import Event, OrderViolationError, Trajectory, _field_rows, _site_columns, exact_table
+from .graphical import Event, OrderViolationError, Trajectory, exact_table
 from .rates import EnvRateSpec, ModelSpec, ModelViolationError, SpinRatePair
 
 
 @dataclass(frozen=True)
 class CoupledSpec:
-    """A base model plus the number of spin layers evolved jointly (1, 3 or 4)."""
+    """A base model plus the number of spin layers evolved jointly (1 to 4)."""
 
     base: ModelSpec
     arity: int = 3
@@ -52,8 +55,8 @@ class CoupledSpec:
         return layer_names(self.arity)
 
 
-def spin_flip_groups(pair, background_bit, windows, pairs, exact=True):
-    """Joint spin transitions as (frozenset of layer indices, rate).
+def spin_flip_groups(pair, background_bit, windows, pairs):
+    """Joint spin transitions as (frozenset of layer indices, exact Fraction rate).
 
     `windows` holds each layer's 3-bit neighborhood word; `pairs` lists the
     (i, j) layer orderings that the caller guarantees (layer_i <= layer_j).
@@ -61,15 +64,9 @@ def spin_flip_groups(pair, background_bit, windows, pairs, exact=True):
     tabulated rate negative; that raises ModelViolationError naming the
     failed inequality rather than silently re-sorting.
     """
-    ctab = pair.table(background_bit)
+    table = exact_table(pair.table(background_bit).values)
     centers = [int(w[1]) for w in windows]
-    if exact:
-        num = Fraction
-        table = exact_table(ctab.values)
-        cvals = [table[int(w, 2)] for w in windows]
-    else:
-        num = float
-        cvals = [ctab.rate_word(w) for w in windows]
+    cvals = [table[int(w, 2)] for w in windows]
 
     for i, j in pairs:
         if centers[i] == 0 and centers[j] == 0 and cvals[i] > cvals[j]:
@@ -89,7 +86,7 @@ def spin_flip_groups(pair, background_bit, windows, pairs, exact=True):
             (k for k in range(len(windows)) if centers[k] == wanted),
             key=lambda k: (cvals[k], k),
         )
-        prev = num(0)
+        prev = Fraction(0)
         while group:
             value = cvals[group[0]]
             if value > prev:
@@ -115,7 +112,7 @@ def site_menu(pair: SpinRatePair, env: EnvRateSpec, env_word, layer_words):
     windows = [format(w, "03b") for w in layer_words]
     centers = tuple((w >> 1) & 1 for w in layer_words)
     out = []
-    for flips, rate in spin_flip_groups(pair, bit, windows, order_pairs(len(windows)), exact=True):
+    for flips, rate in spin_flip_groups(pair, bit, windows, order_pairs(len(windows))):
         out.append(((bit,) + tuple(1 - c if k in flips else c for k, c in enumerate(centers)), rate))
     b = Fraction(env.rate_index(env_word))
     if b > 0:
@@ -127,8 +124,8 @@ def coupled_event_rates(spec: ModelSpec, state: JointState, x):
     """All transitions available at site x, as a dict from target local state
     (background bit first, then each layer's new center) to exact Fraction
     rate; see `site_menu`."""
-    env_word = int(neighborhood(state.beta, x, spec.env.range), 2)
-    layer_words = tuple(int(neighborhood(layer, x, 1), 2) for layer in state.layers)
+    env_word = word_index(state.beta, x, spec.env.range)
+    layer_words = tuple(word_index(layer, x, 1) for layer in state.layers)
     return dict(site_menu(spec.spin, spec.env, env_word, layer_words))
 
 
@@ -281,11 +278,10 @@ def _agreement_scan(lower, middle, upper):
     agreement classes those values put the triple in."""
     if not (leq(lower, middle) and leq(middle, upper)):
         raise ValueError("layers must satisfy lower <= middle <= upper")
-    lo_w, mid_w, up_w = MutableWindow(lower), MutableWindow(middle), MutableWindow(upper)
     positions = [
-        p for p in _extended_positions(lower) if lo_w.value(p) == 0 and up_w.value(p) == 1
+        p for p in _extended_positions(lower) if site_value(lower, p) == 0 and site_value(upper, p) == 1
     ]
-    seq = [mid_w.value(p) for p in positions]
+    seq = [site_value(middle, p) for p in positions]
     if not seq:
         kinds = {"A1", "A2"}
     elif all(v == 0 for v in seq):

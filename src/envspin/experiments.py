@@ -181,7 +181,7 @@ def run_decay_csv_text(report: EstimateReport) -> str:
 
 def _random_coupled_run(spec, t_grid, replicas, seed, n_layers=3):
     """Coupled layers from per-replica random ordered starts over a random
-    background; returns the batch result and the rng used."""
+    background; returns the batch result."""
     rng = np.random.default_rng(seed)
     beta_bits = rng.integers(0, 2, size=(replicas, spec.size)).astype(np.int8)
     if n_layers == 3:

@@ -37,9 +37,10 @@ import numpy as np
 
 from .lattice import (
     Configuration,
-    FrozenWords,
     MutableWindow,
     Periodic,
+    _field_rows,
+    _site_columns,
     initially_ordered_pairs,
     layer_names,
 )
@@ -184,14 +185,10 @@ class Trajectory:
         ]
 
 
-def _merge_site_events(parts):
-    """parts: list of (times, site, payload columns...) -> rows sorted by
-    (time, site, kind). Ties across kinds at one instant never occur for
-    continuous clocks; an exact collision trips an assertion."""
-    rows = []
-    for times, site, kind, payload in parts:
-        for k in range(times.size):
-            rows.append((times[k], site, kind) + tuple(col[k] for col in payload))
+def _merge_site_events(rows):
+    """Rows (time, site, kind, payload...) sorted by (time, site, kind).  Ties
+    across kinds at one instant never occur for continuous clocks; an exact
+    collision trips an assertion."""
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     for a, b in zip(rows, rows[1:]):
         if a[0] == b[0] and a[2] != b[2]:
@@ -208,12 +205,12 @@ def evolve_background(beta0: Configuration, stream: EventStream) -> Trajectory:
     radius = spec.env.range
     table = spec.env.table
     window = MutableWindow(beta0)
-    parts = []
+    rows = []
     for x in range(spec.size):
         s = stream.site(x)
-        parts.append((s.bg_times, x, _KIND_BG, (s.bg_marks,)))
+        rows += [(t, x, _KIND_BG, mark) for t, mark in zip(s.bg_times, s.bg_marks)]
     events = []
-    for t, x, _, mark in _merge_site_events(parts):
+    for t, x, _, mark in _merge_site_events(rows):
         rate = table[window.word_index(x, radius)]
         old = window.bits[x]
         if old == 0:
@@ -252,20 +249,13 @@ def evolve_spins(beta_traj: Trajectory, spin_layers, stream: EventStream, names=
     tables = (spec.spin.c0, spec.spin.c1)
 
     beta = MutableWindow(beta_traj.initial["beta"])
-    merged = []
+    rows = [(e.time, e.site, _KIND_BG, e.old, e.new) for e in beta_traj.events]
     for x in range(spec.size):
         s = stream.site(x)
-        for k in range(s.spin_times.size):
-            merged.append((s.spin_times[k], x, _KIND_SPIN, s.spin_marks0[k], s.spin_marks1[k]))
-    for e in beta_traj.events:
-        merged.append((e.time, e.site, _KIND_BG, e.old, e.new))
-    merged.sort(key=lambda r: (r[0], r[1], r[2]))
-    for a, b in zip(merged, merged[1:]):
-        if a[0] == b[0] and a[2] != b[2]:
-            raise AssertionError("background and spin events collided at t=%r" % a[0])
+        rows += [(t, x, _KIND_SPIN, u0, u1) for t, u0, u1 in zip(s.spin_times, s.spin_marks0, s.spin_marks1)]
 
     events = []
-    for row in merged:
+    for row in _merge_site_events(rows):
         t, x, kind = row[0], row[1], row[2]
         if kind == _KIND_BG:
             beta.bits[x] = row[4]
@@ -388,39 +378,6 @@ class BatchResult:
     layers: list
     order_violations: int
     counters: dict = field(default_factory=dict)
-
-
-def _field_rows(init, replicas, halo):
-    """One field stacked over replicas, and its boundary.  `init` is a
-    Configuration tiled across replicas or a pair (bits of shape (replicas,
-    n), boundary).  The int8 rows are n + 2*halo wide: frozen boundary words
-    fill the halo columns and never change; a ring wraps (`_site_columns`)."""
-    if isinstance(init, Configuration):
-        body = np.tile(init.as_array(), (replicas, 1))
-        boundary = init.boundary
-    else:
-        bits, boundary = init
-        body = np.asarray(bits, dtype=np.int8)
-        if body.ndim != 2 or body.shape[0] != replicas:
-            raise ValueError("per-replica bits must have shape (replicas, n)")
-    n = body.shape[1]
-    rows = np.zeros((replicas, n + 2 * halo), dtype=np.int8)
-    rows[:, halo:halo + n] = body
-    if isinstance(boundary, FrozenWords):
-        if len(boundary.left) < halo or len(boundary.right) < halo:
-            raise ValueError("boundary words shorter than the needed halo %d" % halo)
-        rows[:, :halo] = [int(ch) for ch in boundary.left[-halo:]]
-        rows[:, halo + n:] = [int(ch) for ch in boundary.right[:halo]]
-    return rows, boundary
-
-
-def _site_columns(boundary, n, halo, radius):
-    """Row columns of the offsets -radius..radius around every site, shape
-    (n, 2*radius + 1): a ring wraps, frozen words are read from the halo."""
-    cols = np.arange(n)[:, None] + np.arange(-radius, radius + 1)
-    if isinstance(boundary, Periodic):
-        cols %= n
-    return cols + halo
 
 
 def accept_window(center, rate, clock):

@@ -120,13 +120,16 @@ def translate(a: Configuration, x: int) -> Configuration:
     return Configuration(a.bits[-x:] + a.bits[:-x] if x else a.bits, a.boundary)
 
 
-def site_value(a: Configuration, pos: int) -> int:
-    """Value at a (possibly out-of-window) position, resolved by the boundary."""
-    n = len(a)
+def site_value(a, pos: int) -> int:
+    """Value of a Configuration or MutableWindow at a (possibly out-of-window)
+    position, resolved by its boundary.  Every scalar read past a window edge
+    goes through here; array code uses `_field_rows` and `_site_columns`."""
+    bits = a.bits
+    n = len(bits)
     if 0 <= pos < n:
-        return a.bits[pos]
+        return bits[pos]
     if isinstance(a.boundary, Periodic):
-        return a.bits[pos % n]
+        return bits[pos % n]
     words = a.boundary
     if pos < 0:
         if pos < -len(words.left):
@@ -137,11 +140,53 @@ def site_value(a: Configuration, pos: int) -> int:
     return int(words.right[pos - n])
 
 
+def word_index(a, x: int, radius: int) -> int:
+    """The (2*radius+1)-bit word centered at x as an integer, boundary-resolved;
+    site x - radius is the most significant bit."""
+    idx = 0
+    for pos in range(x - radius, x + radius + 1):
+        idx = (idx << 1) | site_value(a, pos)
+    return idx
+
+
 def neighborhood(a: Configuration, x: int, radius: int) -> str:
     """The (2*radius+1)-bit word centered at site x, boundary-resolved."""
     if not 0 <= x < len(a):
         raise ValueError("site %d outside window of %d sites" % (x, len(a)))
-    return "".join(str(site_value(a, x + o)) for o in range(-radius, radius + 1))
+    return format(word_index(a, x, radius), "0%db" % (2 * radius + 1))
+
+
+def _field_rows(init, replicas, halo):
+    """One field stacked over replicas, and its boundary.  `init` is a
+    Configuration tiled across replicas or a pair (bits of shape (replicas,
+    n), boundary).  The int8 rows are n + 2*halo wide: frozen boundary words
+    fill the halo columns and never change; a ring wraps (`_site_columns`)."""
+    if isinstance(init, Configuration):
+        body = np.tile(init.as_array(), (replicas, 1))
+        boundary = init.boundary
+    else:
+        bits, boundary = init
+        body = np.asarray(bits, dtype=np.int8)
+        if body.ndim != 2 or body.shape[0] != replicas:
+            raise ValueError("per-replica bits must have shape (replicas, n)")
+    n = body.shape[1]
+    rows = np.zeros((replicas, n + 2 * halo), dtype=np.int8)
+    rows[:, halo:halo + n] = body
+    if isinstance(boundary, FrozenWords):
+        if len(boundary.left) < halo or len(boundary.right) < halo:
+            raise ValueError("boundary words shorter than the needed halo %d" % halo)
+        rows[:, :halo] = [int(ch) for ch in boundary.left[-halo:]]
+        rows[:, halo + n:] = [int(ch) for ch in boundary.right[:halo]]
+    return rows, boundary
+
+
+def _site_columns(boundary, n, halo, radius):
+    """Row columns of the offsets -radius..radius around every site, shape
+    (n, 2*radius + 1): a ring wraps, frozen words are read from the halo."""
+    cols = np.arange(n)[:, None] + np.arange(-radius, radius + 1)
+    if isinstance(boundary, Periodic):
+        cols %= n
+    return cols + halo
 
 
 _ORDER_PAIRS = {
@@ -238,35 +283,17 @@ def initially_ordered_pairs(layers):
 
 
 class MutableWindow:
-    """Mutable copy of a configuration's bits with boundary-resolved reads;
+    """Mutable copy of a configuration's bits, read through `site_value`;
     used inside simulators, one replica at a time."""
 
-    __slots__ = ("bits", "boundary", "n")
+    __slots__ = ("bits", "boundary")
 
     def __init__(self, config: Configuration):
         self.bits = list(config.bits)
         self.boundary = config.boundary
-        self.n = len(config.bits)
-
-    def value(self, pos):
-        if 0 <= pos < self.n:
-            return self.bits[pos]
-        if isinstance(self.boundary, Periodic):
-            return self.bits[pos % self.n]
-        words = self.boundary
-        if pos < 0:
-            if pos < -len(words.left):
-                raise BoundaryError("position %d reaches past the left boundary word" % pos)
-            return int(words.left[len(words.left) + pos])
-        if pos >= self.n + len(words.right):
-            raise BoundaryError("position %d reaches past the right boundary word" % pos)
-        return int(words.right[pos - self.n])
 
     def word_index(self, x, radius):
-        idx = 0
-        for off in range(-radius, radius + 1):
-            idx = (idx << 1) | self.value(x + off)
-        return idx
+        return word_index(self, x, radius)
 
     def flip(self, x):
         self.bits[x] ^= 1

@@ -5,11 +5,13 @@ spin layer, index = (background_bits << N) | spin_bits, where site 0 is the
 most significant bit of each field (so the literal "011" reads as 0b011).
 Coupled generators append further layer fields below, one N-bit block each.
 
-Everything here is brute force on purpose: dense or coordinate-format rate
-matrices, stationary laws from closed communicating classes of the jump
-graph, long-time limits as absorption-weighted mixtures of those laws (one
-dense solve over the transient states), and time-t laws by uniformization
-with explicit truncation error.
+Everything here is brute force on purpose: coordinate-format rate matrices
+built from the local-word rule `coupling.site_menu`, stationary laws from
+closed communicating classes of the jump graph (certified by reachability
+sweeps independent of the class search), long-time limits as
+absorption-weighted mixtures of those laws (one dense solve over the
+transient states), and time-t laws by uniformization with explicit
+truncation error.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import spin_flip_groups
-from .lattice import Configuration, Periodic, order_pairs
+from .coupling import site_menu
+from .lattice import Configuration, _field_rows, _site_columns, order_pairs
 from .rates import ModelSpec
 
 
@@ -102,76 +104,83 @@ class GeneratorMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _boundary_bit(boundary, bits_int, n, pos):
-    """Value at a possibly out-of-window position for a packed bit field."""
-    if 0 <= pos < n:
-        return (bits_int >> (n - 1 - pos)) & 1
-    if isinstance(boundary, Periodic):
-        return (bits_int >> (n - 1 - pos % n)) & 1
-    if pos < 0:
-        return int(boundary.left[len(boundary.left) + pos])
-    return int(boundary.right[pos - n])
+def _build(spec: ModelSpec, n_layers) -> GeneratorMatrix:
+    """Exact rate matrix of the background and `n_layers` spin layers over the
+    full product of their windows.
 
-
-def _field_window_index(boundary, bits_int, n, x, radius):
-    idx = 0
-    for off in range(-radius, radius + 1):
-        idx = (idx << 1) | _boundary_bit(boundary, bits_int, n, x + off)
-    return idx
-
-
-def build_generator(spec: ModelSpec, max_sites=6) -> GeneratorMatrix:
-    """Exact rate matrix of the (background, spin) chain on the window."""
-    n = spec.size
-    if n > max_sites:
-        raise ValueError("window of %d sites exceeds the oracle cap %d" % (n, max_sites))
-    dim = 1 << (2 * n)
+    One gather over padded rows (`_field_rows`, `_site_columns`) gives every
+    field's word index at every site for all states at once.  Background
+    flips read the env table in every state.  Joint spin flips come from
+    `site_menu`, one call per distinct local key, in ordered states only:
+    states violating the layer order are never entered from ordered ones, so
+    they carry background flips alone.
+    """
+    n, radius = spec.size, spec.env.range
+    halo = max(1, radius)
+    dim = 1 << (n * (n_layers + 1))
     idx = np.arange(dim, dtype=np.int64)
-    beta_bits = idx >> n
-    eta_bits = idx & ((1 << n) - 1)
-    env_bnd = spec.env_boundary
-    spin_bnd = spec.spin_boundary
+    # field values, background first, and their bits, site 0 most significant
+    values = (idx[:, None] >> (n * np.arange(n_layers, -1, -1))) & ((1 << n) - 1)
+    bits = ((values[:, :, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
+
+    def words(f, boundary, r):
+        rows, _ = _field_rows((bits[:, f], boundary), dim, halo)
+        return rows[:, _site_columns(boundary, n, halo, r)] @ (1 << np.arange(2 * r, -1, -1))
+
+    env_words = words(0, spec.env_boundary, radius)
+    layer_words = [words(f, spec.spin_boundary, 1) for f in range(1, n_layers + 1)]
+    ordered = np.ones(dim, dtype=bool)
+    for i, j in order_pairs(n_layers):
+        ordered &= (values[:, 1 + i] & ~values[:, 1 + j]) == 0
+    states = idx[ordered]
     btab = spec.env.as_array()
-    c0 = spec.spin.c0.as_array()
-    c1 = spec.spin.c1.as_array()
+
     rows, cols, vals = [], [], []
-
-    def field_col(bits, bnd, pos):
-        if 0 <= pos < n:
-            return (bits >> (n - 1 - pos)) & 1
-        if isinstance(bnd, Periodic):
-            return (bits >> (n - 1 - pos % n)) & 1
-        if pos < 0:
-            return np.full(dim, int(bnd.left[len(bnd.left) + pos]), dtype=np.int64)
-        return np.full(dim, int(bnd.right[pos - n]), dtype=np.int64)
-
     for x in range(n):
-        widx = np.zeros(dim, dtype=np.int64)
-        for off in range(-spec.env.range, spec.env.range + 1):
-            widx = (widx << 1) | field_col(beta_bits, env_bnd, x + off)
-        brate = btab[widx]
-        target = idx ^ (1 << (2 * n - 1 - x))
+        brate = btab[env_words[:, x]]
         keep = brate > 0
         rows.append(idx[keep])
-        cols.append(target[keep])
+        cols.append(idx[keep] ^ (1 << (n * n_layers + n - 1 - x)))
         vals.append(brate[keep])
 
-        sidx = np.zeros(dim, dtype=np.int64)
-        for off in (-1, 0, 1):
-            sidx = (sidx << 1) | field_col(eta_bits, spin_bnd, x + off)
-        bit = field_col(beta_bits, env_bnd, x)
-        srate = np.where(bit == 0, c0[sidx], c1[sidx])
-        target = idx ^ (1 << (n - 1 - x))
-        keep = srate > 0
-        rows.append(idx[keep])
-        cols.append(target[keep])
-        vals.append(srate[keep])
+        key = env_words[ordered, x]
+        for w in layer_words:
+            key = (key << 3) | w[ordered, x]
+        keys, inverse = np.unique(key, return_inverse=True)
+        # each layer flips in at most one group, so a site has at most
+        # n_layers spin transitions
+        flip = np.zeros((keys.size, n_layers), dtype=np.int64)
+        rate = np.zeros((keys.size, n_layers))
+        masks = [1 << (n * (n_layers - 1 - l) + n - 1 - x) for l in range(n_layers)]
+        for k, word in enumerate(keys.tolist()):
+            env_word = word >> (3 * n_layers)
+            local = tuple((word >> (3 * (n_layers - 1 - l))) & 7 for l in range(n_layers))
+            spins = [
+                (target, r)
+                for target, r in site_menu(spec.spin, spec.env, env_word, local)
+                if target[0] == (env_word >> radius) & 1
+            ]
+            for m, (target, r) in enumerate(spins):
+                flip[k, m] = sum(mask for mask, w, c in zip(masks, local, target[1:]) if (w >> 1) & 1 != c)
+                rate[k, m] = float(r)
+        flip, rate = flip[inverse], rate[inverse]
+        keep = rate > 0
+        rows.append(np.broadcast_to(states[:, None], keep.shape)[keep])
+        cols.append((states[:, None] ^ flip)[keep])
+        vals.append(rate[keep])
 
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     diag = -np.bincount(rows, weights=vals, minlength=dim)
-    return GeneratorMatrix(spec, n, 1, dim, rows, cols, vals, diag)
+    return GeneratorMatrix(spec, n, n_layers, dim, rows, cols, vals, diag)
+
+
+def build_generator(spec: ModelSpec, max_sites=6) -> GeneratorMatrix:
+    """Exact rate matrix of the (background, spin) chain on the window."""
+    if spec.size > max_sites:
+        raise ValueError("window of %d sites exceeds the oracle cap %d" % (spec.size, max_sites))
+    return _build(spec, 1)
 
 
 def build_coupled_generator(spec: ModelSpec, n_layers, max_dim=100_000) -> GeneratorMatrix:
@@ -184,55 +193,10 @@ def build_coupled_generator(spec: ModelSpec, n_layers, max_dim=100_000) -> Gener
     sectors are artifacts of the product embedding.  Intended for very small
     windows.
     """
-    n = spec.size
-    n_fields = n_layers + 1
-    dim = 1 << (n * n_fields)
+    dim = 1 << (spec.size * (n_layers + 1))
     if dim > max_dim:
         raise ValueError("coupled state space of %d states exceeds max_dim=%d" % (dim, max_dim))
-    pairs = order_pairs(n_layers)
-    env_bnd = spec.env_boundary
-    spin_bnd = spec.spin_boundary
-    mask = (1 << n) - 1
-    rows, cols, vals = [], [], []
-
-    for s in range(dim):
-        fields = []
-        tmp = s
-        for _ in range(n_fields):
-            fields.append(tmp & mask)
-            tmp >>= n
-        fields.reverse()
-        beta_f = fields[0]
-        layer_f = fields[1:]
-        ordered = all(
-            (layer_f[i] | layer_f[j]) == layer_f[j] for i, j in pairs
-        )
-        for x in range(n):
-            brate = spec.env.rate_index(_field_window_index(env_bnd, beta_f, n, x, spec.env.range))
-            if brate > 0:
-                rows.append(s)
-                cols.append(s ^ (1 << ((n_fields - 1) * n + n - 1 - x)))
-                vals.append(brate)
-            if not ordered:
-                # unordered states are unreachable; leave their spin rates out
-                continue
-            bit = _boundary_bit(env_bnd, beta_f, n, x)
-            windows = [
-                format(_field_window_index(spin_bnd, lf, n, x, 1), "03b") for lf in layer_f
-            ]
-            for flips, rate in spin_flip_groups(spec.spin, bit, windows, pairs, exact=False):
-                target = s
-                for k in flips:
-                    target ^= 1 << ((n_layers - 1 - k) * n + n - 1 - x)
-                rows.append(s)
-                cols.append(target)
-                vals.append(rate)
-
-    rows = np.array(rows, dtype=np.int64)
-    cols = np.array(cols, dtype=np.int64)
-    vals = np.array(vals, dtype=float)
-    diag = -np.bincount(rows, weights=vals, minlength=dim)
-    return GeneratorMatrix(spec, n, n_layers, dim, rows, cols, vals, diag)
+    return _build(spec, n_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +212,6 @@ class StationarySet:
     dimension: int
     flagged: bool
     notes: list = field(default_factory=list)
-    svd_null_dim: int = None
 
 
 RESIDUAL_TOL = 1e-10  # largest |pi Q| entry accepted as stationary
@@ -352,51 +315,72 @@ def _residual(G: GeneratorMatrix, dist):
     return float(np.abs(G.matvec_left(dist)).max())
 
 
-def stationary_set(G: GeneratorMatrix, svd_check="auto", residual_tol=RESIDUAL_TOL) -> StationarySet:
+def _reach(dim, src, dst, seeds):
+    """States reachable from `seeds` along the jumps src -> dst, one frontier
+    sweep per step."""
+    seen = np.zeros(dim, dtype=bool)
+    seen[seeds] = True
+    frontier = seen.copy()
+    while frontier.any():
+        step = np.zeros(dim, dtype=bool)
+        step[dst[frontier[src]]] = True
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
+def _certify_classes(G: GeneratorMatrix, classes):
+    """Why `classes` are not exactly the closed classes of G's jump graph, as
+    a list of notes (empty when certified).
+
+    Independent of the class search: the classes must be disjoint, each must
+    be closed (no jump leaves it) and strongly connected (forward and
+    backward reach from its first member along its own jumps cover it), and
+    every other state must reach some class.
+    """
+    label = np.full(G.dim, -1, dtype=np.int64)
+    for k, comp in enumerate(classes):
+        label[comp] = k
+    listed = label >= 0
+    notes = []
+    if sum(len(comp) for comp in classes) != listed.sum():
+        notes.append("closed classes overlap")
+    src, dst = label[G.rows], label[G.cols]
+    if ((src >= 0) & (src != dst)).any():
+        notes.append("a closed class has a jump out of it")
+    inside = (src >= 0) & (src == dst)
+    roots = [comp[0] for comp in classes]
+    for a, b in ((G.rows, G.cols), (G.cols, G.rows)):
+        if (listed & ~_reach(G.dim, a[inside], b[inside], roots)).any():
+            notes.append("a closed class is not strongly connected")
+            break
+    stuck = ~_reach(G.dim, G.cols, G.rows, np.flatnonzero(listed))
+    if stuck.any():
+        notes.append("%d states reach no closed class" % stuck.sum())
+    return notes
+
+
+def stationary_set(G: GeneratorMatrix, residual_tol=RESIDUAL_TOL) -> StationarySet:
     """All extreme stationary laws, via closed communicating classes.
 
     The extreme stationary laws of a finite chain are exactly the stationary
     laws of its closed classes, so extremality is decided by graph structure,
-    not by numerical vertex hunting.  A dense SVD of the transposed generator
-    cross-checks the polytope dimension when the matrix is small enough;
-    disagreement or singular values sitting within a decade of the rank
-    tolerance set the `flagged` bit instead of being silently resolved.
+    not by numerical vertex hunting.  The classes are certified by
+    reachability (`_certify_classes`) and each law by its residual; a failure
+    sets the `flagged` bit and a note instead of being silently resolved.
     """
-    dim = G.dim
     closed, distributions, _ = _closed_classes(G)
-    notes = []
-    flagged = False
+    notes = _certify_classes(G, closed)
     for pi in distributions:
         resid = _residual(G, pi)
         if resid > residual_tol:
-            flagged = True
             notes.append("stationary residual %.3e exceeds %.0e" % (resid, residual_tol))
-
-    svd_null_dim = None
-    do_svd = svd_check is True or (svd_check == "auto" and dim <= 1024)
-    if do_svd:
-        QT = G.dense().T
-        svals = np.linalg.svd(QT, compute_uv=False)
-        tol = svals.max() * dim * np.finfo(float).eps if svals.size else 0.0
-        svd_null_dim = int((svals < tol).sum())
-        near = ((svals >= tol / 10) & (svals <= tol * 10)).sum()
-        if near:
-            flagged = True
-            notes.append("%d singular values within a decade of the rank tolerance" % near)
-        if svd_null_dim != len(closed):
-            flagged = True
-            notes.append(
-                "SVD null dimension %d disagrees with %d closed classes"
-                % (svd_null_dim, len(closed))
-            )
-
     return StationarySet(
         distributions=distributions,
         closed_classes=closed,
         dimension=len(closed),
-        flagged=flagged,
+        flagged=bool(notes),
         notes=notes,
-        svd_null_dim=svd_null_dim,
     )
 
 

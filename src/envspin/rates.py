@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import PERIODIC, FrozenWords, Periodic
+from .lattice import PERIODIC, Configuration, FrozenWords, Periodic
 
 
 class ModelViolationError(RuntimeError):
@@ -259,7 +259,6 @@ def max_rate(pair: SpinRatePair) -> float:
 
 
 def _centered_sups(values, radius):
-    width = 2 * radius + 1
     center_bit = 1 << radius
     sup0 = max(v for i, v in enumerate(values) if not (i & center_bit))
     sup1 = max(v for i, v in enumerate(values) if i & center_bit)
@@ -349,13 +348,9 @@ class ModelSpec:
         return dominating_rates(self)
 
     def env_config(self, bits):
-        from .lattice import Configuration
-
         return Configuration(bits, self.env_boundary)
 
     def spin_config(self, bits):
-        from .lattice import Configuration
-
         return Configuration(bits, self.spin_boundary)
 
 

@@ -1,10 +1,28 @@
 import numpy as np
 import pytest
 
-from envspin import Configuration, FrozenWords, JointState, leq, neighborhood, point_mass_states, translate
-from envspin.lattice import BoundaryError, initially_ordered_pairs
+from envspin import (
+    PERIODIC,
+    Configuration,
+    EnvRateSpec,
+    FrozenWords,
+    JointState,
+    ModelSpec,
+    PerLayerFrozen,
+    leq,
+    neighborhood,
+    point_mass_states,
+    translate,
+)
+from envspin.lattice import BoundaryError, MutableWindow, _field_rows, _site_columns, initially_ordered_pairs
 
-from _support import WORKED_LOWER, WORKED_MIDDLE, WORKED_UPPER, random_ordered_triple
+from _support import (
+    WORKED_LOWER,
+    WORKED_MIDDLE,
+    WORKED_UPPER,
+    random_compatible_pair,
+    random_ordered_triple,
+)
 
 
 def test_leq_examples():
@@ -55,6 +73,38 @@ def test_neighborhood_reconstructs_configuration():
         c = Configuration(bits)
         centers = tuple(int(neighborhood(c, x, 1)[1]) for x in range(n))
         assert centers == bits
+
+
+def test_scalar_and_array_resolvers_agree():
+    # the padded-row gather of the array code reads the same words as the
+    # scalar resolver, for every configuration of n <= 6 sites, env radius
+    # 0-2, on a ring and with frozen words longer than the halo
+    rng = np.random.default_rng(3)
+    pair = random_compatible_pair(rng)
+
+    def words(length):
+        return "".join(str(b) for b in rng.integers(0, 2, length))
+
+    for radius in (0, 1, 2):
+        halo = max(1, radius)
+        env = EnvRateSpec(radius, (0.0,) * 2 ** (2 * radius + 1))
+        for boundary in (
+            PERIODIC,
+            FrozenWords(words(halo + 2), words(halo + 1)),
+            PerLayerFrozen(FrozenWords(words(halo + 1), words(halo + 2)), FrozenWords(words(halo + 2), words(halo))),
+        ):
+            for n in range(1, 7):
+                spec = ModelSpec(pair, env, n, boundary)
+                bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+                fields = ((spec.env_config, spec.env_boundary, radius), (spec.spin_config, spec.spin_boundary, 1))
+                for config, bnd, r in fields:
+                    rows, _ = _field_rows((bits, bnd), len(bits), halo)
+                    gathered = rows[:, _site_columns(bnd, n, halo, r)] @ (1 << np.arange(2 * r, -1, -1))
+                    for b, want in zip(bits, gathered.tolist()):
+                        c = config(b)
+                        w = MutableWindow(c)
+                        assert [int(neighborhood(c, x, r), 2) for x in range(n)] == want
+                        assert [w.word_index(x, r) for x in range(n)] == want
 
 
 def test_partial_order_properties():

@@ -6,8 +6,11 @@ import pytest
 
 from envspin import (
     EnvRateSpec,
+    FrozenWords,
+    JointState,
     LocalSpinRates,
     ModelSpec,
+    PerLayerFrozen,
     SpinRatePair,
     build_coupled_generator,
     build_generator,
@@ -18,6 +21,9 @@ from envspin import (
     stationary_set,
     total_variation,
 )
+from envspin.coupling import coupled_event_rates
+from envspin.lattice import word_index
+from envspin.oracle import _certify_classes
 from envspin.rates import TRIPLES
 
 from _support import random_compatible_pair, random_env, random_positive_spec
@@ -75,10 +81,11 @@ def test_unique_stationary_for_positive_rates():
     rng = np.random.default_rng(61)
     for _ in range(5):
         spec = random_positive_spec(rng)
-        S = stationary_set(build_generator(spec))
+        G = build_generator(spec)
+        S = stationary_set(G)
         assert S.dimension == 1
         assert not S.flagged
-        assert S.svd_null_dim == 1
+        assert _certify_classes(G, S.closed_classes) == []
         pi = S.distributions[0]
         assert pi.min() >= 0 and abs(pi.sum() - 1) < 1e-12
 
@@ -104,6 +111,74 @@ def test_frozen_background_sector_product_structure():
     for comp in S.closed_classes:
         backgrounds = {G.decode(s)[0] for s in comp}
         assert len(backgrounds) == 1
+
+
+def test_class_certificate_flags_planted_wrong_classes():
+    # a frozen background makes one closed class per background word; each
+    # wrong class list must be flagged, the true one must pass
+    rng = np.random.default_rng(63)
+    spec = ModelSpec(random_compatible_pair(rng, positive=True), EnvRateSpec(0, (0.0, 0.0)), 3)
+    G = build_generator(spec)
+    classes = stationary_set(G).closed_classes
+    assert len(classes) == 8 and _certify_classes(G, classes) == []
+    first = classes[0]
+    wrong = {
+        "dropped": classes[1:],
+        "merged": [sorted(first + classes[1])] + classes[2:],
+        "split": [first[: len(first) // 2], first[len(first) // 2:]] + classes[1:],
+    }
+    for label, planted in wrong.items():
+        assert _certify_classes(G, planted), label
+
+
+def _out_transitions(G, s):
+    """State s's jumps grouped by site: {x: {local target: rate}}, a local
+    target holding the new bit at x of every field, background first."""
+    n = G.n_sites
+    fields = G.decode(s)
+    out = {}
+    here = G.rows == s
+    for t, rate in zip(G.cols[here].tolist(), G.vals[here].tolist()):
+        new = G.decode(t)
+        (x,) = {x for f, g in zip(fields, new) for x in range(n) if ((f ^ g) >> (n - 1 - x)) & 1}
+        out.setdefault(x, {})[tuple((g >> (n - 1 - x)) & 1 for g in new)] = rate
+    return out
+
+
+def test_generator_matches_scalar_word_rule():
+    # every ordered state's jumps at a site are `coupled_event_rates` there;
+    # unordered states only flip their background
+    iv = preset("remark_iv", sites=3)
+    rng = np.random.default_rng(71)
+    pair = random_compatible_pair(rng)
+    frozen = ModelSpec(pair, iv.env, 2, FrozenWords("011", "10"))
+    split = ModelSpec(pair, iv.env, 2, PerLayerFrozen(FrozenWords("10", "1"), FrozenWords("0", "01")))
+    cases = [(iv, L) for L in (1, 2, 3)]
+    cases += [(preset("remark_vi", sites=3), L) for L in (1, 2, 3)]
+    cases += [(frozen, L) for L in (1, 2, 3, 4)]
+    cases += [(split, L) for L in (1, 3)]
+    cases += [(preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, sites=2), 4)]
+    for spec, n_layers in cases:
+        G = build_coupled_generator(spec, n_layers) if n_layers > 1 else build_generator(spec)
+        n = spec.size
+        for s in range(G.dim):
+            beta, *layers = [
+                cfg(tuple((f >> (n - 1 - x)) & 1 for x in range(n)))
+                for cfg, f in zip([spec.env_config] + [spec.spin_config] * n_layers, G.decode(s))
+            ]
+            jumps = _out_transitions(G, s)
+            try:
+                state = JointState(beta, tuple(layers))
+            except ValueError:
+                state = None
+            for x in range(n):
+                if state is not None:
+                    want = {t: float(r) for t, r in coupled_event_rates(spec, state, x).items()}
+                else:
+                    b = spec.env.rate_index(word_index(beta, x, spec.env.range))
+                    centers = tuple(l.bits[x] for l in layers)
+                    want = {(1 - beta.bits[x],) + centers: b} if b > 0 else {}
+                assert jumps.get(x, {}) == want, (spec, n_layers, s, x)
 
 
 def test_remark_vi_staircases_absorbing():
