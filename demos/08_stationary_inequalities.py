@@ -16,7 +16,7 @@ from envspin import calibrate_burn_in, interval_inequality_check, preset
 
 spec = preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, lam=1.0, sites=16)
 
-burn = calibrate_burn_in(spec, cal_sites=4, tv_tol=1e-3)
+burn = calibrate_burn_in(spec)
 print("oracle-calibrated horizon: %.1f  (stretched to %.1f for %d sites)"
       % (burn.t_calibrated, burn.t_burn, spec.size))
 

@@ -28,31 +28,25 @@ from .rates import ConfigError, format_config, parse_boundary, parse_config, pre
 
 MANIFEST_VERSION = 1
 
+# preset parameter -> its float-valued flag
 _PRESET_FLAGS = {
-    "gamma": float,
-    "delta0": float,
-    "delta1": float,
-    "p": float,
-    "lam": float,
-    "delta": float,
-    "up": float,
-    "down": float,
-    "flip": float,
+    "gamma": "--gamma",
+    "delta0": "--delta0",
+    "delta1": "--delta1",
+    "p": "--p",
+    "lam": "--lambda",
+    "delta": "--delta",
+    "up": "--up",
+    "down": "--down",
+    "flip": "--flip",
 }
 
 
 def _add_spec_args(p):
     p.add_argument("--config", help="model config file")
     p.add_argument("--preset", help="preset name: cpree, contact, remark_iv, remark_vi")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--delta0", type=float)
-    p.add_argument("--delta1", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--up", type=float)
-    p.add_argument("--down", type=float)
-    p.add_argument("--flip", type=float)
+    for name, flag in _PRESET_FLAGS.items():
+        p.add_argument(flag, dest=name, type=float)
     p.add_argument("--sites", type=int, default=16)
     p.add_argument("--boundary", default=None, help="periodic | frozen:L|R | frozen:eL|eR;sL|sR")
 
@@ -301,7 +295,7 @@ def cmd_oracle(args, parser):
     _write_manifest(prefix, _manifest("oracle", spec, {}, outputs, replay_args=["oracle"]))
     print("stationary dimension %d, TV(nu0, nu1) = %g" % (S.dimension, L.tv_distance))
     if S.flagged or not L.converged:
-        print("numerical flag raised: %s" % "; ".join(S.notes) if S.notes else "non-convergence")
+        print("numerical flag raised: %s" % ("; ".join(S.notes) if S.notes else "non-convergence"))
         return 3
     return 0
 

@@ -29,7 +29,6 @@ from .lattice import (
     Periodic,
     _field_rows,
     _site_columns,
-    layer_names,
     leq,
     order_pairs,
     site_value,
@@ -49,10 +48,6 @@ class CoupledSpec:
     def __post_init__(self):
         if self.arity not in (1, 2, 3, 4):
             raise ValueError("arity must be 1, 2, 3 or 4")
-
-    @property
-    def names(self):
-        return layer_names(self.arity)
 
 
 def spin_flip_groups(pair, background_bit, windows, pairs):
@@ -136,25 +131,22 @@ def _float_menu(pair, env, env_word, layer_words):
     return menu, sum(r for _, r in menu)
 
 
-def simulate_coupled(
-    cspec,
-    initial: JointState,
-    seed,
-    t_max,
-    assert_order=True,
-    watch_class=False,
-) -> Trajectory:
+def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max, watch_class=False) -> Trajectory:
     """Direct stochastic simulation of the coupled chain.
 
-    Holding times are exponential in the total rate over sites; the jump is
-    drawn categorically among every site's transitions.  A flip at x only
-    perturbs rates within one interaction radius, so only those sites are
-    recomputed, each from its local words (`site_menu`).  With `watch_class`,
+    `initial` must hold `cspec.arity` spin layers.  Holding times are
+    exponential in the total rate over sites; the jump is drawn categorically
+    among every site's transitions.  A flip at x only perturbs rates within
+    one interaction radius, so only those sites are recomputed, each from its
+    local words (`site_menu`).  The layer order is checked at every spin
+    flip; a crossing raises OrderViolationError.  With `watch_class`,
     the agreement memberships of an ordered triple are tracked after every
     event: full-agreement memberships must persist, an interface class may
     only collapse into full agreement, and leaving the union entirely raises.
     """
-    spec = cspec.base if isinstance(cspec, CoupledSpec) else cspec
+    if len(initial.layers) != cspec.arity:
+        raise ValueError("%d spin layers given for arity %d" % (len(initial.layers), cspec.arity))
+    spec = cspec.base
     names = initial.names
     n = spec.size
     pair, env = spec.spin, spec.env
@@ -212,12 +204,11 @@ def simulate_coupled(
                 if layer.bits[x] != new:
                     events.append(Event(float(t), int(x), names[k], layer.bits[x], new))
                     layer.bits[x] = new
-            if assert_order:
-                for a, b in pairs:
-                    if layers[a].bits[x] > layers[b].bits[x]:
-                        raise OrderViolationError(
-                            "layers %s and %s crossed at site %d" % (names[a], names[b], x)
-                        )
+            for a, b in pairs:
+                if layers[a].bits[x] > layers[b].bits[x]:
+                    raise OrderViolationError(
+                        "layers %s and %s crossed at site %d" % (names[a], names[b], x)
+                    )
         if watch_class:
             now = agreement_memberships(*(l.to_configuration() for l in layers))
             # full-agreement memberships are absorbing; an interface class may

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,22 +31,8 @@ class EstimateReport:
     runtime_ms: float = 0.0
     extra: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "scenario": self.scenario,
-            "params": self.params,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "window": self.window,
-            "horizon": self.horizon,
-            "runtime_ms": self.runtime_ms,
-            "extra": self.extra,
-        }
-
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def _mean_se(values):
@@ -179,17 +165,12 @@ def run_decay_csv_text(report: EstimateReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _random_coupled_run(spec, t_grid, replicas, seed, n_layers=3):
-    """Coupled layers from per-replica random ordered starts over a random
+def _random_coupled_run(spec, t_grid, replicas, seed):
+    """Coupled triples from per-replica random ordered starts over a random
     background; returns the batch result."""
     rng = np.random.default_rng(seed)
     beta_bits = rng.integers(0, 2, size=(replicas, spec.size)).astype(np.int8)
-    if n_layers == 3:
-        layers = sample_ordered_triples(rng, replicas, spec.size)
-    elif n_layers == 4:
-        layers = sample_ordered_quadruples(rng, replicas, spec.size)
-    else:
-        raise ValueError("n_layers must be 3 or 4")
+    layers = sample_ordered_triples(rng, replicas, spec.size)
     sim_seed = int(rng.integers(0, 2**63 - 1))
     result = graphical.batch_evolve(
         spec,
@@ -309,16 +290,22 @@ class BurnIn:
     tv_tol: float
 
 
-def calibrate_burn_in(spec: ModelSpec, cal_sites=4, tv_tol=1e-3, t0=1.0, max_doublings=24) -> BurnIn:
+CAL_SITES = 4  # periodic sites of the calibration window
+TV_TOL = 1e-3  # total variation from the limit that counts as mixed
+CAL_T0 = 1.0  # first time tried
+CAL_DOUBLINGS = 24  # most doublings of the bracket
+
+
+def calibrate_burn_in(spec: ModelSpec) -> BurnIn:
     """Pick a burn-in horizon from the exact oracle on a small window.
 
-    The same tables are run on `cal_sites` periodic sites; the smallest time
-    (doubling bracket, then two bisection steps) at which the all-ones start
-    is within `tv_tol` of its limit is stretched by 1 + log(size/cal_sites)
-    as a heuristic for the real window.  The heuristic is reported, never
-    claimed exact.
+    The same tables are run on CAL_SITES periodic sites; the smallest time
+    (doubling bracket from CAL_T0, then two bisection steps) at which the
+    all-ones start is within TV_TOL of its limit is stretched by
+    1 + log(size/CAL_SITES) as a heuristic for the real window.  The
+    heuristic is reported, never claimed exact.
     """
-    small = ModelSpec(spec.spin, spec.env, cal_sites)
+    small = ModelSpec(spec.spin, spec.env, CAL_SITES)
     G = oracle.build_generator(small)
     limits = oracle.limit_distributions(G)
     target = limits.upper
@@ -326,10 +313,10 @@ def calibrate_burn_in(spec: ModelSpec, cal_sites=4, tv_tol=1e-3, t0=1.0, max_dou
 
     def mixed(t):
         res = oracle.semigroup_apply(G, start, t)
-        return oracle.total_variation(res.dist, target) < tv_tol
+        return oracle.total_variation(res.dist, target) < TV_TOL
 
-    t = t0
-    for _ in range(max_doublings):
+    t = CAL_T0
+    for _ in range(CAL_DOUBLINGS):
         if mixed(t):
             break
         t *= 2.0
@@ -340,15 +327,15 @@ def calibrate_burn_in(spec: ModelSpec, cal_sites=4, tv_tol=1e-3, t0=1.0, max_dou
             hi = mid
         else:
             lo = mid
-    stretch = 1.0 + max(0.0, math.log(spec.size / cal_sites))
-    return BurnIn(t_calibrated=hi, t_burn=hi * stretch, cal_sites=cal_sites, tv_tol=tv_tol)
+    stretch = 1.0 + max(0.0, math.log(spec.size / CAL_SITES))
+    return BurnIn(t_calibrated=hi, t_burn=hi * stretch, cal_sites=CAL_SITES, tv_tol=TV_TOL)
 
 
 # ---------------------------------------------------------------------------
 # remark scenarios (exact-oracle regime)
 
 
-def scenario_remarks(name, sites=5, spec=None, **params):
+def scenario_remarks(name, sites=5, spec=None):
     """Structural stationary-set reports for the two counterexample scenarios.
 
     "iv": background with absorbing all-zeros and all-ones words over contact
@@ -361,7 +348,7 @@ def scenario_remarks(name, sites=5, spec=None, **params):
     """
     if name == "iv":
         if spec is None:
-            spec = preset("remark_iv", sites=sites, **params)
+            spec = preset("remark_iv", sites=sites)
         sites = spec.size
         G = oracle.build_generator(spec)
         S = oracle.stationary_set(G)
@@ -389,7 +376,7 @@ def scenario_remarks(name, sites=5, spec=None, **params):
         }
     if name == "vi":
         if spec is None:
-            spec = preset("remark_vi", sites=sites, **params)
+            spec = preset("remark_vi", sites=sites)
         sites = spec.size
         G = oracle.build_generator(spec)
         S = oracle.stationary_set(G)

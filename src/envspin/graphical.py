@@ -152,9 +152,6 @@ class Trajectory:
     final: dict
     t_max: float
 
-    def layer_events(self, layer):
-        return [e for e in self.events if e.layer == layer]
-
     def verify_replay(self):
         """Re-apply the log to the initial state and compare with `final`."""
         work = {name: list(cfg.bits) for name, cfg in self.initial.items()}
@@ -228,7 +225,7 @@ def evolve_background(beta0: Configuration, stream: EventStream) -> Trajectory:
     )
 
 
-def evolve_spins(beta_traj: Trajectory, spin_layers, stream: EventStream, names=None) -> Trajectory:
+def evolve_spins(beta_traj: Trajectory, spin_layers, stream: EventStream) -> Trajectory:
     """Evolve one or more spin layers over a fixed background trajectory.
 
     All layers share the spin clocks and marks, and each applies the
@@ -237,8 +234,7 @@ def evolve_spins(beta_traj: Trajectory, spin_layers, stream: EventStream, names=
     """
     spec = stream.spec
     layers = [MutableWindow(cfg) for cfg in spin_layers]
-    if names is None:
-        names = layer_names(len(layers))
+    names = layer_names(len(layers))
     if any(len(cfg) != spec.size for cfg in spin_layers):
         raise ValueError("spin layers must have %d sites" % spec.size)
     ordered = initially_ordered_pairs(list(spin_layers))
@@ -592,15 +588,16 @@ def batch_evolve(
     )
 
 
-def batch_envelope(spec: ModelSpec, t_grid, replicas, seed, on_violation="raise"):
+def batch_envelope(spec: ModelSpec, t_grid, replicas, seed):
     """Coupled replicas of the two extreme joint starts (all zeros, all ones):
     two groups of `_lockstep`, each one (background, spin) pair.
 
     Compatibility and attractivity nest the acceptance windows across the two
     spin tables, so the pair order (background and spin alike) holds even
-    while the backgrounds disagree; it is checked at every ring.  Each pair
-    alone evolves with the exact model rates.  Returns (times, per grid time
-    (beta_lo, eta_lo, beta_hi, eta_hi), violations).
+    while the backgrounds disagree; it is checked at every ring, and a
+    crossing raises OrderViolationError.  Each pair alone evolves with the
+    exact model rates.  Returns (times, per grid time (beta_lo, eta_lo,
+    beta_hi, eta_hi), violations), the last always 0.
     """
     n = spec.size
     groups = [
@@ -608,7 +605,5 @@ def batch_envelope(spec: ModelSpec, t_grid, replicas, seed, on_violation="raise"
         (Configuration.all_one(n, spec.env_boundary), [Configuration.all_one(n, spec.spin_boundary)]),
     ]
     names = ("beta_lo", "eta_lo", "beta_hi", "eta_hi")
-    times, snaps, violations, _ = _lockstep(
-        spec, groups, names, t_grid, replicas, seed, True, on_violation
-    )
+    times, snaps, violations, _ = _lockstep(spec, groups, names, t_grid, replicas, seed, True, "raise")
     return times, [tuple(s) for s in snaps], violations

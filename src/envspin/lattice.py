@@ -75,9 +75,6 @@ class Configuration:
     def as_array(self):
         return np.array(self.bits, dtype=np.int8)
 
-    def with_bits(self, bits):
-        return Configuration(bits, self.boundary)
-
     def to_literal(self):
         body = "".join(str(b) for b in self.bits)
         if isinstance(self.boundary, FrozenWords):
@@ -234,15 +231,10 @@ class JointState:
 
     beta: Configuration
     layers: tuple = ()
-    names: tuple = None
 
     def __post_init__(self):
         layers = tuple(self.layers)
         object.__setattr__(self, "layers", layers)
-        names = self.names if self.names is not None else layer_names(len(layers))
-        if len(names) != len(layers):
-            raise ValueError("need one name per layer")
-        object.__setattr__(self, "names", tuple(names))
         for layer in layers:
             if len(layer) != len(self.beta):
                 raise ValueError("all layers must match the background length")
@@ -253,16 +245,8 @@ class JointState:
                 )
 
     @property
-    def n_sites(self):
-        return len(self.beta)
-
-    def layer(self, name):
-        return self.layers[self.names.index(name)]
-
-    def as_dict(self):
-        out = {"beta": self.beta}
-        out.update(zip(self.names, self.layers))
-        return out
+    def names(self):
+        return layer_names(len(self.layers))
 
 
 def point_mass_states(n, boundary=PERIODIC):

@@ -176,14 +176,18 @@ def _build(spec: ModelSpec, n_layers) -> GeneratorMatrix:
     return GeneratorMatrix(spec, n, n_layers, dim, rows, cols, vals, diag)
 
 
-def build_generator(spec: ModelSpec, max_sites=6) -> GeneratorMatrix:
+MAX_SITES = 6  # largest window of the (background, spin) generator
+MAX_DIM = 100_000  # largest state space of a coupled generator
+
+
+def build_generator(spec: ModelSpec) -> GeneratorMatrix:
     """Exact rate matrix of the (background, spin) chain on the window."""
-    if spec.size > max_sites:
-        raise ValueError("window of %d sites exceeds the oracle cap %d" % (spec.size, max_sites))
+    if spec.size > MAX_SITES:
+        raise ValueError("window of %d sites exceeds the oracle cap %d" % (spec.size, MAX_SITES))
     return _build(spec, 1)
 
 
-def build_coupled_generator(spec: ModelSpec, n_layers, max_dim=100_000) -> GeneratorMatrix:
+def build_coupled_generator(spec: ModelSpec, n_layers) -> GeneratorMatrix:
     """Exact rate matrix of the coupled chain with `n_layers` spin layers.
 
     The state space is the full product; states violating the layer order
@@ -194,8 +198,8 @@ def build_coupled_generator(spec: ModelSpec, n_layers, max_dim=100_000) -> Gener
     windows.
     """
     dim = 1 << (spec.size * (n_layers + 1))
-    if dim > max_dim:
-        raise ValueError("coupled state space of %d states exceeds max_dim=%d" % (dim, max_dim))
+    if dim > MAX_DIM:
+        raise ValueError("coupled state space of %d states exceeds MAX_DIM=%d" % (dim, MAX_DIM))
     return _build(spec, n_layers)
 
 
@@ -360,7 +364,7 @@ def _certify_classes(G: GeneratorMatrix, classes):
     return notes
 
 
-def stationary_set(G: GeneratorMatrix, residual_tol=RESIDUAL_TOL) -> StationarySet:
+def stationary_set(G: GeneratorMatrix) -> StationarySet:
     """All extreme stationary laws, via closed communicating classes.
 
     The extreme stationary laws of a finite chain are exactly the stationary
@@ -373,8 +377,8 @@ def stationary_set(G: GeneratorMatrix, residual_tol=RESIDUAL_TOL) -> StationaryS
     notes = _certify_classes(G, closed)
     for pi in distributions:
         resid = _residual(G, pi)
-        if resid > residual_tol:
-            notes.append("stationary residual %.3e exceeds %.0e" % (resid, residual_tol))
+        if resid > RESIDUAL_TOL:
+            notes.append("stationary residual %.3e exceeds %.0e" % (resid, RESIDUAL_TOL))
     return StationarySet(
         distributions=distributions,
         closed_classes=closed,
@@ -395,13 +399,17 @@ class SemigroupResult:
     uniformization_rate: float
 
 
-def semigroup_apply(G: GeneratorMatrix, p0, t, tail=1e-12, chunk=256.0) -> SemigroupResult:
+SERIES_TAIL = 1e-12  # Poisson mass left out of each uniformization series
+CHUNK = 256.0  # largest Poisson mean of one chunk, so exp(-mean) never underflows
+
+
+def semigroup_apply(G: GeneratorMatrix, p0, t) -> SemigroupResult:
     """The distribution at time t by uniformization.
 
     The jump rate is the maximal outflow plus one; the Poisson series is cut
-    once its mass reaches 1 - `tail`, and long horizons are split into chunks
-    so the leading Poisson weight never underflows.  The accumulated tail
-    mass is reported as `truncation_error`.
+    once its mass reaches 1 - SERIES_TAIL, and long horizons are split into
+    chunks of mean CHUNK so the leading Poisson weight never underflows.  The
+    accumulated tail mass is reported as `truncation_error`.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -412,7 +420,7 @@ def semigroup_apply(G: GeneratorMatrix, p0, t, tail=1e-12, chunk=256.0) -> Semig
     err = 0.0
     remaining = float(t)
     while remaining > 0:
-        dt = min(remaining, chunk / lam)
+        dt = min(remaining, CHUNK / lam)
         remaining -= dt
         mu = lam * dt
         weight = math.exp(-mu)
@@ -421,7 +429,7 @@ def semigroup_apply(G: GeneratorMatrix, p0, t, tail=1e-12, chunk=256.0) -> Semig
         out = weight * term
         k = 0
         max_terms = int(mu + 40.0 * math.sqrt(mu) + 100.0)
-        while cum < 1.0 - tail and k < max_terms:
+        while cum < 1.0 - SERIES_TAIL and k < max_terms:
             k += 1
             term = term + G.matvec_left(term) / lam
             weight *= mu / k
@@ -501,11 +509,7 @@ def limit_distributions(G: GeneratorMatrix) -> LimitDistributions:
 def spin_marginal(G: GeneratorMatrix, dist):
     """Marginal law of the spin field(s): sums out the background bits."""
     width = G.n_layers * G.n_sites
-    out = np.zeros(1 << width)
-    mask = (1 << width) - 1
-    for s, p in enumerate(dist):
-        out[s & mask] += p
-    return out
+    return np.bincount(np.arange(G.dim) & ((1 << width) - 1), weights=dist, minlength=1 << width)
 
 
 def dump_distribution_csv(dist) -> str:

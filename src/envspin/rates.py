@@ -143,11 +143,6 @@ class SpinRatePair:
         problems += vc
         return problems
 
-    def require_valid(self):
-        problems = self.validate()
-        if problems:
-            raise ValueError("invalid spin rate pair:\n  " + "\n  ".join(problems))
-
 
 def check_compatible(pair: SpinRatePair):
     """True iff c0 <= c1 on center-0 triples and c1 <= c0 on center-1 triples."""
@@ -198,12 +193,9 @@ class EnvRateSpec:
     def as_array(self):
         return np.array(self.table, dtype=float)
 
-    def attractivity_violations(self):
-        return _attractivity_violations(self.table, self.range)
-
     @property
     def is_attractive(self):
-        return not self.attractivity_violations()
+        return not _attractivity_violations(self.table, self.range)
 
 
 @dataclass(frozen=True)

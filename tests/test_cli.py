@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from envspin import format_config, preset
+from envspin import format_config, oracle, preset
 from envspin.cli import main
 
 
@@ -172,6 +173,15 @@ def test_seed_env_var_is_the_default(tmp_path, monkeypatch):
 def test_oracle_cap_reported_cleanly(tmp_path, capsys):
     assert main(["oracle", *CPREE, "--sites", "7", "--out", str(tmp_path / "big")]) == 2
     assert "oracle" in capsys.readouterr().err
+
+
+def test_oracle_non_convergence_exits_3(tmp_path, capsys, monkeypatch):
+    exact = oracle.limit_distributions
+    monkeypatch.setattr(
+        oracle, "limit_distributions", lambda G: dataclasses.replace(exact(G), converged=False)
+    )
+    assert main(["oracle", *CPREE, "--sites", "3", "--out", str(tmp_path / "o")]) == 3
+    assert "numerical flag raised: non-convergence" in capsys.readouterr().out
 
 
 def test_scenario_run_decay_emits_interval_csv(tmp_path):

@@ -223,6 +223,13 @@ def test_simulate_coupled_replay_and_order():
     assert all(a <= b for a, b in zip(final[1], final[2]))
 
 
+def test_simulate_coupled_rejects_layers_other_than_arity():
+    spec = preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, sites=6)
+    init = make_state(spec, (0,) * 6, [(0,) * 6, (0, 1, 0, 1, 0, 1), (1,) * 6])
+    with pytest.raises(ValueError, match="arity 4"):
+        simulate_coupled(CoupledSpec(spec, 4), init, seed=1, t_max=1.0)
+
+
 def test_classification_examples():
     eta, xi = Configuration("0000"), Configuration("1111")
     assert classify_agreement(eta, Configuration("0000"), xi).kind == "A1"

@@ -246,7 +246,7 @@ def test_sampling_helpers_ordered():
 
 def test_burn_in_calibration():
     spec = cpree(64)
-    b = calibrate_burn_in(spec, cal_sites=4, tv_tol=1e-3)
+    b = calibrate_burn_in(spec)
     assert b.t_burn >= b.t_calibrated > 0
     assert b.cal_sites == 4
 

@@ -75,6 +75,10 @@ def test_oracle_size_cap():
     spec = preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, sites=7)
     with pytest.raises(ValueError):
         build_generator(spec)
+    # three coupled layers on 5 sites span 2**20 states
+    spec = preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, sites=5)
+    with pytest.raises(ValueError):
+        build_coupled_generator(spec, 3)
 
 
 def test_unique_stationary_for_positive_rates():
