@@ -340,30 +340,33 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     ctab2 = np.stack([spec.spin.c0.as_array(), spec.spin.c1.as_array()])
 
     clock = np.zeros(replicas)
-    frozen_done = np.zeros(replicas, dtype=bool)
+    # replicas whose clock has not passed t and whose rates are not all 0;
+    # the exponential and uniform draws stay full-length, so the RNG stream
+    # does not depend on how many replicas are still running
+    alive = np.arange(replicas)
 
     while True:
-        bg_rates = btab[B[:, b_cols] @ b_weights]
-        sp_rates = ctab2[B[:, halo:halo + n], E[:, e_cols] @ e_weights]
+        Ba, Ea = B[alive], E[alive]
+        bg_rates = btab[Ba[:, b_cols] @ b_weights]
+        sp_rates = ctab2[Ba[:, halo:halo + n], Ea[:, e_cols] @ e_weights]
         rates = np.concatenate([bg_rates, sp_rates], axis=1)
         total = rates.sum(axis=1)
-        live = (~frozen_done) & (total > 0)
+        live = total > 0
         if not live.any():
             break
-        draws = rng.exponential(1.0, replicas)
-        clock = np.where(live, clock + draws / np.maximum(total, 1e-300), clock)
-        passed = clock > t
-        frozen_done |= passed | (total <= 0)
+        draws = rng.exponential(1.0, replicas)[alive]
+        clock[alive] = np.where(live, clock[alive] + draws / np.maximum(total, 1e-300), clock[alive])
+        passed = clock[alive] > t
         act = live & ~passed
         if not act.any():
             break
-        u = rng.uniform(0.0, 1.0, replicas) * total
-        cum = np.cumsum(rates, axis=1)
-        slot = (cum >= u[:, None]).argmax(axis=1)
-        rows = np.nonzero(act)[0]
-        cols = halo + slot[rows] % n
-        bg = slot[rows] < n
+        u = rng.uniform(0.0, 1.0, replicas)[alive[act]] * total[act]
+        slot = (np.cumsum(rates[act], axis=1) >= u[:, None]).argmax(axis=1)
+        rows = alive[act]
+        cols = halo + slot % n
+        bg = slot < n
         B[rows[bg], cols[bg]] ^= 1
         E[rows[~bg], cols[~bg]] ^= 1
+        alive = rows
 
     return B[:, halo:halo + n].copy(), E[:, halo:halo + n].copy()

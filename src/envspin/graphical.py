@@ -23,6 +23,16 @@ configurations, so several layers evolved from one stream flip together as
 much as possible and never cross: this is the maximal monotone coupling.
 `window_rates` computes the induced joint flip rates by exact interval
 arithmetic on the engine's own windows.
+
+The engine never compares U with a window.  All window endpoints, as the
+floats a comparison would use, cut [0, b_bar + c_hat) into atoms, and every
+U in one atom passes the same tests.  So one joint flip table, built once per
+call, maps (the bits a ring reads, the atom of U) to the XOR mask of the
+fields that flip, and each replica-site keeps all its fields in one byte:
+a ring is one gather of the bytes around its site, one lookup per slot for
+its key, and one table lookup.  The table's atom lengths per flip set are
+`window_rates`' rates, and the outputs are bit-for-bit those of the direct
+comparisons.
 """
 
 from __future__ import annotations
@@ -390,18 +400,148 @@ def accept_window(center, rate, clock):
     return 0, rate
 
 
-class _Kind(NamedTuple):
-    """What a ring reads and writes for one kind of field in `_lockstep`."""
+# rings prepared at once (a step with more active replicas is one block on
+# its own), and the most entries a joint flip table may hold
+BLOCK_RINGS = 4096
+TABLE_CAP = 1 << 20
 
-    names: list  # of the fields of this kind
-    cols: np.ndarray  # column of every read slot at each site, (slots, n)
-    offsets: np.ndarray  # field offset of every slot and field, (slots, fields, 1)
-    center: int  # slot of the field's own center
-    weights: np.ndarray  # weight of every slot in the word read, (slots, 1, 1), int8 when it fits
-    lo: np.ndarray  # acceptance window [lo, hi) on [0, b_bar + c_hat) of every word
-    hi: np.ndarray
-    pairs: list  # (lower, upper) fields compared after each ring
-    flips: np.ndarray  # accepted flips per field
+
+def _windows(spec, consts):
+    """The float acceptance windows [lo, hi) on [0, b_bar + c_hat) that the
+    lockstep engine compares its marks against: per background word, then per
+    (background bit, 3-bit spin word), as in `accept_window`."""
+    b_bar, c_hat = consts.b_bar, consts.c_hat
+    radius = spec.env.range
+    btab = spec.env.as_array()
+    ctabs = np.concatenate([spec.spin.c0.as_array(), spec.spin.c1.as_array()])
+    bg = np.array([accept_window((w >> radius) & 1, b, b_bar) for w, b in enumerate(btab)], dtype=float)
+    sp = np.array([np.add(b_bar, accept_window((w >> 1) & 1, c, c_hat)) for w, c in enumerate(ctabs)])
+    return bg[:, 0], bg[:, 1], sp[:, 0], sp[:, 1]
+
+
+class _FlipTable(NamedTuple):
+    """The joint flip table of one `_lockstep` shape.
+
+    The mark U falls in one atom [edges[k], edges[k+1]) of the sorted window
+    endpoints (rank k; the last atom starts at b_bar + c_hat and flips
+    nothing).  Ranks below `n_bg` are background rings, the rest spin rings.
+    A ring of kind c reads the key whose bits are the fields and site offsets
+    `reads[c]`, most significant first: a background ring reads every
+    background's word, a spin ring every spin layer's 3-bit word and its
+    group background's center.  `masks[c][k - first rank of c, key]` has bit
+    f set iff field f flips: U >= lo and U < hi hold for every U in the atom.
+    """
+
+    edges: np.ndarray
+    n_bg: int
+    reads: tuple
+    masks: tuple
+
+
+def _flip_table(windows, owner, radius, b_bar, lam):
+    """Build the `_FlipTable` for fields with group background `owner[f]`,
+    from the float windows of `_windows`; refuses a table over TABLE_CAP."""
+    bg_lo, bg_hi, sp_lo, sp_hi = windows
+    bg = [f for f, g in enumerate(owner) if g == f]
+    spin = [f for f, g in enumerate(owner) if g != f]
+    reads = (
+        tuple((f, d) for f in bg for d in range(-radius, radius + 1)),
+        tuple((g, 0) for g in bg if g in {owner[f] for f in spin})
+        + tuple((f, d) for f in spin for d in (-1, 0, 1)),
+    )
+    # sorted and deduplicated by hand: np.unique imports numpy.ma, a megabyte
+    edges = np.sort(np.concatenate([[0.0, b_bar, lam], bg_lo, bg_hi, sp_lo, sp_hi]))
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    n_bg = int(np.searchsorted(edges, b_bar))
+    ranks = (np.arange(n_bg), np.arange(n_bg, len(edges)))
+    size = sum(len(r) << len(rd) for r, rd in zip(ranks, reads))
+    if size > TABLE_CAP:
+        raise ValueError("a joint flip table of %d entries exceeds TABLE_CAP=%d" % (size, TABLE_CAP))
+
+    def masks(kind_reads, kind_ranks, word, lo, hi, fields):
+        keys = np.arange(1 << len(kind_reads))
+        bit = {rd: (keys >> (len(kind_reads) - 1 - j)) & 1 for j, rd in enumerate(kind_reads)}
+        start = edges[kind_ranks][:, None]
+        stop = np.append(edges, np.inf)[kind_ranks + 1][:, None]
+        out = np.zeros((len(kind_ranks), len(keys)), dtype=np.uint8)
+        for f in fields:
+            w = word(f, bit)
+            out |= ((lo[w] <= start) & (hi[w] >= stop)).astype(np.uint8) << f
+        return out
+
+    def bg_word(f, bit):
+        return sum(bit[(f, d)] << (radius - d) for d in range(-radius, radius + 1))
+
+    def spin_word(f, bit):
+        return (bit[(owner[f], 0)] << 3) | (bit[(f, -1)] << 2) | (bit[(f, 0)] << 1) | bit[(f, 1)]
+
+    return _FlipTable(
+        edges=edges,
+        n_bg=n_bg,
+        reads=reads,
+        masks=(
+            masks(reads[0], ranks[0], bg_word, bg_lo, bg_hi, bg),
+            masks(reads[1], ranks[1], spin_word, sp_lo, sp_hi, spin),
+        ),
+    )
+
+
+def _rank_lookup(edges, lam):
+    """What `_ranks` needs to rank marks on [0, lam) among the sorted `edges`
+    without a binary search: U lands in bin int(U * scale), a monotone map
+    of U onto 0..bins; `before[bin]` is the number of edges in earlier bins,
+    less one; the edges inside the bin (rows of `inside`, padded with inf)
+    are compared exactly."""
+    bins = 1024
+    while True:
+        # any finite positive scale keeps the map monotone; a clock so slow
+        # that bins / lam overflows just puts every edge in bin 0
+        scale = min(bins / lam, 2.0 ** 1000)
+        where = (edges * scale).astype(np.intp)
+        per_bin = np.bincount(where, minlength=bins + 1)
+        if per_bin.max() <= 1 or bins >= 1 << 16:
+            break
+        bins *= 2
+    first = np.cumsum(per_bin) - per_bin
+    inside = np.full((per_bin.max(), bins + 1), np.inf)
+    inside[np.arange(len(edges)) - first[where], where] = edges
+    return scale, first - 1, inside
+
+
+def _ranks(u, lookup):
+    """`searchsorted(edges, u, "right") - 1` by the `_rank_lookup` of edges."""
+    scale, before, inside = lookup
+    bins = (u * scale).astype(np.intp)
+    rank = before.take(bins)
+    for row in inside:
+        rank += u >= row.take(bins)
+    return rank
+
+
+def _key_lookup(ft, halo):
+    """Flatten a `_FlipTable` for `_lockstep`'s gathers of the bytes at
+    x - halo..x + halo.  Returns the flat table, in which the block of rank k
+    starts at offset[k]; a lookup from (row, byte) to that byte's share of
+    the flat index; and `rows[s, k]`, the first index of the row that slot s
+    reads for a ring of rank k.  Rows 0..2*slots-1 hold per kind and slot the
+    bits of the fields that kind reads there; row 2*slots + k holds the
+    center slot's bits for rank k's kind plus offset[k], so the shares of
+    one ring's slots sum to its flat index."""
+    slots = 2 * halo + 1
+    n_ranks = len(ft.edges)
+    kind = (np.arange(n_ranks) >= ft.n_bg).astype(np.intp)
+    sizes = np.array([1 << len(reads) for reads in ft.reads])[kind]
+    offset = np.cumsum(sizes) - sizes
+    byte = np.arange(256)
+    share = np.zeros((2, slots, 256), dtype=np.intp)
+    for k, reads in enumerate(ft.reads):
+        for j, (f, d) in enumerate(reads):
+            share[k, d + halo] += ((byte >> f) & 1) << (len(reads) - 1 - j)
+    lut = np.concatenate([share.reshape(-1, 256), share[kind, halo] + offset[:, None]]).ravel()
+    rows = (kind * slots + np.arange(slots)[:, None]) * 256
+    rows[halo] = (2 * slots + np.arange(n_ranks)) * 256
+    # fewer than 256 rows: 2*slots <= 10, and at most 99 edges
+    return np.concatenate([m.ravel() for m in ft.masks]), lut, rows.astype(np.uint16)
 
 
 def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_violation):
@@ -416,6 +556,14 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
     background.  Every initially ordered pair of fields that the coupling
     keeps ordered is compared at x after each ring.  RNG use depends only on
     (seed, grid, Poisson counts), never on the state.
+
+    A replica-site holds all its fields in one byte, bit f for field f.  A
+    ring gathers the bytes at x - halo..x + halo, turns them into its key by
+    one lookup per slot (the center slot's row also adds the offset of U's
+    rank), and reads the XOR mask of the fields that flip from the joint
+    flip table of `_flip_table`.  The state-free work (sites, ranks, gather
+    indices) is prepared per block of whole steps of at most BLOCK_RINGS
+    rings.
 
     Returns the grid times, per grid time the in-window bits of every field,
     the order violations counted and the counters of `BatchResult`.
@@ -435,71 +583,87 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
         owner += [len(starts)] * (1 + len(layers))
         starts += [beta0, *layers]
     n_fields = len(starts)
-    state = np.empty((replicas, n_fields, width), dtype=np.int8)
-    boundaries = []
+    if n_fields > 8:
+        raise ValueError("%d fields do not fit the 8 bits of a packed site" % n_fields)
+    ft = _flip_table(_windows(spec, consts), owner, radius, b_bar, lam)
+
+    state = np.zeros((replicas, width), dtype=np.uint8)
+    bodies, boundaries = [], []
     for f, start in enumerate(starts):
         rows, boundary = _field_rows(start, replicas, halo)
         if rows.shape[1] != width:
             raise ValueError("%s has %d sites, not %d" % (names[f], rows.shape[1] - 2 * halo, n))
-        state[:, f] = rows
+        state |= rows.view(np.uint8) << f
+        bodies.append(rows[:, halo:halo + n])
         boundaries.append(boundary)
     if len({isinstance(b, Periodic) for b in boundaries}) > 1:
         raise ValueError("fields mix periodic and frozen boundaries")
     flat = state.reshape(-1)
-    body = state[:, :, halo:halo + n]
+    cols = np.ascontiguousarray(_site_columns(boundaries[0], n, halo, halo).T)  # (slots, n)
 
     def below(p, q):
-        return bool((body[:, p] <= body[:, q]).all())
+        return bool((bodies[p] <= bodies[q]).all())
 
-    def kind(fields, cols, offsets, center, windows):
-        pairs = [
-            (i, j)
-            for i, p in enumerate(fields)
-            for j, q in enumerate(fields)
-            # equal fields need one orientation only
-            if i != j and below(p, q) and not (i > j and below(q, p)) and below(owner[p], owner[q])
-        ] if check_order else []
-        weights = 1 << np.arange(len(cols) - 1, -1, -1)
-        lo, hi = np.array(windows, dtype=float).T
-        return _Kind(
-            names=[names[f] for f in fields],
-            cols=cols,
-            offsets=np.array(offsets, dtype=np.intp)[:, :, None] * width,
-            center=center,
-            weights=weights.astype(np.int8 if len(cols) < 8 else np.int64)[:, None, None],
-            lo=lo.copy(),
-            hi=hi.copy(),
-            pairs=pairs,
-            flips=np.zeros(len(fields), dtype=np.int64),
-        )
+    # background pairs, then spin pairs; equal fields need one orientation only
+    kinds = ([f for f in range(n_fields) if owner[f] == f], [f for f in range(n_fields) if owner[f] != f])
+    pairs = [
+        (p, q)
+        for kind in kinds
+        for i, p in enumerate(kind)
+        for j, q in enumerate(kind)
+        if i != j and below(p, q) and not (i > j and below(q, p)) and below(owner[p], owner[q])
+    ] if check_order else []
+    byte = np.arange(256)
+    # pairs crossed in each packed byte
+    crossed = sum((((byte >> p) & ~(byte >> q)) & 1 for p, q in pairs), np.zeros(256, dtype=np.intp))
 
-    # a background reads its window -radius..radius and flips on marks below
-    # b_bar; a spin layer reads its group background's center and its own
-    # window -1..1 and flips on marks in b_bar + [0, c_hat)
-    btab = spec.env.as_array()
-    ctabs = np.concatenate([spec.spin.c0.as_array(), spec.spin.c1.as_array()])
-    bg = [f for f in range(n_fields) if owner[f] == f]
-    spin = [f for f in range(n_fields) if owner[f] != f]
-    kinds = (
-        kind(
-            bg,
-            _site_columns(boundaries[0], n, halo, radius).T,
-            [bg] * (2 * radius + 1),
-            radius,
-            [accept_window((w >> radius) & 1, b, b_bar) for w, b in enumerate(btab)],
-        ),
-        kind(
-            spin,
-            np.vstack([halo + np.arange(n), _site_columns(boundaries[0], n, halo, 1).T]),
-            [[owner[f] for f in spin]] + [spin] * 3,
-            2,
-            [np.add(b_bar, accept_window((w >> 1) & 1, c, c_hat)) for w, c in enumerate(ctabs)],
-        ),
-    )
+    table, lut, rows_of = _key_lookup(ft, halo)
+    lookup = _rank_lookup(ft.edges, lam) if lam > 0 else None
+
+    hist = np.zeros(256, dtype=np.int64)
+    violations = bg_rings = 0
+
+    def run_block(xs, us, base):
+        """Apply the rings of whole consecutive steps, step by step."""
+        nonlocal violations, bg_rings
+        u = np.concatenate(us)
+        rank = _ranks(u, lookup)
+        bg_rings += int(np.count_nonzero(rank < ft.n_bg))
+        gather = cols.take(np.concatenate(xs), axis=1)
+        gather += np.concatenate([base[:len(x)] for x in xs])
+        rows = rows_of.take(rank, axis=1)
+        mask = np.empty(len(u), dtype=np.uint8)
+        new = np.empty(len(u), dtype=np.uint8)
+        lo = 0
+        for x in xs:
+            hi = lo + len(x)
+            b = flat.take(gather[:, lo:hi])
+            # in-range keys: "clip" spares take's buffered bounds check
+            table.take(np.add.reduce(lut.take(b + rows[:, lo:hi])), out=mask[lo:hi], mode="clip")
+            np.bitwise_xor(b[halo], mask[lo:hi], out=new[lo:hi])
+            flat[gather[halo, lo:hi]] = new[lo:hi]
+            lo = hi
+        hist[:] += np.bincount(mask, minlength=256)
+        if not pairs:
+            return
+        bad = crossed.take(new)
+        if on_violation != "raise":
+            violations += int(bad.sum())
+        elif bad.any():
+            # name the first crossed pair of the first step with a crossing
+            lo = 0
+            for x in xs:
+                step = new[lo:lo + len(x)]
+                for p, q in pairs:
+                    if (((step >> p) & 1) > ((step >> q) & 1)).any():
+                        raise OrderViolationError(
+                            "%s and %s crossed in a lockstep step" % (names[p], names[q])
+                        )
+                lo += len(x)
 
     rng = np.random.default_rng(seed)
     times, snaps = [], []
-    violations = steps = events = bg_rings = null_rings = 0
+    steps = events = 0
     t_prev = 0.0
     for t in grid:
         dt, t_prev = t - t_prev, t
@@ -510,48 +674,33 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
         # replicas by decreasing ring count: those still active at step j
         # are a prefix of `order`
         order = np.argsort(-counts, kind="stable")
-        base = order * (n_fields * width)
+        base = order * width
         n_steps = int(counts.max()) if replicas else 0
         active = replicas - np.cumsum(np.bincount(counts, minlength=n_steps))[:n_steps]
         steps += n_steps
         events += int(counts.sum())
+        xs, us, size = [], [], 0
         for a in active.tolist():
-            x = rng.integers(0, n, a)
-            u = rng.uniform(0.0, lam, a)
-            bg_rings += int(np.count_nonzero(u < b_bar))
-            hit = np.zeros(a, dtype=bool)
-            for k in kinds:
-                idx = k.cols.take(x, axis=1)
-                idx += base[:a]
-                idx = idx[:, None] + k.offsets  # (slots, fields, active replicas)
-                val = flat.take(idx)
-                word = (val * k.weights).sum(axis=0, dtype=k.weights.dtype)
-                flip = (u >= k.lo.take(word)) & (u < k.hi.take(word))
-                new = val[k.center] ^ flip
-                flat[idx[k.center]] = new
-                k.flips[:] += flip.sum(axis=1)
-                hit |= flip.any(axis=0)
-                for i, j in k.pairs:
-                    bad = new[i] > new[j]
-                    if bad.any():
-                        if on_violation == "raise":
-                            raise OrderViolationError(
-                                "%s and %s crossed in a lockstep step" % (k.names[i], k.names[j])
-                            )
-                        violations += int(bad.sum())
-            null_rings += a - int(np.count_nonzero(hit))
+            if xs and size + a > BLOCK_RINGS:
+                run_block(xs, us, base)
+                xs, us, size = [], [], 0
+            size += a
+            xs.append(rng.integers(0, n, a))
+            us.append(rng.uniform(0.0, lam, a))
+        if xs:
+            run_block(xs, us, base)
         times.append(t)
-        snaps.append([body[:, f].copy() for f in range(n_fields)])
+        body = state[:, halo:halo + n]
+        snaps.append([((body >> f) & 1).astype(np.int8) for f in range(n_fields)])
 
-    flips = {name: int(v) for k in kinds for name, v in zip(k.names, k.flips)}
     counters = {
         "steps": steps,
         "events": events,
         "background_rings": bg_rings,
         "spin_rings": events - bg_rings,
-        "null_rings": null_rings,
-        "flips": {name: flips[name] for name in names},
-        "order_checks": sum(len(k.pairs) for k in kinds) * events,
+        "null_rings": int(hist[0]),
+        "flips": {name: int(hist[((byte >> f) & 1).astype(bool)].sum()) for f, name in enumerate(names)},
+        "order_checks": len(pairs) * events,
     }
     return times, snaps, violations, counters
 

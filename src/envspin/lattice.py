@@ -163,9 +163,12 @@ def _field_rows(init, replicas, halo):
         boundary = init.boundary
     else:
         bits, boundary = init
-        body = np.asarray(bits, dtype=np.int8)
+        body = np.asarray(bits)
         if body.ndim != 2 or body.shape[0] != replicas:
             raise ValueError("per-replica bits must have shape (replicas, n)")
+        if ((body != 0) & (body != 1)).any():
+            raise ValueError("per-replica bits must be 0 or 1")
+        body = body.astype(np.int8, copy=False)
     n = body.shape[1]
     rows = np.zeros((replicas, n + 2 * halo), dtype=np.int8)
     rows[:, halo:halo + n] = body

@@ -218,3 +218,22 @@ WORKED_UPPER = "10111110111"
 WORKED_MIDDLE = "10110010110"
 WORKED_LOWER = "10000000000"
 WORKED_BACKGROUND = "10100111011"
+
+
+def random_attractive_env(rng, radius, positive=True):
+    """An attractive background table of range `radius` on the dyadic grid:
+    a base rate plus a weight per occupied neighbor at center 0, a base rate
+    minus a weight per occupied neighbor at center 1."""
+    width = 2 * radius + 1
+    lo = 1 if positive else 0
+    up_w = _dyadic(rng, width, high=GRID // 2)
+    down_w = _dyadic(rng, width, high=GRID // 2)
+    up_base, down_extra = _dyadic(rng, 2, low=lo)
+    table = []
+    for w in range(2 ** width):
+        bits = [(w >> (width - 1 - k)) & 1 for k in range(width)]
+        if bits[radius] == 0:
+            table.append(up_base + sum(b * v for k, (b, v) in enumerate(zip(bits, up_w)) if k != radius))
+        else:
+            table.append(down_extra + sum((1 - b) * v for k, (b, v) in enumerate(zip(bits, down_w)) if k != radius))
+    return EnvRateSpec(radius, tuple(table))

@@ -2,9 +2,10 @@
 
     python tests/gate_sweep.py
 
-Runs the simulators behind criterion 3, the three-layer batch law test and
-the `simulate_coupled` pair law test on SEEDS simulator seeds outside the
-tests' own and counts the runs each gate rejects at its level; then hands
+Runs the simulators behind criterion 3, the three-layer batch law test, the
+`simulate_coupled` pair law test and the lockstep pair law on range-1 and
+range-2 backgrounds on SEEDS simulator seeds outside the tests' own and
+counts the runs each gate rejects at its level; then hands
 them the spec with every death rate too high (10 %, or 30 % for the
 3000-replica `simulate_coupled` gate) on PLANTED_SEEDS other seeds and counts
 the runs caught.  A calibrated gate rejects a correct simulator on about
@@ -19,6 +20,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 import test_acceptance  # noqa: E402
 import test_coupling  # noqa: E402
+import test_graphical  # noqa: E402
 from _support import GATE_LEVEL  # noqa: E402
 
 SEEDS = 40
@@ -38,12 +40,18 @@ def simulate_coupled_law(seed, factor):
     return [test_coupling._simulate_coupled_marginal_pvalue(factor, seed=10**6 + 10**4 * seed)]
 
 
+def wider_background_law(seed, factor):
+    # case k of `_range_law_pvalues` in sweep seed s runs on engine seed 8000 + 10 s + k
+    return test_graphical._range_law_pvalues(factor, seed=8000 + 10 * seed)
+
+
 def main():
     # each gate splits GATE_LEVEL evenly over its tests
     gates = (
         (criterion_3, GATE_LEVEL / 2, 1.1),
         (three_layer_law, GATE_LEVEL, 1.1),
         (simulate_coupled_law, GATE_LEVEL, 1.3),
+        (wider_background_law, GATE_LEVEL / 4, 1.1),
     )
     for gate, level, defect in gates:
         correct = [gate(s, 1.0) for s in range(SEEDS)]

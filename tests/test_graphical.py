@@ -8,21 +8,36 @@ import pytest
 from envspin import (
     Configuration,
     EnvRateSpec,
+    FrozenWords,
+    PerLayerFrozen,
     SpinRatePair,
     batch_envelope,
     batch_evolve,
+    build_generator,
     density_curves,
     evolve_background,
     evolve_spins,
     generate_streams,
     preset,
+    semigroup_apply,
     window_rates,
 )
+from envspin import graphical
 from envspin.graphical import EventBudgetError, accept_window, exact_clock, exact_table
-from envspin.lattice import MutableWindow
+from envspin.lattice import PERIODIC, MutableWindow
 from envspin.rates import LocalSpinRates, ModelSpec, TRIPLES
 
-from _support import ordered_triple_configs, ordered_window_triples, random_compatible_pair, random_env
+from _support import (
+    GATE_LEVEL,
+    empirical_pair_distribution,
+    ordered_triple_configs,
+    ordered_window_triples,
+    pooled_chi_square,
+    random_attractive_env,
+    random_compatible_pair,
+    random_env,
+    scaled_deaths,
+)
 
 
 def cpree(sites=6, **kw):
@@ -344,3 +359,139 @@ def test_batch_counters_add_up():
     for cfg, final, (name, flips) in zip([beta0] + layers, finals, c["flips"].items()):
         changed = int((final != cfg.as_array()).sum())
         assert flips >= changed and (flips - changed) % 2 == 0, name
+
+
+def test_rank_lookup_matches_binary_search():
+    # bins with several edges, edges one ulp apart, marks exactly on an edge
+    # and one ulp either side of it
+    rng = np.random.default_rng(35)
+    # the last clock is so slow that bins / lam overflows
+    for lam, spread in ((7.25, 7.25), (7.25, 1e-3), (7.25, 1e-9), (1e-310, 1e-310)):
+        inner = np.sort(rng.uniform(0.0, spread, 40))
+        edges = np.unique(np.concatenate([[0.0, lam], inner, np.nextafter(inner, np.inf)]))
+        lookup = graphical._rank_lookup(edges, lam)
+        u = np.concatenate([
+            rng.uniform(0.0, lam, 20000),
+            edges,
+            np.nextafter(edges[1:], -np.inf),
+            np.nextafter(edges[:-1], np.inf),
+        ])
+        assert np.array_equal(graphical._ranks(u, lookup), np.searchsorted(edges, u, "right") - 1)
+
+
+def _joint_table_defects(pair, windows=graphical._windows):
+    """Keys of one-group joint flip tables (1 to 3 spin layers, background
+    range 0) whose summed atom lengths per flip set differ from
+    `window_rates` by more than float rounding."""
+    spec = ModelSpec(pair, EnvRateSpec(0, (0.5, 0.25)), 3)
+    consts = spec.constants()
+    lam = consts.b_bar + consts.c_hat
+    defects = []
+    for layers in (1, 2, 3):
+        ft = graphical._flip_table(windows(spec, consts), [0] * (1 + layers), 0, consts.b_bar, lam)
+        reads, masks = ft.reads[1], ft.masks[1]
+        assert reads == ((0, 0),) + tuple((f, d) for f in range(1, 1 + layers) for d in (-1, 0, 1))
+        length = np.diff(np.append(ft.edges, lam))[ft.n_bg:]
+        for key in range(1 << len(reads)):
+            bits = format(key, "0%db" % len(reads))
+            bit, words = int(bits[0]), [bits[1 + 3 * k:4 + 3 * k] for k in range(layers)]
+            got = {}
+            for m, size in zip(masks[:, key].tolist(), length):
+                if m:
+                    got[m] = got.get(m, 0.0) + size
+            want = {
+                sum(1 << (1 + k) for k, w in enumerate(words) if target[1 + k] != int(w[1])): float(rate)
+                for target, rate in window_rates(pair, bit, words).items()
+            }
+            if got.keys() != want.keys() or any(abs(got[m] - want[m]) > 1e-12 * lam for m in want):
+                defects.append((layers, bits))
+    return defects
+
+
+def test_joint_flip_table_matches_window_rates():
+    # every 1-3-layer key: the engine's table and the exact interval
+    # arithmetic give the same joint flip rates
+    rng = np.random.default_rng(36)
+    for _ in range(30):
+        assert _joint_table_defects(random_compatible_pair(rng)) == []
+
+
+def test_joint_table_check_catches_bottom_anchored_up_window():
+    def planted(spec, consts):
+        bg_lo, bg_hi, sp_lo, sp_hi = graphical._windows(spec, consts)
+        sp_lo, sp_hi = sp_lo.copy(), sp_hi.copy()
+        w = 0b1001  # background 1, spin word 001: an up-window, moved to the bottom
+        sp_hi[w] = consts.b_bar + (sp_hi[w] - sp_lo[w])
+        sp_lo[w] = consts.b_bar
+        return bg_lo, bg_hi, sp_lo, sp_hi
+
+    pair = random_compatible_pair(np.random.default_rng(37), positive=True)
+    assert _joint_table_defects(pair) == []
+    assert _joint_table_defects(pair, planted) != []
+
+
+def test_lockstep_refuses_shapes_over_the_cap_before_allocating():
+    import tracemalloc
+
+    spec = cpree(sites=64)
+    beta0 = spec.env_config((0,) * 64)
+    replicas = 100_000  # the packed state alone would take 6.6 MB
+    for layers, match in ((8, "8 bits of a packed site"), (6, "exceeds TABLE_CAP=%d" % graphical.TABLE_CAP)):
+        tracemalloc.start()
+        with pytest.raises(ValueError, match=match):
+            batch_evolve(spec, beta0, [spec.spin_config((1,) * 64)] * layers, [1.0], replicas, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20, peak
+    # the widest shape the engine serves: range 2, four spin layers
+    rng = np.random.default_rng(39)
+    wide = ModelSpec(random_compatible_pair(rng), random_attractive_env(rng, 2), 5)
+    layers = [wide.spin_config(w) for w in ("00000", "00100", "01010", "11111")]
+    res = batch_evolve(wide, wide.env_config((0,) * 5), layers, [0.5], 10, seed=1)
+    assert len(res.layers[-1]) == 4
+
+
+def test_lockstep_rejects_bits_other_than_zero_and_one():
+    # a 2 packed into field f would set field f + 1's bit
+    spec = cpree(sites=4)
+    bits = np.zeros((3, 4), dtype=np.int64)
+    for bad in (2, 256, -1):
+        bits[1, 2] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            batch_evolve(spec, spec.env_config((0,) * 4), [(bits, spec.spin_boundary)], [1.0], 3, seed=1)
+
+
+def _range_law_pvalues(sim_factor=1.0, seed=90):
+    """Chi-square p-values of the lockstep engine's (background, spin) law
+    at t=0.8 against the exact pair law, for background range 1 and 2, each
+    on a ring and between frozen boundary words; the engine gets the spec
+    with its death rates scaled by `sim_factor`, the oracle the true spec."""
+    rng = np.random.default_rng(38)
+    cases = (
+        (1, PERIODIC),
+        (1, FrozenWords("01", "10")),
+        (2, PERIODIC),
+        (2, PerLayerFrozen(FrozenWords("10", "011"), FrozenWords("110", "01"))),
+    )
+    replicas, t = 100_000, 0.8
+    out = []
+    for k, (radius, boundary) in enumerate(cases):
+        spec = ModelSpec(random_compatible_pair(rng, positive=True), random_attractive_env(rng, radius), 3, boundary)
+        G = build_generator(spec)
+        exact = semigroup_apply(G, G.point_mass(G.encode([0b010, 0b101])), t).dist
+        sim = scaled_deaths(spec, sim_factor)
+        res = batch_evolve(sim, sim.env_config((0, 1, 0)), [sim.spin_config((1, 0, 1))], [t], replicas, seed + k)
+        emp = empirical_pair_distribution(res.background[-1], res.layers[-1][0])
+        out.append(pooled_chi_square(emp * replicas, exact)[2])
+    return out
+
+
+def test_lockstep_law_on_wider_backgrounds_and_frozen_boundaries():
+    # four gates share the family-wise level
+    for p in _range_law_pvalues():
+        assert p >= GATE_LEVEL / 4, p
+
+
+def test_wider_background_gate_catches_high_death_rates():
+    for p in _range_law_pvalues(sim_factor=1.1):
+        assert p < GATE_LEVEL / 4, p
