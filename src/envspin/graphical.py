@@ -404,6 +404,10 @@ def accept_window(center, rate, clock):
 # its own), and the most entries a joint flip table may hold
 BLOCK_RINGS = 4096
 TABLE_CAP = 1 << 20
+# the finest binning of the mark ranks, and the most window endpoints one
+# bin may hold
+RANK_BINS = 1 << 16
+RANK_ROWS = 2
 
 
 def _windows(spec, consts):
@@ -491,7 +495,10 @@ def _rank_lookup(edges, lam):
     without a binary search: U lands in bin int(U * scale), a monotone map
     of U onto 0..bins; `before[bin]` is the number of edges in earlier bins,
     less one; the edges inside the bin (rows of `inside`, padded with inf)
-    are compared exactly."""
+    are compared exactly.  None when edges cluster so that some bin of the
+    finest binning still holds more than RANK_ROWS of them: a binary search
+    ranks those marks, and the lookup never exceeds RANK_ROWS + 1 rows of
+    RANK_BINS + 1 entries."""
     bins = 1024
     while True:
         # any finite positive scale keeps the map monotone; a clock so slow
@@ -499,17 +506,22 @@ def _rank_lookup(edges, lam):
         scale = min(bins / lam, 2.0 ** 1000)
         where = (edges * scale).astype(np.intp)
         per_bin = np.bincount(where, minlength=bins + 1)
-        if per_bin.max() <= 1 or bins >= 1 << 16:
+        if per_bin.max() <= 1 or bins >= RANK_BINS:
             break
         bins *= 2
+    if per_bin.max() > RANK_ROWS:
+        return None
     first = np.cumsum(per_bin) - per_bin
     inside = np.full((per_bin.max(), bins + 1), np.inf)
     inside[np.arange(len(edges)) - first[where], where] = edges
     return scale, first - 1, inside
 
 
-def _ranks(u, lookup):
-    """`searchsorted(edges, u, "right") - 1` by the `_rank_lookup` of edges."""
+def _ranks(u, edges, lookup):
+    """`searchsorted(edges, u, "right") - 1`, by the `_rank_lookup` of edges
+    when there is one."""
+    if lookup is None:
+        return np.searchsorted(edges, u, "right") - 1
     scale, before, inside = lookup
     bins = (u * scale).astype(np.intp)
     rank = before.take(bins)
@@ -540,8 +552,7 @@ def _key_lookup(ft, halo):
     lut = np.concatenate([share.reshape(-1, 256), share[kind, halo] + offset[:, None]]).ravel()
     rows = (kind * slots + np.arange(slots)[:, None]) * 256
     rows[halo] = (2 * slots + np.arange(n_ranks)) * 256
-    # fewer than 256 rows: 2*slots <= 10, and at most 99 edges
-    return np.concatenate([m.ravel() for m in ft.masks]), lut, rows.astype(np.uint16)
+    return np.concatenate([m.ravel() for m in ft.masks]), lut, rows
 
 
 def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_violation):
@@ -618,6 +629,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
     crossed = sum((((byte >> p) & ~(byte >> q)) & 1 for p, q in pairs), np.zeros(256, dtype=np.intp))
 
     table, lut, rows_of = _key_lookup(ft, halo)
+    # a clock of rate 0 never rings
     lookup = _rank_lookup(ft.edges, lam) if lam > 0 else None
 
     hist = np.zeros(256, dtype=np.int64)
@@ -627,7 +639,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
         """Apply the rings of whole consecutive steps, step by step."""
         nonlocal violations, bg_rings
         u = np.concatenate(us)
-        rank = _ranks(u, lookup)
+        rank = _ranks(u, ft.edges, lookup)
         bg_rings += int(np.count_nonzero(rank < ft.n_bg))
         gather = cols.take(np.concatenate(xs), axis=1)
         gather += np.concatenate([base[:len(x)] for x in xs])

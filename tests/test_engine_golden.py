@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from envspin import FrozenWords, ModelSpec, PerLayerFrozen, SpinRatePair, batch_envelope, batch_evolve, preset
+from envspin import EnvRateSpec, FrozenWords, ModelSpec, PerLayerFrozen, SpinRatePair, batch_envelope, batch_evolve, preset
 from envspin.coupling import batch_simulate_pair
 from envspin.experiments import sample_ordered_quadruples
 from envspin.graphical import OrderViolationError
@@ -109,6 +109,34 @@ def small_rings():
     return hashlib.sha256(" ".join(out).encode()).hexdigest()
 
 
+def _fine_env(radius):
+    # binary neighbor weights: nearly every word has its own rate, so the
+    # window endpoints number in the hundreds
+    width = 2 * radius + 1
+    table = []
+    for w in range(2 ** width):
+        bits = [(w >> (width - 1 - k)) & 1 for k in range(width) if k != radius]
+        m = sum(b << k for k, b in enumerate(bits))
+        if (w >> radius) & 1:
+            table.append(1 / 16 + (2 ** (width - 1) - 1 - m) / 128)
+        else:
+            table.append(1 / 8 + m / 64)
+    return EnvRateSpec(radius, tuple(table))
+
+
+def range4_many_edges():
+    # more endpoints than a byte-sized row index: 388 distinct background rates
+    env = _fine_env(4)
+    rng = np.random.default_rng(95)
+    h = hashlib.sha256()
+    for n, boundary in ((6, None), (3, FrozenWords("1011", "0110"))):
+        pair = random_compatible_pair(rng, positive=True)
+        spec = ModelSpec(pair, env, n, boundary) if boundary else ModelSpec(pair, env, n)
+        beta, layers = _random_triple_start(rng, 300, n)
+        h.update(_evolve_digest(spec, beta, layers, [0.3, 0.6], 300, 23 + n).encode())
+    return h.hexdigest()
+
+
 def unchecked():
     spec = preset("cpree", sites=12, **SUPERCRITICAL)
     beta, layers = _random_triple_start(np.random.default_rng(73), 300, 12)
@@ -152,6 +180,7 @@ GOLDEN = {
     range1_frozen: "03801aa93ce5ac59534168010885ef5d6067f60c3c1769cd204c227e23e65d94",
     range2_frozen: "d0330fa5c6731a1761b300e0e70882348d08d88e627aca270babeb46b300e6b9",
     range2_frozen_envelope: "8d629c685e65c3702f3846255ce62dd1df2296b21f01b1a51bf425d0fc255f98",
+    range4_many_edges: "8df385ad576f9263bf7749e9166eae1606045ba310b505ff12e46562043299b5",
     small_rings: "408dbda7fa187667dff24da2007bc1cd0a30a566662b7bc3ac5975645fac86ef",
     unchecked: "c2862785dfa295fcc28037c324555ee3ccb52b4fff222f992e8f22138103f94c",
     counted_violations: "eaa19c894f86adff8b97e5d0755767f2ef5484980ba316145946648f23c52311",

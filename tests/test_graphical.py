@@ -363,20 +363,27 @@ def test_batch_counters_add_up():
 
 def test_rank_lookup_matches_binary_search():
     # bins with several edges, edges one ulp apart, marks exactly on an edge
-    # and one ulp either side of it
+    # and one ulp either side of it; clustered edges fall back to the binary
+    # search, and the lookup stays within its bound either way
     rng = np.random.default_rng(35)
+    paths = set()
     # the last clock is so slow that bins / lam overflows
     for lam, spread in ((7.25, 7.25), (7.25, 1e-3), (7.25, 1e-9), (1e-310, 1e-310)):
         inner = np.sort(rng.uniform(0.0, spread, 40))
         edges = np.unique(np.concatenate([[0.0, lam], inner, np.nextafter(inner, np.inf)]))
         lookup = graphical._rank_lookup(edges, lam)
+        paths.add(lookup is None)
+        if lookup is not None:
+            rows, bins = lookup[2].shape
+            assert rows <= graphical.RANK_ROWS and bins <= graphical.RANK_BINS + 1
         u = np.concatenate([
             rng.uniform(0.0, lam, 20000),
             edges,
             np.nextafter(edges[1:], -np.inf),
             np.nextafter(edges[:-1], np.inf),
         ])
-        assert np.array_equal(graphical._ranks(u, lookup), np.searchsorted(edges, u, "right") - 1)
+        assert np.array_equal(graphical._ranks(u, edges, lookup), np.searchsorted(edges, u, "right") - 1)
+    assert paths == {True, False}
 
 
 def _joint_table_defects(pair, windows=graphical._windows):
