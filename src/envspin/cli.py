@@ -47,7 +47,8 @@ def _add_spec_args(p):
     p.add_argument("--preset", help="preset name: cpree, contact, remark_iv, remark_vi")
     for name, flag in _PRESET_FLAGS.items():
         p.add_argument(flag, dest=name, type=float)
-    p.add_argument("--sites", type=int, default=16)
+    p.add_argument("--sites", type=int, default=None,
+                   help="window size of a preset (default 16; 5 for scenario iv and vi)")
     p.add_argument("--boundary", default=None, help="periodic | frozen:L|R | frozen:eL|eR;sL|sR")
 
 
@@ -67,10 +68,11 @@ def build_parser():
     p.add_argument("--out", default="run")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("couple", help="one coupled trajectory with 3 or 4 spin layers")
+    p = sub.add_parser("couple", help="one coupled trajectory with 1, 3 or 4 spin layers")
     _add_spec_args(p)
     p.add_argument("--layers", type=int, choices=(1, 3, 4, 5), default=3,
-                   help="spin layers; 5 means the full five-coordinate stack (4 spin layers)")
+                   help="spin layers: 1, 3 or 4; 5 names the full five-coordinate stack"
+                   " and runs the same 4 spin layers as 4")
     p.add_argument("--tmax", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="run")
@@ -104,7 +106,8 @@ def _resolve_seed(args):
     return int(os.environ.get("ENVSPIN_SEED", "0"))
 
 
-def _resolve_spec(args, parser):
+def _resolve_spec(args, parser, sites=16):
+    """`sites` is the preset window size when --sites is omitted."""
     if args.config and args.preset:
         parser.error("--config conflicts with --preset")
     if args.config:
@@ -121,24 +124,40 @@ def _resolve_spec(args, parser):
             if getattr(args, name, None) is not None
         }
         boundary = parse_boundary(args.boundary) if args.boundary else None
+        if args.sites is not None:
+            sites = args.sites
         try:
-            return preset(args.preset, sites=args.sites, boundary=boundary, **params)
+            return preset(args.preset, sites=sites, boundary=boundary, **params)
         except ValueError as err:
             print("invalid preset: %s" % err, file=sys.stderr)
             raise SystemExit(1) from None
     parser.error("one of --config or --preset is required")
 
 
-def _manifest(command, spec, params, outputs, seed=None, replay_args=()):
-    """`replay_args` hold every CLI token except the spec and output flags;
-    the spec is replayed from the inlined resolved config."""
-    return {
+# options that make up the spec; the manifest inlines the resolved config instead
+_SPEC_OPTIONS = {"config", "preset", "sites", "boundary", *_PRESET_FLAGS}
+
+
+def _write_manifest(args, spec, outputs):
+    """Write <out>.manifest.json from the parsed options.  `params` holds every
+    option except the spec options and --out, and `replay_args` the same
+    options as CLI tokens (floats by repr, so replays are exact); the spec is
+    replayed from the inlined resolved config.  Each of those options' flag
+    must be its dest with "-" for "_"; `name` is the scenario positional."""
+    params = {k: v for k, v in vars(args).items() if k not in _SPEC_OPTIONS | {"command", "out"}}
+    replay = [args.command]
+    for key, value in params.items():
+        if key == "name":
+            replay.append(value)
+        elif value is not None:
+            replay += ["--" + key.replace("_", "-"), repr(value) if isinstance(value, float) else str(value)]
+    manifest = {
         "manifest_version": MANIFEST_VERSION,
-        "command": command,
-        "resolved_config": format_config(spec) if spec is not None else None,
+        "command": args.command,
+        "resolved_config": format_config(spec),
         "params": params,
-        "seed": seed,
-        "replay_args": list(replay_args),
+        "seed": getattr(args, "seed", None),
+        "replay_args": replay,
         "outputs": [str(p) for p in outputs],
         "versions": {
             "envspin": __version__,
@@ -147,12 +166,7 @@ def _manifest(command, spec, params, outputs, seed=None, replay_args=()):
         },
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-
-
-def _write_manifest(prefix, manifest):
-    path = Path(str(prefix) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    Path(args.out + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _trajectory_json(traj):
@@ -203,23 +217,7 @@ def cmd_simulate(args, parser):
     btraj = graphical.evolve_background(beta0, stream)
     traj = graphical.evolve_spins(btraj, [eta0], stream)
     out = _write_trajectory(traj, args.out, args.format)
-    params = {
-        "tmax": args.tmax,
-        "format": args.format,
-        "init_beta": beta0.to_literal(),
-        "init_eta": eta0.to_literal(),
-    }
-    replay = [
-        "simulate", "--tmax", repr(args.tmax), "--seed", str(args.seed),
-        "--format", args.format,
-    ]
-    if args.init_beta:
-        replay += ["--init-beta", args.init_beta]
-    if args.init_eta:
-        replay += ["--init-eta", args.init_eta]
-    _write_manifest(
-        args.out, _manifest("simulate", spec, params, [out], seed=args.seed, replay_args=replay)
-    )
+    _write_manifest(args, spec, [out])
     print("wrote %s (%d events)" % (out, len(traj.events)))
     return 0
 
@@ -246,14 +244,7 @@ def cmd_couple(args, parser):
     initial = _default_coupled_initial(spec, arity)
     traj = simulate_coupled(CoupledSpec(spec, arity), initial, args.seed, args.tmax)
     out = _write_trajectory(traj, args.out, args.format)
-    params = {"tmax": args.tmax, "format": args.format, "layers": args.layers}
-    replay = [
-        "couple", "--layers", str(args.layers), "--tmax", repr(args.tmax),
-        "--seed", str(args.seed), "--format", args.format,
-    ]
-    _write_manifest(
-        args.out, _manifest("couple", spec, params, [out], seed=args.seed, replay_args=replay)
-    )
+    _write_manifest(args, spec, [out])
     print("wrote %s (%d events)" % (out, len(traj.events)))
     return 0
 
@@ -292,7 +283,7 @@ def cmd_oracle(args, parser):
     path = Path(prefix + ".summary.json")
     path.write_text(json.dumps(summary, indent=2) + "\n")
     outputs.append(path)
-    _write_manifest(prefix, _manifest("oracle", spec, {}, outputs, replay_args=["oracle"]))
+    _write_manifest(args, spec, outputs)
     print("stationary dimension %d, TV(nu0, nu1) = %g" % (S.dimension, L.tv_distance))
     if S.flagged or not L.converged:
         print("numerical flag raised: %s" % ("; ".join(S.notes) if S.notes else "non-convergence"))
@@ -305,21 +296,19 @@ def cmd_scenario(args, parser):
     outputs = []
     extra_files = {}
     if args.name in ("iv", "vi"):
-        preset_name = "remark_iv" if args.name == "iv" else "remark_vi"
         if args.preset is None and args.config is None:
-            args.preset = preset_name
-            args.sites = args.sites if args.sites != 16 else 5
-        spec = _resolve_spec(args, parser)
-        report = experiments.scenario_remarks(args.name, spec=spec)
+            args.preset = "remark_" + args.name
+        spec = _resolve_spec(args, parser, sites=5)
+        try:
+            report = experiments.scenario_remarks(args.name, spec=spec)
+        except ValueError as err:
+            print("oracle error: %s" % err, file=sys.stderr)
+            return 2
         payload = json.dumps(report, indent=2) + "\n"
-        params = {"name": args.name, "sites": spec.size}
-        seed = None
-        replay = ["scenario", args.name]
     else:
         spec = _resolve_spec(args, parser)
         spec.require_valid()
         args.seed = _resolve_seed(args)
-        seed = args.seed
         if args.name == "coalescence":
             beta0 = args.beta0 if args.beta0 else "0" * spec.size
             rep = experiments.estimate_coalescence(
@@ -340,24 +329,13 @@ def cmd_scenario(args, parser):
                 spec, args.tmax, args.replicas, args.seed, m, n, l=1
             )
         payload = rep.to_json()
-        params = {"name": args.name, "tmax": args.tmax, "replicas": args.replicas,
-                  "window": args.window, "tgrid": args.tgrid, "beta0": args.beta0}
-        replay = [
-            "scenario", args.name, "--seed", str(args.seed),
-            "--replicas", str(args.replicas), "--tmax", repr(args.tmax),
-            "--window", str(args.window), "--tgrid", args.tgrid,
-        ]
-        if args.beta0:
-            replay += ["--beta0", args.beta0]
     path = Path(prefix + ".report.json")
     path.write_text(payload)
     outputs.append(path)
     for fname, text in extra_files.items():
         Path(fname).write_text(text)
         outputs.append(Path(fname))
-    _write_manifest(
-        prefix, _manifest("scenario", spec, params, outputs, seed=seed, replay_args=replay)
-    )
+    _write_manifest(args, spec, outputs)
     print("wrote %s" % path)
     return 0
 

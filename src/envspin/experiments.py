@@ -87,7 +87,7 @@ def estimate_coalescence(spec: ModelSpec, beta0, k, t, replicas, seed) -> Estima
     agree = (low_arr[:, sites] == high_arr[:, sites]).all(axis=1)
     mean, se = _mean_se(agree)
     extra = {}
-    if spec.size <= 6:
+    if spec.size <= oracle.MAX_SITES:
         # at oracle scale, report the exact long-time gap between the extreme
         # starts next to the agreement estimate; the estimate itself never
         # claims anything about that gap

@@ -488,13 +488,23 @@ def parse_config(text) -> ModelSpec:
             raise ConfigError("missing section [%s]" % section)
         return sections[section]
 
-    def table_from(section, keys):
+    def entry(section, key):
         sec = need(section)
+        if key not in sec:
+            raise ConfigError("missing key %r in [%s]" % (key, section))
+        return sec[key]
+
+    def integer(section, key):
+        value, lineno = entry(section, key)
+        try:
+            return int(value)
+        except ValueError:
+            raise ConfigError("bad integer %r for %r" % (value, key), lineno) from None
+
+    def table_from(section, keys):
         out = {}
         for key in keys:
-            if key not in sec:
-                raise ConfigError("missing key %r in [%s]" % (key, section))
-            value, lineno = sec[key]
+            value, lineno = entry(section, key)
             try:
                 out[key] = float(value)
             except ValueError:
@@ -505,27 +515,13 @@ def parse_config(text) -> ModelSpec:
     c0 = LocalSpinRates.from_dict(table_from("spin.c0", spin_keys))
     c1 = LocalSpinRates.from_dict(table_from("spin.c1", spin_keys))
 
-    env_sec = need("env")
-    if "range" not in env_sec:
-        raise ConfigError("missing key 'range' in [env]")
-    value, lineno = env_sec["range"]
-    try:
-        radius = int(value)
-    except ValueError:
-        raise ConfigError("bad integer %r for 'range'" % value, lineno) from None
+    radius = integer("env", "range")
     width = 2 * radius + 1
     env_keys = [format(i, "0%db" % width) for i in range(2 ** width)]
     env = EnvRateSpec.from_dict(radius, table_from("env", env_keys))
 
-    lat = need("lattice")
-    if "size" not in lat:
-        raise ConfigError("missing key 'size' in [lattice]")
-    value, lineno = lat["size"]
-    try:
-        size = int(value)
-    except ValueError:
-        raise ConfigError("bad integer %r for 'size'" % value, lineno) from None
-    bvalue, blineno = lat.get("boundary", ("periodic", None))
+    size = integer("lattice", "size")
+    bvalue, blineno = need("lattice").get("boundary", ("periodic", None))
     boundary = parse_boundary(bvalue, blineno)
     return ModelSpec(SpinRatePair(c0, c1), env, size, boundary)
 

@@ -3,9 +3,11 @@
 `bench/spans.py` wraps every function named in its `TRACED` table by
 `getattr` on the envspin module, so a removed or renamed function breaks
 every traced benchmark run; `bench/workloads.py` also passes some arguments
-by keyword.  Both are checked here without running the harness.
+by keyword and drives `envspin` command lines through `cli.main`.  All are
+checked here without running the harness.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 # (module, function, positional argument count, keyword names) of each call
 # that bench/workloads.py makes
@@ -56,3 +59,32 @@ def test_every_traced_name_exists():
 def test_bench_call_binds(module, name, n_args, keywords):
     fn = getattr(importlib.import_module("envspin." + module), name)
     inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))
+
+
+def _supercritical_flags():
+    """`SUPERCRITICAL_FLAGS` of bench/workloads.py, read without importing the
+    harness."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SUPERCRITICAL_FLAGS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/workloads.py defines no SUPERCRITICAL_FLAGS")
+
+
+def test_bench_cli_command_lines_parse():
+    # the command lines of the exact-window workload's CLI round
+    from envspin import cli
+
+    flags = _supercritical_flags()
+    parser = cli.build_parser()
+    args = parser.parse_args(["oracle", *flags, "--sites", "3", "--out", "w/orc"])
+    assert (args.command, args.preset, args.lam, args.sites, args.out) == ("oracle", "cpree", 3.0, 3, "w/orc")
+    args = parser.parse_args([
+        "scenario", "coalescence", *flags, "--sites", "3", "--window", "1",
+        "--tmax", "1", "--replicas", "20000", "--seed", "123", "--out", "w/sco",
+    ])
+    assert (args.name, args.sites, args.window, args.tmax, args.replicas, args.seed, args.out) == (
+        "coalescence", 3, 1, 1.0, 20000, 123, "w/sco"
+    )
+    args = parser.parse_args(["replay", "w/orc.manifest.json", "--out", "w/orc-replay"])
+    assert (args.command, args.manifest, args.out) == ("replay", "w/orc.manifest.json", "w/orc-replay")

@@ -156,6 +156,67 @@ def test_scenario_vi_command(tmp_path):
     assert report["n_closed_classes"] >= 2
 
 
+def test_scenario_remarks_honour_an_explicit_sites_16(tmp_path, capsys):
+    # 16 sites is over the oracle cap: it must be refused, not run on 5
+    out = tmp_path / "iv16"
+    assert main(["scenario", "iv", "--sites", "16", "--out", str(out)]) == 2
+    assert "16 sites exceeds the oracle cap" in capsys.readouterr().err
+    assert not (tmp_path / "iv16.report.json").exists()
+    # without --sites the remarks run on 5 sites
+    assert main(["scenario", "iv", "--out", str(tmp_path / "iv")]) == 0
+    assert json.loads((tmp_path / "iv.report.json").read_text())["sites"] == 5
+
+
+def test_scenario_remarks_oracle_cap_reported_cleanly(tmp_path, capsys):
+    for name in ("iv", "vi"):
+        assert main(["scenario", name, "--sites", "7", "--out", str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err.startswith("oracle error: ")
+
+
+# one command line per data command shape; its data files are the manifest's outputs
+REPLAY_SHAPES = {
+    "simulate-csv": ["simulate", *CPREE, "--sites", "8", "--tmax", "1.3", "--seed", "42"],
+    "simulate-json": ["simulate", *CPREE, "--sites", "8", "--tmax", "1.3", "--seed", "42",
+                      "--format", "json", "--init-beta", "01100110", "--init-eta", "11011000"],
+    "couple-1": ["couple", *CPREE, "--sites", "6", "--layers", "1", "--tmax", "1.5", "--seed", "3"],
+    "couple-5": ["couple", *CPREE, "--sites", "6", "--layers", "5", "--tmax", "1.5", "--seed", "3"],
+    "oracle": ["oracle", *CPREE, "--sites", "3"],
+    "coalescence": ["scenario", "coalescence", *CPREE, "--sites", "5", "--window", "1",
+                    "--tmax", "0.7", "--replicas", "300", "--seed", "5", "--beta0", "01010"],
+    "density": ["scenario", "density", *CPREE, "--sites", "6", "--replicas", "200",
+                "--seed", "9", "--tgrid", "0,0.5,1.25"],
+    "run-decay": ["scenario", "run-decay", *CPREE, "--sites", "12", "--replicas", "100",
+                  "--seed", "4", "--tmax", "1.1"],
+    "interval-bounds": ["scenario", "interval-bounds", *CPREE, "--sites", "9",
+                        "--replicas", "100", "--seed", "6", "--tmax", "0.9"],
+    "iv": ["scenario", "iv", "--sites", "4"],
+    "vi": ["scenario", "vi"],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REPLAY_SHAPES))
+def test_every_data_command_replays_byte_identically(tmp_path, shape):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([*REPLAY_SHAPES[shape], "--out", str(first)]) == 0
+    manifest = json.loads(Path(str(first) + ".manifest.json").read_text())
+    # the spec lives in the resolved config only; every other option is recorded
+    assert not {"config", "preset", "sites", "boundary", "gamma", "out"} & manifest["params"].keys()
+    assert main(["replay", str(first) + ".manifest.json", "--out", str(again)]) == 0
+    replayed = json.loads(Path(str(again) + ".manifest.json").read_text())
+    assert replayed["params"] == manifest["params"]
+    assert replayed["replay_args"] == manifest["replay_args"]
+    pairs = list(zip(manifest["outputs"], replayed["outputs"], strict=True))
+    assert pairs
+    for a, b in pairs:
+        assert a[len(str(first)):] == b[len(str(again)):]
+        if a.endswith(".report.json"):
+            x, y = json.loads(Path(a).read_text()), json.loads(Path(b).read_text())
+            x.pop("runtime_ms", None), y.pop("runtime_ms", None)
+            assert x == y, a
+        else:
+            assert read(a) == read(b), a
+
+
 def test_seed_env_var_is_the_default(tmp_path, monkeypatch):
     base = [*CPREE, "--sites", "8", "--tmax", "2"]
     monkeypatch.setenv("ENVSPIN_SEED", "42")

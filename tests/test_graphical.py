@@ -386,24 +386,36 @@ def test_rank_lookup_matches_binary_search():
     assert paths == {True, False}
 
 
-def _joint_table_defects(pair, windows=graphical._windows):
+def _joint_table_defects(pair, windows=graphical._windows, key_lookup=graphical._key_lookup):
     """Keys of one-group joint flip tables (1 to 3 spin layers, background
     range 0) whose summed atom lengths per flip set differ from
-    `window_rates` by more than float rounding."""
+    `window_rates` by more than float rounding.  Each (key, spin rank) is
+    read as `_lockstep` reads it: the slot shares of `key_lookup` for the
+    bytes at x-1..x+1 that hold the key (unread field bits set) sum to an
+    index into its flat table; an index outside the table is a defect."""
     spec = ModelSpec(pair, EnvRateSpec(0, (0.5, 0.25)), 3)
     consts = spec.constants()
     lam = consts.b_bar + consts.c_hat
     defects = []
     for layers in (1, 2, 3):
         ft = graphical._flip_table(windows(spec, consts), [0] * (1 + layers), 0, consts.b_bar, lam)
-        reads, masks = ft.reads[1], ft.masks[1]
+        reads = ft.reads[1]
         assert reads == ((0, 0),) + tuple((f, d) for f in range(1, 1 + layers) for d in (-1, 0, 1))
+        table, lut, rows = key_lookup(ft, 1)
+        spin_rows = rows[:, ft.n_bg:]
         length = np.diff(np.append(ft.edges, lam))[ft.n_bg:]
         for key in range(1 << len(reads)):
             bits = format(key, "0%db" % len(reads))
             bit, words = int(bits[0]), [bits[1 + 3 * k:4 + 3 * k] for k in range(layers)]
+            nbhd = np.full(3, (1 << (1 + layers)) - 1)
+            for (f, d), b in zip(reads, bits):
+                nbhd[d + 1] ^= (1 - int(b)) << f
+            index = lut[nbhd[:, None] + spin_rows].sum(axis=0)
+            if ((index < 0) | (index >= len(table))).any():
+                defects.append((layers, bits))
+                continue
             got = {}
-            for m, size in zip(masks[:, key].tolist(), length):
+            for m, size in zip(table[index].tolist(), length):
                 if m:
                     got[m] = got.get(m, 0.0) + size
             want = {
@@ -435,6 +447,21 @@ def test_joint_table_check_catches_bottom_anchored_up_window():
     pair = random_compatible_pair(np.random.default_rng(37), positive=True)
     assert _joint_table_defects(pair) == []
     assert _joint_table_defects(pair, planted) != []
+
+
+def test_joint_table_check_catches_center_row_without_offset():
+    def planted(ft, halo):
+        # every rank's center-slot row loses offset[k]: it becomes the plain
+        # center-slot row of its kind, which sits right after slot halo - 1's
+        table, lut, rows = graphical._key_lookup(ft, halo)
+        lut = lut.copy()
+        for center, plain in zip(rows[halo], rows[halo - 1] + 256):
+            lut[center:center + 256] = lut[plain:plain + 256]
+        return table, lut, rows
+
+    pair = random_compatible_pair(np.random.default_rng(37), positive=True)
+    assert _joint_table_defects(pair) == []
+    assert _joint_table_defects(pair, key_lookup=planted) != []
 
 
 def test_lockstep_refuses_shapes_over_the_cap_before_allocating():
