@@ -7,15 +7,15 @@ formulas.  Both return exact fractions and must agree identically.
 """
 
 from envspin import Configuration, JointState, coupled_event_rates, preset, window_rates
+from envspin.lattice import word_index
 
 spec = preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, lam=1.0, sites=3)
 
-# layer neighborhoods at the middle site: lower 000, middle 001, upper 011
-words = ("000", "001", "011")
-state = JointState(
-    spec.env_config((0, 0, 0)),
-    tuple(Configuration(w) for w in words),
-)
+# layer neighborhoods at the middle site: lower 000, middle 001, upper 011,
+# as the integer words that `window_rates` reads
+layers = tuple(Configuration(w) for w in ("000", "001", "011"))
+state = JointState(spec.env_config((0, 0, 0)), layers)
+words = tuple(word_index(layer, 1, 1) for layer in layers)
 
 for bit in (0, 1):
     via_intervals = window_rates(spec.spin, bit, words)

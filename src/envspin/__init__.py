@@ -9,7 +9,6 @@ from .lattice import (
     JointState,
     Periodic,
     leq,
-    neighborhood,
     point_mass_states,
     translate,
 )

@@ -6,8 +6,9 @@ recording the resolved spec, parameters, seed and output paths; `envspin
 replay MANIFEST` re-runs the command and reproduces the data files byte for
 byte (timestamps and runtime fields live only in the manifest and reports).
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical flag
-(a failed class certificate or residual, or non-convergence in the oracle).
+Exit codes: 0 success, 1 validation failure, 2 usage or input error (a
+config, oracle or scenario input that cannot run), 3 numerical flag (a
+failed class certificate or residual, or non-convergence in the oracle).
 """
 
 from __future__ import annotations
@@ -309,25 +310,31 @@ def cmd_scenario(args, parser):
         spec = _resolve_spec(args, parser)
         spec.require_valid()
         args.seed = _resolve_seed(args)
-        if args.name == "coalescence":
-            beta0 = args.beta0 if args.beta0 else "0" * spec.size
-            rep = experiments.estimate_coalescence(
-                spec, beta0, args.window, args.tmax, args.replicas, args.seed
-            )
-        elif args.name == "density":
-            grid = [float(v) for v in args.tgrid.split(",")]
-            rep = experiments.density_curves(spec, grid, args.replicas, args.seed)
-            extra_files[prefix + ".curve.csv"] = experiments.density_csv_text(rep)
-        elif args.name == "run-decay":
-            n = spec.size
-            windows = [(n // 2 - w, n // 2 + w) for w in (1, 2, 4) if n // 2 - w > 0 and n // 2 + w < n - 1]
-            rep = experiments.run_length_decay(spec, windows, args.tmax, args.replicas, args.seed)
-            extra_files[prefix + ".curve.csv"] = experiments.run_decay_csv_text(rep)
-        elif args.name == "interval-bounds":
-            m, n = spec.size // 3, 2 * spec.size // 3
-            rep = experiments.interval_inequality_check(
-                spec, args.tmax, args.replicas, args.seed, m, n, l=1
-            )
+        try:
+            if args.name == "coalescence":
+                beta0 = args.beta0 if args.beta0 else "0" * spec.size
+                rep = experiments.estimate_coalescence(
+                    spec, beta0, args.window, args.tmax, args.replicas, args.seed
+                )
+            elif args.name == "density":
+                grid = [float(v) for v in args.tgrid.split(",")]
+                rep = experiments.density_curves(spec, grid, args.replicas, args.seed)
+                extra_files[prefix + ".curve.csv"] = experiments.density_csv_text(rep)
+            elif args.name == "run-decay":
+                n = spec.size
+                windows = [(n // 2 - w, n // 2 + w) for w in (1, 2, 4) if n // 2 - w > 0 and n // 2 + w < n - 1]
+                if not windows:
+                    raise ValueError("no run-decay window fits in %d sites" % n)
+                rep = experiments.run_length_decay(spec, windows, args.tmax, args.replicas, args.seed)
+                extra_files[prefix + ".curve.csv"] = experiments.run_decay_csv_text(rep)
+            elif args.name == "interval-bounds":
+                m, n = spec.size // 3, 2 * spec.size // 3
+                rep = experiments.interval_inequality_check(
+                    spec, args.tmax, args.replicas, args.seed, m, n, l=1
+                )
+        except ValueError as err:
+            print("scenario error: %s" % err, file=sys.stderr)
+            return 2
         payload = rep.to_json()
     path = Path(prefix + ".report.json")
     path.write_text(payload)

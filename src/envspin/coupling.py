@@ -50,66 +50,59 @@ class CoupledSpec:
             raise ValueError("arity must be 1, 2, 3 or 4")
 
 
-def spin_flip_groups(pair, background_bit, windows, pairs):
-    """Joint spin transitions as (frozenset of layer indices, exact Fraction rate).
+@lru_cache(maxsize=4096)
+def site_menu(pair: SpinRatePair, env: EnvRateSpec, env_word, layer_words):
+    """All transitions at one site, from its local words alone.
 
-    `windows` holds each layer's 3-bit neighborhood word; `pairs` lists the
-    (i, j) layer orderings that the caller guarantees (layer_i <= layer_j).
-    Comparable layers whose rate values contradict monotonicity make some
-    tabulated rate negative; that raises ModelViolationError naming the
-    failed inequality rather than silently re-sorting.
+    `env_word` is the background's (2*range+1)-bit word around the site and
+    `layer_words` holds each spin layer's 3-bit word, as the integers that
+    `lattice.word_index` builds (site x - radius the most significant bit);
+    the layers are ordered as `lattice.order_pairs` says.  Returns a tuple
+    of (target, rate): joint spin flips, then the lone background flip; a
+    target is the new local state (background bit first, then each layer's
+    new center) and rates are exact Fractions, zero-rate targets omitted.
+
+    Spin flips follow the segment rule: among the layers whose center is 0,
+    sorted by rate, the layers at or above each successive rate value flip
+    up together at the increment over the previous value; the same for
+    center 1 and down-flips.  Ordered layers whose rates contradict
+    monotonicity would make some increment negative; that raises
+    ModelViolationError naming the failed inequality rather than silently
+    re-sorting.  Results are cached; a ModelViolationError is not, so it is
+    raised on every call.
     """
-    table = exact_table(pair.table(background_bit).values)
-    centers = [int(w[1]) for w in windows]
-    cvals = [table[int(w, 2)] for w in windows]
+    bit = (env_word >> env.range) & 1
+    table = exact_table(pair.table(bit).values)
+    centers = tuple((w >> 1) & 1 for w in layer_words)
+    cvals = [table[w] for w in layer_words]
 
-    for i, j in pairs:
+    for i, j in order_pairs(len(layer_words)):
         if centers[i] == 0 and centers[j] == 0 and cvals[i] > cvals[j]:
-            raise ModelViolationError(
-                "attractivity failed: c%d(%s)=%s > c%d(%s)=%s with ordered center-0 layers"
-                % (background_bit, windows[i], cvals[i], background_bit, windows[j], cvals[j])
-            )
-        if centers[i] == 1 and centers[j] == 1 and cvals[i] < cvals[j]:
-            raise ModelViolationError(
-                "attractivity failed: c%d(%s)=%s < c%d(%s)=%s with ordered center-1 layers"
-                % (background_bit, windows[i], cvals[i], background_bit, windows[j], cvals[j])
-            )
+            relation = ">"
+        elif centers[i] == 1 and centers[j] == 1 and cvals[i] < cvals[j]:
+            relation = "<"
+        else:
+            continue
+        raise ModelViolationError(
+            "attractivity failed: c%d(%s)=%s %s c%d(%s)=%s with ordered center-%d layers"
+            % (bit, format(layer_words[i], "03b"), cvals[i], relation,
+               bit, format(layer_words[j], "03b"), cvals[j], centers[i])
+        )
 
     out = []
     for wanted in (0, 1):
         group = sorted(
-            (k for k in range(len(windows)) if centers[k] == wanted),
+            (k for k in range(len(layer_words)) if centers[k] == wanted),
             key=lambda k: (cvals[k], k),
         )
         prev = Fraction(0)
         while group:
             value = cvals[group[0]]
             if value > prev:
-                out.append((frozenset(group), value - prev))
+                out.append(((bit,) + tuple(1 - c if k in group else c for k, c in enumerate(centers)), value - prev))
                 prev = value
             group = [k for k in group if cvals[k] > value]
-    return out
-
-
-@lru_cache(maxsize=4096)
-def site_menu(pair: SpinRatePair, env: EnvRateSpec, env_word, layer_words):
-    """All transitions at one site, from its local words alone.
-
-    `env_word` is the background's (2*range+1)-bit word index around the
-    site and `layer_words` holds each spin layer's 3-bit word index.  Returns
-    a tuple of (target, rate): joint spin flips per the coupling rule, then
-    the lone background flip; a target is the new local state (background
-    bit first, then each layer's new center) and rates are exact Fractions,
-    zero-rate targets omitted.  Results are cached; a ModelViolationError is
-    not, so it is raised on every call.
-    """
-    bit = (env_word >> env.range) & 1
-    windows = [format(w, "03b") for w in layer_words]
-    centers = tuple((w >> 1) & 1 for w in layer_words)
-    out = []
-    for flips, rate in spin_flip_groups(pair, bit, windows, order_pairs(len(windows))):
-        out.append(((bit,) + tuple(1 - c if k in flips else c for k, c in enumerate(centers)), rate))
-    b = Fraction(env.rate_index(env_word))
+    b = Fraction(env.table[env_word])
     if b > 0:
         out.append(((1 - bit,) + centers, b))
     return tuple(out)

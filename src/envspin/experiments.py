@@ -354,9 +354,7 @@ def scenario_remarks(name, sites=5, spec=None):
         S = oracle.stationary_set(G)
         width = 2 * spec.env.range + 1
         frozen_bg_words = [
-            w
-            for w in ("0" * width, "1" * width)
-            if spec.env.rate_word(w) == 0.0
+            format(w, "0%db" % width) for w in (0, (1 << width) - 1) if spec.env.table[w] == 0.0
         ]
         classes = [[G.decode(s) for s in comp] for comp in S.closed_classes]
         return {

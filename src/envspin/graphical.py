@@ -252,7 +252,7 @@ def evolve_spins(beta_traj: Trajectory, spin_layers, stream: EventStream) -> Tra
     consts = stream.consts
     cb = (consts.c_bar0, consts.c_bar1)
     scale = tuple(v / consts.c_bar if consts.c_bar else 0.0 for v in cb)
-    tables = (spec.spin.c0, spec.spin.c1)
+    tables = (spec.spin.c0.values, spec.spin.c1.values)
 
     beta = MutableWindow(beta_traj.initial["beta"])
     rows = [(e.time, e.site, _KIND_BG, e.old, e.new) for e in beta_traj.events]
@@ -274,7 +274,7 @@ def evolve_spins(beta_traj: Trajectory, spin_layers, stream: EventStream) -> Tra
         u = row[3] if i == 0 else row[4]
         table = tables[i]
         for layer, name in zip(layers, names):
-            c = table.rate_index(layer.word_index(x, 1))
+            c = table[layer.word_index(x, 1)]
             old = layer.bits[x]
             if old == 0:
                 flip = u >= cbar_i - s_i * c
@@ -315,20 +315,22 @@ def exact_clock(values0, values1):
     return tight_clock(exact_table(values0), exact_table(values1))
 
 
-def window_rates(pair: SpinRatePair, background_bit, windows):
+def window_rates(pair: SpinRatePair, background_bit, words):
     """Joint flip rates of layers sharing one spin clock, by interval arithmetic.
 
-    `windows` holds one 3-bit neighborhood word per layer.  The result maps a
-    target local state (background bit, new center per layer) to its rate, as
-    an exact Fraction; targets with zero rate are omitted.  No randomness is
-    involved: the lockstep engine's spin mark on [0, c_hat] is partitioned
-    into acceptance atoms by the engine's own windows (`accept_window`),
-    each atom's flip set read off, and its rate is its length.
+    `words` holds one 3-bit neighborhood word per layer, as the integer that
+    `lattice.word_index` builds (left site the most significant bit).  The
+    result maps a target local state (background bit, new center per layer)
+    to its rate, as an exact Fraction; targets with zero rate are omitted.
+    No randomness is involved: the lockstep engine's spin mark on [0, c_hat]
+    is partitioned into acceptance atoms by the engine's own windows
+    (`accept_window`), each atom's flip set read off, and its rate is its
+    length.
     """
     table = exact_table(pair.table(background_bit).values)
     c_hat = exact_clock(pair.c0.values, pair.c1.values)
-    n_layers = len(windows)
-    centers = [int(w[1]) for w in windows]
+    n_layers = len(words)
+    centers = [(w >> 1) & 1 for w in words]
     bit = int(background_bit)
 
     # sweep the mark from 0 to c_hat: an up-window opens at its lower end, a
@@ -336,7 +338,7 @@ def window_rates(pair: SpinRatePair, background_bit, windows):
     # consecutive points is one atom
     events = []
     for k, ctr in enumerate(centers):
-        lo, hi = accept_window(ctr, table[int(windows[k], 2)], c_hat)
+        lo, hi = accept_window(ctr, table[words[k]], c_hat)
         events.append((lo if ctr == 0 else hi, ctr, k))
     events.sort(key=lambda e: e[0])
     active = {k for k, ctr in enumerate(centers) if ctr == 1}
@@ -353,8 +355,6 @@ def window_rates(pair: SpinRatePair, background_bit, windows):
                 active.add(k)
             idx += 1
         nxt = events[idx][0] if idx < len(events) else c_hat
-        if nxt > c_hat:
-            nxt = c_hat
         if active and nxt > pos:
             kinds = {centers[k] for k in active}
             assert len(kinds) == 1, "up and down acceptance windows overlap"
@@ -372,11 +372,12 @@ def window_rates(pair: SpinRatePair, background_bit, windows):
 
 @dataclass
 class BatchResult:
-    """Snapshots at each grid time, the order violations counted, and
-    `counters`: `steps` (lockstep steps), `events` (rings summed over
-    replicas) split into `background_rings` and `spin_rings`, `null_rings`
-    (rings that flipped nothing), `flips` (accepted flips per field: "beta",
-    "layer0", "layer1", ...) and `order_checks` (two fields compared at a site).
+    """Snapshots at each grid time, `order_violations` (always 0: a crossing
+    raises OrderViolationError) and `counters`: `steps` (lockstep steps),
+    `events` (rings summed over replicas) split into `background_rings` and
+    `spin_rings`, `null_rings` (rings that flipped nothing), `flips`
+    (accepted flips per field: "beta", "layer0", "layer1", ...) and
+    `order_checks` (two fields compared at a site).
     """
 
     times: list
@@ -555,7 +556,7 @@ def _key_lookup(ft, halo):
     return np.concatenate([m.ravel() for m in ft.masks]), lut, rows
 
 
-def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_violation):
+def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     """Run `replicas` copies of G groups of (background, spin layers) in lockstep.
 
     `groups` holds (background start, [spin layer starts]) per group and
@@ -565,8 +566,9 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
     [0, b_bar + c_hat): U < b_bar rings every background at x with mark U,
     otherwise every spin layer reads U - b_bar against its own group's
     background.  Every initially ordered pair of fields that the coupling
-    keeps ordered is compared at x after each ring.  RNG use depends only on
-    (seed, grid, Poisson counts), never on the state.
+    keeps ordered is compared at x after each ring, and a crossing raises
+    OrderViolationError.  RNG use depends only on (seed, grid, Poisson
+    counts), never on the state.
 
     A replica-site holds all its fields in one byte, bit f for field f.  A
     ring gathers the bytes at x - halo..x + halo, turns them into its key by
@@ -577,7 +579,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
     rings.
 
     Returns the grid times, per grid time the in-window bits of every field,
-    the order violations counted and the counters of `BatchResult`.
+    and the counters of `BatchResult`.
     """
     grid = [float(t) for t in t_grid]
     if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
@@ -633,11 +635,11 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
     lookup = _rank_lookup(ft.edges, lam) if lam > 0 else None
 
     hist = np.zeros(256, dtype=np.int64)
-    violations = bg_rings = 0
+    bg_rings = 0
 
     def run_block(xs, us, base):
         """Apply the rings of whole consecutive steps, step by step."""
-        nonlocal violations, bg_rings
+        nonlocal bg_rings
         u = np.concatenate(us)
         rank = _ranks(u, ft.edges, lookup)
         bg_rings += int(np.count_nonzero(rank < ft.n_bg))
@@ -656,12 +658,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
             flat[gather[halo, lo:hi]] = new[lo:hi]
             lo = hi
         hist[:] += np.bincount(mask, minlength=256)
-        if not pairs:
-            return
-        bad = crossed.take(new)
-        if on_violation != "raise":
-            violations += int(bad.sum())
-        elif bad.any():
+        if pairs and crossed.take(new).any():
             # name the first crossed pair of the first step with a crossing
             lo = 0
             for x in xs:
@@ -714,7 +711,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order, on_viola
         "flips": {name: int(hist[((byte >> f) & 1).astype(bool)].sum()) for f, name in enumerate(names)},
         "order_checks": len(pairs) * events,
     }
-    return times, snaps, violations, counters
+    return times, snaps, counters
 
 
 def batch_evolve(
@@ -725,7 +722,6 @@ def batch_evolve(
     replicas,
     seed,
     check_order=True,
-    on_violation="raise",
 ):
     """Run `replicas` copies of one background and its spin layers in
     lockstep, one group of `_lockstep`.
@@ -734,17 +730,18 @@ def batch_evolve(
     (bits of shape (replicas, n), boundary).  The layers share the background
     and every mark: the maximal monotone coupling.  Returns in-window
     snapshots at each grid time.  With `check_order`, every pair of layers
-    that starts ordered is compared at each ring; violations raise or count.
+    that starts ordered is compared at each ring, and a crossing raises
+    OrderViolationError.
     """
     names = ["beta"] + ["layer%d" % k for k in range(len(spin_layers))]
-    times, snaps, violations, counters = _lockstep(
-        spec, [(beta0, list(spin_layers))], names, t_grid, replicas, seed, check_order, on_violation
+    times, snaps, counters = _lockstep(
+        spec, [(beta0, list(spin_layers))], names, t_grid, replicas, seed, check_order
     )
     return BatchResult(
         times=times,
         background=[s[0] for s in snaps],
         layers=[s[1:] for s in snaps],
-        order_violations=violations,
+        order_violations=0,
         counters=counters,
     )
 
@@ -766,5 +763,5 @@ def batch_envelope(spec: ModelSpec, t_grid, replicas, seed):
         (Configuration.all_one(n, spec.env_boundary), [Configuration.all_one(n, spec.spin_boundary)]),
     ]
     names = ("beta_lo", "eta_lo", "beta_hi", "eta_hi")
-    times, snaps, violations, _ = _lockstep(spec, groups, names, t_grid, replicas, seed, True, "raise")
-    return times, [tuple(s) for s in snaps], violations
+    times, snaps, _ = _lockstep(spec, groups, names, t_grid, replicas, seed, True)
+    return times, [tuple(s) for s in snaps], 0

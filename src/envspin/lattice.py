@@ -146,13 +146,6 @@ def word_index(a, x: int, radius: int) -> int:
     return idx
 
 
-def neighborhood(a: Configuration, x: int, radius: int) -> str:
-    """The (2*radius+1)-bit word centered at site x, boundary-resolved."""
-    if not 0 <= x < len(a):
-        raise ValueError("site %d outside window of %d sites" % (x, len(a)))
-    return format(word_index(a, x, radius), "0%db" % (2 * radius + 1))
-
-
 def _field_rows(init, replicas, halo):
     """One field stacked over replicas, and its boundary.  `init` is a
     Configuration tiled across replicas or a pair (bits of shape (replicas,

@@ -6,6 +6,11 @@ whether the background value at x is 0 or 1; both tables are indexed by the
 itself flips at rate b(x, .), read from a finite-range translation-invariant
 table over its own (2R+1)-site neighborhood.
 
+Every table is indexed by the integer word of its neighborhood, site x - R
+the most significant bit, as `lattice.word_index` builds it: `values[w]` and
+`table[w]`.  0/1 strings appear only where text is read or written (the
+`from_dict` readers, the config format) and in messages.
+
 Two structural conditions drive everything downstream:
 
 * compatibility: c0 <= c1 at center 0 and c1 <= c0 at center 1, so raising the
@@ -29,13 +34,6 @@ class ModelViolationError(RuntimeError):
     """A structural assumption on the rate tables failed at runtime."""
 
 
-TRIPLES = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
-
-
-def word_of(bits):
-    return "".join(str(b) for b in bits)
-
-
 def _check_table(values, n_entries, what):
     vals = tuple(float(v) for v in values)
     if len(vals) != n_entries:
@@ -46,9 +44,25 @@ def _check_table(values, n_entries, what):
     return vals
 
 
+def _word_keys(width):
+    """The text keys of a table over `width`-bit words, by integer word."""
+    return [format(w, "0%db" % width) for w in range(1 << width)]
+
+
+def _read_words(mapping, width, what):
+    """The values of a map keyed by `width`-bit 0/1 strings, listed by
+    integer word; None where a word is missing."""
+    table = [None] * (1 << width)
+    for key, val in mapping.items():
+        if len(key) != width or set(key) - {"0", "1"}:
+            raise ValueError("%s word %r must have %d bits" % (what, key, width))
+        table[int(key, 2)] = val
+    return table
+
+
 @dataclass(frozen=True)
 class LocalSpinRates:
-    """Eight nonnegative rates indexed by the neighborhood triple (a, b, c),
+    """Eight nonnegative rates indexed by the neighborhood word of (a, b, c),
     stored at position 4a+2b+c."""
 
     values: tuple
@@ -58,12 +72,9 @@ class LocalSpinRates:
 
     @classmethod
     def from_dict(cls, mapping):
-        """Build from a map keyed by triples like (0,1,0) or words like "010"."""
-        table = [None] * 8
-        for key, val in mapping.items():
-            bits = tuple(int(ch) for ch in key) if isinstance(key, str) else tuple(key)
-            table[4 * bits[0] + 2 * bits[1] + bits[2]] = val
-        if any(v is None for v in table):
+        """Build from a map keyed by 3-bit words like "010"."""
+        table = _read_words(mapping, 3, "spin")
+        if None in table:
             raise ValueError("spin rate table must define all 8 neighborhoods")
         return cls(tuple(table))
 
@@ -71,20 +82,8 @@ class LocalSpinRates:
     def constant(cls, rate):
         return cls((float(rate),) * 8)
 
-    def rate(self, a, b, c):
-        return self.values[4 * a + 2 * b + c]
-
-    def rate_word(self, word):
-        return self.values[int(word, 2)]
-
-    def rate_index(self, idx):
-        return self.values[idx]
-
     def as_array(self):
         return np.array(self.values, dtype=float)
-
-    def as_dict(self):
-        return {word_of(t): self.rate(*t) for t in TRIPLES}
 
 
 def _attractivity_violations(values, radius):
@@ -93,25 +92,22 @@ def _attractivity_violations(values, radius):
     Comparisons are exact: the tables are user-given literals.
     """
     width = 2 * radius + 1
-    center_pos = radius
-    words = [tuple((w >> (width - 1 - k)) & 1 for k in range(width)) for w in range(2 ** width)]
+    center = 1 << radius
+
+    def text(w):
+        return format(w, "0%db" % width)
+
     violations = []
-    for lo in words:
-        for hi in words:
-            if lo == hi or lo[center_pos] != hi[center_pos]:
+    for lo in range(1 << width):
+        for hi in range(1 << width):
+            # comparable: lo <= hi bitwise, distinct, same center
+            if lo == hi or lo & ~hi or (lo ^ hi) & center:
                 continue
-            if not all(a <= b for a, b in zip(lo, hi)):
-                continue
-            v_lo = values[int(word_of(lo), 2)]
-            v_hi = values[int(word_of(hi), 2)]
-            if lo[center_pos] == 0 and v_lo > v_hi:
-                violations.append(
-                    "center 0: rate(%s)=%g > rate(%s)=%g" % (word_of(lo), v_lo, word_of(hi), v_hi)
-                )
-            if lo[center_pos] == 1 and v_lo < v_hi:
-                violations.append(
-                    "center 1: rate(%s)=%g < rate(%s)=%g" % (word_of(lo), v_lo, word_of(hi), v_hi)
-                )
+            v_lo, v_hi = values[lo], values[hi]
+            if not lo & center and v_lo > v_hi:
+                violations.append("center 0: rate(%s)=%g > rate(%s)=%g" % (text(lo), v_lo, text(hi), v_hi))
+            if lo & center and v_lo < v_hi:
+                violations.append("center 1: rate(%s)=%g < rate(%s)=%g" % (text(lo), v_lo, text(hi), v_hi))
     return violations
 
 
@@ -145,16 +141,17 @@ class SpinRatePair:
 
 
 def check_compatible(pair: SpinRatePair):
-    """True iff c0 <= c1 on center-0 triples and c1 <= c0 on center-1 triples."""
+    """True iff c0 <= c1 on center-0 words and c1 <= c0 on center-1 words."""
+    c0, c1 = pair.c0.values, pair.c1.values
     violations = []
-    for a in (0, 1):
-        for c in (0, 1):
-            lo, hi = pair.c0.rate(a, 0, c), pair.c1.rate(a, 0, c)
-            if lo > hi:
-                violations.append("compatibility: c0(%d0%d)=%g > c1(%d0%d)=%g" % (a, c, lo, a, c, hi))
-            lo, hi = pair.c1.rate(a, 1, c), pair.c0.rate(a, 1, c)
-            if lo > hi:
-                violations.append("compatibility: c1(%d1%d)=%g > c0(%d1%d)=%g" % (a, c, lo, a, c, hi))
+    for up in (0b000, 0b001, 0b100, 0b101):
+        down = up | 0b010
+        if c0[up] > c1[up]:
+            word = format(up, "03b")
+            violations.append("compatibility: c0(%s)=%g > c1(%s)=%g" % (word, c0[up], word, c1[up]))
+        if c1[down] > c0[down]:
+            word = format(down, "03b")
+            violations.append("compatibility: c1(%s)=%g > c0(%s)=%g" % (word, c1[down], word, c0[down]))
     return not violations, violations
 
 
@@ -173,22 +170,11 @@ class EnvRateSpec:
 
     @classmethod
     def from_dict(cls, radius, mapping):
-        width = 2 * radius + 1
-        table = [None] * (2 ** width)
-        for key, val in mapping.items():
-            word = key if isinstance(key, str) else word_of(key)
-            if len(word) != width:
-                raise ValueError("background word %r must have %d bits" % (word, width))
-            table[int(word, 2)] = val
-        if any(v is None for v in table):
-            raise ValueError("background table must define all %d words" % 2 ** width)
+        """Build from a map keyed by (2*radius+1)-bit words like "010"."""
+        table = _read_words(mapping, 2 * radius + 1, "background")
+        if None in table:
+            raise ValueError("background table must define all %d words" % len(table))
         return cls(radius, tuple(table))
-
-    def rate_word(self, word):
-        return self.table[int(word, 2)]
-
-    def rate_index(self, idx):
-        return self.table[idx]
 
     def as_array(self):
         return np.array(self.table, dtype=float)
@@ -234,14 +220,14 @@ class DerivedConstants:
 
 def min_boundary_pair_sum(pair: SpinRatePair) -> float:
     """The constant C: minimum of the 16-element multiset of paired boundary rates."""
-    tables = (pair.c0, pair.c1)
+    tables = (pair.c0.values, pair.c1.values)
     sums = []
     for ci in tables:
         for cj in tables:
-            sums.append(ci.rate(1, 0, 0) + cj.rate(1, 1, 0))
-            sums.append(ci.rate(0, 0, 1) + cj.rate(0, 1, 1))
-            sums.append(ci.rate(0, 1, 1) + cj.rate(1, 1, 0))
-            sums.append(ci.rate(1, 0, 0) + cj.rate(0, 0, 1))
+            sums.append(ci[0b100] + cj[0b110])
+            sums.append(ci[0b001] + cj[0b011])
+            sums.append(ci[0b011] + cj[0b110])
+            sums.append(ci[0b100] + cj[0b001])
     return min(sums)
 
 
@@ -351,25 +337,19 @@ class ModelSpec:
 
 
 def _contact_tables(lam, delta0, delta1):
-    c0 = {}
-    c1 = {}
-    for a, b, c in TRIPLES:
-        if b == 0:
-            c0[(a, b, c)] = lam * (a + c)
-            c1[(a, b, c)] = lam * (a + c)
-        else:
-            c0[(a, b, c)] = delta0
-            c1[(a, b, c)] = delta1
-    return LocalSpinRates.from_dict(c0), LocalSpinRates.from_dict(c1)
+    """Births at lam per occupied neighbor, deaths delta0 and delta1."""
+    births = [lam * ((w >> 2) + (w & 1)) for w in range(8)]
+    return tuple(
+        LocalSpinRates(tuple(delta if w & 0b010 else births[w] for w in range(8)))
+        for delta in (delta0, delta1)
+    )
 
 
-# spin table for the frozen-staircase scenario: zero on the neighborhoods a
-# one-step profile can show (000, 001, 011, 111), positive elsewhere.  The
-# zeros at 000 and 111 are forced by attractivity once 001 and 011 vanish.
-_STAIRCASE_SAFE = {
-    (0, 0, 0): 0.0, (0, 0, 1): 0.0, (0, 1, 0): 1.0, (0, 1, 1): 0.0,
-    (1, 0, 0): 1.0, (1, 0, 1): 1.0, (1, 1, 0): 1.0, (1, 1, 1): 0.0,
-}
+# spin table for the frozen-staircase scenario, by word 000..111: zero on the
+# neighborhoods a one-step profile can show (000, 001, 011, 111), positive
+# elsewhere.  The zeros at 000 and 111 are forced by attractivity once 001
+# and 011 vanish.
+_STAIRCASE_SAFE = (0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0)
 
 
 def preset(name, *, sites=16, boundary=None, **params):
@@ -419,19 +399,14 @@ def preset(name, *, sites=16, boundary=None, **params):
         down = float(params.pop("down", 1.0))
         _no_extra(params)
         spin = SpinRatePair(*_contact_tables(lam, delta, delta))
-        table = {}
-        for l in (0, 1):
-            for c in (0, 1):
-                for r in (0, 1):
-                    table[(l, c, r)] = up * (l + r) if c == 0 else down * (2 - l - r)
-        env = EnvRateSpec.from_dict(1, table)
+        env = EnvRateSpec(1, tuple(
+            down * (2 - (w >> 2) - (w & 1)) if w & 0b010 else up * ((w >> 2) + (w & 1)) for w in range(8)
+        ))
     elif name == "remark_vi":
         up = float(params.pop("up", 1.0))
         flip = float(params.pop("flip", 1.0))
         _no_extra(params)
-        tab = LocalSpinRates.from_dict(
-            {k: flip * v for k, v in _STAIRCASE_SAFE.items()}
-        )
+        tab = LocalSpinRates(tuple(flip * v for v in _STAIRCASE_SAFE))
         spin = SpinRatePair(tab, tab)
         env = EnvRateSpec(0, (up, 0.0))
         if boundary is None:
@@ -511,14 +486,11 @@ def parse_config(text) -> ModelSpec:
                 raise ConfigError("bad number %r for key %r" % (value, key), lineno) from None
         return out
 
-    spin_keys = [word_of(t) for t in TRIPLES]
-    c0 = LocalSpinRates.from_dict(table_from("spin.c0", spin_keys))
-    c1 = LocalSpinRates.from_dict(table_from("spin.c1", spin_keys))
+    c0 = LocalSpinRates.from_dict(table_from("spin.c0", _word_keys(3)))
+    c1 = LocalSpinRates.from_dict(table_from("spin.c1", _word_keys(3)))
 
     radius = integer("env", "range")
-    width = 2 * radius + 1
-    env_keys = [format(i, "0%db" % width) for i in range(2 ** width)]
-    env = EnvRateSpec.from_dict(radius, table_from("env", env_keys))
+    env = EnvRateSpec.from_dict(radius, table_from("env", _word_keys(2 * radius + 1)))
 
     size = integer("lattice", "size")
     bvalue, blineno = need("lattice").get("boundary", ("periodic", None))
@@ -558,14 +530,13 @@ def format_config(spec: ModelSpec) -> str:
     lines = []
     for name, table in (("spin.c0", spec.spin.c0), ("spin.c1", spec.spin.c1)):
         lines.append("[%s]" % name)
-        for t in TRIPLES:
-            lines.append("%s = %r" % (word_of(t), table.rate(*t)))
+        for key, v in zip(_word_keys(3), table.values):
+            lines.append("%s = %r" % (key, v))
         lines.append("")
     lines.append("[env]")
     lines.append("range = %d" % spec.env.range)
-    width = 2 * spec.env.range + 1
-    for i, v in enumerate(spec.env.table):
-        lines.append("%s = %r" % (format(i, "0%db" % width), v))
+    for key, v in zip(_word_keys(2 * spec.env.range + 1), spec.env.table):
+        lines.append("%s = %r" % (key, v))
     lines.append("")
     lines.append("[lattice]")
     lines.append("size = %d" % spec.size)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from envspin import Configuration, EnvRateSpec, JointState, LocalSpinRates, ModelSpec, SpinRatePair
+from envspin import EnvRateSpec, LocalSpinRates, ModelSpec, SpinRatePair
 
 GRID = 64  # rate values live on a dyadic grid so exact-arithmetic checks stay cheap
 
@@ -24,8 +24,8 @@ def random_attractive_table(rng, positive=False):
         down[1], down[2] = down[2], down[1]
     return LocalSpinRates.from_dict(
         {
-            (0, 0, 0): up[0], (0, 0, 1): up[1], (1, 0, 0): up[2], (1, 0, 1): up[3],
-            (0, 1, 0): down[0], (0, 1, 1): down[1], (1, 1, 0): down[2], (1, 1, 1): down[3],
+            "000": up[0], "001": up[1], "100": up[2], "101": up[3],
+            "010": down[0], "011": down[1], "110": down[2], "111": down[3],
         }
     )
 
@@ -38,12 +38,8 @@ def random_compatible_pair(rng, positive=False):
     bump = random_attractive_table(rng)
     lo = 1 if positive else 0
     scale = rng.integers(lo, GRID + 1) / GRID
-    vals = {}
-    for a in (0, 1):
-        for c in (0, 1):
-            vals[(a, 0, c)] = c0.rate(a, 0, c) + bump.rate(a, 0, c)
-            vals[(a, 1, c)] = c0.rate(a, 1, c) * scale
-    return SpinRatePair(c0, LocalSpinRates.from_dict(vals))
+    vals = [c0.values[w] * scale if w & 0b010 else c0.values[w] + bump.values[w] for w in range(8)]
+    return SpinRatePair(c0, LocalSpinRates(vals))
 
 
 def random_env(rng, positive=False):
@@ -60,19 +56,16 @@ def random_positive_spec(rng, sites=3):
 ORDERED_COLUMNS = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
 
 
+def word_bits(word, width=3):
+    """The bits of an integer neighborhood word, most significant first."""
+    return tuple((word >> (width - 1 - k)) & 1 for k in range(width))
+
+
 def ordered_window_triples():
-    """Every ordered assignment of (lower, middle, upper) neighborhoods: one
-    ordered column per window position."""
+    """Every ordered assignment of (lower, middle, upper) neighborhoods, as
+    integer words: one ordered column per window position."""
     for cols in itertools.product(ORDERED_COLUMNS, repeat=3):
-        lower = "".join(str(c[0]) for c in cols)
-        middle = "".join(str(c[1]) for c in cols)
-        upper = "".join(str(c[2]) for c in cols)
-        yield lower, middle, upper
-
-
-def ordered_triple_configs(words):
-    lower, middle, upper = words
-    return (Configuration(lower), Configuration(middle), Configuration(upper))
+        yield tuple(sum(c[k] << (2 - pos) for pos, c in enumerate(cols)) for k in range(3))
 
 
 def ordered_stack(cols):

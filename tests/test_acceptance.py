@@ -55,6 +55,7 @@ from _support import (
     random_compatible_pair,
     random_positive_spec,
     scaled_deaths,
+    word_bits,
 )
 
 
@@ -84,14 +85,14 @@ def test_criterion_1_worked_example_golden():
 def _transcribed_tables(pair, bit, words):
     """Independent transcription of the published coupled-rate tables."""
     table = exact_table(pair.table(bit).values)
-    e, g, x = (table[int(w, 2)] for w in words)
+    e, g, x = (table[w] for w in words)
     rows = {
         (0, 0, 0): {(0, 0, 1): x - g, (0, 1, 1): g - e, (1, 1, 1): e},
         (0, 0, 1): {(0, 0, 0): x, (0, 1, 1): g - e, (1, 1, 1): e},
         (0, 1, 1): {(0, 0, 0): x, (0, 0, 1): g - x, (1, 1, 1): e},
         (1, 1, 1): {(0, 0, 0): x, (0, 0, 1): g - x, (0, 1, 1): e - g},
     }
-    ctr = tuple(int(w[1]) for w in words)
+    ctr = tuple((w >> 1) & 1 for w in words)
     return {(bit,) + t: r for t, r in rows[ctr].items() if r > 0}
 
 
@@ -105,9 +106,7 @@ _NEIGHBOR_CHOICES = (((0, 0, 1), (0, 1, 1)), ((0, 1, 1), (0, 0, 1)))
 def _discriminating_triples():
     for center in _CENTER_COLUMNS:
         for left, right in _NEIGHBOR_CHOICES:
-            yield tuple(
-                "%d%d%d" % (left[k], center[k], right[k]) for k in range(3)
-            )
+            yield tuple(left[k] << 2 | center[k] << 1 | right[k] for k in range(3))
 
 
 def test_criterion_2_coupling_table_identity():
@@ -118,7 +117,7 @@ def test_criterion_2_coupling_table_identity():
     all_triples = list(ordered_window_triples())
     states = {}
     for words in all_triples:
-        cfgs = tuple(Configuration(w) for w in words)
+        cfgs = tuple(Configuration(word_bits(w)) for w in words)
         for bit in (0, 1):
             states[(words, bit)] = JointState(Configuration((bit,) * 3), cfgs)
 
@@ -196,13 +195,14 @@ def test_criterion_3_gate_catches_high_death_rates():
 def test_criterion_4_monotonicity_suite():
     rng = np.random.default_rng(404)
     start = time.perf_counter()
-    violations = 0
     replicas_total = 0
     for rep in range(5):
         spec = random_positive_spec(rng, sites=8)
         replicas = 2000
         beta = rng.integers(0, 2, (replicas, 8)).astype(np.int8)
         layers = sample_ordered_quadruples(rng, replicas, 8)
+        # the engine compares every initially ordered pair of layers at each
+        # ring and raises OrderViolationError on a crossing
         res = graphical.batch_evolve(
             spec,
             (beta, spec.env_boundary),
@@ -210,9 +210,7 @@ def test_criterion_4_monotonicity_suite():
             [2.0],
             replicas,
             seed=1000 + rep,
-            on_violation="count",
         )
-        violations += res.order_violations
         replicas_total += replicas
         for low_arr, m1_arr, m2_arr, high_arr in [res.layers[-1]]:
             assert (low_arr <= m1_arr).all() and (m1_arr <= high_arr).all()
@@ -231,7 +229,6 @@ def test_criterion_4_monotonicity_suite():
         )
         simulate_coupled(CoupledSpec(spec, 4), init, seed=seed, t_max=1.5)
     elapsed = time.perf_counter() - start
-    assert violations == 0
     assert elapsed < 60.0
     print("ACCEPTANCE 4 PASS: 0 order violations over %d four-layer replicas"
           " (+100 event-asserted runs) in %.1f s" % (replicas_total, elapsed))

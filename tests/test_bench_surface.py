@@ -3,8 +3,9 @@
 `bench/spans.py` wraps every function named in its `TRACED` table by
 `getattr` on the envspin module, so a removed or renamed function breaks
 every traced benchmark run; `bench/workloads.py` also passes some arguments
-by keyword and drives `envspin` command lines through `cli.main`.  All are
-checked here without running the harness.
+by keyword, reads attributes and return shapes of tables, specs, engine
+results and generators, and drives `envspin` command lines through
+`cli.main`.  All are checked here without running the harness.
 """
 
 import ast
@@ -88,3 +89,36 @@ def test_bench_cli_command_lines_parse():
     )
     args = parser.parse_args(["replay", "w/orc.manifest.json", "--out", "w/orc-replay"])
     assert (args.command, args.manifest, args.out) == ("replay", "w/orc.manifest.json", "w/orc-replay")
+
+
+def test_bench_attributes_and_return_shapes():
+    # the attributes and return shapes that bench/workloads.py and
+    # bench/seed_sweep.py read, on a 3-site contact-like spec
+    from envspin import coupling, graphical, oracle
+    from envspin.rates import EnvRateSpec, LocalSpinRates, ModelSpec, SpinRatePair
+
+    c0 = (0.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0)
+    c1 = (0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0)
+    pair = SpinRatePair(LocalSpinRates(c0), LocalSpinRates(c1))
+    assert (pair.c0.values, pair.c1.values) == (c0, c1)
+    env = EnvRateSpec(0, (0.5, 0.25))
+    assert (env.table, env.range) == ((0.5, 0.25), 0)
+    spec = ModelSpec(pair, env, 3)
+    assert spec.require_valid() is spec
+    assert (spec.size, spec.env, spec.spin) == (3, env, pair)
+
+    beta0, eta0 = spec.env_config((0, 0, 0)), spec.spin_config((1, 1, 1))
+    ev = graphical.batch_evolve(spec, beta0, [eta0], [0.5], 10, 1)
+    assert ev.order_violations == 0
+    assert ev.background[-1].shape == ev.layers[-1][0].shape == (10, 3)
+    out = graphical.batch_envelope(spec, [0.5], 10, 2)
+    assert isinstance(out, tuple) and len(out) == 3
+    times, snaps, _ = out
+    assert times == [0.5] and len(snaps[-1]) == 4
+
+    G = oracle.build_generator(spec)
+    assert G.dim == 64 and G.dense().shape == (64, 64)
+    s = G.encode([G.bits_to_int((0, 0, 0)), G.bits_to_int((1, 1, 1))])
+    assert s == 0b000111 and G.point_mass(s)[s] == 1.0
+    assert len(G.rows) == len(G.cols) == len(G.vals) and len(G.diag) == G.dim
+    assert coupling.CoupledSpec(spec, 3).arity == 3

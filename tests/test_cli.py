@@ -173,6 +173,28 @@ def test_scenario_remarks_oracle_cap_reported_cleanly(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("oracle error: ")
 
 
+SCENARIO_INPUT_ERRORS = {
+    "window-too-wide": (["coalescence", "--sites", "3", "--window", "2"],
+                        "window half-width 2 does not fit in 3 sites"),
+    "beta0-too-long": (["coalescence", "--sites", "3", "--window", "1", "--beta0", "0101"],
+                       "beta has 4 sites, not 3"),
+    "interval-too-small": (["interval-bounds", "--sites", "3"],
+                           "need 0 < m <= n < size-1 so both window extensions exist"),
+    "decreasing-grid": (["density", "--tgrid", "2,1"], "t_grid must be nondecreasing and nonnegative"),
+    "no-run-decay-window": (["run-decay", "--sites", "4"], "no run-decay window fits in 4 sites"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_INPUT_ERRORS))
+def test_scenario_input_errors_exit_2_with_a_message(tmp_path, capsys, case):
+    argv, message = SCENARIO_INPUT_ERRORS[case]
+    out = tmp_path / case
+    code = main(["scenario", argv[0], *CPREE, *argv[1:], "--replicas", "10", "--tmax", "0.5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "scenario error: %s\n" % message
+    assert list(tmp_path.iterdir()) == []
+
+
 # one command line per data command shape; its data files are the manifest's outputs
 REPLAY_SHAPES = {
     "simulate-csv": ["simulate", *CPREE, "--sites", "8", "--tmax", "1.3", "--seed", "42"],

@@ -20,9 +20,7 @@ from envspin import (
     simulate_coupled,
     window_rates,
 )
-from envspin.coupling import agreement_memberships, site_menu, spin_flip_groups
-from envspin.lattice import order_pairs
-from envspin.rates import TRIPLES
+from envspin.coupling import agreement_memberships, site_menu
 
 from _support import (
     GATE_LEVEL,
@@ -35,6 +33,7 @@ from _support import (
     random_env,
     random_ordered_triple,
     scaled_deaths,
+    word_bits,
 )
 
 
@@ -49,6 +48,20 @@ def make_state(spec, beta_bits, layer_bits):
     )
 
 
+def spin_menu(pair, bit, words):
+    """The spin transitions of `site_menu` under background bit `bit`, as a
+    dict from target to rate (a background of rate 0 adds none)."""
+    return dict(site_menu(pair, EnvRateSpec(0, (0.0, 0.0)), bit, tuple(words)))
+
+
+def flip_sets(menu, words):
+    """Each spin target of a menu as the set of layers it flips."""
+    return {
+        frozenset(k for k, w in enumerate(words) if target[1 + k] != (w >> 1) & 1): rate
+        for target, rate in menu.items()
+    }
+
+
 def test_interpretation_row_half_coupled():
     # local column (eta, gamma, xi) = (0, 0, 1): the upper layer flips down
     # alone at its own rate, the middle alone at the rate excess over the
@@ -59,12 +72,12 @@ def test_interpretation_row_half_coupled():
     state = make_state(spec, (0, 0, 0), [(0, 0, 0), (0, 0, 0), (1, 1, 1)])
     x = 1
     rates = coupled_event_rates(spec, state, x)
-    c = pair.c0
+    c = pair.c0.values
     expect = {
-        (0, 0, 0, 0): Fraction(c.rate(1, 1, 1)),
-        (0, 0, 1, 1): Fraction(c.rate(0, 0, 0)) - Fraction(c.rate(0, 0, 0)),
-        (0, 1, 1, 1): Fraction(c.rate(0, 0, 0)),
-        (1, 0, 0, 1): Fraction(spec.env.rate_word("0")),
+        (0, 0, 0, 0): Fraction(c[0b111]),
+        (0, 0, 1, 1): Fraction(c[0b000]) - Fraction(c[0b000]),
+        (0, 1, 1, 1): Fraction(c[0b000]),
+        (1, 0, 0, 1): Fraction(spec.env.table[0b0]),
     }
     expect = {k: v for k, v in expect.items() if v > 0}
     assert rates == expect
@@ -78,8 +91,8 @@ def test_table_row_with_distinct_neighborhoods():
     state = make_state(spec, (1, 1, 1), [(0, 0, 0), (0, 0, 1), (0, 1, 1)])
     x = 1
     rates = coupled_event_rates(spec, state, x)
-    c = pair.c1
-    lower, middle, upper = Fraction(c.rate(0, 0, 0)), Fraction(c.rate(0, 0, 1)), Fraction(c.rate(0, 1, 1))
+    c = pair.c1.values
+    lower, middle, upper = Fraction(c[0b000]), Fraction(c[0b001]), Fraction(c[0b011])
     spin = {k: v for k, v in rates.items() if k[0] == 1}
     expect = {
         (1, 0, 0, 0): upper,              # upper flips down alone
@@ -97,14 +110,14 @@ def test_all_equal_layers_single_joint_flip():
     state = make_state(spec, (0, 0, 0), [(0, 1, 0)] * 3)
     rates = coupled_event_rates(spec, state, 1)
     spin = {k: v for k, v in rates.items() if k[0] == 0}
-    assert spin == {(0, 0, 0, 0): Fraction(pair.c0.rate(0, 1, 0))}
+    assert spin == {(0, 0, 0, 0): Fraction(pair.c0.values[0b010])}
 
 
 def test_non_attractive_table_raises_named_violation():
-    vals = {t: 1.0 for t in TRIPLES}
-    vals[(0, 0, 0)] = 2.0
-    vals[(0, 0, 1)] = 0.5  # center-0 monotonicity broken
-    bad = LocalSpinRates.from_dict(vals)
+    vals = [1.0] * 8
+    vals[0b000] = 2.0
+    vals[0b001] = 0.5  # center-0 monotonicity broken
+    bad = LocalSpinRates(vals)
     pair = SpinRatePair(bad, bad)
     spec = spec_from(pair, sites=3)
     state = make_state(spec, (0, 0, 0), [(0, 0, 0), (0, 0, 1), (0, 1, 1)])
@@ -115,13 +128,30 @@ def test_non_attractive_table_raises_named_violation():
         assert "attractivity" in str(err.value)
 
 
+def test_center_one_violation_raises_named_violation():
+    # only center-1 monotonicity is broken: c(010) < c(011) although the
+    # word 010 lies below 011
+    vals = [1.0] * 8
+    vals[0b010] = 0.5
+    vals[0b011] = 2.0
+    bad = LocalSpinRates(vals)
+    spec = spec_from(SpinRatePair(bad, bad), sites=3)
+    state = make_state(spec, (0, 0, 0), [(0, 1, 0), (0, 1, 0), (0, 1, 1)])
+    for _ in range(2):
+        with pytest.raises(ModelViolationError) as err:
+            coupled_event_rates(spec, state, 1)
+        assert str(err.value) == (
+            "attractivity failed: c0(010)=1/2 < c0(011)=2 with ordered center-1 layers"
+        )
+
+
 def test_window_rates_and_coupled_rates_agree_everywhere():
     rng = np.random.default_rng(53)
     for _ in range(10):
         pair = random_compatible_pair(rng)
         spec = spec_from(pair, random_env(rng))
         for words in ordered_window_triples():
-            configs = [Configuration(w) for w in words]
+            configs = [Configuration(word_bits(w)) for w in words]
             for bit in (0, 1):
                 state = JointState(spec.env_config((bit,) * 3), tuple(configs))
                 via_tables = {
@@ -132,28 +162,26 @@ def test_window_rates_and_coupled_rates_agree_everywhere():
 
 
 def test_site_menu_matches_full_state_rates():
-    # the word-level menu equals the coupling rule applied to the words
-    # directly and the rates read off a full joint state with those words
+    # on a range-1 background, the word-level menu equals the interval rule
+    # on the same words plus the background's own flip, and the rates read
+    # off a full joint state with those words
     rng = np.random.default_rng(69)
     for _ in range(4):
         pair = random_compatible_pair(rng)
         env = EnvRateSpec(1, tuple(rng.integers(0, 8, 8) / 4))
         spec = spec_from(pair, env)
         for words in ordered_window_triples():
-            layer_words = tuple(int(w, 2) for w in words)
-            centers = tuple(int(w[1]) for w in words)
+            centers = tuple((w >> 1) & 1 for w in words)
             for env_word in range(8):
                 bit = (env_word >> 1) & 1
-                expect = {}
-                for flips, rate in spin_flip_groups(pair, bit, words, order_pairs(3)):
-                    expect[(bit,) + tuple(1 - c if k in flips else c for k, c in enumerate(centers))] = rate
-                if env.rate_index(env_word) > 0:
-                    expect[(1 - bit,) + centers] = Fraction(env.rate_index(env_word))
-                menu = site_menu(pair, env, env_word, layer_words)
+                expect = window_rates(pair, bit, words)
+                if env.table[env_word] > 0:
+                    expect[(1 - bit,) + centers] = Fraction(env.table[env_word])
+                menu = site_menu(pair, env, env_word, words)
                 assert isinstance(menu, tuple)
                 assert dict(menu) == expect
                 state = JointState(
-                    Configuration(format(env_word, "03b")), tuple(Configuration(w) for w in words)
+                    Configuration(word_bits(env_word)), tuple(Configuration(word_bits(w)) for w in words)
                 )
                 assert coupled_event_rates(spec, state, 1) == expect
 
@@ -164,10 +192,10 @@ def test_coupled_rates_marginal_sums_exact():
         pair = random_compatible_pair(rng)
         for words in list(ordered_window_triples())[::5]:
             for bit in (0, 1):
-                groups = spin_flip_groups(pair, bit, words, order_pairs(3))
+                groups = flip_sets(spin_menu(pair, bit, words), words)
                 for k, word in enumerate(words):
-                    total = sum(rate for flips, rate in groups if k in flips)
-                    assert total == Fraction(pair.table(bit).rate_word(word))
+                    total = sum(rate for flips, rate in groups.items() if k in flips)
+                    assert total == Fraction(pair.table(bit).values[word])
 
 
 def test_four_layer_projections_match_three_layer_rule():
@@ -179,18 +207,18 @@ def test_four_layer_projections_match_three_layer_rule():
         pair = random_compatible_pair(rng)
         for trial in range(40):
             pick = rng.integers(0, len(cols4), 3)
-            layers = ["".join(str(cols4[p][k]) for p in pick) for k in range(4)]
+            layers = [sum(cols4[p][k] << (2 - i) for i, p in enumerate(pick)) for k in range(4)]
             for bit in (0, 1):
-                g4 = spin_flip_groups(pair, bit, layers, order_pairs(4))
+                g4 = flip_sets(spin_menu(pair, bit, layers), layers)
                 for drop, keep in ((2, (0, 1, 3)), (1, (0, 2, 3))):
                     words3 = [layers[k] for k in keep]
-                    g3 = spin_flip_groups(pair, bit, words3, order_pairs(3))
+                    g3 = flip_sets(spin_menu(pair, bit, words3), words3)
                     projected = {}
-                    for flips, rate in g4:
+                    for flips, rate in g4.items():
                         sub = frozenset(keep.index(k) for k in flips if k in keep)
                         if sub:
                             projected[sub] = projected.get(sub, Fraction(0)) + rate
-                    assert projected == {f: r for f, r in g3}
+                    assert projected == g3
 
 
 def test_simulate_coupled_diagonal_absorbing():

@@ -72,7 +72,7 @@ def four_layers():
     spec = random_positive_spec(rng, sites=8)
     beta = rng.integers(0, 2, (500, 8)).astype(np.int8)
     layers = sample_ordered_quadruples(rng, 500, 8)
-    return _evolve_digest(spec, beta, layers, [2.0], 500, 1000, on_violation="count")
+    return _evolve_digest(spec, beta, layers, [2.0], 500, 1000)
 
 
 def _frozen_spec(radius, boundary, sites):
@@ -151,12 +151,6 @@ def _crossing_spec():
     return ModelSpec(SpinRatePair(c0, c1), random_attractive_env(np.random.default_rng(74), 0), 10)
 
 
-def counted_violations():
-    spec = _crossing_spec()
-    beta, layers = _random_triple_start(np.random.default_rng(75), 300, 10)
-    return _evolve_digest(spec, beta, layers, [1.0, 2.0], 300, 18, on_violation="count")
-
-
 def direct_pair_simulation():
     # not the lockstep engine: the generator-level pair simulator, whose
     # draws are full-length whatever the number of replicas still running
@@ -183,7 +177,6 @@ GOLDEN = {
     range4_many_edges: "8df385ad576f9263bf7749e9166eae1606045ba310b505ff12e46562043299b5",
     small_rings: "408dbda7fa187667dff24da2007bc1cd0a30a566662b7bc3ac5975645fac86ef",
     unchecked: "c2862785dfa295fcc28037c324555ee3ccb52b4fff222f992e8f22138103f94c",
-    counted_violations: "eaa19c894f86adff8b97e5d0755767f2ef5484980ba316145946648f23c52311",
     direct_pair_simulation: "cb0f04e07b0ed71ed465a13874400518af39dbe477696751d12a7f873af441af",
 }
 

@@ -25,12 +25,11 @@ from envspin import (
 from envspin import graphical
 from envspin.graphical import EventBudgetError, accept_window, exact_clock, exact_table
 from envspin.lattice import PERIODIC, MutableWindow
-from envspin.rates import LocalSpinRates, ModelSpec, TRIPLES
+from envspin.rates import LocalSpinRates, ModelSpec
 
 from _support import (
     GATE_LEVEL,
     empirical_pair_distribution,
-    ordered_triple_configs,
     ordered_window_triples,
     pooled_chi_square,
     random_attractive_env,
@@ -117,7 +116,7 @@ def test_background_rule_against_independent_replay():
     state = MutableWindow(beta0)
     expected = []
     for t, x, d in rows:
-        rate = spec.env.rate_index(state.word_index(x, spec.env.range))
+        rate = spec.env.table[state.word_index(x, spec.env.range)]
         if state.bits[x] == 0 and d >= b_bar - rate:
             expected.append((t, x, 0, 1))
             state.flip(x)
@@ -242,14 +241,14 @@ def test_window_rates_identical_tables_ignore_background():
 def test_window_rates_all_layers_equal_flip_together():
     rng = np.random.default_rng(31)
     pair = random_compatible_pair(rng, positive=True)
-    for word in ("000", "010", "101", "111"):
+    for word in (0b000, 0b010, 0b101, 0b111):
         for bit in (0, 1):
             rates = window_rates(pair, bit, [word, word, word])
             assert len(rates) == 1
             (target, rate), = rates.items()
-            flipped = 1 - int(word[1])
+            flipped = 1 - ((word >> 1) & 1)
             assert target == (bit, flipped, flipped, flipped)
-            assert rate == Fraction(pair.table(bit).rate_word(word))
+            assert rate == Fraction(pair.table(bit).values[word])
 
 
 def test_window_rates_marginals_exact():
@@ -262,9 +261,9 @@ def test_window_rates_marginals_exact():
                 rates = window_rates(pair, bit, words)
                 for k, word in enumerate(words):
                     total = sum(
-                        v for tgt, v in rates.items() if tgt[1 + k] != int(word[1])
+                        v for tgt, v in rates.items() if tgt[1 + k] != (word >> 1) & 1
                     )
-                    assert total == Fraction(pair.table(bit).rate_word(word))
+                    assert total == Fraction(pair.table(bit).values[word])
 
 
 def test_batch_evolve_matches_stream_law():
@@ -306,21 +305,22 @@ def _window_defects(pair, clock):
     the upper one and the upper down-window inside the lower one; and every
     up-window disjoint from every down-window, over both tables."""
     tables = [exact_table(pair.table(bit).values) for bit in (0, 1)]
-    words = ["".join(w) for w in itertools.product("01", repeat=3)]
     window = {
-        (bit, w): accept_window(int(w[1]), tables[bit][int(w, 2)], clock)
+        (bit, w): accept_window((w >> 1) & 1, tables[bit][w], clock)
         for bit in (0, 1)
-        for w in words
+        for w in range(8)
     }
     defects = [key for key, (lo, hi) in window.items() if not 0 <= lo <= hi <= clock]
     for (i, w), (j, v) in itertools.product(window, repeat=2):
-        if i <= j and w[1] == v[1] and all(a <= b for a, b in zip(w, v)):
+        up_w, up_v = not w & 0b010, not v & 0b010
+        # w lies below v bitwise, with the same center
+        if i <= j and up_w == up_v and not w & ~v:
             (lo_w, hi_w), (lo_v, hi_v) = window[(i, w)], window[(j, v)]
-            if w[1] == "0" and not lo_v <= lo_w:
+            if up_w and not lo_v <= lo_w:
                 defects.append(("up-windows do not nest", i, w, j, v))
-            if w[1] == "1" and not hi_v <= hi_w:
+            if not up_w and not hi_v <= hi_w:
                 defects.append(("down-windows do not nest", i, w, j, v))
-        if w[1] == "0" and v[1] == "1":
+        if up_w and not up_v:
             (up_lo, up_hi), (down_lo, down_hi) = window[(i, w)], window[(j, v)]
             if max(up_lo, down_lo) < min(up_hi, down_hi):
                 defects.append(("up- and down-window overlap", i, w, j, v))
@@ -405,25 +405,24 @@ def _joint_table_defects(pair, windows=graphical._windows, key_lookup=graphical.
         spin_rows = rows[:, ft.n_bg:]
         length = np.diff(np.append(ft.edges, lam))[ft.n_bg:]
         for key in range(1 << len(reads)):
-            bits = format(key, "0%db" % len(reads))
-            bit, words = int(bits[0]), [bits[1 + 3 * k:4 + 3 * k] for k in range(layers)]
+            bit, words = key >> (3 * layers), [(key >> (3 * (layers - 1 - k))) & 7 for k in range(layers)]
             nbhd = np.full(3, (1 << (1 + layers)) - 1)
-            for (f, d), b in zip(reads, bits):
-                nbhd[d + 1] ^= (1 - int(b)) << f
+            for j, (f, d) in enumerate(reads):
+                nbhd[d + 1] ^= (1 - ((key >> (len(reads) - 1 - j)) & 1)) << f
             index = lut[nbhd[:, None] + spin_rows].sum(axis=0)
             if ((index < 0) | (index >= len(table))).any():
-                defects.append((layers, bits))
+                defects.append((layers, key))
                 continue
             got = {}
             for m, size in zip(table[index].tolist(), length):
                 if m:
                     got[m] = got.get(m, 0.0) + size
             want = {
-                sum(1 << (1 + k) for k, w in enumerate(words) if target[1 + k] != int(w[1])): float(rate)
+                sum(1 << (1 + k) for k, w in enumerate(words) if target[1 + k] != (w >> 1) & 1): float(rate)
                 for target, rate in window_rates(pair, bit, words).items()
             }
             if got.keys() != want.keys() or any(abs(got[m] - want[m]) > 1e-12 * lam for m in want):
-                defects.append((layers, bits))
+                defects.append((layers, key))
     return defects
 
 

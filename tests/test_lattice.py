@@ -10,11 +10,10 @@ from envspin import (
     ModelSpec,
     PerLayerFrozen,
     leq,
-    neighborhood,
     point_mass_states,
     translate,
 )
-from envspin.lattice import BoundaryError, MutableWindow, _field_rows, _site_columns, initially_ordered_pairs
+from envspin.lattice import BoundaryError, MutableWindow, _field_rows, _site_columns, initially_ordered_pairs, word_index
 
 from _support import (
     WORKED_LOWER,
@@ -58,11 +57,11 @@ def test_translate_bijection_preserves_order():
 
 
 def test_neighborhood_examples():
-    assert neighborhood(Configuration("011"), 0, 1) == "101"
+    assert word_index(Configuration("011"), 0, 1) == 0b101
     frozen = Configuration("010", FrozenWords("1", "1"))
-    assert neighborhood(frozen, 0, 1) == "101"
-    assert neighborhood(Configuration.all_zero(6), 3, 1) == "000"
-    assert neighborhood(Configuration("0110", FrozenWords("10", "01")), 3, 2) == "11001"
+    assert word_index(frozen, 0, 1) == 0b101
+    assert word_index(Configuration.all_zero(6), 3, 1) == 0b000
+    assert word_index(Configuration("0110", FrozenWords("10", "01")), 3, 2) == 0b11001
 
 
 def test_neighborhood_reconstructs_configuration():
@@ -71,7 +70,7 @@ def test_neighborhood_reconstructs_configuration():
         n = int(rng.integers(1, 12))
         bits = tuple(int(v) for v in rng.integers(0, 2, n))
         c = Configuration(bits)
-        centers = tuple(int(neighborhood(c, x, 1)[1]) for x in range(n))
+        centers = tuple((word_index(c, x, 1) >> 1) & 1 for x in range(n))
         assert centers == bits
 
 
@@ -103,7 +102,7 @@ def test_scalar_and_array_resolvers_agree():
                     for b, want in zip(bits, gathered.tolist()):
                         c = config(b)
                         w = MutableWindow(c)
-                        assert [int(neighborhood(c, x, r), 2) for x in range(n)] == want
+                        assert [word_index(c, x, r) for x in range(n)] == want
                         assert [w.word_index(x, r) for x in range(n)] == want
 
 

@@ -24,16 +24,15 @@ from envspin import (
 from envspin.coupling import coupled_event_rates
 from envspin.lattice import word_index
 from envspin.oracle import _certify_classes
-from envspin.rates import TRIPLES
 
 from _support import random_compatible_pair, random_env, random_positive_spec
 
 
 def single_site_spec(u, d, p01, p10):
-    vals = {t: 0.0 for t in TRIPLES}
-    vals[(0, 0, 0)] = p01
-    vals[(1, 1, 1)] = p10
-    c = LocalSpinRates.from_dict(vals)
+    vals = [0.0] * 8
+    vals[0b000] = p01
+    vals[0b111] = p10
+    c = LocalSpinRates(vals)
     return ModelSpec(SpinRatePair(c, c), EnvRateSpec(0, (u, d)), 1)
 
 
@@ -67,7 +66,7 @@ def test_row_sums_vanish_for_random_specs():
 def test_all_zero_state_outflow():
     spec = preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.25, sites=4)
     G = build_generator(spec)
-    expected = 4 * (spec.env.rate_word("0") + spec.spin.c0.rate(0, 0, 0))
+    expected = 4 * (spec.env.table[0b0] + spec.spin.c0.values[0b000])
     assert G.out_rate(0) == pytest.approx(expected)
 
 
@@ -179,7 +178,7 @@ def test_generator_matches_scalar_word_rule():
                 if state is not None:
                     want = {t: float(r) for t, r in coupled_event_rates(spec, state, x).items()}
                 else:
-                    b = spec.env.rate_index(word_index(beta, x, spec.env.range))
+                    b = spec.env.table[word_index(beta, x, spec.env.range)]
                     centers = tuple(l.bits[x] for l in layers)
                     want = {(1 - beta.bits[x],) + centers: b} if b > 0 else {}
                 assert jumps.get(x, {}) == want, (spec, n_layers, s, x)
@@ -199,10 +198,10 @@ def test_remark_vi_staircases_absorbing():
 
 def test_remark_vi_perturbation_unfreezes_staircase():
     spec = preset("remark_vi", sites=5)
-    vals = spec.spin.c1.as_dict()
-    vals["001"] = 0.05
-    vals["000"] = 0.0
-    perturbed = LocalSpinRates.from_dict(vals)
+    vals = list(spec.spin.c1.values)
+    vals[0b001] = 0.05
+    vals[0b000] = 0.0
+    perturbed = LocalSpinRates(vals)
     spec2 = ModelSpec(SpinRatePair(perturbed, perturbed), spec.env, spec.size, spec.boundary)
     G = build_generator(spec2)
     n = spec2.size

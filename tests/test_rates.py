@@ -17,7 +17,7 @@ from envspin import (
     preset,
 )
 from envspin.lattice import FrozenWords
-from envspin.rates import ConfigError, TRIPLES
+from envspin.rates import ConfigError
 
 from _support import random_attractive_table, random_compatible_pair
 
@@ -25,9 +25,8 @@ GRID = 64
 
 
 def contact_table(lam, delta):
-    return LocalSpinRates.from_dict(
-        {(a, b, c): lam * (a + c) if b == 0 else delta for a, b, c in TRIPLES}
-    )
+    # word w = (a, b, c): births lam * (a + c) at b = 0, deaths delta at b = 1
+    return LocalSpinRates(tuple(delta if w & 0b010 else lam * ((w >> 2) + (w & 1)) for w in range(8)))
 
 
 def test_constant_table_is_attractive():
@@ -36,12 +35,25 @@ def test_constant_table_is_attractive():
 
 
 def test_direct_attractivity_violation():
-    vals = {t: 1.0 for t in TRIPLES}
-    vals[(0, 0, 0)] = 1.0
-    vals[(0, 0, 1)] = 0.0
-    ok, violations = check_attractive(LocalSpinRates.from_dict(vals))
+    vals = [1.0] * 8
+    vals[0b001] = 0.0
+    ok, violations = check_attractive(LocalSpinRates(vals))
     assert not ok
     assert any("000" in v and "001" in v for v in violations)
+
+
+def test_center_one_attractivity_violation():
+    # monotone at center 0, but c(010) < c(011), c(110), c(111) at center 1
+    vals = [1.0] * 8
+    vals[0b010] = 0.5
+    vals[0b011] = 2.0
+    ok, violations = check_attractive(LocalSpinRates(vals))
+    assert not ok
+    assert violations == [
+        "center 1: rate(010)=0.5 < rate(011)=2",
+        "center 1: rate(010)=0.5 < rate(110)=1",
+        "center 1: rate(010)=0.5 < rate(111)=1",
+    ]
 
 
 def test_contact_rates_attractive_by_enumeration():
@@ -49,13 +61,14 @@ def test_contact_rates_attractive_by_enumeration():
     ok, _ = check_attractive(table)
     assert ok
     # independent enumeration of the defining monotonicity over comparable words
+    v = table.values
     for a in (0, 1):
         for c in (0, 1):
             for a2 in (0, 1):
                 for c2 in (0, 1):
                     if a <= a2 and c <= c2:
-                        assert table.rate(a, 0, c) <= table.rate(a2, 0, c2)
-                        assert table.rate(a, 1, c) >= table.rate(a2, 1, c2)
+                        assert v[a << 2 | c] <= v[a2 << 2 | c2]
+                        assert v[a << 2 | 0b010 | c] >= v[a2 << 2 | 0b010 | c2]
 
 
 def test_compatibility_equal_tables():
@@ -72,12 +85,23 @@ def test_compatibility_cpree_death_ordering():
     assert all("1" in v for v in violations) and len(violations) == 4
 
 
+def test_compatibility_center_zero_violation():
+    # equal deaths, but c1 gives births at half c0's rate
+    ok, violations = check_compatible(SpinRatePair(contact_table(1, 1.0), contact_table(0.5, 1.0)))
+    assert not ok
+    assert violations == [
+        "compatibility: c0(001)=1 > c1(001)=0.5",
+        "compatibility: c0(100)=1 > c1(100)=0.5",
+        "compatibility: c0(101)=2 > c1(101)=1",
+    ]
+
+
 def test_min_boundary_pair_sum_examples():
     zero = LocalSpinRates.constant(0.0)
     assert min_boundary_pair_sum(SpinRatePair(zero, zero)) == 0.0
 
     spec = preset("remark_vi", sites=4)
-    assert spec.spin.c1.rate(0, 0, 1) + spec.spin.c1.rate(0, 1, 1) == 0.0
+    assert spec.spin.c1.values[0b001] + spec.spin.c1.values[0b011] == 0.0
     assert min_boundary_pair_sum(spec.spin) == 0.0
 
     pair = SpinRatePair(contact_table(1.0, 2.0), contact_table(1.0, 0.5))
@@ -89,9 +113,9 @@ def test_max_rate_examples():
     assert max_rate(SpinRatePair(zero, zero)) == 0.0
     pair = SpinRatePair(contact_table(1.0, 2.0), contact_table(1.0, 0.5))
     assert max_rate(pair) == 2.0
-    vals = {t: 0.0 for t in TRIPLES}
-    vals[(0, 1, 0)] = 7.0
-    single = LocalSpinRates.from_dict(vals)
+    vals = [0.0] * 8
+    vals[0b010] = 7.0
+    single = LocalSpinRates(vals)
     assert max_rate(SpinRatePair(single, zero)) == 7.0
 
 
@@ -134,21 +158,22 @@ def test_remark_vi_preset_has_zero_boundary_sum():
 def test_remark_iv_preset_structure():
     spec = preset("remark_iv", sites=4)
     assert spec.env.range == 1
-    assert spec.env.rate_word("000") == 0.0
-    assert spec.env.rate_word("111") == 0.0
+    b = spec.env.table
+    assert b[0b000] == 0.0
+    assert b[0b111] == 0.0
     assert spec.env.is_attractive
     # flip-pair positivity where the two neighbors disagree
-    assert spec.env.rate_word("001") + spec.env.rate_word("011") > 0
-    assert spec.env.rate_word("100") + spec.env.rate_word("110") > 0
+    assert b[0b001] + b[0b011] > 0
+    assert b[0b100] + b[0b110] > 0
 
 
 def test_center_dominance_of_attractive_tables():
     rng = np.random.default_rng(10)
     for _ in range(200):
         t = random_attractive_table(rng)
-        for i_table in (t,):
-            assert i_table.rate(0, 1, 0) >= max(i_table.rate(0, 1, 1), i_table.rate(1, 1, 0))
-            assert i_table.rate(1, 0, 1) >= max(i_table.rate(0, 0, 1), i_table.rate(1, 0, 0))
+        v = t.values
+        assert v[0b010] >= max(v[0b011], v[0b110])
+        assert v[0b101] >= max(v[0b001], v[0b100])
 
 
 def test_symmetric_pair_positivity_equivalence():
@@ -169,20 +194,20 @@ def test_symmetric_pair_positivity_equivalence():
         p0 = max(p1, v0) + rng.integers(0, 4) / 4
         c0 = LocalSpinRates.from_dict(
             {
-                (0, 0, 0): 0.0, (0, 0, 1): u0, (1, 0, 0): u0, (1, 0, 1): b0 + u0,
-                (0, 1, 0): p0 + v0, (0, 1, 1): v0, (1, 1, 0): v0, (1, 1, 1): 0.0,
+                "000": 0.0, "001": u0, "100": u0, "101": b0 + u0,
+                "010": p0 + v0, "011": v0, "110": v0, "111": 0.0,
             }
         )
         c1 = LocalSpinRates.from_dict(
             {
-                (0, 0, 0): 0.0, (0, 0, 1): u1, (1, 0, 0): u1, (1, 0, 1): b1 + u1,
-                (0, 1, 0): p1 + v1, (0, 1, 1): v1, (1, 1, 0): v1, (1, 1, 1): 0.0,
+                "000": 0.0, "001": u1, "100": u1, "101": b1 + u1,
+                "010": p1 + v1, "011": v1, "110": v1, "111": 0.0,
             }
         )
         pair = SpinRatePair(c0, c1)
         assert not pair.validate()
         positive = min_boundary_pair_sum(pair) > 0
-        expected = c0.rate(0, 0, 1) > 0 and c1.rate(0, 1, 1) > 0
+        expected = c0.values[0b001] > 0 and c1.values[0b011] > 0
         assert positive == expected
         seen_zero += not positive
         seen_pos += positive
@@ -197,9 +222,8 @@ def test_boundary_sum_at_most_twice_max_rate():
 
 
 def _reflect(table):
-    return LocalSpinRates.from_dict(
-        {(a, b, c): table.rate(c, b, a) for a, b, c in TRIPLES}
-    )
+    # word (a, b, c) reads the rate of (c, b, a)
+    return LocalSpinRates(tuple(table.values[(w & 1) << 2 | w & 0b010 | w >> 2] for w in range(8)))
 
 
 def test_checks_invariant_under_reflection():
