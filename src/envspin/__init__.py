@@ -42,9 +42,7 @@ from .graphical import (
     Trajectory,
     batch_envelope,
     batch_evolve,
-    evolve_background,
-    evolve_spins,
-    generate_streams,
+    evolve,
     window_rates,
 )
 from .coupling import (

@@ -7,7 +7,8 @@ replay MANIFEST` re-runs the command and reproduces the data files byte for
 byte (timestamps and runtime fields live only in the manifest and reports).
 
 Exit codes: 0 success, 1 validation failure, 2 usage or input error (a
-config, oracle or scenario input that cannot run), 3 numerical flag (a
+config, oracle or scenario input that cannot run, or an --out prefix in a
+missing directory), 3 numerical flag (a
 failed class certificate or residual, or non-convergence in the oracle).
 """
 
@@ -214,9 +215,7 @@ def cmd_simulate(args, parser):
     args.seed = _resolve_seed(args)
     beta0 = spec.env_config(args.init_beta if args.init_beta else (0,) * spec.size)
     eta0 = spec.spin_config(args.init_eta if args.init_eta else (1,) * spec.size)
-    stream = graphical.generate_streams(spec, args.seed, args.tmax)
-    btraj = graphical.evolve_background(beta0, stream)
-    traj = graphical.evolve_spins(btraj, [eta0], stream)
+    traj = graphical.evolve(beta0, [eta0], graphical.EventStream(spec, args.seed, args.tmax))
     out = _write_trajectory(traj, args.out, args.format)
     _write_manifest(args, spec, [out])
     print("wrote %s (%d events)" % (out, len(traj.events)))
@@ -377,6 +376,10 @@ def main(argv=None):
     """Returns the exit code; argparse usage errors raise SystemExit(2)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    folder = os.path.dirname(getattr(args, "out", None) or "")
+    if folder and not os.path.isdir(folder):
+        print("output error: directory %s of --out %s does not exist" % (folder, args.out), file=sys.stderr)
+        return 2
     try:
         if args.command == "replay":
             return cmd_replay(args, parser)

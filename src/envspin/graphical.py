@@ -1,8 +1,9 @@
 """Trajectories built from pre-generated event clocks and uniform marks.
 
-The per-site event streams are the exact reference.  Every site carries a
-background clock of rate b_bar and a spin clock of rate c_bar, and each ring
-comes with uniform marks that a deterministic acceptance rule turns into flips:
+The per-site event streams (`EventStream`) are the exact reference.  Every
+site carries a background clock of rate b_bar and a spin clock of rate c_bar,
+each ring comes with uniform marks, and `evolve` applies the rings in time
+order, turning each into a flip or not by a deterministic acceptance rule:
 
 * background, center 0: flip iff the mark lands in the top b(x, .) of [0, b_bar];
   center 1: flip iff it lands in the bottom b(x, .).
@@ -72,20 +73,34 @@ def _site_rng(seed, kind, site):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(kind, site)))
 
 
-def _clock_times(rng, rate, t_max):
-    """Strictly increasing ring times in (0, t_max]; empty when rate is 0."""
+def _clock_times(rng, rate, t_max, limit):
+    """Strictly increasing ring times in (0, t_max]; empty when rate is 0.
+
+    Gaps come in chunks of about rate*t_max + 6 sd, each summed from its start
+    and drawn whole, at most limit + 1 gaps at a time.  The times return as
+    soon as they number more than `limit`: memory scales with the limit, not
+    with rate*t_max, and within it the draws do not depend on it.
+    """
     if rate <= 0.0 or t_max <= 0.0:
         return np.empty(0)
     chunk = max(16, int(rate * t_max + 6.0 * math.sqrt(rate * t_max)) + 16)
+    step = max(1, min(chunk, limit + 1))
     pieces = []
+    kept = 0
     t = 0.0
     while t <= t_max:
-        gaps = rng.exponential(1.0 / rate, chunk)
-        cum = t + np.cumsum(gaps)
-        pieces.append(cum)
-        t = cum[-1]
-    times = np.concatenate(pieces)
-    return times[times <= t_max]
+        head = 0.0
+        for start in range(0, chunk, step):
+            gaps = rng.exponential(1.0 / rate, min(step, chunk - start))
+            sums = np.cumsum(np.concatenate(([head], gaps)))[1:]
+            head = sums[-1]
+            cum = t + sums
+            pieces.append(cum[cum <= t_max])
+            kept += pieces[-1].size
+            if kept > limit:
+                return np.concatenate(pieces)
+        t += head
+    return np.concatenate(pieces)
 
 
 @dataclass
@@ -116,33 +131,31 @@ class EventStream:
         self._sites = {}
         self._events_used = 0
 
-    def _charge(self, count):
-        self._events_used += count
+    def _clock(self, rng, rate):
+        """One clock's ring times, charged to the event budget."""
+        times = _clock_times(rng, rate, self.t_max, self.max_events - self._events_used)
+        self._events_used += times.size
         if self._events_used > self.max_events:
             raise EventBudgetError(
                 "event budget of %d exceeded; lower t_max or raise max_events"
                 % self.max_events
             )
+        return times
 
     def site(self, x) -> SiteStream:
         cached = self._sites.get(x)
         if cached is not None:
             return cached
         rng_bg = _site_rng(self.seed, _KIND_BG, x)
-        bg_times = _clock_times(rng_bg, self.consts.b_bar, self.t_max)
+        bg_times = self._clock(rng_bg, self.consts.b_bar)
         bg_marks = rng_bg.uniform(0.0, self.consts.b_bar, bg_times.size)
         rng_sp = _site_rng(self.seed, _KIND_SPIN, x)
-        spin_times = _clock_times(rng_sp, self.consts.c_bar, self.t_max)
+        spin_times = self._clock(rng_sp, self.consts.c_bar)
         u0 = rng_sp.uniform(0.0, self.consts.c_bar0, spin_times.size)
         u1 = rng_sp.uniform(0.0, self.consts.c_bar1, spin_times.size)
-        self._charge(bg_times.size + spin_times.size)
         stream = SiteStream(bg_times, bg_marks, spin_times, u0, u1)
         self._sites[x] = stream
         return stream
-
-
-def generate_streams(spec, seed, t_max, max_events=10_000_000) -> EventStream:
-    return EventStream(spec, seed, t_max, max_events=max_events)
 
 
 class Event(NamedTuple):
@@ -192,111 +205,67 @@ class Trajectory:
         ]
 
 
-def _merge_site_events(rows):
-    """Rows (time, site, kind, payload...) sorted by (time, site, kind).  Ties
-    across kinds at one instant never occur for continuous clocks; an exact
-    collision trips an assertion."""
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    for a, b in zip(rows, rows[1:]):
-        if a[0] == b[0] and a[2] != b[2]:
-            raise AssertionError("background and spin clocks collided at t=%r" % a[0])
-    return rows
+def _accepts(old, mark, top, rate):
+    """The acceptance rule: at center 0 flip iff the mark lands in the top
+    `rate` of [0, top], at center 1 iff it lands in the bottom `rate`."""
+    return mark >= top - rate if old == 0 else mark < rate
 
 
-def evolve_background(beta0: Configuration, stream: EventStream) -> Trajectory:
-    """Apply the background acceptance rule at every background ring."""
-    spec = stream.spec
+def evolve(beta0: Configuration, spin_layers, stream: EventStream) -> Trajectory:
+    """Apply every ring of the stream in time order to the background `beta0`
+    and the spin layers (none: the background alone).
+
+    A spin ring reads the background bit at its instant, and every layer
+    applies the spin rule to the shared mark with its own neighborhood rate;
+    each pair of layers that starts ordered must stay ordered after every spin
+    ring.  Rings sort by (time, site, kind); a background and a spin ring at
+    one instant (never, for continuous clocks) trip an assertion.
+    """
+    spec, consts = stream.spec, stream.consts
     if len(beta0) != spec.size:
         raise ValueError("initial background has %d sites, spec wants %d" % (len(beta0), spec.size))
-    b_bar = stream.consts.b_bar
-    radius = spec.env.range
-    table = spec.env.table
-    window = MutableWindow(beta0)
-    rows = []
-    for x in range(spec.size):
-        s = stream.site(x)
-        rows += [(t, x, _KIND_BG, mark) for t, mark in zip(s.bg_times, s.bg_marks)]
-    events = []
-    for t, x, _, mark in _merge_site_events(rows):
-        rate = table[window.word_index(x, radius)]
-        old = window.bits[x]
-        if old == 0:
-            flip = mark >= b_bar - rate
-        else:
-            flip = mark < rate
-        if flip:
-            window.flip(x)
-            events.append(Event(float(t), int(x), "beta", old, 1 - old))
-    return Trajectory(
-        initial={"beta": beta0},
-        events=events,
-        final={"beta": window.to_configuration()},
-        t_max=stream.t_max,
-    )
-
-
-def evolve_spins(beta_traj: Trajectory, spin_layers, stream: EventStream) -> Trajectory:
-    """Evolve one or more spin layers over a fixed background trajectory.
-
-    All layers share the spin clocks and marks, and each applies the
-    acceptance rule with its own neighborhood rate.  Any pair of layers that
-    starts pointwise ordered is asserted to stay ordered after every event.
-    """
-    spec = stream.spec
-    layers = [MutableWindow(cfg) for cfg in spin_layers]
-    names = layer_names(len(layers))
     if any(len(cfg) != spec.size for cfg in spin_layers):
         raise ValueError("spin layers must have %d sites" % spec.size)
+    names = layer_names(len(spin_layers))
     ordered = initially_ordered_pairs(list(spin_layers))
-
-    consts = stream.consts
+    beta = MutableWindow(beta0)
+    layers = [MutableWindow(cfg) for cfg in spin_layers]
     cb = (consts.c_bar0, consts.c_bar1)
     scale = tuple(v / consts.c_bar if consts.c_bar else 0.0 for v in cb)
     tables = (spec.spin.c0.values, spec.spin.c1.values)
 
-    beta = MutableWindow(beta_traj.initial["beta"])
-    rows = [(e.time, e.site, _KIND_BG, e.old, e.new) for e in beta_traj.events]
+    rows = []
     for x in range(spec.size):
         s = stream.site(x)
-        rows += [(t, x, _KIND_SPIN, u0, u1) for t, u0, u1 in zip(s.spin_times, s.spin_marks0, s.spin_marks1)]
+        rows += [(t, x, _KIND_BG, (u,)) for t, u in zip(s.bg_times, s.bg_marks)]
+        rows += [(t, x, _KIND_SPIN, u) for t, u in zip(s.spin_times, zip(s.spin_marks0, s.spin_marks1))]
+    rows.sort(key=lambda r: r[:3])
+    for a, b in zip(rows, rows[1:]):
+        if a[0] == b[0] and a[2] != b[2]:
+            raise AssertionError("background and spin clocks collided at t=%r" % a[0])
 
     events = []
-    for row in _merge_site_events(rows):
-        t, x, kind = row[0], row[1], row[2]
-        if kind == _KIND_BG:
-            beta.bits[x] = row[4]
-            continue
+    for t, x, kind, marks in rows:
         i = beta.bits[x]
-        cbar_i = cb[i]
-        if cbar_i == 0.0:
-            continue
-        s_i = scale[i]
-        u = row[3] if i == 0 else row[4]
-        table = tables[i]
-        for layer, name in zip(layers, names):
-            c = table[layer.word_index(x, 1)]
-            old = layer.bits[x]
-            if old == 0:
-                flip = u >= cbar_i - s_i * c
-            else:
-                flip = u < s_i * c
-            if flip:
-                layer.flip(x)
-                events.append(Event(float(t), int(x), name, old, 1 - old))
-        for a, b in ordered:
-            if layers[a].bits[x] > layers[b].bits[x]:
-                raise OrderViolationError(
-                    "layers %s and %s crossed at site %d, t=%r" % (names[a], names[b], x, t)
-                )
+        if kind == _KIND_BG:
+            if _accepts(i, marks[0], consts.b_bar, spec.env.table[beta.word_index(x, spec.env.range)]):
+                beta.flip(x)
+                events.append(Event(float(t), int(x), "beta", i, 1 - i))
+        elif cb[i] > 0.0:
+            for layer, name in zip(layers, names):
+                old = layer.bits[x]
+                if _accepts(old, marks[i], cb[i], scale[i] * tables[i][layer.word_index(x, 1)]):
+                    layer.flip(x)
+                    events.append(Event(float(t), int(x), name, old, 1 - old))
+            for a, b in ordered:
+                if layers[a].bits[x] > layers[b].bits[x]:
+                    raise OrderViolationError(
+                        "layers %s and %s crossed at site %d, t=%r" % (names[a], names[b], x, t)
+                    )
 
-    initial = {"beta": beta_traj.initial["beta"]}
-    initial.update(zip(names, spin_layers))
-    final = {"beta": beta_traj.final["beta"]}
-    final.update({name: layer.to_configuration() for name, layer in zip(names, layers)})
-    events = sorted(
-        events + list(beta_traj.events), key=lambda e: (e.time, e.site, e.layer != "beta")
-    )
-    return Trajectory(initial=initial, events=events, final=final, t_max=stream.t_max)
+    initial = {"beta": beta0, **dict(zip(names, spin_layers))}
+    final = {"beta": beta.to_configuration(), **{n: w.to_configuration() for n, w in zip(names, layers)}}
+    return Trajectory(initial, events, final, stream.t_max)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from envspin import format_config, oracle, preset
+from envspin import cli, format_config, oracle, preset
 from envspin.cli import main
 
 
@@ -193,6 +193,36 @@ def test_scenario_input_errors_exit_2_with_a_message(tmp_path, capsys, case):
     assert code == 2
     assert capsys.readouterr().err == "scenario error: %s\n" % message
     assert list(tmp_path.iterdir()) == []
+
+
+OUT_COMMANDS = {
+    "simulate": ["simulate", *CPREE, "--sites", "4", "--tmax", "0.5"],
+    "couple": ["couple", *CPREE, "--sites", "4", "--tmax", "0.5"],
+    "oracle": ["oracle", *CPREE, "--sites", "3"],
+    "scenario": ["scenario", "coalescence", *CPREE, "--sites", "5", "--window", "1",
+                 "--replicas", "10", "--tmax", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", [*OUT_COMMANDS, "replay"])
+def test_out_prefix_in_a_missing_directory_is_refused_before_running(tmp_path, capsys, monkeypatch, command):
+    if command == "replay":
+        assert main([*OUT_COMMANDS["simulate"], "--out", str(tmp_path / "run")]) == 0
+        argv = ["replay", str(tmp_path / "run.manifest.json")]
+    else:
+        argv = OUT_COMMANDS[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+
+    def resolve_spec(*args, **kwargs):
+        raise AssertionError("the spec was resolved before --out was checked")
+
+    monkeypatch.setattr(cli, "_resolve_spec", resolve_spec)
+    missing = tmp_path / "missing"
+    assert main([*argv, "--out", str(missing / "x")]) == 2
+    assert capsys.readouterr().err == "output error: directory %s of --out %s does not exist\n" % (
+        missing, missing / "x")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # one command line per data command shape; its data files are the manifest's outputs

@@ -1,10 +1,13 @@
-"""Golden digests of seeded lockstep-engine output.
+"""Golden digests of seeded simulator output.
 
-Each run below is hashed (SHA-256 over the grid times, every snapshot's
-dtype, shape and bytes, the order-violation count and the counters) and
-compared with the digest the engine gave when these tests were written.  A
-rewrite of the kernel that claims the same RNG use and the same floats must
-reproduce every digest bit for bit.
+Each lockstep-engine run below is hashed (SHA-256 over the grid times, every
+snapshot's dtype, shape and bytes, the order-violation count and the
+counters); the per-site mark engine (`EventStream` + `evolve`) and the
+generator-level simulators (`simulate_coupled`, `batch_simulate_pair`) are
+hashed over their trajectories' CSV text or final states.  Each digest is
+compared with the one the code gave when these tests were written.  A rewrite
+that claims the same RNG use and the same floats must reproduce every digest
+bit for bit.
 """
 
 import hashlib
@@ -13,7 +16,21 @@ import json
 import numpy as np
 import pytest
 
-from envspin import EnvRateSpec, FrozenWords, ModelSpec, PerLayerFrozen, SpinRatePair, batch_envelope, batch_evolve, preset
+from envspin import (
+    CoupledSpec,
+    EnvRateSpec,
+    EventStream,
+    FrozenWords,
+    JointState,
+    ModelSpec,
+    PerLayerFrozen,
+    SpinRatePair,
+    batch_envelope,
+    batch_evolve,
+    evolve,
+    preset,
+    simulate_coupled,
+)
 from envspin.coupling import batch_simulate_pair
 from envspin.experiments import sample_ordered_quadruples
 from envspin.graphical import OrderViolationError
@@ -167,6 +184,48 @@ def direct_pair_simulation():
     return h.hexdigest()
 
 
+def _spin_stack(spec, n_layers):
+    # ordered starts: 0 <= alternating (and its mirror) <= 1
+    n = spec.size
+    zero, one = spec.spin_config((0,) * n), spec.spin_config((1,) * n)
+    alt = spec.spin_config(tuple(x % 2 for x in range(n)))
+    tla = spec.spin_config(tuple(1 - x % 2 for x in range(n)))
+    return {0: [], 1: [one], 3: [zero, alt, one], 4: [zero, alt, tla, one]}[n_layers]
+
+
+def mark_engine():
+    # the per-site EventStream construction, background alone and under 1 or
+    # 3 spin layers, on periodic, frozen and per-layer-frozen windows
+    rng = np.random.default_rng(90)
+    h = hashlib.sha256()
+    for spec in (
+        preset("cpree", sites=12, **SUPERCRITICAL),
+        preset("remark_iv", sites=5),
+        preset("remark_vi", sites=5),
+        _frozen_spec(2, PerLayerFrozen(FrozenWords("110", "01"), FrozenWords("01", "001")), 5),
+        ModelSpec(random_compatible_pair(rng, positive=True), random_attractive_env(rng, 2), 2),
+    ):
+        beta0 = spec.env_config(tuple(int(x % 3 == 0) for x in range(spec.size)))
+        for seed in (0, 1, 2):
+            stream = EventStream(spec, seed, 2.0)
+            for n_layers in (0, 1, 3):
+                h.update(evolve(beta0, _spin_stack(spec, n_layers), stream).to_csv_text().encode())
+    return h.hexdigest()
+
+
+def coupled_direct():
+    # the generator-level coupled simulator, one trajectory per run
+    h = hashlib.sha256()
+    for spec in (preset("cpree", sites=4, **SUPERCRITICAL), _frozen_spec(1, FrozenWords("01", "10"), 4)):
+        beta0 = spec.env_config((0, 1, 0, 0))
+        for arity in (1, 3, 4):
+            initial = JointState(beta0, tuple(_spin_stack(spec, arity)))
+            for seed in (0, 1):
+                traj = simulate_coupled(CoupledSpec(spec, arity), initial, seed, 1.5)
+                h.update(traj.to_csv_text().encode())
+    return h.hexdigest()
+
+
 GOLDEN = {
     bench_cpree: "9b1712a4e59f9bc34b91e73b316220c8b569cdd8d832c0a414e217a3d65b2729",
     envelope: "03d86a50dcd07fa4487c2e1a75d88ca3bb282f237d409d592b3d4103fa5e0d44",
@@ -178,6 +237,8 @@ GOLDEN = {
     small_rings: "408dbda7fa187667dff24da2007bc1cd0a30a566662b7bc3ac5975645fac86ef",
     unchecked: "c2862785dfa295fcc28037c324555ee3ccb52b4fff222f992e8f22138103f94c",
     direct_pair_simulation: "cb0f04e07b0ed71ed465a13874400518af39dbe477696751d12a7f873af441af",
+    mark_engine: "7d181352b2a5dadff2106ee634d50a4b65e63fa3d46af61458482a109118e659",
+    coupled_direct: "a1bd8a63ec611aef3773186f64938e624c84687c3ef64f811cf3a9498ec796f9",
 }
 
 
@@ -201,3 +262,22 @@ def test_raised_crossing_names_the_first_crossed_pair():
     ]
     with pytest.raises(OrderViolationError, match="^eta_lo and eta_hi crossed in a lockstep step$"):
         batch_envelope(spec, [1.0], 40, 3)
+
+
+def test_mark_engine_raises_on_the_first_crossed_pair():
+    # ordered layers under a non-attractive table cross; the spin ring that
+    # crosses them raises, naming the first crossed pair in pair order and the
+    # site; messages as the mark engine gave them when this test was written
+    spec = _crossing_spec()
+    beta0 = spec.env_config((0,) * spec.size)
+    zero, _, tla, one = _spin_stack(spec, 4)
+    first = []
+    for seed in range(8):
+        with pytest.raises(OrderViolationError) as err:
+            evolve(beta0, [zero, tla, one], EventStream(spec, seed, 5.0))
+        first.append(str(err.value).split(", t=")[0])
+    assert first == [
+        "layers eta and %s crossed at site %d" % pair
+        for pair in (("gamma", 3), ("xi", 4), ("gamma", 9), ("gamma", 9),
+                     ("gamma", 7), ("gamma", 7), ("gamma", 5), ("gamma", 9))
+    ]

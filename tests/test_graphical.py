@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from envspin import (
     Configuration,
     EnvRateSpec,
+    EventStream,
     FrozenWords,
     PerLayerFrozen,
     SpinRatePair,
@@ -15,9 +17,7 @@ from envspin import (
     batch_evolve,
     build_generator,
     density_curves,
-    evolve_background,
-    evolve_spins,
-    generate_streams,
+    evolve,
     preset,
     semigroup_apply,
     window_rates,
@@ -47,20 +47,20 @@ def cpree(sites=6, **kw):
 
 def test_streams_deterministic():
     spec = cpree()
-    a = generate_streams(spec, seed=7, t_max=5.0)
-    b = generate_streams(spec, seed=7, t_max=5.0)
+    a = EventStream(spec, seed=7, t_max=5.0)
+    b = EventStream(spec, seed=7, t_max=5.0)
     for x in (0, 3, 5):
         sa, sb = a.site(x), b.site(x)
         assert np.array_equal(sa.spin_times, sb.spin_times)
         assert np.array_equal(sa.bg_marks, sb.bg_marks)
         assert np.array_equal(sa.spin_marks0, sb.spin_marks0)
-    c = generate_streams(spec, seed=8, t_max=5.0)
+    c = EventStream(spec, seed=8, t_max=5.0)
     assert not np.array_equal(a.site(0).spin_times, c.site(0).spin_times)
 
 
 def test_zero_background_rate_gives_no_events():
     spec = preset("contact", lam=1.0, delta=1.0, sites=4)
-    stream = generate_streams(spec, seed=0, t_max=50.0)
+    stream = EventStream(spec, seed=0, t_max=50.0)
     assert spec.constants().b_bar == 0.0
     for x in range(4):
         assert stream.site(x).bg_times.size == 0
@@ -69,7 +69,7 @@ def test_zero_background_rate_gives_no_events():
 def test_clock_mean_gap_matches_rate():
     spec = cpree(sites=1)
     c_bar = spec.constants().c_bar
-    stream = generate_streams(spec, seed=3, t_max=20000.0, max_events=10**7)
+    stream = EventStream(spec, seed=3, t_max=20000.0, max_events=10**7)
     times = stream.site(0).spin_times
     gaps = np.diff(times)
     assert gaps.size > 10**5
@@ -81,16 +81,49 @@ def test_clock_mean_gap_matches_rate():
 
 def test_event_budget_enforced():
     spec = cpree(sites=4)
-    stream = generate_streams(spec, seed=0, t_max=1000.0, max_events=100)
+    stream = EventStream(spec, seed=0, t_max=1000.0, max_events=100)
     with pytest.raises(EventBudgetError):
         stream.site(0)
         stream.site(1)
 
 
+def test_event_budget_refused_before_the_clock_is_drawn_in_full():
+    # about 5e5 background and 3.5e6 spin rings at site 0: a refusal must hold
+    # memory for about max_events ring times, not for rate * t_max of them
+    spec = cpree(sites=4)
+    stream = EventStream(spec, seed=0, t_max=5e5, max_events=100)
+    EventStream(spec, seed=1, t_max=1.0).site(0)  # numpy.random's lazy imports, untraced
+    tracemalloc.start()
+    try:
+        with pytest.raises(EventBudgetError):
+            stream.site(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_tight_event_budget_draws_the_same_stream():
+    # a budget of exactly the rings drawn gives the same times and marks as
+    # the default budget, and one ring less is refused
+    spec = cpree(sites=3)
+    free = EventStream(spec, seed=9, t_max=40.0)
+    rings = sum(free.site(x).bg_times.size + free.site(x).spin_times.size for x in range(3))
+    tight = EventStream(spec, seed=9, t_max=40.0, max_events=rings)
+    for x in range(3):
+        a, b = free.site(x), tight.site(x)
+        for name in ("bg_times", "bg_marks", "spin_times", "spin_marks0", "spin_marks1"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    short = EventStream(spec, seed=9, t_max=40.0, max_events=rings - 1)
+    with pytest.raises(EventBudgetError):
+        for x in range(3):
+            short.site(x)
+
+
 def test_marks_within_ranges():
     spec = cpree(sites=3)
     consts = spec.constants()
-    stream = generate_streams(spec, seed=5, t_max=50.0)
+    stream = EventStream(spec, seed=5, t_max=50.0)
     for x in range(3):
         s = stream.site(x)
         assert (s.bg_marks >= 0).all() and (s.bg_marks <= consts.b_bar).all()
@@ -102,9 +135,9 @@ def test_marks_within_ranges():
 def test_background_rule_against_independent_replay():
     # recompute every accepted/rejected ring by the acceptance definition
     spec = preset("remark_iv", sites=5)
-    stream = generate_streams(spec, seed=11, t_max=4.0)
+    stream = EventStream(spec, seed=11, t_max=4.0)
     beta0 = spec.env_config((0, 1, 0, 0, 1))
-    traj = evolve_background(beta0, stream)
+    traj = evolve(beta0, [], stream)
     traj.verify_replay()
 
     b_bar = spec.constants().b_bar
@@ -130,9 +163,9 @@ def test_background_rule_against_independent_replay():
 def test_cpree_center_zero_threshold():
     # b_bar = gamma, so a 0-site flips exactly when its mark clears gamma*(1-p)
     spec = cpree(sites=1, gamma=1.0, p=0.3)
-    stream = generate_streams(spec, seed=2, t_max=30.0)
+    stream = EventStream(spec, seed=2, t_max=30.0)
     s = stream.site(0)
-    traj = evolve_background(spec.env_config((0,)), stream)
+    traj = evolve(spec.env_config((0,)), [], stream)
     state = 0
     for t, d in zip(s.bg_times, s.bg_marks):
         flipped = any(e.time == t for e in traj.events)
@@ -161,36 +194,34 @@ def test_two_state_background_closed_form():
     hits = 0
     small = 4000
     for r in range(small):
-        stream = generate_streams(spec, seed=100 + r, t_max=t)
-        traj = evolve_background(spec.env_config((0,)), stream)
+        stream = EventStream(spec, seed=100 + r, t_max=t)
+        traj = evolve(spec.env_config((0,)), [], stream)
         hits += traj.final["beta"].bits[0]
     se = math.sqrt(p_exact * (1 - p_exact) / small)
     assert abs(hits / small - p_exact) < 3.5 * se
 
 
-def test_evolve_spins_zero_horizon_is_identity():
+def test_evolve_zero_horizon_is_identity():
     spec = cpree(sites=5)
-    stream = generate_streams(spec, seed=1, t_max=0.0)
+    stream = EventStream(spec, seed=1, t_max=0.0)
     beta0 = spec.env_config((0, 0, 1, 0, 1))
     eta0 = spec.spin_config((1, 0, 1, 1, 0))
-    btraj = evolve_background(beta0, stream)
-    traj = evolve_spins(btraj, [eta0], stream)
+    traj = evolve(beta0, [eta0], stream)
     assert traj.final["eta"] == eta0
     assert traj.final["beta"] == beta0
     assert traj.events == []
 
 
-def test_evolve_spins_preserves_order_and_replays():
+def test_evolve_preserves_order_and_replays():
     spec = cpree(sites=8)
-    stream = generate_streams(spec, seed=17, t_max=6.0)
+    stream = EventStream(spec, seed=17, t_max=6.0)
     beta0 = spec.env_config((0,) * 8)
     layers = [
         spec.spin_config((0,) * 8),
         spec.spin_config((0, 1, 0, 1, 0, 1, 0, 1)),
         spec.spin_config((1,) * 8),
     ]
-    btraj = evolve_background(beta0, stream)
-    traj = evolve_spins(btraj, layers, stream)
+    traj = evolve(beta0, layers, stream)
     traj.verify_replay()
     final = [traj.final[n] for n in ("eta", "gamma", "xi")]
     for a, b in ((0, 1), (1, 2)):
@@ -200,9 +231,8 @@ def test_evolve_spins_preserves_order_and_replays():
 def test_trajectory_fully_determined_by_seed():
     spec = cpree(sites=6)
     def run():
-        stream = generate_streams(spec, seed=13, t_max=3.0)
-        btraj = evolve_background(spec.env_config((0,) * 6), stream)
-        return evolve_spins(btraj, [spec.spin_config((1,) * 6)], stream)
+        stream = EventStream(spec, seed=13, t_max=3.0)
+        return evolve(spec.env_config((0,) * 6), [spec.spin_config((1,) * 6)], stream)
     a, b = run(), run()
     assert a.events == b.events
     assert a.final == b.final
@@ -210,9 +240,8 @@ def test_trajectory_fully_determined_by_seed():
 
 def test_trajectory_csv_format():
     spec = cpree(sites=4)
-    stream = generate_streams(spec, seed=3, t_max=1.0)
-    btraj = evolve_background(spec.env_config((0,) * 4), stream)
-    traj = evolve_spins(btraj, [spec.spin_config((1,) * 4)], stream)
+    stream = EventStream(spec, seed=3, t_max=1.0)
+    traj = evolve(spec.env_config((0,) * 4), [spec.spin_config((1,) * 4)], stream)
     text = traj.to_csv_text()
     lines = text.splitlines()
     header = [l for l in lines if not l.startswith("#")][0]
@@ -277,9 +306,8 @@ def test_batch_evolve_matches_stream_law():
     small = 3000
     acc = 0
     for r in range(small):
-        stream = generate_streams(spec, seed=5000 + r, t_max=t)
-        btraj = evolve_background(beta0, stream)
-        traj = evolve_spins(btraj, [eta0], stream)
+        stream = EventStream(spec, seed=5000 + r, t_max=t)
+        traj = evolve(beta0, [eta0], stream)
         acc += sum(traj.final["eta"].bits)
     stream_density = acc / (small * 3)
     assert abs(batch_density - stream_density) < 4.0 * math.sqrt(0.25 / small)
