@@ -79,7 +79,7 @@ def _clock_times(rng, rate, t_max, limit):
     Gaps come in chunks of about rate*t_max + 6 sd, each summed from its start
     and drawn whole, at most limit + 1 gaps at a time.  The times return as
     soon as they number more than `limit`: memory scales with the limit, not
-    with rate*t_max, and within it the draws do not depend on it.
+    with rate*t_max, and a clock within the limit draws the same for any limit.
     """
     if rate <= 0.0 or t_max <= 0.0:
         return np.empty(0)
