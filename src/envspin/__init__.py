@@ -9,8 +9,6 @@ from .lattice import (
     JointState,
     Periodic,
     leq,
-    point_mass_states,
-    translate,
 )
 from .rates import (
     DerivedConstants,
@@ -48,7 +46,6 @@ from .graphical import (
 from .coupling import (
     AgreementClass,
     CoupledSpec,
-    agreement_memberships,
     batch_simulate_pair,
     classify_agreement,
     coupled_event_rates,
@@ -61,7 +58,6 @@ from .oracle import (
     build_generator,
     limit_distributions,
     semigroup_apply,
-    spin_marginal,
     stationary_set,
     total_variation,
 )

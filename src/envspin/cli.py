@@ -7,8 +7,8 @@ replay MANIFEST` re-runs the command and reproduces the data files byte for
 byte (timestamps and runtime fields live only in the manifest and reports).
 
 Exit codes: 0 success, 1 validation failure, 2 usage or input error (a
-config, oracle or scenario input that cannot run, or an --out prefix in a
-missing directory), 3 numerical flag (a
+config, oracle, scenario or manifest input that cannot run, or an --out
+prefix in a missing directory), 3 numerical flag (a
 failed class certificate or residual, or non-convergence in the oracle).
 """
 
@@ -44,6 +44,17 @@ _PRESET_FLAGS = {
 }
 
 
+def _at_least(kind, low):
+    """An argparse type converting by `kind` and refusing values below `low` (and NaN)."""
+    def convert(text):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError("must be at least %r, got %r" % (low, text))
+        return value
+    convert.__name__ = kind.__name__  # argparse names the type in "invalid float value"
+    return convert
+
+
 def _add_spec_args(p):
     p.add_argument("--config", help="model config file")
     p.add_argument("--preset", help="preset name: cpree, contact, remark_iv, remark_vi")
@@ -63,7 +74,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="one mark-driven trajectory of the pair chain")
     _add_spec_args(p)
-    p.add_argument("--tmax", type=float, default=10.0)
+    p.add_argument("--tmax", type=_at_least(float, 0.0), default=10.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--init-beta", default=None, help="background start bits (default all zeros)")
     p.add_argument("--init-eta", default=None, help="spin start bits (default all ones)")
@@ -75,7 +86,7 @@ def build_parser():
     p.add_argument("--layers", type=int, choices=(1, 3, 4, 5), default=3,
                    help="spin layers: 1, 3 or 4; 5 names the full five-coordinate stack"
                    " and runs the same 4 spin layers as 4")
-    p.add_argument("--tmax", type=float, default=10.0)
+    p.add_argument("--tmax", type=_at_least(float, 0.0), default=10.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="run")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -88,8 +99,8 @@ def build_parser():
     p.add_argument("name", choices=("iv", "vi", "coalescence", "density", "run-decay", "interval-bounds"))
     _add_spec_args(p)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--replicas", type=int, default=10000)
-    p.add_argument("--tmax", type=float, default=10.0)
+    p.add_argument("--replicas", type=_at_least(int, 1), default=10000)
+    p.add_argument("--tmax", type=_at_least(float, 0.0), default=10.0)
     p.add_argument("--window", type=int, default=2, help="half-width k of the recentred window")
     p.add_argument("--tgrid", default="0,1,2,4,8", help="comma-separated time grid")
     p.add_argument("--beta0", default=None, help="background start bits")
@@ -112,28 +123,27 @@ def _resolve_spec(args, parser, sites=16):
     """`sites` is the preset window size when --sites is omitted."""
     if args.config and args.preset:
         parser.error("--config conflicts with --preset")
-    if args.config:
-        text = Path(args.config).read_text()
-        try:
-            return parse_config(text)
-        except ConfigError as err:
-            print("config error: %s" % err, file=sys.stderr)
-            raise SystemExit(2) from None
-    if args.preset:
-        params = {
-            name: getattr(args, name)
-            for name in _PRESET_FLAGS
-            if getattr(args, name, None) is not None
-        }
+    if not (args.config or args.preset):
+        parser.error("one of --config or --preset is required")
+    try:
+        if args.config:
+            return parse_config(Path(args.config).read_text())
         boundary = parse_boundary(args.boundary) if args.boundary else None
-        if args.sites is not None:
-            sites = args.sites
-        try:
-            return preset(args.preset, sites=sites, boundary=boundary, **params)
-        except ValueError as err:
-            print("invalid preset: %s" % err, file=sys.stderr)
-            raise SystemExit(1) from None
-    parser.error("one of --config or --preset is required")
+    except (ConfigError, OSError) as err:
+        print("config error: %s" % err, file=sys.stderr)
+        raise SystemExit(2) from None
+    params = {
+        name: getattr(args, name)
+        for name in _PRESET_FLAGS
+        if getattr(args, name, None) is not None
+    }
+    if args.sites is not None:
+        sites = args.sites
+    try:
+        return preset(args.preset, sites=sites, boundary=boundary, **params)
+    except ValueError as err:
+        print("invalid preset: %s" % err, file=sys.stderr)
+        raise SystemExit(1) from None
 
 
 # options that make up the spec; the manifest inlines the resolved config instead
@@ -356,8 +366,12 @@ _COMMANDS = {
 
 
 def cmd_replay(args, parser):
-    manifest = json.loads(Path(args.manifest).read_text())
-    if manifest.get("manifest_version") != MANIFEST_VERSION:
+    try:
+        manifest = json.loads(Path(args.manifest).read_text())
+    except (OSError, ValueError) as err:
+        print("replay error: %s" % err, file=sys.stderr)
+        return 2
+    if not isinstance(manifest, dict) or manifest.get("manifest_version") != MANIFEST_VERSION:
         print("unsupported manifest version", file=sys.stderr)
         return 2
     prefix = args.out

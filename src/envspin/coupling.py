@@ -124,7 +124,7 @@ def _float_menu(pair, env, env_word, layer_words):
     return menu, sum(r for _, r in menu)
 
 
-def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max, watch_class=False) -> Trajectory:
+def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Trajectory:
     """Direct stochastic simulation of the coupled chain.
 
     `initial` must hold `cspec.arity` spin layers.  Holding times are
@@ -132,10 +132,7 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max, watch
     among every site's transitions.  A flip at x only perturbs rates within
     one interaction radius, so only those sites are recomputed, each from its
     local words (`site_menu`).  The layer order is checked at every spin
-    flip; a crossing raises OrderViolationError.  With `watch_class`,
-    the agreement memberships of an ordered triple are tracked after every
-    event: full-agreement memberships must persist, an interface class may
-    only collapse into full agreement, and leaving the union entirely raises.
+    flip; a crossing raises OrderViolationError.
     """
     if len(initial.layers) != cspec.arity:
         raise ValueError("%d spin layers given for arity %d" % (len(initial.layers), cspec.arity))
@@ -158,7 +155,6 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max, watch
     menus, totals = zip(*(menu_at(x) for x in range(n)))
     menus = list(menus)
     totals = np.array(totals)
-    current = agreement_memberships(*initial.layers) if watch_class else None
 
     events = []
     t = 0.0
@@ -202,24 +198,6 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max, watch
                     raise OrderViolationError(
                         "layers %s and %s crossed at site %d" % (names[a], names[b], x)
                     )
-        if watch_class:
-            now = agreement_memberships(*(l.to_configuration() for l in layers))
-            # full-agreement memberships are absorbing; an interface class may
-            # only collapse into full agreement, never cross to the mirror
-            # interface class or fall out of the union
-            bad = (
-                "NONE" in now
-                or ("A1" in current and "A1" not in now)
-                or ("A2" in current and "A2" not in now)
-                or (current == {"A3"} and "A4" in now)
-                or (current == {"A4"} and "A3" in now)
-            )
-            if bad:
-                raise AssertionError(
-                    "agreement classes moved %s -> %s at t=%r"
-                    % (sorted(current), sorted(now), t)
-                )
-            current = now
         for y in range(x - radius, x + radius + 1):
             if isinstance(beta.boundary, Periodic):
                 y %= n
@@ -279,15 +257,6 @@ def _agreement_scan(lower, middle, upper):
     else:
         kinds = {"NONE"}
     return positions, seq, frozenset(kinds)
-
-
-def agreement_memberships(lower, middle, upper) -> frozenset:
-    """Which agreement classes the ordered triple belongs to.
-
-    The result is a singleton except for the fully coalesced state (no
-    disagreement sites at all), which lies in both full-agreement classes.
-    """
-    return _agreement_scan(lower, middle, upper)[2]
 
 
 def classify_agreement(lower, middle, upper) -> AgreementClass:

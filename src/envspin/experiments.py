@@ -52,17 +52,6 @@ def sample_ordered_triples(rng, replicas, n):
     return lower, middle, upper
 
 
-def sample_ordered_quadruples(rng, replicas, n):
-    """Random (lower, mid1, mid2, upper) with both middles wedged between the
-    outer layers but mutually unordered."""
-    p = rng.random((replicas, n))
-    lower = (p < 0.25).astype(np.int8)
-    upper = (p < 0.75).astype(np.int8)
-    mid1 = lower | ((rng.random((replicas, n)) < 0.5) & (upper == 1))
-    mid2 = lower | ((rng.random((replicas, n)) < 0.5) & (upper == 1))
-    return lower, mid1.astype(np.int8), mid2.astype(np.int8), upper
-
-
 def _window_sites(spec, k):
     """2k+1 contiguous sites recentred on the middle of the window."""
     n = spec.size
@@ -277,7 +266,9 @@ def interval_inequality_check(spec: ModelSpec, t, replicas, seed, m, n, l=1) -> 
             "slack_e_se": se_e,
             "holds_e_within_3sigma": bool(holds_e),
             "mean_interior_singletons": mean_g1,
+            "se_interior_singletons": se_g1,
             "mean_curvature": mean_curv,
+            "se_curvature": se_curv,
         },
     )
 

@@ -82,17 +82,6 @@ class Configuration:
         return body
 
     @classmethod
-    def from_literal(cls, text, boundary=PERIODIC):
-        """Parse "0110" (policy taken from `boundary`) or "L|bits|R" (frozen)."""
-        text = text.strip()
-        if "|" in text:
-            parts = text.split("|")
-            if len(parts) != 3:
-                raise ValueError("frozen literal must look like L|bits|R, got %r" % text)
-            return cls(parts[1], FrozenWords(parts[0], parts[2]))
-        return cls(text, boundary)
-
-    @classmethod
     def all_zero(cls, n, boundary=PERIODIC):
         return cls((0,) * n, boundary)
 
@@ -106,15 +95,6 @@ def leq(a: Configuration, b: Configuration) -> bool:
     if len(a) != len(b):
         raise ValueError("cannot compare configurations of lengths %d and %d" % (len(a), len(b)))
     return all(x <= y for x, y in zip(a.bits, b.bits))
-
-
-def translate(a: Configuration, x: int) -> Configuration:
-    """Cyclic shift by x sites; defined only on periodic windows."""
-    if not isinstance(a.boundary, Periodic):
-        raise BoundaryError("translation is undefined for frozen boundaries")
-    n = len(a)
-    x %= n
-    return Configuration(a.bits[-x:] + a.bits[:-x] if x else a.bits, a.boundary)
 
 
 def site_value(a, pos: int) -> int:
@@ -243,13 +223,6 @@ class JointState:
     @property
     def names(self):
         return layer_names(len(self.layers))
-
-
-def point_mass_states(n, boundary=PERIODIC):
-    """The two extreme (background, spin) states: all zeros and all ones."""
-    lo = JointState(Configuration.all_zero(n, boundary), (Configuration.all_zero(n, boundary),))
-    hi = JointState(Configuration.all_one(n, boundary), (Configuration.all_one(n, boundary),))
-    return lo, hi
 
 
 def initially_ordered_pairs(layers):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import site_menu
-from .lattice import Configuration, _field_rows, _site_columns, order_pairs
+from .lattice import _field_rows, _site_columns, order_pairs
 from .rates import ModelSpec
 
 
@@ -67,9 +67,6 @@ class GeneratorMatrix:
         for b in bits:
             out = (out << 1) | int(b)
         return out
-
-    def encode_configs(self, configs):
-        return self.encode(self.bits_to_int(c.bits if isinstance(c, Configuration) else c) for c in configs)
 
     def matvec_left(self, p):
         """p @ Q for a row vector p."""
@@ -504,12 +501,6 @@ def limit_distributions(G: GeneratorMatrix) -> LimitDistributions:
         tv_distance=total_variation(lower, upper),
         converged=converged,
     )
-
-
-def spin_marginal(G: GeneratorMatrix, dist):
-    """Marginal law of the spin field(s): sums out the background bits."""
-    width = G.n_layers * G.n_sites
-    return np.bincount(np.arange(G.dim) & ((1 << width) - 1), weights=dist, minlength=1 << width)
 
 
 def dump_distribution_csv(dist) -> str:

@@ -78,10 +78,6 @@ class LocalSpinRates:
             raise ValueError("spin rate table must define all 8 neighborhoods")
         return cls(tuple(table))
 
-    @classmethod
-    def constant(cls, rate):
-        return cls((float(rate),) * 8)
-
     def as_array(self):
         return np.array(self.values, dtype=float)
 
@@ -253,9 +249,9 @@ def tight_clock(values0, values1):
     return max(up0, up1) + max(down0, down1)
 
 
-def dominating_rates(spec) -> DerivedConstants:
-    """All derived constants for a model (or for a (pair, env) tuple)."""
-    pair, env = (spec.spin, spec.env) if isinstance(spec, ModelSpec) else spec
+def dominating_rates(spec: ModelSpec) -> DerivedConstants:
+    """All derived constants for a model."""
+    pair, env = spec.spin, spec.env
     b_bar = sum(_centered_sups(env.table, env.range))
     c_bar0 = sum(_centered_sups(pair.c0.values, 1))
     c_bar1 = sum(_centered_sups(pair.c1.values, 1))

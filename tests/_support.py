@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from envspin import EnvRateSpec, LocalSpinRates, ModelSpec, SpinRatePair
+from envspin import Configuration, EnvRateSpec, LocalSpinRates, ModelSpec, SpinRatePair
+from envspin.coupling import _agreement_scan
 
 GRID = 64  # rate values live on a dyadic grid so exact-arithmetic checks stay cheap
 
@@ -74,6 +75,17 @@ def ordered_stack(cols):
     `random_ordered_triple`."""
     cols = np.asarray(cols)
     return (cols == 3).astype(np.int8), (cols >= 2).astype(np.int8), (cols >= 1).astype(np.int8)
+
+
+def sample_ordered_quadruples(rng, replicas, n):
+    """Random (lower, mid1, mid2, upper) with both middles wedged between the
+    outer layers but mutually unordered."""
+    p = rng.random((replicas, n))
+    lower = (p < 0.25).astype(np.int8)
+    upper = (p < 0.75).astype(np.int8)
+    mid1 = lower | ((rng.random((replicas, n)) < 0.5) & (upper == 1))
+    mid2 = lower | ((rng.random((replicas, n)) < 0.5) & (upper == 1))
+    return lower, mid1.astype(np.int8), mid2.astype(np.int8), upper
 
 
 def random_ordered_triple(rng, length):
@@ -230,3 +242,46 @@ def random_attractive_env(rng, radius, positive=True):
         else:
             table.append(down_extra + sum((1 - b) * v for k, (b, v) in enumerate(zip(bits, down_w)) if k != radius))
     return EnvRateSpec(radius, tuple(table))
+
+
+# agreement classes of a coupled ordered triple along a path
+
+
+def check_agreement_moves(traj):
+    """Replay the layer events of a three-layer trajectory and check that the
+    agreement classes of (eta, gamma, xi) move only as the coupled dynamics
+    allows: the triple never leaves the union of A1..A4, a full-agreement
+    membership (A1, A2) persists, and an interface class (A3, A4) may only
+    collapse into full agreement, never cross to the mirror interface class.
+
+    One ring can flip several layers at one instant, and between those flips
+    the triple may be unordered, so every flip sharing a time stamp is applied
+    before the check.  Raises AssertionError at the first forbidden move;
+    returns the number of rings checked.
+    """
+    names = ("eta", "gamma", "xi")
+    bits = {name: list(traj.initial[name].bits) for name in names}
+    boundaries = [traj.initial[name].boundary for name in names]
+
+    def classes():
+        return _agreement_scan(*(Configuration(bits[k], b) for k, b in zip(names, boundaries)))[2]
+
+    current = classes()
+    rings = 0
+    layer_events = (e for e in traj.events if e.layer in bits)
+    for t, ring in itertools.groupby(layer_events, key=lambda e: e.time):
+        for e in ring:
+            bits[e.layer][e.site] = e.new
+        now = classes()
+        bad = (
+            "NONE" in now
+            or ("A1" in current and "A1" not in now)
+            or ("A2" in current and "A2" not in now)
+            or (current == {"A3"} and "A4" in now)
+            or (current == {"A4"} and "A3" in now)
+        )
+        if bad:
+            raise AssertionError("agreement classes moved %s -> %s at t=%r" % (sorted(current), sorted(now), t))
+        current = now
+        rings += 1
+    return rings

@@ -40,7 +40,6 @@ from envspin import (
 )
 from envspin import coupling, graphical
 from envspin.cli import main as cli_main
-from envspin.experiments import sample_ordered_quadruples
 from envspin.graphical import exact_table
 
 from _support import (
@@ -54,6 +53,7 @@ from _support import (
     pooled_chi_square,
     random_compatible_pair,
     random_positive_spec,
+    sample_ordered_quadruples,
     scaled_deaths,
     word_bits,
 )

@@ -195,6 +195,31 @@ def test_scenario_input_errors_exit_2_with_a_message(tmp_path, capsys, case):
     assert list(tmp_path.iterdir()) == []
 
 
+INPUT_ERRORS = {
+    "missing-config": (["validate", "--config", "missing.cfg"], "config error: "),
+    "bad-boundary": (["validate", *CPREE, "--boundary", "frozen:1"], "config error: bad frozen boundary"),
+    "missing-manifest": (["replay", "missing.manifest.json"], "replay error: "),
+    "manifest-not-json": (["replay", "notjson.manifest.json"], "replay error: "),
+    "no-replicas": (["scenario", "coalescence", *CPREE, "--replicas", "0"], "argument --replicas: "),
+    "simulate-negative-tmax": (["simulate", *CPREE, "--tmax", "-1"], "argument --tmax: "),
+    "couple-negative-tmax": (["couple", *CPREE, "--tmax", "-1"], "argument --tmax: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypatch, case):
+    argv, message = INPUT_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("notjson.manifest.json").write_text("not json\n")
+    try:
+        code = main(argv)
+    except SystemExit as err:  # argparse rejects the value before main's handler
+        code = err.code
+    assert code == 2
+    assert message in capsys.readouterr().err.splitlines()[-1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notjson.manifest.json"]
+
+
 OUT_COMMANDS = {
     "simulate": ["simulate", *CPREE, "--sites", "4", "--tmax", "0.5"],
     "couple": ["couple", *CPREE, "--sites", "4", "--tmax", "0.5"],

@@ -7,6 +7,7 @@ from envspin import (
     Configuration,
     CoupledSpec,
     EnvRateSpec,
+    EventStream,
     FrozenWords,
     JointState,
     LocalSpinRates,
@@ -15,18 +16,21 @@ from envspin import (
     SpinRatePair,
     classify_agreement,
     coupled_event_rates,
+    evolve,
     interior_run_histogram,
     preset,
     simulate_coupled,
     window_rates,
 )
-from envspin.coupling import agreement_memberships, site_menu
+from envspin.coupling import _agreement_scan, site_menu
+from envspin.graphical import Event, Trajectory
 
 from _support import (
     GATE_LEVEL,
     WORKED_LOWER,
     WORKED_MIDDLE,
     WORKED_UPPER,
+    check_agreement_moves,
     ordered_window_triples,
     pooled_chi_square,
     random_compatible_pair,
@@ -227,7 +231,8 @@ def test_simulate_coupled_diagonal_absorbing():
     spec = spec_from(pair, random_env(rng, positive=True), sites=5)
     bits = (0, 1, 0, 0, 1)
     init = make_state(spec, (0, 0, 1, 0, 1), [bits, bits, bits])
-    traj = simulate_coupled(CoupledSpec(spec, 3), init, seed=1, t_max=3.0, watch_class=True)
+    traj = simulate_coupled(CoupledSpec(spec, 3), init, seed=1, t_max=3.0)
+    check_agreement_moves(traj)
     finals = [traj.final[n].bits for n in ("eta", "gamma", "xi")]
     assert finals[0] == finals[1] == finals[2]
     # spin flips always hit all three layers at the same instant
@@ -300,7 +305,7 @@ def test_classification_matches_empty_interior_runs():
     for _ in range(400):
         n = int(rng.integers(1, 10))
         lo, mid, up = random_ordered_triple(rng, n)
-        kinds = agreement_memberships(Configuration(lo), Configuration(mid), Configuration(up))
+        kinds = _agreement_scan(Configuration(lo), Configuration(mid), Configuration(up))[2]
         empty = all(
             not interior_run_histogram(lo, mid, up, m, k)
             for m in range(n)
@@ -373,7 +378,7 @@ def _simulate_coupled_marginal_pvalue(sim_factor=1.0, seed=7000):
     states = np.empty(replicas, dtype=np.int64)
     for r in range(replicas):
         final = simulate_coupled(cspec, init, seed=seed + r, t_max=1.0).final
-        states[r] = G.encode_configs([final["beta"], final["eta"]])
+        states[r] = G.encode([G.bits_to_int(final["beta"].bits), G.bits_to_int(final["eta"].bits)])
     return pooled_chi_square(np.bincount(states, minlength=G.dim), exact)[2]
 
 
@@ -391,24 +396,67 @@ def test_simulate_coupled_gate_catches_high_death_rates():
     assert p < GATE_LEVEL, p
 
 
-def test_agreement_classes_absorbing_on_frozen_window():
-    spec0 = preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, sites=6)
-    bnd = FrozenWords("0", "0")
-    spec = ModelSpec(spec0.spin, spec0.env, 6, bnd)
+FROZEN_ENDS = FrozenWords("0", "0")
+FROZEN_MIDDLES = (
+    (0, 0, 0, 1, 1, 1),  # single interface, lower-side left
+    (1, 1, 0, 0, 0, 0),  # single interface, upper-side left
+    (0, 0, 0, 0, 0, 0),  # equal to the lower layer
+    (1, 1, 1, 1, 1, 1),  # equal to the upper layer
+)
 
-    def run(mid_bits, seed):
+
+def _frozen_window_runs():
+    """(spec, initial triple, seed) for 25 seeds of each middle layer above,
+    between all-0 and all-1 outer layers on a 6-site window with frozen 0
+    ends.  On a ring A3/A4 are windowed notions, so the check needs frozen
+    ends."""
+    spec0 = preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, sites=6)
+    spec = ModelSpec(spec0.spin, spec0.env, 6, FROZEN_ENDS)
+    for k, mid_bits in enumerate(FROZEN_MIDDLES):
         init = JointState(
-            Configuration((0,) * 6, bnd),
+            Configuration((0,) * 6, FROZEN_ENDS),
             (
-                Configuration((0,) * 6, bnd),
-                Configuration(mid_bits, bnd),
-                Configuration((1,) * 6, bnd),
+                Configuration((0,) * 6, FROZEN_ENDS),
+                Configuration(mid_bits, FROZEN_ENDS),
+                Configuration((1,) * 6, FROZEN_ENDS),
             ),
         )
-        simulate_coupled(CoupledSpec(spec, 3), init, seed=seed, t_max=3.0, watch_class=True)
+        for seed in range(25):
+            yield spec, init, 100 * (k + 1) + seed
 
-    for seed in range(25):
-        run((0, 0, 0, 1, 1, 1), 100 + seed)  # single interface, lower-side left
-        run((1, 1, 0, 0, 0, 0), 200 + seed)  # single interface, upper-side left
-        run((0, 0, 0, 0, 0, 0), 300 + seed)  # equal to the lower layer
-        run((1, 1, 1, 1, 1, 1), 400 + seed)  # equal to the upper layer
+
+def test_agreement_classes_absorbing_on_frozen_window():
+    for spec, init, seed in _frozen_window_runs():
+        check_agreement_moves(simulate_coupled(CoupledSpec(spec, 3), init, seed=seed, t_max=3.0))
+
+
+def test_agreement_classes_absorbing_under_the_mark_engine():
+    rings = 0
+    for spec, init, seed in _frozen_window_runs():
+        rings += check_agreement_moves(evolve(init.beta, init.layers, EventStream(spec, seed, 3.0)))
+    assert rings > 0
+
+
+@pytest.mark.parametrize(
+    "middle, flip, moved",
+    [
+        ((0, 0, 0, 0, 0, 0), Event(0.5, 5, "gamma", 0, 1), r"\['A1'\] -> \['A3'\]"),
+        ((0, 0, 0, 1, 1, 1), Event(0.5, 1, "gamma", 0, 1), r"\['A3'\] -> \['NONE'\]"),
+    ],
+    ids=["full-agreement-to-interface", "interface-out-of-the-union"],
+)
+def test_agreement_move_check_refuses_planted_twins(middle, flip, moved):
+    def triple(mid):
+        return {
+            "beta": Configuration((0,) * 6, FROZEN_ENDS),
+            "eta": Configuration((0,) * 6, FROZEN_ENDS),
+            "gamma": Configuration(mid, FROZEN_ENDS),
+            "xi": Configuration((1,) * 6, FROZEN_ENDS),
+        }
+
+    moved_middle = list(middle)
+    moved_middle[flip.site] = flip.new
+    traj = Trajectory(triple(middle), [flip], triple(moved_middle), 1.0)
+    assert traj.verify_replay()
+    with pytest.raises(AssertionError, match=moved):
+        check_agreement_moves(traj)

@@ -32,11 +32,16 @@ from envspin import (
     simulate_coupled,
 )
 from envspin.coupling import batch_simulate_pair
-from envspin.experiments import sample_ordered_quadruples
 from envspin.graphical import OrderViolationError
 from envspin.rates import LocalSpinRates
 
-from _support import ordered_stack, random_attractive_env, random_compatible_pair, random_positive_spec
+from _support import (
+    ordered_stack,
+    random_attractive_env,
+    random_compatible_pair,
+    random_positive_spec,
+    sample_ordered_quadruples,
+)
 
 SUPERCRITICAL = dict(gamma=1.0, delta0=1.0, delta1=0.5, p=0.5, lam=3.0)
 

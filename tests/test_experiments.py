@@ -25,11 +25,10 @@ from envspin.experiments import (
     _random_coupled_run,
     density_csv_text,
     run_decay_csv_text,
-    sample_ordered_quadruples,
     sample_ordered_triples,
 )
 
-from _support import random_positive_spec
+from _support import random_positive_spec, sample_ordered_quadruples
 
 
 def cpree(sites, **kw):
@@ -185,8 +184,8 @@ def test_interval_inequality_check_equals_per_replica_scalar_loop():
         slack_e.append(12.0 * K * l * hist.get(l, 0) - C * hist.get(l + 1, 0))
     mean_d, se_d = _mean_se(slack_d)
     mean_e, se_e = _mean_se(slack_e)
-    mean_g1 = _mean_se(g_first)[0]
-    mean_curv = _mean_se(curvature)[0]
+    mean_g1, se_g1 = _mean_se(g_first)
+    mean_curv, se_curv = _mean_se(curvature)
     assert rep.extra == {
         "lhs_d": C * mean_g1,
         "rhs_d": K * mean_curv,
@@ -197,9 +196,11 @@ def test_interval_inequality_check_equals_per_replica_scalar_loop():
         "slack_e_se": se_e,
         "holds_e_within_3sigma": mean_e >= -3.0 * se_e,
         "mean_interior_singletons": mean_g1,
+        "se_interior_singletons": se_g1,
         "mean_curvature": mean_curv,
+        "se_curvature": se_curv,
     }
-    assert mean_g1 > 0 and mean_curv != 0
+    assert mean_g1 > 0 and mean_curv != 0 and se_g1 > 0 and se_curv > 0
     assert all(type(v) in (float, bool) for v in rep.extra.values())
 
 

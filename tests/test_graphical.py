@@ -180,7 +180,7 @@ def test_cpree_center_zero_threshold():
 def test_two_state_background_closed_form():
     u, d = 0.8, 0.5
     env = EnvRateSpec(0, (u, d))
-    pair = SpinRatePair(LocalSpinRates.constant(0.0), LocalSpinRates.constant(0.0))
+    pair = SpinRatePair(LocalSpinRates((0.0,) * 8), LocalSpinRates((0.0,) * 8))
     spec = ModelSpec(pair, env, 1)
     t = 1.3
     replicas = 30000

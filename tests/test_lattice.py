@@ -10,17 +10,14 @@ from envspin import (
     ModelSpec,
     PerLayerFrozen,
     leq,
-    point_mass_states,
-    translate,
 )
-from envspin.lattice import BoundaryError, MutableWindow, _field_rows, _site_columns, initially_ordered_pairs, word_index
+from envspin.lattice import MutableWindow, _field_rows, _site_columns, initially_ordered_pairs, word_index
 
 from _support import (
     WORKED_LOWER,
     WORKED_MIDDLE,
     WORKED_UPPER,
     random_compatible_pair,
-    random_ordered_triple,
 )
 
 
@@ -33,27 +30,6 @@ def test_leq_examples():
     assert leq(Configuration(WORKED_MIDDLE), Configuration(WORKED_UPPER))
     with pytest.raises(ValueError):
         leq(Configuration("01"), Configuration("011"))
-
-
-def test_translate_examples():
-    c = Configuration("100")
-    assert translate(c, 0) == c
-    assert translate(c, 3) == c
-    assert translate(c, 1) == Configuration("010")
-    frozen = Configuration("100", FrozenWords("0", "0"))
-    with pytest.raises(BoundaryError):
-        translate(frozen, 1)
-
-
-def test_translate_bijection_preserves_order():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        n = int(rng.integers(2, 10))
-        a, b, _ = random_ordered_triple(rng, n)
-        k = int(rng.integers(-5, 10))
-        ca, cb = Configuration(a), Configuration(b)
-        assert leq(translate(ca, k), translate(cb, k)) == leq(ca, cb)
-        assert translate(translate(ca, k), -k) == ca
 
 
 def test_neighborhood_examples():
@@ -119,15 +95,6 @@ def test_partial_order_properties():
                     assert leq(a, c)
 
 
-def test_point_mass_states():
-    lo, hi = point_mass_states(3)
-    assert lo.beta.bits == (0, 0, 0) and lo.layers[0].bits == (0, 0, 0)
-    assert hi.beta.bits == (1, 1, 1) and hi.layers[0].bits == (1, 1, 1)
-    assert leq(lo.beta, hi.beta) and leq(lo.layers[0], hi.layers[0])
-    assert translate(lo.beta, 2) == lo.beta
-    assert translate(hi.layers[0], 1) == hi.layers[0]
-
-
 def test_joint_state_order_enforced():
     with pytest.raises(ValueError):
         JointState(
@@ -143,8 +110,6 @@ def test_joint_state_order_enforced():
 def test_literals_round_trip():
     c = Configuration("0110", FrozenWords("10", "01"))
     assert c.to_literal() == "10|0110|01"
-    assert Configuration.from_literal("10|0110|01") == c
-    assert Configuration.from_literal("0110") == Configuration("0110")
 
 
 def test_initially_ordered_pairs():

@@ -30,7 +30,7 @@ def contact_table(lam, delta):
 
 
 def test_constant_table_is_attractive():
-    ok, violations = check_attractive(LocalSpinRates.constant(3.5))
+    ok, violations = check_attractive(LocalSpinRates((3.5,) * 8))
     assert ok and violations == []
 
 
@@ -97,7 +97,7 @@ def test_compatibility_center_zero_violation():
 
 
 def test_min_boundary_pair_sum_examples():
-    zero = LocalSpinRates.constant(0.0)
+    zero = LocalSpinRates((0.0,) * 8)
     assert min_boundary_pair_sum(SpinRatePair(zero, zero)) == 0.0
 
     spec = preset("remark_vi", sites=4)
@@ -109,7 +109,7 @@ def test_min_boundary_pair_sum_examples():
 
 
 def test_max_rate_examples():
-    zero = LocalSpinRates.constant(0.0)
+    zero = LocalSpinRates((0.0,) * 8)
     assert max_rate(SpinRatePair(zero, zero)) == 0.0
     pair = SpinRatePair(contact_table(1.0, 2.0), contact_table(1.0, 0.5))
     assert max_rate(pair) == 2.0
@@ -122,7 +122,7 @@ def test_max_rate_examples():
 def test_dominating_rates_background():
     env = EnvRateSpec(0, (0.8, 0.0))
     pair = SpinRatePair(contact_table(1, 2.0), contact_table(1, 0.5))
-    consts = dominating_rates((pair, env))
+    consts = dominating_rates(ModelSpec(pair, env, 1))
     assert consts.b_bar == 0.8
 
     spec = preset("cpree", gamma=1.3, delta0=2.0, delta1=0.5, p=0.25, sites=4)
