@@ -141,6 +141,11 @@ def _resolve_spec(args, parser, sites=16):
         sites = args.sites
     try:
         return preset(args.preset, sites=sites, boundary=boundary, **params)
+    except KeyError as err:
+        # a required preset parameter that no flag gave
+        name = err.args[0]
+        print("config error: preset %s needs %s" % (args.preset, _PRESET_FLAGS.get(name, name)), file=sys.stderr)
+        raise SystemExit(2) from None
     except ValueError as err:
         print("invalid preset: %s" % err, file=sys.stderr)
         raise SystemExit(1) from None
@@ -377,7 +382,10 @@ def cmd_replay(args, parser):
     prefix = args.out
     if prefix is None:
         prefix = str(Path(args.manifest))[: -len(".manifest.json")]
-    argv = list(manifest["replay_args"])
+    argv = manifest.get("replay_args")
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        print("replay error: manifest holds no replay_args list of strings", file=sys.stderr)
+        return 2
     if manifest.get("resolved_config"):
         cfg_path = Path(prefix + ".replay.config")
         cfg_path.write_text(manifest["resolved_config"])

@@ -25,7 +25,6 @@ from .lattice import (
     Configuration,
     FrozenWords,
     JointState,
-    MutableWindow,
     Periodic,
     _field_rows,
     _site_columns,
@@ -117,11 +116,23 @@ def coupled_event_rates(spec: ModelSpec, state: JointState, x):
     return dict(site_menu(spec.spin, spec.env, env_word, layer_words))
 
 
-@lru_cache(maxsize=4096)
 def _float_menu(pair, env, env_word, layer_words):
     """`site_menu` with float rates, and their total, for `simulate_coupled`."""
     menu = tuple((target, float(rate)) for target, rate in site_menu(pair, env, env_word, layer_words))
     return menu, sum(r for _, r in menu)
+
+
+@lru_cache(maxsize=16)
+def _float_menus(pair, env):
+    """The `_float_menu`s of (pair, env) by (background word, layer words),
+    filled on a miss: at most 2^(2R+1)*8^arity entries per arity."""
+    return {}
+
+
+@lru_cache(maxsize=256)
+def _site_lists(boundary, n, halo, radius):
+    """`lattice._site_columns` as nested lists, for scalar reads."""
+    return _site_columns(boundary, n, halo, radius).tolist()
 
 
 def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Trajectory:
@@ -131,8 +142,12 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
     exponential in the total rate over sites; the jump is drawn categorically
     among every site's transitions.  A flip at x only perturbs rates within
     one interaction radius, so only those sites are recomputed, each from its
-    local words (`site_menu`).  The layer order is checked at every spin
-    flip; a crossing raises OrderViolationError.
+    local words by `site_menu`, through a dict of float menus kept per
+    (spin pair, background table).  Each field is a list of its bits padded
+    with its frozen boundary bits; on a ring, reads wrap modulo n instead.
+    The draws are those of `exponential(1 / total)` and `uniform(0, total)`.
+    The layer order is checked at every spin flip; a crossing raises
+    OrderViolationError.
     """
     if len(initial.layers) != cspec.arity:
         raise ValueError("%d spin layers given for arity %d" % (len(initial.layers), cspec.arity))
@@ -142,37 +157,52 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
     pair, env = spec.spin, spec.env
     radius = max(1, env.range)
     rng = np.random.default_rng(seed)
+    menus_of = _float_menus(pair, env)
 
-    beta = MutableWindow(initial.beta)
-    layers = [MutableWindow(cfg) for cfg in initial.layers]
+    # each field's bits at sites -radius..n+radius-1; the ends hold frozen
+    # boundary bits, and are never read on a ring
+    beta, *layers = (
+        [site_value(cfg, p) for p in range(-radius, n + radius)] for cfg in (initial.beta, *initial.layers)
+    )
+    b_cols = _site_lists(initial.beta.boundary, n, radius, env.range)
+    l_cols = list(zip(*(_site_lists(cfg.boundary, n, radius, 1) for cfg in initial.layers)))
     pairs = order_pairs(len(layers))
+    if isinstance(initial.beta.boundary, Periodic):
+        near = [[y % n for y in range(x - radius, x + radius + 1)] for x in range(n)]
+    else:
+        near = [[y for y in range(x - radius, x + radius + 1) if 0 <= y < n] for x in range(n)]
 
     def menu_at(x):
-        return _float_menu(
-            pair, env, beta.word_index(x, env.range), tuple(l.word_index(x, 1) for l in layers)
-        )
+        w = 0
+        for q in b_cols[x]:
+            w = (w << 1) | beta[q]
+        key = (w, tuple([l[a] << 2 | l[b] << 1 | l[c] for l, (a, b, c) in zip(layers, l_cols[x])]))
+        found = menus_of.get(key)
+        if found is None:
+            found = menus_of[key] = _float_menu(pair, env, *key)
+        return found
 
-    menus, totals = zip(*(menu_at(x) for x in range(n)))
-    menus = list(menus)
-    totals = np.array(totals)
+    menus, site_totals = (list(v) for v in zip(*(menu_at(x) for x in range(n))))
+    totals = np.array(site_totals)
 
     events = []
     t = 0.0
     while True:
+        # a numpy sum: from 8 sites on its order is not left to right
         total = float(totals.sum())
         if total <= 0.0:
             break
-        t += rng.exponential(1.0 / total)
+        t += rng.standard_exponential() * (1.0 / total)
         if t > t_max:
             break
-        u = rng.uniform(0.0, total)
+        u = rng.random() * total
         x = 0
         acc = 0.0
         for x in range(n):
-            acc += totals[x]
+            acc += site_totals[x]
             if u < acc or x == n - 1:
                 break
-        u -= acc - totals[x]
+        u -= acc - site_totals[x]
         target = None
         for tgt, rate in menus[x]:
             if u < rate:
@@ -182,33 +212,33 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
         if target is None:
             target = menus[x][-1][0]
 
-        bit = beta.bits[x]
-        if target[0] != bit:
-            old = beta.bits[x]
-            beta.flip(x)
-            events.append(Event(float(t), int(x), "beta", old, 1 - old))
+        p = x + radius
+        old = beta[p]
+        if target[0] != old:
+            beta[p] = 1 - old
+            events.append(Event(t, x, "beta", old, 1 - old))
         else:
             for k, layer in enumerate(layers):
                 new = target[1 + k]
-                if layer.bits[x] != new:
-                    events.append(Event(float(t), int(x), names[k], layer.bits[x], new))
-                    layer.bits[x] = new
+                if layer[p] != new:
+                    events.append(Event(t, x, names[k], layer[p], new))
+                    layer[p] = new
             for a, b in pairs:
-                if layers[a].bits[x] > layers[b].bits[x]:
+                if layers[a][p] > layers[b][p]:
                     raise OrderViolationError(
                         "layers %s and %s crossed at site %d" % (names[a], names[b], x)
                     )
-        for y in range(x - radius, x + radius + 1):
-            if isinstance(beta.boundary, Periodic):
-                y %= n
-            elif not 0 <= y < n:
-                continue
-            menus[y], totals[y] = menu_at(y)
+        for y in near[x]:
+            menus[y], site_totals[y] = menu_at(y)
+            totals[y] = site_totals[y]
+
+    def final(bits, cfg):
+        return Configuration(tuple(bits[radius:radius + n]), cfg.boundary)
 
     initial_dict = {"beta": initial.beta}
     initial_dict.update(zip(names, initial.layers))
-    final_dict = {"beta": beta.to_configuration()}
-    final_dict.update(zip(names, (l.to_configuration() for l in layers)))
+    final_dict = {"beta": final(beta, initial.beta)}
+    final_dict.update(zip(names, (final(l, cfg) for l, cfg in zip(layers, initial.layers))))
     return Trajectory(initial=initial_dict, events=events, final=final_dict, t_max=float(t_max))
 
 
@@ -287,48 +317,74 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     """Many replicas of the plain two-layer chain by true direct simulation:
     per-replica exponential holding times from the summed rates and a
     categorical jump over the 2N per-site transitions.  Returns in-window
-    (background, spin) arrays at time t."""
+    (background, spin) arrays at time t.
+
+    The state is one site-major byte array, the background's padded columns
+    and then the spin's, by replica.  A site's background and spin flip rates
+    come from `site_menu` by its local key: the background word, then the
+    spin word.  The rates of a replica are added slot by slot, background
+    slots first.  Every iteration draws one exponential and one uniform for
+    each of the `replicas`, so the stream does not depend on how many still
+    run; a replica leaves the live arrays once its clock passes t or its
+    total rate is 0.
+    """
     n = spec.size
     rng = np.random.default_rng(seed)
     radius = spec.env.range
     halo = max(1, radius)
     B, b_boundary = _field_rows(beta0, replicas, halo)
     E, e_boundary = _field_rows(eta0, replicas, halo)
-    b_cols = _site_columns(b_boundary, n, halo, radius)
-    e_cols = _site_columns(e_boundary, n, halo, 1)
-    b_weights = 1 << np.arange(2 * radius, -1, -1)
-    e_weights = 1 << np.arange(2, -1, -1)
-    btab = spec.env.as_array()
-    ctab2 = np.stack([spec.spin.c0.as_array(), spec.spin.c1.as_array()])
+    width = B.shape[1]
+    state = np.concatenate([B.T, E.T]).view(np.uint8)
+    # the state rows of each site's key, most significant first
+    reads = np.concatenate(
+        [_site_columns(b_boundary, n, halo, radius), width + _site_columns(e_boundary, n, halo, 1)], axis=1
+    ).T
+    # rate[kind, key]: kind 0 flips the background, kind 1 the spin
+    rate = np.zeros((2, 1 << len(reads)))
+    for key in range(rate.shape[1]):
+        bit = (key >> (3 + radius)) & 1
+        for target, r in site_menu(spec.spin, spec.env, key >> 3, (key & 7,)):
+            rate[int(target[0] == bit), key] = float(r)
 
+    # the state row each slot flips: background sites, then spin sites
+    slot_rows = np.add.outer([0, width], halo + np.arange(n)).ravel()
+    key_type = np.min_scalar_type(rate.shape[1] - 1)
+    live = np.arange(replicas)
+    cur = state.copy()
     clock = np.zeros(replicas)
-    # replicas whose clock has not passed t and whose rates are not all 0;
-    # the exponential and uniform draws stay full-length, so the RNG stream
-    # does not depend on how many replicas are still running
-    alive = np.arange(replicas)
-
     while True:
-        Ba, Ea = B[alive], E[alive]
-        bg_rates = btab[Ba[:, b_cols] @ b_weights]
-        sp_rates = ctab2[Ba[:, halo:halo + n], Ea[:, e_cols] @ e_weights]
-        rates = np.concatenate([bg_rates, sp_rates], axis=1)
-        total = rates.sum(axis=1)
-        live = total > 0
-        if not live.any():
+        key = cur[reads[0]].astype(key_type)
+        for rows in reads[1:]:
+            key <<= 1
+            key |= cur[rows]
+        cum = np.empty((2, n, len(live)))
+        for kind in (0, 1):
+            rate[kind].take(key, out=cum[kind], mode="clip")
+        cum = cum.reshape(2 * n, -1)
+        for k in range(1, 2 * n):
+            cum[k] += cum[k - 1]
+        total = cum[-1]
+        running = total > 0
+        if not running.any():
             break
-        draws = rng.exponential(1.0, replicas)[alive]
-        clock[alive] = np.where(live, clock[alive] + draws / np.maximum(total, 1e-300), clock[alive])
-        passed = clock[alive] > t
-        act = live & ~passed
+        draws = rng.exponential(1.0, replicas)[live]
+        clock = clock + draws / np.maximum(total, 1e-300)
+        act = running & ~(clock > t)
         if not act.any():
             break
-        u = rng.uniform(0.0, 1.0, replicas)[alive[act]] * total[act]
-        slot = (np.cumsum(rates[act], axis=1) >= u[:, None]).argmax(axis=1)
-        rows = alive[act]
-        cols = halo + slot % n
-        bg = slot < n
-        B[rows[bg], cols[bg]] ^= 1
-        E[rows[~bg], cols[~bg]] ^= 1
-        alive = rows
+        # the jump is at the first slot whose cumulative rate reaches u; a
+        # stopped replica's u = inf reaches none
+        u = np.where(act, rng.uniform(0.0, 1.0, replicas)[live] * total, np.inf)
+        below = cum < u
+        cur[slot_rows] ^= np.diff(below, axis=0, prepend=True)
+        if not act.all():
+            state[:, live[~act]] = cur[:, ~act]
+            keep = np.flatnonzero(act)
+            live, cur, clock = live[keep], cur.take(keep, axis=1), clock[keep]
+    state[:, live] = cur
 
-    return B[:, halo:halo + n].copy(), E[:, halo:halo + n].copy()
+    return (
+        np.ascontiguousarray(state[halo:halo + n].T).view(np.int8),
+        np.ascontiguousarray(state[width + halo:width + halo + n].T).view(np.int8),
+    )

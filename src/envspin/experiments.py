@@ -55,6 +55,8 @@ def sample_ordered_triples(rng, replicas, n):
 def _window_sites(spec, k):
     """2k+1 contiguous sites recentred on the middle of the window."""
     n = spec.size
+    if k < 0:
+        raise ValueError("window half-width %d is negative" % k)
     if 2 * k + 1 > n:
         raise ValueError("window half-width %d does not fit in %d sites" % (k, n))
     center = n // 2

@@ -370,8 +370,8 @@ def accept_window(center, rate, clock):
     return 0, rate
 
 
-# rings prepared at once (a step with more active replicas is one block on
-# its own), and the most entries a joint flip table may hold
+# rings prepared at once (a step with more active replicas is applied in
+# slices of this many), and the most entries a joint flip table may hold
 BLOCK_RINGS = 4096
 TABLE_CAP = 1 << 20
 # the finest binning of the mark ranks, and the most window endpoints one
@@ -545,7 +545,8 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     rank), and reads the XOR mask of the fields that flip from the joint
     flip table of `_flip_table`.  The state-free work (sites, ranks, gather
     indices) is prepared per block of whole steps of at most BLOCK_RINGS
-    rings.
+    rings; a step with more rings draws its sites and marks whole and is
+    applied in slices of BLOCK_RINGS, so the temporaries stay cache-sized.
 
     Returns the grid times, per grid time the in-window bits of every field,
     and the counters of `BatchResult`.
@@ -607,7 +608,9 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     bg_rings = 0
 
     def run_block(xs, us, base):
-        """Apply the rings of whole consecutive steps, step by step."""
+        """Apply the rings of consecutive steps, step by step, the rings of
+        step j to the replicas at `base[:len(xs[j])]`; returns the new bytes
+        at the rings' sites."""
         nonlocal bg_rings
         u = np.concatenate(us)
         rank = _ranks(u, ft.edges, lookup)
@@ -627,17 +630,21 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
             flat[gather[halo, lo:hi]] = new[lo:hi]
             lo = hi
         hist[:] += np.bincount(mask, minlength=256)
+        return new
+
+    def check(new, sizes):
+        """Raise on a crossed pair in the new bytes of steps of these sizes,
+        naming the first crossed pair of the first step with a crossing."""
         if pairs and crossed.take(new).any():
-            # name the first crossed pair of the first step with a crossing
             lo = 0
-            for x in xs:
-                step = new[lo:lo + len(x)]
+            for size in sizes:
+                step = new[lo:lo + size]
                 for p, q in pairs:
                     if (((step >> p) & 1) > ((step >> q) & 1)).any():
                         raise OrderViolationError(
                             "%s and %s crossed in a lockstep step" % (names[p], names[q])
                         )
-                lo += len(x)
+                lo += size
 
     rng = np.random.default_rng(seed)
     times, snaps = [], []
@@ -649,24 +656,35 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
             counts = rng.poisson(lam * n * dt, replicas)
         else:
             counts = np.zeros(replicas, dtype=np.int64)
-        # replicas by decreasing ring count: those still active at step j
-        # are a prefix of `order`
-        order = np.argsort(-counts, kind="stable")
-        base = order * width
         n_steps = int(counts.max()) if replicas else 0
+        # replicas by decreasing ring count: those still active at step j
+        # are a prefix of `order`; numpy sorts keys of at most 16 bits stably
+        # by radix sort, so the keys get the smallest type that holds them
+        order = np.argsort((n_steps - counts).astype(np.min_scalar_type(n_steps)), kind="stable")
+        base = order * width
         active = replicas - np.cumsum(np.bincount(counts, minlength=n_steps))[:n_steps]
         steps += n_steps
         events += int(counts.sum())
         xs, us, size = [], [], 0
         for a in active.tolist():
             if xs and size + a > BLOCK_RINGS:
-                run_block(xs, us, base)
+                check(run_block(xs, us, base), [len(x) for x in xs])
                 xs, us, size = [], [], 0
-            size += a
-            xs.append(rng.integers(0, n, a))
-            us.append(rng.uniform(0.0, lam, a))
+            x, u = rng.integers(0, n, a), rng.uniform(0.0, lam, a)
+            if a > BLOCK_RINGS:
+                # the rings of one step fall on distinct replicas, so slices
+                # of the step apply independently
+                new = [
+                    run_block([x[lo:lo + BLOCK_RINGS]], [u[lo:lo + BLOCK_RINGS]], base[lo:])
+                    for lo in range(0, a, BLOCK_RINGS)
+                ]
+                check(np.concatenate(new), [a])
+            else:
+                xs.append(x)
+                us.append(u)
+                size += a
         if xs:
-            run_block(xs, us, base)
+            check(run_block(xs, us, base), [len(x) for x in xs])
         times.append(t)
         body = state[:, halo:halo + n]
         snaps.append([((body >> f) & 1).astype(np.int8) for f in range(n_fields)])

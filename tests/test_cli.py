@@ -203,6 +203,12 @@ INPUT_ERRORS = {
     "no-replicas": (["scenario", "coalescence", *CPREE, "--replicas", "0"], "argument --replicas: "),
     "simulate-negative-tmax": (["simulate", *CPREE, "--tmax", "-1"], "argument --tmax: "),
     "couple-negative-tmax": (["couple", *CPREE, "--tmax", "-1"], "argument --tmax: "),
+    "missing-preset-parameter": (["validate", "--preset", "cpree", "--delta0", "1", "--delta1", "0.5",
+                                  "--p", "0.5"], "config error: preset cpree needs --gamma"),
+    "negative-window": (["scenario", "coalescence", *CPREE, "--sites", "5", "--window", "-1",
+                         "--replicas", "10", "--tmax", "0.5"], "scenario error: window half-width -1 is negative"),
+    "manifest-without-replay-args": (["replay", "bare.manifest.json"], "replay error: "),
+    "replay-args-not-strings": (["replay", "numbers.manifest.json"], "replay error: "),
 }
 
 
@@ -210,14 +216,20 @@ INPUT_ERRORS = {
 def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypatch, case):
     argv, message = INPUT_ERRORS[case]
     monkeypatch.chdir(tmp_path)
-    Path("notjson.manifest.json").write_text("not json\n")
+    manifests = {
+        "notjson.manifest.json": "not json\n",
+        "bare.manifest.json": '{"manifest_version": 1}\n',
+        "numbers.manifest.json": '{"manifest_version": 1, "replay_args": ["validate", 3]}\n',
+    }
+    for name, text in manifests.items():
+        Path(name).write_text(text)
     try:
         code = main(argv)
     except SystemExit as err:  # argparse rejects the value before main's handler
         code = err.code
     assert code == 2
     assert message in capsys.readouterr().err.splitlines()[-1]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["notjson.manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifests)
 
 
 OUT_COMMANDS = {

@@ -32,7 +32,7 @@ from envspin import (
     simulate_coupled,
 )
 from envspin.coupling import batch_simulate_pair
-from envspin.graphical import OrderViolationError
+from envspin.graphical import BLOCK_RINGS, OrderViolationError
 from envspin.rates import LocalSpinRates
 
 from _support import (
@@ -165,6 +165,19 @@ def unchecked():
     return _evolve_digest(spec, beta, layers, [1.0], 300, 17, check_order=False)
 
 
+def split_steps():
+    # more replicas than BLOCK_RINGS: early steps apply their rings in
+    # pieces of BLOCK_RINGS, the last piece ragged
+    replicas = 2 * BLOCK_RINGS + 37
+    spec = preset("cpree", sites=3, **SUPERCRITICAL)
+    beta, layers = _random_triple_start(np.random.default_rng(76), replicas, 3)
+    h = hashlib.sha256(_evolve_digest(spec, beta, layers, [0.4, 0.8], replicas, 20).encode())
+    frozen = _frozen_spec(1, FrozenWords("01", "10"), 4)
+    times, snaps, violations = batch_envelope(frozen, [0.3, 0.6], replicas, 21)
+    h.update(_digest(times, snaps, violations).encode())
+    return h.hexdigest()
+
+
 def _crossing_spec():
     # a spin table that falls with its neighbors at center 0 is not
     # attractive, so ordered layers cross
@@ -231,6 +244,24 @@ def coupled_direct():
     return h.hexdigest()
 
 
+def coupled_direct_wide():
+    # 9 sites at background range 2: totals summed over more than 8 sites, and
+    # words read across the ring's seam and from frozen boundary words
+    rng = np.random.default_rng(96)
+    h = hashlib.sha256()
+    for spec in (
+        ModelSpec(random_compatible_pair(rng, positive=True), random_attractive_env(rng, 2), 9),
+        _frozen_spec(2, PerLayerFrozen(FrozenWords("110", "01"), FrozenWords("01", "001")), 9),
+    ):
+        beta0 = spec.env_config(tuple(int(x % 4 == 1) for x in range(9)))
+        for arity in (1, 3, 4):
+            initial = JointState(beta0, tuple(_spin_stack(spec, arity)))
+            for seed in (0, 1):
+                traj = simulate_coupled(CoupledSpec(spec, arity), initial, seed, 3.0)
+                h.update(traj.to_csv_text().encode())
+    return h.hexdigest()
+
+
 GOLDEN = {
     bench_cpree: "9b1712a4e59f9bc34b91e73b316220c8b569cdd8d832c0a414e217a3d65b2729",
     envelope: "03d86a50dcd07fa4487c2e1a75d88ca3bb282f237d409d592b3d4103fa5e0d44",
@@ -244,6 +275,8 @@ GOLDEN = {
     direct_pair_simulation: "cb0f04e07b0ed71ed465a13874400518af39dbe477696751d12a7f873af441af",
     mark_engine: "7d181352b2a5dadff2106ee634d50a4b65e63fa3d46af61458482a109118e659",
     coupled_direct: "a1bd8a63ec611aef3773186f64938e624c84687c3ef64f811cf3a9498ec796f9",
+    split_steps: "a128d5ec7fd4346d3a8c2facc9ad71a52fc2db15b5020ac5d7579bb3ed58b984",
+    coupled_direct_wide: "effde15f95cb4c9b16ea7a3c850861d780bcfbc386f2ad5388aa0eb6c765607d",
 }
 
 
