@@ -650,6 +650,9 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     times, snaps = [], []
     steps = events = 0
     t_prev = 0.0
+    # replica r sits in row at[r] of `state`; base[i] starts row i
+    at = np.arange(replicas)
+    base = at * width
     for t in grid:
         dt, t_prev = t - t_prev, t
         if lam > 0 and dt > 0:
@@ -661,7 +664,9 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         # are a prefix of `order`; numpy sorts keys of at most 16 bits stably
         # by radix sort, so the keys get the smallest type that holds them
         order = np.argsort((n_steps - counts).astype(np.min_scalar_type(n_steps)), kind="stable")
-        base = order * width
+        # rows in that order, so that every step reads and writes a prefix
+        state[:] = state[at.take(order)]
+        at[order] = np.arange(replicas)
         active = replicas - np.cumsum(np.bincount(counts, minlength=n_steps))[:n_steps]
         steps += n_steps
         events += int(counts.sum())
@@ -686,7 +691,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         if xs:
             check(run_block(xs, us, base), [len(x) for x in xs])
         times.append(t)
-        body = state[:, halo:halo + n]
+        body = state[at, halo:halo + n]
         snaps.append([((body >> f) & 1).astype(np.int8) for f in range(n_fields)])
 
     counters = {
