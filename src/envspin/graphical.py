@@ -14,10 +14,11 @@ order, turning each into a flip or not by a deterministic acceptance rule:
 The lockstep engine (`batch_evolve`, `batch_envelope`) runs many replicas of
 the same rules on a tighter clock: a site rings at rate b_bar + c_hat, where
 c_hat is the largest up-rate plus the largest down-rate over both spin
-tables, and each ring draws one mark U on [0, b_bar + c_hat).  U < b_bar is a
-background ring with mark U; otherwise every spin layer reads U - b_bar with
-the windows of `accept_window`: the top c_i(x, .) of [0, c_hat] for up-flips,
-the bottom c_i(x, .) for down-flips.
+tables, and each ring has a uniform site x and one mark U on
+[0, b_bar + c_hat).  U < b_bar is a background ring with mark U; otherwise
+every spin layer reads U - b_bar with the windows of `accept_window`: the
+top c_i(x, .) of [0, c_hat] for up-flips, the bottom c_i(x, .) for
+down-flips.
 
 Top-anchored up-windows and bottom-anchored down-windows nest across ordered
 configurations, so several layers evolved from one stream flip together as
@@ -32,8 +33,9 @@ call, maps (the bits a ring reads, the atom of U) to the XOR mask of the
 fields that flip, and each replica-site keeps all its fields in one byte:
 a ring is one gather of the bytes around its site, one lookup per slot for
 its key, and one table lookup.  The table's atom lengths per flip set are
-`window_rates`' rates, and the outputs are bit-for-bit those of the direct
-comparisons.
+`window_rates`' rates.  Nor does the engine draw U: one uniform double per
+ring, ranked among the (site, atom) starts of `_site_atoms`, picks the site
+and the atom together.
 """
 
 from __future__ import annotations
@@ -500,6 +502,26 @@ def _ranks(u, edges, lookup):
     return rank
 
 
+def _site_atoms(edges, n):
+    """Split [0, 1) among the (site, atom) pairs of a ring on n sites whose
+    atoms are cut by the sorted `edges` (the last at the clock rate lam > 0).
+
+    Site x and atom k get [(x*lam + edges[k]) / (n*lam), the next start),
+    one nth of a site's atoms shrunk into the site's nth of [0, 1), so one
+    uniform V ranked among the starts picks a site uniformly and its atom
+    with probability (edges[k+1] - edges[k]) / lam.  The starts are made
+    nondecreasing (float rounding at a site's end could step back), and a
+    start equal to the next one is dropped: an atom that collapses in floats
+    goes to the later (x, k).  Returns (starts, site, atom), one entry per
+    kept pair."""
+    lam, n_atoms = edges[-1], len(edges) - 1
+    site = np.repeat(np.arange(n), n_atoms)
+    atom = np.tile(np.arange(n_atoms), n)
+    starts = np.maximum.accumulate((site * lam + edges.take(atom)) / (n * lam))
+    keep = np.append(starts[1:] != starts[:-1], True)
+    return starts[keep], site[keep], atom[keep]
+
+
 def _key_lookup(ft, halo):
     """Flatten a `_FlipTable` for `_lockstep`'s gathers of the bytes at
     x - halo..x + halo.  Returns the flat table, in which the block of rank k
@@ -531,22 +553,28 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     `groups` holds (background start, [spin layer starts]) per group and
     `names` names every field, group by group, background first.  Per grid
     interval each replica gets a Poisson number of rings of its clock of rate
-    N*(b_bar + c_hat), and each ring draws a site x and one mark U on
-    [0, b_bar + c_hat): U < b_bar rings every background at x with mark U,
-    otherwise every spin layer reads U - b_bar against its own group's
-    background.  Every initially ordered pair of fields that the coupling
-    keeps ordered is compared at x after each ring, and a crossing raises
-    OrderViolationError.  RNG use depends only on (seed, grid, Poisson
-    counts), never on the state.
+    N*(b_bar + c_hat), and step j applies ring j of every replica with more
+    than j rings.  Each ring draws one double V on [0, 1) (`rng.random`, in
+    step order), whose rank among the starts of `_site_atoms` gives its site
+    x and the atom of its mark U on [0, b_bar + c_hat): U < b_bar rings every
+    background at x with mark U, otherwise every spin layer reads U - b_bar
+    against its own group's background.  Every initially ordered pair of
+    fields that the coupling keeps ordered is compared at x after each ring,
+    and a crossing raises OrderViolationError.  RNG use depends only on
+    (seed, grid, Poisson counts), never on the state.
 
     A replica-site holds all its fields in one byte, bit f for field f.  A
     ring gathers the bytes at x - halo..x + halo, turns them into its key by
     one lookup per slot (the center slot's row also adds the offset of U's
-    rank), and reads the XOR mask of the fields that flip from the joint
-    flip table of `_flip_table`.  The state-free work (sites, ranks, gather
-    indices) is prepared per block of whole steps of at most BLOCK_RINGS
-    rings; a step with more rings draws its sites and marks whole and is
-    applied in slices of BLOCK_RINGS, so the temporaries stay cache-sized.
+    atom), and reads the XOR mask of the fields that flip from the joint
+    flip table of `_flip_table`; the gather columns and key rows of every
+    (site, atom) pair are laid out once per call, so a ring's rank indexes
+    both.  At each grid interval the replica rows move into that interval's
+    ring-count order, so every step reads and writes a prefix of the rows.
+    The state-free work (draws, ranks, gather indices) is done per block of
+    whole steps of at most BLOCK_RINGS rings; a step with more rings is
+    drawn and applied in slices of BLOCK_RINGS (`rng.random` draws the same
+    doubles in any chunks), so the temporaries stay cache-sized.
 
     Returns the grid times, per grid time the in-window bits of every field,
     and the counters of `BatchResult`.
@@ -601,28 +629,31 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     crossed = sum((((byte >> p) & ~(byte >> q)) & 1 for p, q in pairs), np.zeros(256, dtype=np.intp))
 
     table, lut, rows_of = _key_lookup(ft, halo)
-    # a clock of rate 0 never rings
-    lookup = _rank_lookup(ft.edges, lam) if lam > 0 else None
+    if lam > 0:  # a clock of rate 0 never rings
+        starts, site, atom = _site_atoms(ft.edges, n)
+        lookup = _rank_lookup(starts, 1.0)
+        # the gather columns and the key rows of every (site, atom) pair
+        pair_cols, pair_rows = cols.take(site, axis=1), rows_of.take(atom, axis=1)
 
     hist = np.zeros(256, dtype=np.int64)
     bg_rings = 0
 
-    def run_block(xs, us, base):
-        """Apply the rings of consecutive steps, step by step, the rings of
-        step j to the replicas at `base[:len(xs[j])]`; returns the new bytes
-        at the rings' sites."""
+    def run_block(sizes, base):
+        """Draw and apply the rings of consecutive steps, step by step, the
+        sizes[j] rings of step j to the rows at `base[:sizes[j]]`; returns
+        the new bytes at the rings' sites."""
         nonlocal bg_rings
-        u = np.concatenate(us)
-        rank = _ranks(u, ft.edges, lookup)
-        bg_rings += int(np.count_nonzero(rank < ft.n_bg))
-        gather = cols.take(np.concatenate(xs), axis=1)
-        gather += np.concatenate([base[:len(x)] for x in xs])
-        rows = rows_of.take(rank, axis=1)
-        mask = np.empty(len(u), dtype=np.uint8)
-        new = np.empty(len(u), dtype=np.uint8)
+        rank = _ranks(rng.random(sum(sizes)), starts, lookup)
+        gather = pair_cols.take(rank, axis=1)
+        gather += np.concatenate([base[:a] for a in sizes])
+        rows = pair_rows.take(rank, axis=1)
+        # slot 0 is not the center: its row is 0 exactly for background rings
+        bg_rings += len(rank) - int(np.count_nonzero(rows[0]))
+        mask = np.empty(len(rank), dtype=np.uint8)
+        new = np.empty(len(rank), dtype=np.uint8)
         lo = 0
-        for x in xs:
-            hi = lo + len(x)
+        for a in sizes:
+            hi = lo + a
             b = flat.take(gather[:, lo:hi])
             # in-range keys: "clip" spares take's buffered bounds check
             table.take(np.add.reduce(lut.take(b + rows[:, lo:hi])), out=mask[lo:hi], mode="clip")
@@ -670,26 +701,21 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         active = replicas - np.cumsum(np.bincount(counts, minlength=n_steps))[:n_steps]
         steps += n_steps
         events += int(counts.sum())
-        xs, us, size = [], [], 0
+        sizes, size = [], 0
         for a in active.tolist():
-            if xs and size + a > BLOCK_RINGS:
-                check(run_block(xs, us, base), [len(x) for x in xs])
-                xs, us, size = [], [], 0
-            x, u = rng.integers(0, n, a), rng.uniform(0.0, lam, a)
+            if sizes and size + a > BLOCK_RINGS:
+                check(run_block(sizes, base), sizes)
+                sizes, size = [], 0
             if a > BLOCK_RINGS:
                 # the rings of one step fall on distinct replicas, so slices
                 # of the step apply independently
-                new = [
-                    run_block([x[lo:lo + BLOCK_RINGS]], [u[lo:lo + BLOCK_RINGS]], base[lo:])
-                    for lo in range(0, a, BLOCK_RINGS)
-                ]
+                new = [run_block([min(a - lo, BLOCK_RINGS)], base[lo:]) for lo in range(0, a, BLOCK_RINGS)]
                 check(np.concatenate(new), [a])
             else:
-                xs.append(x)
-                us.append(u)
+                sizes.append(a)
                 size += a
-        if xs:
-            check(run_block(xs, us, base), [len(x) for x in xs])
+        if sizes:
+            check(run_block(sizes, base), sizes)
         times.append(t)
         body = state[at, halo:halo + n]
         snaps.append([((body >> f) & 1).astype(np.int8) for f in range(n_fields)])

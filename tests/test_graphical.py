@@ -30,6 +30,7 @@ from envspin.rates import LocalSpinRates, ModelSpec
 from _support import (
     GATE_LEVEL,
     empirical_pair_distribution,
+    ordered_stack,
     ordered_window_triples,
     pooled_chi_square,
     random_attractive_env,
@@ -326,6 +327,28 @@ def test_lockstep_engines_reject_decreasing_or_negative_grid():
         batch_envelope(spec, [-1.0], 10, seed=1)
 
 
+def test_lockstep_snapshot_does_not_depend_on_later_grid_times():
+    # distinct per-replica starts; the rows move into each interval's
+    # ring-count order, and the snapshots must still come back per replica
+    rng = np.random.default_rng(43)
+    replicas, n = 300, 12
+    beta = rng.integers(0, 2, (replicas, n))
+    layers = ordered_stack(rng.integers(0, 4, (replicas, n)))
+    for spec in (cpree(sites=n, delta0=1.0, delta1=0.5, lam=3.0), preset("contact", sites=n, lam=2.0, delta=1.0)):
+        start = ((beta, spec.env_boundary), [(a, spec.spin_boundary) for a in layers])
+        short = batch_evolve(spec, *start, [0.6], replicas, seed=5)
+        long = batch_evolve(spec, *start, [0.6, 1.2], replicas, seed=5)
+        assert np.array_equal(short.background[0], long.background[0])
+        for a, b in zip(short.layers[0], long.layers[0]):
+            assert np.array_equal(a, b)
+        if spec.constants().b_bar == 0:
+            # the contact preset's background never rings
+            assert all(np.array_equal(snap, beta) for snap in long.background)
+    spec = cpree(sites=n, delta0=1.0, delta1=0.5, lam=3.0)
+    short, long = batch_envelope(spec, [0.6], replicas, 6)[1], batch_envelope(spec, [0.6, 1.2], replicas, 6)[1]
+    assert all(np.array_equal(a, b) for a, b in zip(short[0], long[0]))
+
+
 def _window_defects(pair, clock):
     """Exact checks of the engine's acceptance windows on [0, clock] for one
     spin pair: windows inside [0, clock]; for every ordered pair of
@@ -412,6 +435,90 @@ def test_rank_lookup_matches_binary_search():
         ])
         assert np.array_equal(graphical._ranks(u, edges, lookup), np.searchsorted(edges, u, "right") - 1)
     assert paths == {True, False}
+    # the site-shifted atom starts that the lockstep engine ranks its
+    # uniforms among, for the benchmark's cpree on 64 and 4096 sites
+    for n in (64, 4096):
+        spec = cpree(sites=n, delta0=1.0, delta1=0.5, lam=3.0)
+        consts = spec.constants()
+        lam = consts.b_bar + consts.c_hat
+        ft = graphical._flip_table(graphical._windows(spec, consts), [0, 0, 0, 0], 0, consts.b_bar, lam)
+        edges = graphical._site_atoms(ft.edges, n)[0]
+        lookup = graphical._rank_lookup(edges, 1.0)
+        assert lookup is not None and lookup[2].shape[1] <= graphical.RANK_BINS + 1
+        u = np.concatenate([
+            rng.random(20000),
+            edges,
+            np.nextafter(edges[1:], -np.inf),
+            np.nextafter(edges, np.inf),
+        ])
+        assert np.array_equal(graphical._ranks(u, edges, lookup), np.searchsorted(edges, u, "right") - 1)
+
+
+# bounds, in units of 2**-53, on how far the float starts and lengths of the
+# (site, atom) V-intervals may stray from the exact ones: four roundings
+# (x*lam, + edges[k], n*lam, the quotient) each within 2**-53 of a start <= 1
+START_ULPS, LENGTH_ULPS = 4, 8
+
+
+def _site_atom_defects(site_atoms=graphical._site_atoms):
+    """Defects of the map from one uniform V on [0, 1) to a (site, atom)
+    pair, over one random spec per ring size n = 1..70 (range 0-2, periodic
+    and frozen, rates on the dyadic grid or scaled off it): ("order", n)
+    when the pairs of `site_atoms` do not increase with V or miss a site,
+    else (n, x, k) for each pair whose V-interval starts more than
+    START_ULPS * 2**-53 from (x*lam + edges[k]) / (n*lam), or whose length
+    is more than LENGTH_ULPS * 2**-53 from (edges[k+1] - edges[k]) / (n*lam).
+    A pair whose atom collapsed owns the empty interval at the next kept
+    start.  All comparisons are exact integer arithmetic on the floats."""
+    rng = np.random.default_rng(42)
+    defects = []
+    for n in range(1, 71):
+        radius = n % 3
+        pair, env = random_compatible_pair(rng), random_attractive_env(rng, radius)
+        if n % 2:
+            factor = rng.uniform(0.3, 3.0)
+            pair = SpinRatePair(*(LocalSpinRates(tuple(v * factor for v in c.values)) for c in (pair.c0, pair.c1)))
+            env = EnvRateSpec(radius, tuple(v * factor for v in env.table))
+        boundary = FrozenWords("10" * radius or "1", "01") if n % 4 < 2 else PERIODIC
+        spec = ModelSpec(pair, env, n, boundary)
+        consts = spec.constants()
+        lam = consts.b_bar + consts.c_hat
+        edges = graphical._flip_table(graphical._windows(spec, consts), [0, 0], radius, consts.b_bar, lam).edges
+        starts, site, atom = site_atoms(edges, n)
+        n_atoms = len(edges) - 1
+        pairs = site * n_atoms + atom
+        if (np.diff(pairs) <= 0).any() or set(site.tolist()) != set(range(n)) or starts[0] != 0:
+            defects.append(("order", n))
+            continue
+        begin = np.append(starts, 1.0)[np.searchsorted(pairs, np.arange(n * n_atoms + 1))]
+        b, q = float(lam).as_integer_ratio()
+        ratios = [e.as_integer_ratio() for e in edges.tolist()]
+        # start error of pair (x, k) as num / den: begin - (x*lam + e) / (n*lam)
+        errs = []
+        for p, v in enumerate(begin.tolist()):
+            x, k = divmod(p, n_atoms)
+            a, d = v.as_integer_ratio()
+            c, r = ratios[k]
+            errs.append((a * n * b * r - d * (x * b * r + c * q), d * n * b * r))
+        for p, ((num, den), (num2, den2)) in enumerate(zip(errs, errs[1:])):
+            length_err = abs(num2 * den - num * den2)
+            if abs(num) << 53 > START_ULPS * den or length_err << 53 > LENGTH_ULPS * den * den2:
+                defects.append((n,) + divmod(p, n_atoms))
+    return defects
+
+
+def test_site_atom_map_certificate():
+    # every (site, atom) pair gets the V-interval of its exact probability,
+    # in order of V, within a few ulps, on every ring size up to 70
+    assert _site_atom_defects() == []
+
+
+def test_site_atom_certificate_refuses_a_shifted_site_map():
+    def planted(edges, n):
+        starts, site, atom = graphical._site_atoms(edges, n)
+        return starts, (site + 1) % n, atom
+
+    assert _site_atom_defects(planted) != []
 
 
 def _joint_table_defects(pair, windows=graphical._windows, key_lookup=graphical._key_lookup):
