@@ -567,14 +567,14 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     ring gathers the bytes at x - halo..x + halo, turns them into its key by
     one lookup per slot (the center slot's row also adds the offset of U's
     atom), and reads the XOR mask of the fields that flip from the joint
-    flip table of `_flip_table`; the gather columns and key rows of every
-    (site, atom) pair are laid out once per call, so a ring's rank indexes
-    both.  At each grid interval the replica rows move into that interval's
-    ring-count order, so every step reads and writes a prefix of the rows.
-    The state-free work (draws, ranks, gather indices) is done per block of
-    whole steps of at most BLOCK_RINGS rings; a step with more rings is
-    drawn and applied in slices of BLOCK_RINGS (`rng.random` draws the same
-    doubles in any chunks), so the temporaries stay cache-sized.
+    flip table of `_flip_table`; the site and atom of a ring's rank pick
+    its gather columns and key rows.  At each grid interval the replica rows
+    move into that interval's ring-count order, so every step reads and
+    writes a prefix of the rows.  The state-free work (draws, ranks, gather
+    indices) is done per block of whole steps of at most BLOCK_RINGS rings;
+    a step with more rings is drawn and applied in slices of BLOCK_RINGS
+    (`rng.random` draws the same doubles in any chunks), so the temporaries
+    stay cache-sized.
 
     Returns the grid times, per grid time the in-window bits of every field,
     and the counters of `BatchResult`.
@@ -632,8 +632,6 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     if lam > 0:  # a clock of rate 0 never rings
         starts, site, atom = _site_atoms(ft.edges, n)
         lookup = _rank_lookup(starts, 1.0)
-        # the gather columns and the key rows of every (site, atom) pair
-        pair_cols, pair_rows = cols.take(site, axis=1), rows_of.take(atom, axis=1)
 
     hist = np.zeros(256, dtype=np.int64)
     bg_rings = 0
@@ -644,9 +642,9 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         the new bytes at the rings' sites."""
         nonlocal bg_rings
         rank = _ranks(rng.random(sum(sizes)), starts, lookup)
-        gather = pair_cols.take(rank, axis=1)
+        gather = cols.take(site.take(rank), axis=1)
         gather += np.concatenate([base[:a] for a in sizes])
-        rows = pair_rows.take(rank, axis=1)
+        rows = rows_of.take(atom.take(rank), axis=1)
         # slot 0 is not the center: its row is 0 exactly for background rings
         bg_rings += len(rank) - int(np.count_nonzero(rows[0]))
         mask = np.empty(len(rank), dtype=np.uint8)

@@ -349,6 +349,26 @@ def test_lockstep_snapshot_does_not_depend_on_later_grid_times():
     assert all(np.array_equal(a, b) for a, b in zip(short[0], long[0]))
 
 
+def test_lockstep_output_does_not_depend_on_block_size(monkeypatch):
+    # blocks of whole steps and slices of one step draw the same doubles in
+    # the same order, and the rings of one step fall on distinct replicas
+    rng = np.random.default_rng(44)
+    replicas, n = 200, 10
+    spec = cpree(sites=n, delta0=1.0, delta1=0.5, lam=3.0)
+    beta = (rng.integers(0, 2, (replicas, n)), spec.env_boundary)
+    layers = [(a, spec.spin_boundary) for a in ordered_stack(rng.integers(0, 4, (replicas, n)))]
+    runs = []
+    for block in (graphical.BLOCK_RINGS, 67):
+        monkeypatch.setattr(graphical, "BLOCK_RINGS", block)
+        res = batch_evolve(spec, beta, layers, [0.5, 1.0], replicas, seed=9)
+        snaps = [[b, *ls] for b, ls in zip(res.background, res.layers)]
+        runs.append((res.counters, snaps, batch_envelope(spec, [0.5, 1.0], replicas, 9)[1]))
+    (counters, *a), (counters_b, *b) = runs
+    assert counters == counters_b
+    for x, y in zip(a, b):
+        assert all(np.array_equal(f, g) for snap, snap_b in zip(x, y) for f, g in zip(snap, snap_b))
+
+
 def _window_defects(pair, clock):
     """Exact checks of the engine's acceptance windows on [0, clock] for one
     spin pair: windows inside [0, clock]; for every ordered pair of
