@@ -141,6 +141,10 @@ def _resolve_spec(args, parser, sites=16):
         sites = args.sites
     try:
         return preset(args.preset, sites=sites, boundary=boundary, **params)
+    except ConfigError as err:
+        # an unknown preset or a parameter it does not take
+        print("config error: %s" % err, file=sys.stderr)
+        raise SystemExit(2) from None
     except KeyError as err:
         # a required preset parameter that no flag gave
         name = err.args[0]
@@ -386,9 +390,13 @@ def cmd_replay(args, parser):
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         print("replay error: manifest holds no replay_args list of strings", file=sys.stderr)
         return 2
-    if manifest.get("resolved_config"):
+    config = manifest.get("resolved_config")
+    if not isinstance(config, (str, type(None))):
+        print("replay error: manifest resolved_config is not a string", file=sys.stderr)
+        return 2
+    if config:
         cfg_path = Path(prefix + ".replay.config")
-        cfg_path.write_text(manifest["resolved_config"])
+        cfg_path.write_text(config)
         argv += ["--config", str(cfg_path)]
     argv += ["--out", prefix]
     return main(argv)

@@ -408,7 +408,7 @@ def preset(name, *, sites=16, boundary=None, **params):
         if boundary is None:
             boundary = PerLayerFrozen(env=FrozenWords("1", "1"), spin=FrozenWords("0", "1"))
     else:
-        raise ValueError("unknown preset %r" % name)
+        raise ConfigError("unknown preset %r" % name)
     spec = ModelSpec(spin, env, sites, boundary if boundary is not None else PERIODIC)
     spec.require_valid()
     return spec
@@ -416,7 +416,7 @@ def preset(name, *, sites=16, boundary=None, **params):
 
 def _no_extra(params):
     if params:
-        raise ValueError("unexpected preset parameters: %s" % ", ".join(sorted(params)))
+        raise ConfigError("unexpected preset parameters: %s" % ", ".join(sorted(params)))
 
 
 # ---------------------------------------------------------------------------

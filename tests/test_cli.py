@@ -23,6 +23,10 @@ def test_validate_exit_codes(tmp_path, capsys):
 
     assert main(["validate", "--preset", "cpree", "--gamma", "1", "--delta0", "1",
                  "--delta1", "2", "--p", "0.5", "--sites", "8"]) == 1
+    # a bad preset value is a validation failure, not an input error
+    assert main(["validate", "--preset", "cpree", "--gamma", "0", "--delta0", "2",
+                 "--delta1", "1", "--p", "0.5"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "invalid preset: gamma must be > 0"
 
     assert main(["validate", "--preset", "remark_vi", "--sites", "5"]) == 0
     out = capsys.readouterr().out
@@ -209,6 +213,10 @@ INPUT_ERRORS = {
                          "--replicas", "10", "--tmax", "0.5"], "scenario error: window half-width -1 is negative"),
     "manifest-without-replay-args": (["replay", "bare.manifest.json"], "replay error: "),
     "replay-args-not-strings": (["replay", "numbers.manifest.json"], "replay error: "),
+    "config-not-a-string": (["replay", "intconfig.manifest.json"], "replay error: "),
+    "unknown-preset": (["validate", "--preset", "nosuch"], "config error: unknown preset 'nosuch'"),
+    "unexpected-preset-parameter": (["validate", "--preset", "contact", "--lambda", "1", "--delta", "1",
+                                     "--gamma", "1"], "config error: unexpected preset parameters: gamma"),
 }
 
 
@@ -220,6 +228,7 @@ def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypat
         "notjson.manifest.json": "not json\n",
         "bare.manifest.json": '{"manifest_version": 1}\n',
         "numbers.manifest.json": '{"manifest_version": 1, "replay_args": ["validate", 3]}\n',
+        "intconfig.manifest.json": '{"manifest_version": 1, "replay_args": ["validate"], "resolved_config": 5}\n',
     }
     for name, text in manifests.items():
         Path(name).write_text(text)
