@@ -391,7 +391,7 @@ def cmd_replay(args, parser):
         print("replay error: manifest holds no replay_args list of strings", file=sys.stderr)
         return 2
     config = manifest.get("resolved_config")
-    if not isinstance(config, (str, type(None))):
+    if config is not None and not isinstance(config, str):
         print("replay error: manifest resolved_config is not a string", file=sys.stderr)
         return 2
     if config:
