@@ -7,8 +7,8 @@ replay MANIFEST` re-runs the command and reproduces the data files byte for
 byte (timestamps and runtime fields live only in the manifest and reports).
 
 Exit codes: 0 success, 1 validation failure, 2 usage or input error (a
-config, oracle, scenario or manifest input that cannot run, or an --out
-prefix in a missing directory), 3 numerical flag (a
+config, start bits, oracle, scenario or manifest input that cannot run, or
+an --out prefix in a missing directory), 3 numerical flag (a
 failed class certificate or residual, or non-convergence in the oracle).
 """
 
@@ -232,6 +232,10 @@ def cmd_simulate(args, parser):
     spec = _resolve_spec(args, parser)
     spec.require_valid()
     args.seed = _resolve_seed(args)
+    for flag, bits in (("--init-beta", args.init_beta), ("--init-eta", args.init_eta)):
+        if bits and (len(bits) != spec.size or set(bits) - {"0", "1"}):
+            print("simulate error: %s %s is not %d bits 0 or 1" % (flag, bits, spec.size), file=sys.stderr)
+            return 2
     beta0 = spec.env_config(args.init_beta if args.init_beta else (0,) * spec.size)
     eta0 = spec.spin_config(args.init_eta if args.init_eta else (1,) * spec.size)
     traj = graphical.evolve(beta0, [eta0], graphical.EventStream(spec, args.seed, args.tmax))

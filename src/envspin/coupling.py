@@ -183,13 +183,11 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
         return found
 
     menus, site_totals = (list(v) for v in zip(*(menu_at(x) for x in range(n))))
-    totals = np.array(site_totals)
 
     events = []
     t = 0.0
     while True:
-        # a numpy sum: from 8 sites on its order is not left to right
-        total = float(totals.sum())
+        total = sum(site_totals)
         if total <= 0.0:
             break
         t += rng.standard_exponential() * (1.0 / total)
@@ -230,7 +228,6 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
                     )
         for y in near[x]:
             menus[y], site_totals[y] = menu_at(y)
-            totals[y] = site_totals[y]
 
     def final(bits, cfg):
         return Configuration(tuple(bits[radius:radius + n]), cfg.boundary)

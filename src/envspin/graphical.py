@@ -372,8 +372,9 @@ def accept_window(center, rate, clock):
     return 0, rate
 
 
-# rings prepared at once (a step with more active replicas is applied in
-# slices of this many), and the most entries a joint flip table may hold
+# the most rings drawn and applied at once (a step with more active replicas
+# is cut into pieces of this many), and the most entries a joint flip table
+# may hold
 BLOCK_RINGS = 4096
 TABLE_CAP = 1 << 20
 # the finest binning of the mark ranks, and the most window endpoints one
@@ -395,28 +396,31 @@ def _windows(spec, consts):
     return bg[:, 0], bg[:, 1], sp[:, 0], sp[:, 1]
 
 
-class _FlipTable(NamedTuple):
-    """The joint flip table of one `_lockstep` shape.
+def _joint_table(windows, owner, radius, b_bar, lam, halo):
+    """The joint flip table of one `_lockstep` shape, for fields with group
+    background `owner[f]`, built from the float windows of `_windows` and
+    flattened for gathers of the bytes at x - halo..x + halo; refuses a table
+    over TABLE_CAP.
 
     The mark U falls in one atom [edges[k], edges[k+1]) of the sorted window
     endpoints (rank k; the last atom starts at b_bar + c_hat and flips
-    nothing).  Ranks below `n_bg` are background rings, the rest spin rings.
-    A ring of kind c reads the key whose bits are the fields and site offsets
-    `reads[c]`, most significant first: a background ring reads every
-    background's word, a spin ring every spin layer's 3-bit word and its
-    group background's center.  `masks[c][k - first rank of c, key]` has bit
-    f set iff field f flips: U >= lo and U < hi hold for every U in the atom.
+    nothing).  Ranks below the rank of b_bar are background rings, the rest
+    spin rings.  A ring of kind c reads the key whose bits are the fields
+    and site offsets of `reads[c]`, most significant first: a background
+    ring reads every background's word, a spin ring its groups'
+    backgrounds' centers, then every spin layer's 3-bit word.  The block of
+    rank k in the flat table starts at offset[k], and its entry for key has
+    bit f set iff field f flips: U >= lo and U < hi hold for every U in the
+    atom.
+
+    Returns (edges, table, lut, rows): the flat table; a lookup from (row,
+    byte) to that byte's share of the flat index; and `rows[s, k]`, the
+    first index of the row that slot s reads for a ring of rank k.  Rows
+    0..2*slots-1 hold per kind and slot the bits of the fields that kind
+    reads there; row 2*slots + k holds the center slot's bits for rank k's
+    kind plus offset[k], so the shares of one ring's slots sum to its flat
+    index.
     """
-
-    edges: np.ndarray
-    n_bg: int
-    reads: tuple
-    masks: tuple
-
-
-def _flip_table(windows, owner, radius, b_bar, lam):
-    """Build the `_FlipTable` for fields with group background `owner[f]`,
-    from the float windows of `_windows`; refuses a table over TABLE_CAP."""
     bg_lo, bg_hi, sp_lo, sp_hi = windows
     bg = [f for f, g in enumerate(owner) if g == f]
     spin = [f for f, g in enumerate(owner) if g != f]
@@ -428,43 +432,45 @@ def _flip_table(windows, owner, radius, b_bar, lam):
     # sorted and deduplicated by hand: np.unique imports numpy.ma, a megabyte
     edges = np.sort(np.concatenate([[0.0, b_bar, lam], bg_lo, bg_hi, sp_lo, sp_hi]))
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
-    n_bg = int(np.searchsorted(edges, b_bar))
-    ranks = (np.arange(n_bg), np.arange(n_bg, len(edges)))
-    size = sum(len(r) << len(rd) for r, rd in zip(ranks, reads))
+    kind = (np.arange(len(edges)) >= np.searchsorted(edges, b_bar)).astype(np.intp)
+    sizes = np.array([1 << len(rd) for rd in reads])[kind]
+    size = int(sizes.sum())
     if size > TABLE_CAP:
         raise ValueError("a joint flip table of %d entries exceeds TABLE_CAP=%d" % (size, TABLE_CAP))
+    offset = np.cumsum(sizes) - sizes
 
-    def masks(kind_reads, kind_ranks, word, lo, hi, fields):
-        keys = np.arange(1 << len(kind_reads))
-        bit = {rd: (keys >> (len(kind_reads) - 1 - j)) & 1 for j, rd in enumerate(kind_reads)}
-        start = edges[kind_ranks][:, None]
-        stop = np.append(edges, np.inf)[kind_ranks + 1][:, None]
-        out = np.zeros((len(kind_ranks), len(keys)), dtype=np.uint8)
-        for f in fields:
-            w = word(f, bit)
-            out |= ((lo[w] <= start) & (hi[w] >= stop)).astype(np.uint8) << f
-        return out
-
-    def bg_word(f, bit):
-        return sum(bit[(f, d)] << (radius - d) for d in range(-radius, radius + 1))
-
-    def spin_word(f, bit):
+    def word(f, bit):
+        if owner[f] == f:
+            return sum(bit[(f, d)] << (radius - d) for d in range(-radius, radius + 1))
         return (bit[(owner[f], 0)] << 3) | (bit[(f, -1)] << 2) | (bit[(f, 0)] << 1) | bit[(f, 1)]
 
-    return _FlipTable(
-        edges=edges,
-        n_bg=n_bg,
-        reads=reads,
-        masks=(
-            masks(reads[0], ranks[0], bg_word, bg_lo, bg_hi, bg),
-            masks(reads[1], ranks[1], spin_word, sp_lo, sp_hi, spin),
-        ),
-    )
+    slots = 2 * halo + 1
+    byte = np.arange(256)
+    share = np.zeros((2, slots, 256), dtype=np.intp)
+    stop = np.append(edges[1:], np.inf)
+    table = []
+    for c, (fields, lo, hi) in enumerate(((bg, bg_lo, bg_hi), (spin, sp_lo, sp_hi))):
+        keys = np.arange(1 << len(reads[c]))
+        bit = {}
+        for j, (f, d) in enumerate(reads[c]):
+            place = len(reads[c]) - 1 - j
+            bit[(f, d)] = (keys >> place) & 1
+            share[c, d + halo] += ((byte >> f) & 1) << place
+        mine = kind == c
+        masks = np.zeros((int(mine.sum()), len(keys)), dtype=np.uint8)
+        for f in fields:
+            w = word(f, bit)
+            masks |= ((lo[w] <= edges[mine, None]) & (hi[w] >= stop[mine, None])).astype(np.uint8) << f
+        table.append(masks.ravel())
+    lut = np.concatenate([share.reshape(-1, 256), share[kind, halo] + offset[:, None]]).ravel()
+    rows = (kind * slots + np.arange(slots)[:, None]) * 256
+    rows[halo] = (2 * slots + np.arange(len(edges))) * 256
+    return edges, np.concatenate(table), lut, rows
 
 
-def _rank_lookup(edges, lam):
-    """What `_ranks` needs to rank marks on [0, lam) among the sorted `edges`
-    without a binary search: U lands in bin int(U * scale), a monotone map
+def _rank_lookup(edges):
+    """What `_ranks` needs to rank marks on [0, 1) among the sorted `edges`
+    without a binary search: U lands in bin int(U * bins), a monotone map
     of U onto 0..bins; `before[bin]` is the number of edges in earlier bins,
     less one; the edges inside the bin (rows of `inside`, padded with inf)
     are compared exactly.  None when edges cluster so that some bin of the
@@ -473,10 +479,7 @@ def _rank_lookup(edges, lam):
     RANK_BINS + 1 entries."""
     bins = 1024
     while True:
-        # any finite positive scale keeps the map monotone; a clock so slow
-        # that bins / lam overflows just puts every edge in bin 0
-        scale = min(bins / lam, 2.0 ** 1000)
-        where = (edges * scale).astype(np.intp)
+        where = (edges * bins).astype(np.intp)
         per_bin = np.bincount(where, minlength=bins + 1)
         if per_bin.max() <= 1 or bins >= RANK_BINS:
             break
@@ -486,7 +489,7 @@ def _rank_lookup(edges, lam):
     first = np.cumsum(per_bin) - per_bin
     inside = np.full((per_bin.max(), bins + 1), np.inf)
     inside[np.arange(len(edges)) - first[where], where] = edges
-    return scale, first - 1, inside
+    return bins, first - 1, inside
 
 
 def _ranks(u, edges, lookup):
@@ -522,31 +525,6 @@ def _site_atoms(edges, n):
     return starts[keep], site[keep], atom[keep]
 
 
-def _key_lookup(ft, halo):
-    """Flatten a `_FlipTable` for `_lockstep`'s gathers of the bytes at
-    x - halo..x + halo.  Returns the flat table, in which the block of rank k
-    starts at offset[k]; a lookup from (row, byte) to that byte's share of
-    the flat index; and `rows[s, k]`, the first index of the row that slot s
-    reads for a ring of rank k.  Rows 0..2*slots-1 hold per kind and slot the
-    bits of the fields that kind reads there; row 2*slots + k holds the
-    center slot's bits for rank k's kind plus offset[k], so the shares of
-    one ring's slots sum to its flat index."""
-    slots = 2 * halo + 1
-    n_ranks = len(ft.edges)
-    kind = (np.arange(n_ranks) >= ft.n_bg).astype(np.intp)
-    sizes = np.array([1 << len(reads) for reads in ft.reads])[kind]
-    offset = np.cumsum(sizes) - sizes
-    byte = np.arange(256)
-    share = np.zeros((2, slots, 256), dtype=np.intp)
-    for k, reads in enumerate(ft.reads):
-        for j, (f, d) in enumerate(reads):
-            share[k, d + halo] += ((byte >> f) & 1) << (len(reads) - 1 - j)
-    lut = np.concatenate([share.reshape(-1, 256), share[kind, halo] + offset[:, None]]).ravel()
-    rows = (kind * slots + np.arange(slots)[:, None]) * 256
-    rows[halo] = (2 * slots + np.arange(n_ranks)) * 256
-    return np.concatenate([m.ravel() for m in ft.masks]), lut, rows
-
-
 def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     """Run `replicas` copies of G groups of (background, spin layers) in lockstep.
 
@@ -559,22 +537,25 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     x and the atom of its mark U on [0, b_bar + c_hat): U < b_bar rings every
     background at x with mark U, otherwise every spin layer reads U - b_bar
     against its own group's background.  Every initially ordered pair of
-    fields that the coupling keeps ordered is compared at x after each ring,
-    and a crossing raises OrderViolationError.  RNG use depends only on
-    (seed, grid, Poisson counts), never on the state.
+    fields that the coupling keeps ordered is compared at x after each ring:
+    the first ring whose new byte crosses one raises OrderViolationError,
+    naming the first pair, in pair order, that the byte crosses, as
+    `evolve` does.  RNG use depends only on (seed, grid, Poisson counts),
+    never on the state.
 
     A replica-site holds all its fields in one byte, bit f for field f.  A
     ring gathers the bytes at x - halo..x + halo, turns them into its key by
     one lookup per slot (the center slot's row also adds the offset of U's
     atom), and reads the XOR mask of the fields that flip from the joint
-    flip table of `_flip_table`; the site and atom of a ring's rank pick
+    flip table of `_joint_table`; the site and atom of a ring's rank pick
     its gather columns and key rows.  At each grid interval the replica rows
     move into that interval's ring-count order, so every step reads and
-    writes a prefix of the rows.  The state-free work (draws, ranks, gather
-    indices) is done per block of whole steps of at most BLOCK_RINGS rings;
-    a step with more rings is drawn and applied in slices of BLOCK_RINGS
-    (`rng.random` draws the same doubles in any chunks), so the temporaries
-    stay cache-sized.
+    writes a prefix of the rows.  A step of more than BLOCK_RINGS rings is
+    cut into pieces of BLOCK_RINGS (its rings fall on distinct replicas, so
+    the pieces apply independently), and consecutive pieces are packed into
+    blocks of at most BLOCK_RINGS rings; the state-free work (draws, ranks,
+    gather indices) is done per block (`rng.random` draws the same doubles
+    in any chunks), so the temporaries stay cache-sized.
 
     Returns the grid times, per grid time the in-window bits of every field,
     and the counters of `BatchResult`.
@@ -596,7 +577,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     n_fields = len(starts)
     if n_fields > 8:
         raise ValueError("%d fields do not fit the 8 bits of a packed site" % n_fields)
-    ft = _flip_table(_windows(spec, consts), owner, radius, b_bar, lam)
+    edges, table, lut, rows_of = _joint_table(_windows(spec, consts), owner, radius, b_bar, lam, halo)
 
     state = np.zeros((replicas, width), dtype=np.uint8)
     bodies, boundaries = [], []
@@ -625,55 +606,46 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         if i != j and below(p, q) and not (i > j and below(q, p)) and below(owner[p], owner[q])
     ] if check_order else []
     byte = np.arange(256)
-    # pairs crossed in each packed byte
-    crossed = sum((((byte >> p) & ~(byte >> q)) & 1 for p, q in pairs), np.zeros(256, dtype=np.intp))
+    # per packed byte, 1 + the index of the first pair it crosses (0: none)
+    crossed = np.zeros(256, dtype=np.intp)
+    for k, (p, q) in reversed(list(enumerate(pairs))):
+        crossed[((byte >> p) & ~(byte >> q) & 1).astype(bool)] = k + 1
 
-    table, lut, rows_of = _key_lookup(ft, halo)
     if lam > 0:  # a clock of rate 0 never rings
-        starts, site, atom = _site_atoms(ft.edges, n)
-        lookup = _rank_lookup(starts, 1.0)
+        starts, site, atom = _site_atoms(edges, n)
+        lookup = _rank_lookup(starts)
 
     hist = np.zeros(256, dtype=np.int64)
     bg_rings = 0
 
-    def run_block(sizes, base):
-        """Draw and apply the rings of consecutive steps, step by step, the
-        sizes[j] rings of step j to the rows at `base[:sizes[j]]`; returns
-        the new bytes at the rings' sites."""
+    def run_block(pieces):
+        """Draw and apply the rings of consecutive pieces of steps, piece
+        (lo, hi) to the rows at base[lo:hi]; raise at the first ring whose
+        new byte crosses an ordered pair."""
         nonlocal bg_rings
-        rank = _ranks(rng.random(sum(sizes)), starts, lookup)
+        row_base = np.concatenate([base[lo:hi] for lo, hi in pieces])
+        rank = _ranks(rng.random(len(row_base)), starts, lookup)
         gather = cols.take(site.take(rank), axis=1)
-        gather += np.concatenate([base[:a] for a in sizes])
+        gather += row_base
         rows = rows_of.take(atom.take(rank), axis=1)
         # slot 0 is not the center: its row is 0 exactly for background rings
         bg_rings += len(rank) - int(np.count_nonzero(rows[0]))
         mask = np.empty(len(rank), dtype=np.uint8)
         new = np.empty(len(rank), dtype=np.uint8)
-        lo = 0
-        for a in sizes:
-            hi = lo + a
-            b = flat.take(gather[:, lo:hi])
+        i = 0
+        for lo, hi in pieces:
+            j = i + hi - lo
+            b = flat.take(gather[:, i:j])
             # in-range keys: "clip" spares take's buffered bounds check
-            table.take(np.add.reduce(lut.take(b + rows[:, lo:hi])), out=mask[lo:hi], mode="clip")
-            np.bitwise_xor(b[halo], mask[lo:hi], out=new[lo:hi])
-            flat[gather[halo, lo:hi]] = new[lo:hi]
-            lo = hi
+            table.take(np.add.reduce(lut.take(b + rows[:, i:j])), out=mask[i:j], mode="clip")
+            np.bitwise_xor(b[halo], mask[i:j], out=new[i:j])
+            flat[gather[halo, i:j]] = new[i:j]
+            i = j
         hist[:] += np.bincount(mask, minlength=256)
-        return new
-
-    def check(new, sizes):
-        """Raise on a crossed pair in the new bytes of steps of these sizes,
-        naming the first crossed pair of the first step with a crossing."""
-        if pairs and crossed.take(new).any():
-            lo = 0
-            for size in sizes:
-                step = new[lo:lo + size]
-                for p, q in pairs:
-                    if (((step >> p) & 1) > ((step >> q) & 1)).any():
-                        raise OrderViolationError(
-                            "%s and %s crossed in a lockstep step" % (names[p], names[q])
-                        )
-                lo += size
+        hit = crossed.take(new)
+        if hit.any():
+            p, q = pairs[hit[hit > 0][0] - 1]
+            raise OrderViolationError("%s and %s crossed in a lockstep step" % (names[p], names[q]))
 
     rng = np.random.default_rng(seed)
     times, snaps = [], []
@@ -699,21 +671,19 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         active = replicas - np.cumsum(np.bincount(counts, minlength=n_steps))[:n_steps]
         steps += n_steps
         events += int(counts.sum())
-        sizes, size = [], 0
+        pieces, size = [], 0
         for a in active.tolist():
-            if sizes and size + a > BLOCK_RINGS:
-                check(run_block(sizes, base), sizes)
-                sizes, size = [], 0
-            if a > BLOCK_RINGS:
-                # the rings of one step fall on distinct replicas, so slices
-                # of the step apply independently
-                new = [run_block([min(a - lo, BLOCK_RINGS)], base[lo:]) for lo in range(0, a, BLOCK_RINGS)]
-                check(np.concatenate(new), [a])
-            else:
-                sizes.append(a)
-                size += a
-        if sizes:
-            check(run_block(sizes, base), sizes)
+            lo = 0
+            while lo < a:
+                hi = a if a - lo <= BLOCK_RINGS else lo + BLOCK_RINGS
+                if size + hi - lo > BLOCK_RINGS:
+                    run_block(pieces)
+                    pieces, size = [], 0
+                pieces.append((lo, hi))
+                size += hi - lo
+                lo = hi
+        if pieces:
+            run_block(pieces)
         times.append(t)
         body = state[at, halo:halo + n]
         snaps.append([((body >> f) & 1).astype(np.int8) for f in range(n_fields)])

@@ -465,12 +465,15 @@ def parse_config(text) -> ModelSpec:
             raise ConfigError("missing key %r in [%s]" % (key, section))
         return sec[key]
 
-    def integer(section, key):
+    def integer(section, key, low):
         value, lineno = entry(section, key)
         try:
-            return int(value)
+            number = int(value)
         except ValueError:
             raise ConfigError("bad integer %r for %r" % (value, key), lineno) from None
+        if number < low:
+            raise ConfigError("%r must be at least %d, got %d" % (key, low, number), lineno)
+        return number
 
     def table_from(section, keys):
         out = {}
@@ -480,18 +483,24 @@ def parse_config(text) -> ModelSpec:
                 out[key] = float(value)
             except ValueError:
                 raise ConfigError("bad number %r for key %r" % (value, key), lineno) from None
+            if not (math.isfinite(out[key]) and out[key] >= 0):
+                raise ConfigError("rate %r for key %r must be finite and >= 0" % (value, key), lineno)
         return out
 
     c0 = LocalSpinRates.from_dict(table_from("spin.c0", _word_keys(3)))
     c1 = LocalSpinRates.from_dict(table_from("spin.c1", _word_keys(3)))
 
-    radius = integer("env", "range")
+    radius = integer("env", "range", 0)
     env = EnvRateSpec.from_dict(radius, table_from("env", _word_keys(2 * radius + 1)))
 
-    size = integer("lattice", "size")
+    size = integer("lattice", "size", 1)
     bvalue, blineno = need("lattice").get("boundary", ("periodic", None))
     boundary = parse_boundary(bvalue, blineno)
-    return ModelSpec(SpinRatePair(c0, c1), env, size, boundary)
+    try:
+        return ModelSpec(SpinRatePair(c0, c1), env, size, boundary)
+    except ValueError as err:
+        # boundary words shorter than the background range
+        raise ConfigError(str(err), blineno) from None
 
 
 def parse_boundary(value, lineno=None):

@@ -217,20 +217,46 @@ INPUT_ERRORS = {
     "unknown-preset": (["validate", "--preset", "nosuch"], "config error: unknown preset 'nosuch'"),
     "unexpected-preset-parameter": (["validate", "--preset", "contact", "--lambda", "1", "--delta", "1",
                                      "--gamma", "1"], "config error: unexpected preset parameters: gamma"),
+    "config-zero-size": (["validate", "--config", "zerosize.cfg"],
+                         "config error: line 27: 'size' must be at least 1, got 0"),
+    "config-negative-rate": (["validate", "--config", "negrate.cfg"],
+                             "config error: line 13: rate '-1.0' for key '001' must be finite and >= 0"),
+    "config-negative-range": (["validate", "--config", "negrange.cfg"],
+                              "config error: line 22: 'range' must be at least 0, got -1"),
+    "init-beta-not-bits": (["simulate", *CPREE, "--sites", "4", "--init-beta", "0120"],
+                           "simulate error: --init-beta 0120 is not 4 bits 0 or 1"),
+    "init-beta-too-short": (["simulate", *CPREE, "--sites", "4", "--init-beta", "01"],
+                            "simulate error: --init-beta 01 is not 4 bits 0 or 1"),
+    "init-eta-too-short": (["simulate", *CPREE, "--sites", "4", "--init-eta", "11"],
+                           "simulate error: --init-eta 11 is not 4 bits 0 or 1"),
 }
+
+# a config file that parses: cpree on 4 sites, background range 0; the c1
+# rate of "001" is on line 13, `range` on line 22 and `size` on line 27
+_CONFIG = format_config(preset("cpree", sites=4, gamma=1, delta0=2, delta1=1, p=0.5)).splitlines(keepends=True)
+
+
+def _config_with(lineno, text):
+    """`_CONFIG` with line `lineno` (from 1) replaced by `text`."""
+    lines = list(_CONFIG)
+    lines[lineno - 1] = text + "\n"
+    return "".join(lines)
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
 def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypatch, case):
     argv, message = INPUT_ERRORS[case]
     monkeypatch.chdir(tmp_path)
-    manifests = {
+    files = {
         "notjson.manifest.json": "not json\n",
         "bare.manifest.json": '{"manifest_version": 1}\n',
         "numbers.manifest.json": '{"manifest_version": 1, "replay_args": ["validate", 3]}\n',
         "intconfig.manifest.json": '{"manifest_version": 1, "replay_args": ["validate"], "resolved_config": 5}\n',
+        "zerosize.cfg": _config_with(27, "size = 0"),
+        "negrate.cfg": _config_with(13, "001 = -1.0"),
+        "negrange.cfg": _config_with(22, "range = -1"),
     }
-    for name, text in manifests.items():
+    for name, text in files.items():
         Path(name).write_text(text)
     try:
         code = main(argv)
@@ -238,7 +264,7 @@ def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypat
         code = err.code
     assert code == 2
     assert message in capsys.readouterr().err.splitlines()[-1]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifests)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 OUT_COMMANDS = {

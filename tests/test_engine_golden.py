@@ -31,6 +31,7 @@ from envspin import (
     preset,
     simulate_coupled,
 )
+from envspin import graphical
 from envspin.coupling import batch_simulate_pair
 from envspin.graphical import BLOCK_RINGS, OrderViolationError
 from envspin.rates import LocalSpinRates
@@ -285,19 +286,23 @@ def test_engine_output_matches_golden_digest(run):
     assert run() == GOLDEN[run]
 
 
-def test_raised_crossing_names_the_first_crossed_pair():
-    # the first step with a crossing raises, naming the first crossed pair in
-    # pair order; messages as the engine gave them when this test was written
+def test_raised_crossing_names_the_first_crossed_pair(monkeypatch):
+    # the first ring whose new byte crosses an ordered pair raises, naming the
+    # first pair it crosses in pair order, however steps are cut into pieces
+    # (at 16, every 40-ring step is); messages as the engine gave them when
+    # this test was written
     spec = _crossing_spec()
     beta, layers = _random_triple_start(np.random.default_rng(75), 40, 10)
-    first = []
-    for seed in range(18, 34):
-        with pytest.raises(OrderViolationError) as err:
-            _evolve_digest(spec, beta, layers, [1.0, 2.0], 40, seed)
-        first.append(str(err.value).split(" crossed")[0])
-    assert first == [
-        "layer0 and layer%d" % k for k in (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
-    ]
+    for block in (BLOCK_RINGS, 16):
+        monkeypatch.setattr(graphical, "BLOCK_RINGS", block)
+        first = []
+        for seed in range(18, 34):
+            with pytest.raises(OrderViolationError) as err:
+                _evolve_digest(spec, beta, layers, [1.0, 2.0], 40, seed)
+            first.append(str(err.value).split(" crossed")[0])
+        assert first == [
+            "layer0 and layer%d" % k for k in (2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1)
+        ], block
     with pytest.raises(OrderViolationError, match="^eta_lo and eta_hi crossed in a lockstep step$"):
         batch_envelope(spec, [1.0], 40, 3)
 

@@ -438,17 +438,16 @@ def test_rank_lookup_matches_binary_search():
     # search, and the lookup stays within its bound either way
     rng = np.random.default_rng(35)
     paths = set()
-    # the last clock is so slow that bins / lam overflows
-    for lam, spread in ((7.25, 7.25), (7.25, 1e-3), (7.25, 1e-9), (1e-310, 1e-310)):
+    for spread in (1.0, 1e-3 / 7.25, 1e-9 / 7.25):
         inner = np.sort(rng.uniform(0.0, spread, 40))
-        edges = np.unique(np.concatenate([[0.0, lam], inner, np.nextafter(inner, np.inf)]))
-        lookup = graphical._rank_lookup(edges, lam)
+        edges = np.unique(np.concatenate([[0.0, 1.0], inner, np.nextafter(inner, np.inf)]))
+        lookup = graphical._rank_lookup(edges)
         paths.add(lookup is None)
         if lookup is not None:
             rows, bins = lookup[2].shape
             assert rows <= graphical.RANK_ROWS and bins <= graphical.RANK_BINS + 1
         u = np.concatenate([
-            rng.uniform(0.0, lam, 20000),
+            rng.random(20000),
             edges,
             np.nextafter(edges[1:], -np.inf),
             np.nextafter(edges[:-1], np.inf),
@@ -461,9 +460,9 @@ def test_rank_lookup_matches_binary_search():
         spec = cpree(sites=n, delta0=1.0, delta1=0.5, lam=3.0)
         consts = spec.constants()
         lam = consts.b_bar + consts.c_hat
-        ft = graphical._flip_table(graphical._windows(spec, consts), [0, 0, 0, 0], 0, consts.b_bar, lam)
-        edges = graphical._site_atoms(ft.edges, n)[0]
-        lookup = graphical._rank_lookup(edges, 1.0)
+        edges = graphical._joint_table(graphical._windows(spec, consts), [0, 0, 0, 0], 0, consts.b_bar, lam, 1)[0]
+        edges = graphical._site_atoms(edges, n)[0]
+        lookup = graphical._rank_lookup(edges)
         assert lookup is not None and lookup[2].shape[1] <= graphical.RANK_BINS + 1
         u = np.concatenate([
             rng.random(20000),
@@ -503,7 +502,8 @@ def _site_atom_defects(site_atoms=graphical._site_atoms):
         spec = ModelSpec(pair, env, n, boundary)
         consts = spec.constants()
         lam = consts.b_bar + consts.c_hat
-        edges = graphical._flip_table(graphical._windows(spec, consts), [0, 0], radius, consts.b_bar, lam).edges
+        windows = graphical._windows(spec, consts)
+        edges = graphical._joint_table(windows, [0, 0], radius, consts.b_bar, lam, max(1, radius))[0]
         starts, site, atom = site_atoms(edges, n)
         n_atoms = len(edges) - 1
         pairs = site * n_atoms + atom
@@ -541,24 +541,25 @@ def test_site_atom_certificate_refuses_a_shifted_site_map():
     assert _site_atom_defects(planted) != []
 
 
-def _joint_table_defects(pair, windows=graphical._windows, key_lookup=graphical._key_lookup):
+def _joint_table_defects(pair, windows=graphical._windows, joint_table=graphical._joint_table):
     """Keys of one-group joint flip tables (1 to 3 spin layers, background
     range 0) whose summed atom lengths per flip set differ from
     `window_rates` by more than float rounding.  Each (key, spin rank) is
-    read as `_lockstep` reads it: the slot shares of `key_lookup` for the
-    bytes at x-1..x+1 that hold the key (unread field bits set) sum to an
-    index into its flat table; an index outside the table is a defect."""
+    read as `_lockstep` reads it: the key's bits are the background center,
+    then each layer's 3-bit word; the slot shares of `joint_table`'s lookup
+    for the bytes at x-1..x+1 that hold the key (unread field bits set) sum
+    to an index into its flat table; an index outside the table is a
+    defect."""
     spec = ModelSpec(pair, EnvRateSpec(0, (0.5, 0.25)), 3)
     consts = spec.constants()
     lam = consts.b_bar + consts.c_hat
     defects = []
     for layers in (1, 2, 3):
-        ft = graphical._flip_table(windows(spec, consts), [0] * (1 + layers), 0, consts.b_bar, lam)
-        reads = ft.reads[1]
-        assert reads == ((0, 0),) + tuple((f, d) for f in range(1, 1 + layers) for d in (-1, 0, 1))
-        table, lut, rows = key_lookup(ft, 1)
-        spin_rows = rows[:, ft.n_bg:]
-        length = np.diff(np.append(ft.edges, lam))[ft.n_bg:]
+        reads = ((0, 0),) + tuple((f, d) for f in range(1, 1 + layers) for d in (-1, 0, 1))
+        edges, table, lut, rows = joint_table(windows(spec, consts), [0] * (1 + layers), 0, consts.b_bar, lam, 1)
+        n_bg = np.searchsorted(edges, consts.b_bar)
+        spin_rows = rows[:, n_bg:]
+        length = np.diff(np.append(edges, lam))[n_bg:]
         for key in range(1 << len(reads)):
             bit, words = key >> (3 * layers), [(key >> (3 * (layers - 1 - k))) & 7 for k in range(layers)]
             nbhd = np.full(3, (1 << (1 + layers)) - 1)
@@ -604,18 +605,19 @@ def test_joint_table_check_catches_bottom_anchored_up_window():
 
 
 def test_joint_table_check_catches_center_row_without_offset():
-    def planted(ft, halo):
+    def planted(*args):
         # every rank's center-slot row loses offset[k]: it becomes the plain
         # center-slot row of its kind, which sits right after slot halo - 1's
-        table, lut, rows = graphical._key_lookup(ft, halo)
+        edges, table, lut, rows = graphical._joint_table(*args)
+        halo = args[-1]
         lut = lut.copy()
         for center, plain in zip(rows[halo], rows[halo - 1] + 256):
             lut[center:center + 256] = lut[plain:plain + 256]
-        return table, lut, rows
+        return edges, table, lut, rows
 
     pair = random_compatible_pair(np.random.default_rng(37), positive=True)
     assert _joint_table_defects(pair) == []
-    assert _joint_table_defects(pair, key_lookup=planted) != []
+    assert _joint_table_defects(pair, joint_table=planted) != []
 
 
 def test_lockstep_refuses_shapes_over_the_cap_before_allocating():
