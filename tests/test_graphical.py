@@ -350,8 +350,9 @@ def test_lockstep_snapshot_does_not_depend_on_later_grid_times():
 
 
 def test_lockstep_output_does_not_depend_on_block_size(monkeypatch):
-    # blocks of whole steps and slices of one step draw the same doubles in
-    # the same order, and the rings of one step fall on distinct replicas
+    # blocks of any size draw the same doubles in the same order, and the
+    # rings of one step fall on distinct replicas, so the pieces a step is
+    # cut into apply independently
     rng = np.random.default_rng(44)
     replicas, n = 200, 10
     spec = cpree(sites=n, delta0=1.0, delta1=0.5, lam=3.0)
