@@ -19,6 +19,7 @@ import datetime
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,10 @@ def _add_spec_args(p):
     p.add_argument("--boundary", default=None, help="periodic | frozen:L|R | frozen:eL|eR;sL|sR")
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The `envspin` argument parser, built once per process: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="envspin", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

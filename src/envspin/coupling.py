@@ -28,6 +28,7 @@ from .lattice import (
     Periodic,
     _field_rows,
     _site_columns,
+    layer_names,
     leq,
     order_pairs,
     site_value,
@@ -116,23 +117,92 @@ def coupled_event_rates(spec: ModelSpec, state: JointState, x):
     return dict(site_menu(spec.spin, spec.env, env_word, layer_words))
 
 
-def _float_menu(pair, env, env_word, layer_words):
-    """`site_menu` with float rates, and their total, for `simulate_coupled`."""
-    menu = tuple((target, float(rate)) for target, rate in site_menu(pair, env, env_word, layer_words))
-    return menu, sum(r for _, r in menu)
+def _float_menu(pair, env, arity, key):
+    """`site_menu` at the packed local key of `simulate_coupled`, with float
+    rates, and their total.
+
+    Per target, in `site_menu`'s order: its rate; the flips it makes, as
+    (field name, old bit, new bit) in field order; their field mask (bit 0
+    the background, bit 1 + k layer k); and, for a spin target, the names of
+    the first ordered pair of layers it leaves crossed (None: none).
+    """
+    env_word = key >> 3 * arity
+    words = tuple((key >> 3 * (arity - 1 - k)) & 7 for k in range(arity))
+    names = ("beta",) + layer_names(arity)
+    old = ((env_word >> env.range) & 1,) + tuple((w >> 1) & 1 for w in words)
+    menu = []
+    for target, rate in site_menu(pair, env, env_word, words):
+        changed = [f for f in range(1 + arity) if old[f] != target[f]]
+        crossed = None
+        if changed != [0]:
+            crossed = next(
+                ("layers %s and %s" % (names[1 + a], names[1 + b])
+                 for a, b in order_pairs(arity) if target[1 + a] > target[1 + b]),
+                None,
+            )
+        flips = tuple((names[f], old[f], target[f]) for f in changed)
+        menu.append((float(rate), flips, sum(1 << f for f in changed), crossed))
+    return tuple(menu), sum(entry[0] for entry in menu)
 
 
 @lru_cache(maxsize=16)
-def _float_menus(pair, env):
-    """The `_float_menu`s of (pair, env) by (background word, layer words),
-    filled on a miss: at most 2^(2R+1)*8^arity entries per arity."""
+def _float_menus(pair, env, arity):
+    """The `_float_menu`s of (pair, env) at `arity` layers, by packed local
+    key, filled on a miss: at most 2^(2R+1)*8^arity entries."""
     return {}
 
 
 @lru_cache(maxsize=256)
-def _site_lists(boundary, n, halo, radius):
-    """`lattice._site_columns` as nested lists, for scalar reads."""
-    return _site_columns(boundary, n, halo, radius).tolist()
+def _toggle_table(boundaries, n, env_range):
+    """Where `simulate_coupled`'s packed site keys read each field.
+
+    Field 0 is the background, field 1 + k spin layer k, with the given
+    boundaries.  A site's key holds the background's (2R+1)-bit word, then
+    each layer's 3-bit word, most significant first, as `site_menu` reads
+    them.  Returns (base, toggles): `base[y]` holds the bits of site y's key
+    read from frozen boundary words, and `toggles[mask][x]` lists, per site
+    y whose key reads a field of `mask` (bit f for field f) at site x, the
+    pair (y, bits) of the key bits that read them (OR-ed where a small ring
+    reads x twice), so flipping those fields at x is `key[y] ^= bits` for
+    each pair.  The pairs run over x - radius..x + radius, radius =
+    max(1, R), as the background reads them, so of two new keys that break
+    attractivity the leftmost raises.
+    """
+    arity = len(boundaries) - 1
+    probes = [Configuration.all_zero(n, b) for b in boundaries]
+    base = [0] * n
+    single = [[{} for _ in range(n)] for _ in boundaries]
+    for y in range(n):
+        for f, probe in enumerate(probes):
+            r = env_range if f == 0 else 1
+            shift = 3 * arity if f == 0 else 3 * (arity - f)
+            for d in range(-r, r + 1):
+                bit = 1 << (shift + r - d)
+                p = y + d
+                if isinstance(probe.boundary, Periodic):
+                    p %= n
+                elif not 0 <= p < n:
+                    base[y] |= bit * site_value(probe, p)
+                    continue
+                single[f][p][y] = single[f][p].get(y, 0) | bit
+    # a flip's sites in the order x - radius..x + radius, then any other
+    radius = max(1, env_range)
+    near = [
+        [y % n if isinstance(probes[0].boundary, Periodic) else y for y in range(x - radius, x + radius + 1)]
+        + list(range(n))
+        for x in range(n)
+    ]
+    toggles = [None]
+    for mask in range(1, 1 << len(boundaries)):
+        toggles.append([])
+        for x in range(n):
+            merged = {}
+            for f in range(len(boundaries)):
+                if mask >> f & 1:
+                    for y, bits in single[f][x].items():
+                        merged[y] = merged.get(y, 0) | bits
+            toggles[mask].append(tuple((y, merged.pop(y)) for y in near[x] if y in merged))
+    return base, toggles
 
 
 def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Trajectory:
@@ -140,102 +210,78 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
 
     `initial` must hold `cspec.arity` spin layers.  Holding times are
     exponential in the total rate over sites; the jump is drawn categorically
-    among every site's transitions.  A flip at x only perturbs rates within
-    one interaction radius, so only those sites are recomputed, each from its
-    local words by `site_menu`, through a dict of float menus kept per
-    (spin pair, background table).  Each field is a list of its bits padded
-    with its frozen boundary bits; on a ring, reads wrap modulo n instead.
-    The draws are those of `exponential(1 / total)` and `uniform(0, total)`.
-    The layer order is checked at every spin flip; a crossing raises
-    OrderViolationError.
+    among every site's transitions.  Each site keeps one packed integer key
+    of its local words (`_toggle_table`), and its float menu comes from a
+    dict kept per (spin pair, background table, arity) by that key
+    (`_float_menu`).  A flip XORs its bits into the keys of the sites that
+    read it, and only those sites get new menus.  The draws are those of
+    `exponential(1 / total)` and `uniform(0, total)`.  The layer order is
+    checked at every spin flip; a crossing raises OrderViolationError.
     """
     if len(initial.layers) != cspec.arity:
         raise ValueError("%d spin layers given for arity %d" % (len(initial.layers), cspec.arity))
     spec = cspec.base
-    names = initial.names
-    n = spec.size
+    arity, n = cspec.arity, spec.size
     pair, env = spec.spin, spec.env
-    radius = max(1, env.range)
     rng = np.random.default_rng(seed)
-    menus_of = _float_menus(pair, env)
+    menus_of = _float_menus(pair, env, arity)
+    fields = (initial.beta, *initial.layers)
+    base, toggles = _toggle_table(tuple(cfg.boundary for cfg in fields), n, env.range)
 
-    # each field's bits at sites -radius..n+radius-1; the ends hold frozen
-    # boundary bits, and are never read on a ring
-    beta, *layers = (
-        [site_value(cfg, p) for p in range(-radius, n + radius)] for cfg in (initial.beta, *initial.layers)
-    )
-    b_cols = _site_lists(initial.beta.boundary, n, radius, env.range)
-    l_cols = list(zip(*(_site_lists(cfg.boundary, n, radius, 1) for cfg in initial.layers)))
-    pairs = order_pairs(len(layers))
-    if isinstance(initial.beta.boundary, Periodic):
-        near = [[y % n for y in range(x - radius, x + radius + 1)] for x in range(n)]
-    else:
-        near = [[y for y in range(x - radius, x + radius + 1) if 0 <= y < n] for x in range(n)]
+    keys = list(base)
+    for f, cfg in enumerate(fields):
+        for x, b in enumerate(cfg.bits):
+            if b:
+                for y, bits in toggles[1 << f][x]:
+                    keys[y] |= bits
 
-    def menu_at(x):
-        w = 0
-        for q in b_cols[x]:
-            w = (w << 1) | beta[q]
-        key = (w, tuple([l[a] << 2 | l[b] << 1 | l[c] for l, (a, b, c) in zip(layers, l_cols[x])]))
-        found = menus_of.get(key)
-        if found is None:
-            found = menus_of[key] = _float_menu(pair, env, *key)
+    def missing(key):
+        found = menus_of[key] = _float_menu(pair, env, arity, key)
         return found
 
-    menus, site_totals = (list(v) for v in zip(*(menu_at(x) for x in range(n))))
+    menus, site_totals = (list(v) for v in zip(*(menus_of.get(k) or missing(k) for k in keys)))
 
     events = []
     t = 0.0
+    exponential, uniform = rng.standard_exponential, rng.random
     while True:
         total = sum(site_totals)
         if total <= 0.0:
             break
-        t += rng.standard_exponential() * (1.0 / total)
+        t += exponential() * (1.0 / total)
         if t > t_max:
             break
-        u = rng.random() * total
-        x = 0
+        u = uniform() * total
         acc = 0.0
         for x in range(n):
             acc += site_totals[x]
             if u < acc or x == n - 1:
                 break
         u -= acc - site_totals[x]
-        target = None
-        for tgt, rate in menus[x]:
-            if u < rate:
-                target = tgt
+        menu = menus[x]
+        for entry in menu:
+            if u < entry[0]:
                 break
-            u -= rate
-        if target is None:
-            target = menus[x][-1][0]
-
-        p = x + radius
-        old = beta[p]
-        if target[0] != old:
-            beta[p] = 1 - old
-            events.append(Event(t, x, "beta", old, 1 - old))
+            u -= entry[0]
         else:
-            for k, layer in enumerate(layers):
-                new = target[1 + k]
-                if layer[p] != new:
-                    events.append(Event(t, x, names[k], layer[p], new))
-                    layer[p] = new
-            for a, b in pairs:
-                if layers[a][p] > layers[b][p]:
-                    raise OrderViolationError(
-                        "layers %s and %s crossed at site %d" % (names[a], names[b], x)
-                    )
-        for y in near[x]:
-            menus[y], site_totals[y] = menu_at(y)
+            entry = menu[-1]
 
-    def final(bits, cfg):
-        return Configuration(tuple(bits[radius:radius + n]), cfg.boundary)
+        _, flips, mask, crossed = entry
+        for name, old, new in flips:
+            events.append(Event(t, x, name, old, new))
+        if crossed is not None:
+            raise OrderViolationError("%s crossed at site %d" % (crossed, x))
+        for y, bits in toggles[mask][x]:
+            key = keys[y] = keys[y] ^ bits
+            menus[y], site_totals[y] = menus_of.get(key) or missing(key)
+
+    def final(f, cfg):
+        place = 3 * arity + env.range if f == 0 else 3 * (arity - f) + 1
+        return Configuration._of_bits(tuple([(k >> place) & 1 for k in keys]), cfg.boundary)
 
     initial_dict = {"beta": initial.beta}
-    initial_dict.update(zip(names, initial.layers))
-    final_dict = {"beta": final(beta, initial.beta)}
-    final_dict.update(zip(names, (final(l, cfg) for l, cfg in zip(layers, initial.layers))))
+    initial_dict.update(zip(initial.names, initial.layers))
+    final_dict = dict(zip(("beta", *initial.names), (final(f, cfg) for f, cfg in enumerate(fields))))
     return Trajectory(initial=initial_dict, events=events, final=final_dict, t_max=float(t_max))
 
 

@@ -35,7 +35,14 @@ a ring is one gather of the bytes around its site, one lookup per slot for
 its key, and one table lookup.  The table's atom lengths per flip set are
 `window_rates`' rates.  Nor does the engine draw U: one uniform double per
 ring, ranked among the (site, atom) starts of `_site_atoms`, picks the site
-and the atom together.
+and the atom together, and per-call tables indexed by that rank give the
+ring's gather columns and key rows.
+
+Nor does the engine compare layers at every ring when the table itself
+proves the order: every site starts uncrossed, a ring writes only its own
+site, and if no table entry with an uncrossed key crosses a pair (nor do
+the frozen boundary words), then no ring ever can (`_may_cross`).  Tables
+that fail the proof, such as non-attractive ones, keep the per-ring check.
 """
 
 from __future__ import annotations
@@ -348,7 +355,8 @@ class BatchResult:
     `events` (rings summed over replicas) split into `background_rings` and
     `spin_rings`, `null_rings` (rings that flipped nothing), `flips`
     (accepted flips per field: "beta", "layer0", "layer1", ...) and
-    `order_checks` (two fields compared at a site).
+    `order_checks` (ordered pairs times rings: each pair is kept ordered at
+    every ring, by a comparison there or by the call's order proof).
     """
 
     times: list
@@ -396,6 +404,22 @@ def _windows(spec, consts):
     return bg[:, 0], bg[:, 1], sp[:, 0], sp[:, 1]
 
 
+@lru_cache(maxsize=64)
+def _ring_kinds(owner, radius):
+    """Per ring kind of `_lockstep` (background, spin), for fields with
+    group background `owner[f]` (a tuple): the fields it flips, and the
+    (field, site offset) bits of the key it reads, most significant first.
+    A background ring reads every background's word, a spin ring its
+    groups' backgrounds' centers, then every spin layer's 3-bit word."""
+    bg = tuple(f for f, g in enumerate(owner) if g == f)
+    spin = tuple(f for f, g in enumerate(owner) if g != f)
+    return (
+        (bg, tuple((f, d) for f in bg for d in range(-radius, radius + 1))),
+        (spin, tuple((g, 0) for g in bg if g in {owner[f] for f in spin})
+         + tuple((f, d) for f in spin for d in (-1, 0, 1))),
+    )
+
+
 def _joint_table(windows, owner, radius, b_bar, lam, halo):
     """The joint flip table of one `_lockstep` shape, for fields with group
     background `owner[f]`, built from the float windows of `_windows` and
@@ -405,13 +429,10 @@ def _joint_table(windows, owner, radius, b_bar, lam, halo):
     The mark U falls in one atom [edges[k], edges[k+1]) of the sorted window
     endpoints (rank k; the last atom starts at b_bar + c_hat and flips
     nothing).  Ranks below the rank of b_bar are background rings, the rest
-    spin rings.  A ring of kind c reads the key whose bits are the fields
-    and site offsets of `reads[c]`, most significant first: a background
-    ring reads every background's word, a spin ring its groups'
-    backgrounds' centers, then every spin layer's 3-bit word.  The block of
-    rank k in the flat table starts at offset[k], and its entry for key has
-    bit f set iff field f flips: U >= lo and U < hi hold for every U in the
-    atom.
+    spin rings.  A ring of kind c reads the key of `_ring_kinds`.  The
+    block of rank k in the flat table starts at offset[k], and its entry
+    for key has bit f set iff field f flips: U >= lo and U < hi hold for
+    every U in the atom.  So the background ranks' blocks come first.
 
     Returns (edges, table, lut, rows): the flat table; a lookup from (row,
     byte) to that byte's share of the flat index; and `rows[s, k]`, the
@@ -422,13 +443,8 @@ def _joint_table(windows, owner, radius, b_bar, lam, halo):
     index.
     """
     bg_lo, bg_hi, sp_lo, sp_hi = windows
-    bg = [f for f, g in enumerate(owner) if g == f]
-    spin = [f for f, g in enumerate(owner) if g != f]
-    reads = (
-        tuple((f, d) for f in bg for d in range(-radius, radius + 1)),
-        tuple((g, 0) for g in bg if g in {owner[f] for f in spin})
-        + tuple((f, d) for f in spin for d in (-1, 0, 1)),
-    )
+    (bg, bg_reads), (spin, spin_reads) = _ring_kinds(tuple(owner), radius)
+    reads = (bg_reads, spin_reads)
     # sorted and deduplicated by hand: np.unique imports numpy.ma, a megabyte
     edges = np.sort(np.concatenate([[0.0, b_bar, lam], bg_lo, bg_hi, sp_lo, sp_hi]))
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
@@ -466,6 +482,51 @@ def _joint_table(windows, owner, radius, b_bar, lam, halo):
     rows = (kind * slots + np.arange(slots)[:, None]) * 256
     rows[halo] = (2 * slots + np.arange(len(edges))) * 256
     return edges, np.concatenate(table), lut, rows
+
+
+@lru_cache(maxsize=64)
+def _uncrossed_keys(reads, fields, pairs):
+    """For rings that read `reads` and flip `fields` (`_ring_kinds`): the
+    keys whose bits cross none of the ordered `pairs` at any site offset,
+    per such key the byte of the fields it reads at the center, and per
+    byte whether it crosses a pair of `fields`."""
+    keys = np.arange(1 << len(reads))[:, None]
+    place = {fd: len(reads) - 1 - j for j, fd in enumerate(reads)}
+    p_at, q_at = np.array(
+        [(j, place[(q, d)]) for p, q in pairs for (f, d), j in place.items() if f == p and (q, d) in place],
+        dtype=np.intp,
+    ).reshape(-1, 2).T
+    fine = np.flatnonzero(~((keys >> p_at) & ~(keys >> q_at) & 1).any(axis=1))
+    at, field = np.array([(j, f) for (f, d), j in place.items() if d == 0], dtype=np.intp).reshape(-1, 2).T
+    center = (((keys[fine] >> at) & 1) << field).sum(axis=1).astype(np.uint8)
+    byte = np.arange(256)
+    crosses = np.zeros(256, dtype=bool)
+    for p, q in pairs:
+        if p in fields:
+            crosses |= ((byte >> p) & ~(byte >> q) & 1).astype(bool)
+    return fine, center, crosses
+
+
+def _may_cross(table, edges, b_bar, owner, radius, pairs):
+    """Whether a ring of a `_lockstep` call could cross one of its ordered
+    `pairs` (p, q), field p 1 where q is 0, decided once over its joint
+    table (`_joint_table`).
+
+    Only keys whose read bits cross no pair at any offset count: while the
+    state crosses no pair, a ring reads one of them.  The call may cross a
+    pair iff for one of those keys and some atom of a kind, the mask XOR-ed
+    into the key's center bits crosses a pair of that kind (a ring flips
+    only its kind's fields, and reads every one of them at its center).
+    """
+    n_bg = int(np.searchsorted(edges, b_bar))
+    start = 0
+    for (fields, reads), atoms in zip(_ring_kinds(tuple(owner), radius), (n_bg, len(edges) - n_bg)):
+        masks = table[start:start + (atoms << len(reads))].reshape(atoms, 1 << len(reads))
+        start += masks.size
+        fine, center, crosses = _uncrossed_keys(reads, fields, tuple(pairs))
+        if crosses.take(masks[:, fine] ^ center).any():
+            return True
+    return False
 
 
 def _rank_lookup(edges):
@@ -537,25 +598,29 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     x and the atom of its mark U on [0, b_bar + c_hat): U < b_bar rings every
     background at x with mark U, otherwise every spin layer reads U - b_bar
     against its own group's background.  Every initially ordered pair of
-    fields that the coupling keeps ordered is compared at x after each ring:
-    the first ring whose new byte crosses one raises OrderViolationError,
-    naming the first pair, in pair order, that the byte crosses, as
-    `evolve` does.  RNG use depends only on (seed, grid, Poisson counts),
-    never on the state.
+    fields that the coupling keeps ordered is kept ordered: the first ring
+    whose new byte crosses one raises OrderViolationError, naming the first
+    pair, in pair order, that the byte crosses, as `evolve` does.  The call
+    decides once whether any ring can cross a pair (`_may_cross` on the
+    joint table, and the frozen halo columns of the start), and compares
+    the pairs at each ring only if one can.  RNG use depends only on (seed,
+    grid, Poisson counts), never on the state.
 
     A replica-site holds all its fields in one byte, bit f for field f.  A
     ring gathers the bytes at x - halo..x + halo, turns them into its key by
     one lookup per slot (the center slot's row also adds the offset of U's
     atom), and reads the XOR mask of the fields that flip from the joint
-    flip table of `_joint_table`; the site and atom of a ring's rank pick
-    its gather columns and key rows.  At each grid interval the replica rows
-    move into that interval's ring-count order, so every step reads and
-    writes a prefix of the rows.  A step of more than BLOCK_RINGS rings is
-    cut into pieces of BLOCK_RINGS (its rings fall on distinct replicas, so
-    the pieces apply independently), and consecutive pieces are packed into
-    blocks of at most BLOCK_RINGS rings; the state-free work (draws, ranks,
-    gather indices) is done per block (`rng.random` draws the same doubles
-    in any chunks), so the temporaries stay cache-sized.
+    flip table of `_joint_table`.  The gather columns and key rows of every
+    (site, atom) pair of `_site_atoms` are laid out once per call, so a
+    ring's rank picks both directly.  At each grid interval the replica
+    rows move (one `take`) into that interval's ring-count order, so every
+    step reads and writes a prefix of the rows.  A step of more than
+    BLOCK_RINGS rings is cut into pieces of BLOCK_RINGS (its rings fall on
+    distinct replicas, so the pieces apply independently), and consecutive
+    pieces are packed into blocks of at most BLOCK_RINGS rings; the
+    state-free work (draws, ranks, gather indices) is done per block
+    (`rng.random` draws the same doubles in any chunks), so the temporaries
+    stay cache-sized.
 
     Returns the grid times, per grid time the in-window bits of every field,
     and the counters of `BatchResult`.
@@ -590,11 +655,11 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         boundaries.append(boundary)
     if len({isinstance(b, Periodic) for b in boundaries}) > 1:
         raise ValueError("fields mix periodic and frozen boundaries")
-    flat = state.reshape(-1)
-    cols = np.ascontiguousarray(_site_columns(boundaries[0], n, halo, halo).T)  # (slots, n)
+    cols = _site_columns(boundaries[0], n, halo, halo).T  # (slots, n)
 
+    @lru_cache(maxsize=None)
     def below(p, q):
-        return bool((bodies[p] <= bodies[q]).all())
+        return p == q or bool((bodies[p] <= bodies[q]).all())
 
     # background pairs, then spin pairs; equal fields need one orientation only
     kinds = ([f for f in range(n_fields) if owner[f] == f], [f for f in range(n_fields) if owner[f] != f])
@@ -610,10 +675,20 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     crossed = np.zeros(256, dtype=np.intp)
     for k, (p, q) in reversed(list(enumerate(pairs))):
         crossed[((byte >> p) & ~(byte >> q) & 1).astype(bool)] = k + 1
+    # every body byte starts uncrossed and a ring writes only its center, so
+    # rings need checking only if the table may cross a pair or the halo
+    # columns (the same in every row, and never written) cross one
+    edge = np.concatenate([state[:1, :halo], state[:1, halo + n:]], axis=1)
+    check = bool(pairs) and (
+        _may_cross(table, edges, b_bar, owner, radius, pairs) or bool(crossed.take(edge).any())
+    )
 
     if lam > 0:  # a clock of rate 0 never rings
         starts, site, atom = _site_atoms(edges, n)
         lookup = _rank_lookup(starts)
+        # gather columns and key rows by the rank of a ring's V
+        cols_of = cols.take(site, axis=1)
+        rows_of = rows_of.take(atom, axis=1)
 
     hist = np.zeros(256, dtype=np.int64)
     bg_rings = 0
@@ -625,9 +700,9 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         nonlocal bg_rings
         row_base = np.concatenate([base[lo:hi] for lo, hi in pieces])
         rank = _ranks(rng.random(len(row_base)), starts, lookup)
-        gather = cols.take(site.take(rank), axis=1)
+        gather = cols_of.take(rank, axis=1)
         gather += row_base
-        rows = rows_of.take(atom.take(rank), axis=1)
+        rows = rows_of.take(rank, axis=1)
         # slot 0 is not the center: its row is 0 exactly for background rings
         bg_rings += len(rank) - int(np.count_nonzero(rows[0]))
         mask = np.empty(len(rank), dtype=np.uint8)
@@ -642,6 +717,8 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
             flat[gather[halo, i:j]] = new[i:j]
             i = j
         hist[:] += np.bincount(mask, minlength=256)
+        if not check:
+            return
         hit = crossed.take(new)
         if hit.any():
             p, q = pairs[hit[hit > 0][0] - 1]
@@ -666,7 +743,8 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         # by radix sort, so the keys get the smallest type that holds them
         order = np.argsort((n_steps - counts).astype(np.min_scalar_type(n_steps)), kind="stable")
         # rows in that order, so that every step reads and writes a prefix
-        state[:] = state[at.take(order)]
+        state = state.take(at.take(order), axis=0)
+        flat = state.reshape(-1)
         at[order] = np.arange(replicas)
         active = replicas - np.cumsum(np.bincount(counts, minlength=n_steps))[:n_steps]
         steps += n_steps
@@ -685,8 +763,8 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         if pieces:
             run_block(pieces)
         times.append(t)
-        body = state[at, halo:halo + n]
-        snaps.append([((body >> f) & 1).astype(np.int8) for f in range(n_fields)])
+        body = np.ascontiguousarray(state.take(at, axis=0)[:, halo:halo + n])
+        snaps.append([((body >> f) & 1).view(np.int8) for f in range(n_fields)])
 
     counters = {
         "steps": steps,
@@ -716,7 +794,8 @@ def batch_evolve(
     (bits of shape (replicas, n), boundary).  The layers share the background
     and every mark: the maximal monotone coupling.  Returns in-window
     snapshots at each grid time.  With `check_order`, every pair of layers
-    that starts ordered is compared at each ring, and a crossing raises
+    that starts ordered is kept ordered at each ring (checked there unless
+    the call's order proof rules a crossing out), and a crossing raises
     OrderViolationError.
     """
     names = ["beta"] + ["layer%d" % k for k in range(len(spin_layers))]
@@ -738,7 +817,7 @@ def batch_envelope(spec: ModelSpec, t_grid, replicas, seed):
 
     Compatibility and attractivity nest the acceptance windows across the two
     spin tables, so the pair order (background and spin alike) holds even
-    while the backgrounds disagree; it is checked at every ring, and a
+    while the backgrounds disagree; it is kept at every ring, and a
     crossing raises OrderViolationError.  Each pair alone evolves with the
     exact model rates.  Returns (times, per grid time (beta_lo, eta_lo,
     beta_hi, eta_hi), violations), the last always 0.

@@ -82,6 +82,15 @@ class Configuration:
         return body
 
     @classmethod
+    def _of_bits(cls, bits, boundary):
+        """A Configuration of `bits`, a nonempty tuple of ints 0 and 1 and a
+        checked boundary, built without normalizing them again."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "bits", bits)
+        object.__setattr__(config, "boundary", boundary)
+        return config
+
+    @classmethod
     def all_zero(cls, n, boundary=PERIODIC):
         return cls((0,) * n, boundary)
 

@@ -201,8 +201,9 @@ def test_criterion_4_monotonicity_suite():
         replicas = 2000
         beta = rng.integers(0, 2, (replicas, 8)).astype(np.int8)
         layers = sample_ordered_quadruples(rng, replicas, 8)
-        # the engine compares every initially ordered pair of layers at each
-        # ring and raises OrderViolationError on a crossing
+        # the engine keeps every initially ordered pair of layers ordered at
+        # each ring (compared there unless the call's order proof rules a
+        # crossing out) and raises OrderViolationError on a crossing
         res = graphical.batch_evolve(
             spec,
             (beta, spec.env_boundary),

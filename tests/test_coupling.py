@@ -22,8 +22,9 @@ from envspin import (
     simulate_coupled,
     window_rates,
 )
-from envspin.coupling import _agreement_scan, site_menu
+from envspin.coupling import _agreement_scan, _float_menu, _toggle_table, site_menu
 from envspin.graphical import Event, Trajectory
+from envspin.lattice import MutableWindow, layer_names, word_index
 
 from _support import (
     GATE_LEVEL,
@@ -33,6 +34,7 @@ from _support import (
     check_agreement_moves,
     ordered_window_triples,
     pooled_chi_square,
+    random_attractive_env,
     random_compatible_pair,
     random_env,
     random_ordered_triple,
@@ -460,3 +462,63 @@ def test_agreement_move_check_refuses_planted_twins(middle, flip, moved):
     assert traj.verify_replay()
     with pytest.raises(AssertionError, match=moved):
         check_agreement_moves(traj)
+
+
+@pytest.mark.parametrize(
+    "n, radius, boundary",
+    [(1, 1, None), (2, 2, None), (3, 1, None), (7, 2, None), (1, 2, FrozenWords("10", "01")),
+     (5, 1, FrozenWords("1", "0")), (6, 2, FrozenWords("110", "01"))],
+    ids=["ring1-r1", "ring2-r2", "ring3-r1", "ring7-r2", "frozen1-r2", "frozen5-r1", "frozen6-r2"],
+)
+def test_packed_site_keys_follow_the_bits(n, radius, boundary):
+    # simulate_coupled keeps one packed key per site and XORs each flip into
+    # the keys that read it; replaying random runs, every site's key after
+    # every jump equals the key rebuilt from the bits, also on rings so small
+    # that a word reads one site more than once, and its menu is site_menu's
+    rng = np.random.default_rng(700 + 10 * n + radius)
+    pair = random_compatible_pair(rng, positive=True)
+    env = random_attractive_env(rng, radius)
+    spec = ModelSpec(pair, env, n, boundary) if boundary else ModelSpec(pair, env, n)
+    jumps = 0
+    for arity in (1, 3, 4):
+        names = ("beta",) + layer_names(arity)
+        for seed in range(4):
+            cols = rng.integers(0, 4, n)
+            layers = {1: [cols >= 2], 3: [cols == 3, cols >= 2, cols >= 1],
+                      4: [cols == 3, cols >= 2, (cols >= 2) | (cols == 1), cols >= 1]}[arity]
+            init = make_state(spec, tuple(rng.integers(0, 2, n)), [tuple(int(b) for b in l) for l in layers])
+            traj = simulate_coupled(CoupledSpec(spec, arity), init, seed=seed, t_max=6.0)
+            work = [MutableWindow(cfg) for cfg in (init.beta, *init.layers)]
+
+            def rebuilt(x):
+                key = word_index(work[0], x, radius)
+                for layer in work[1:]:
+                    key = key << 3 | word_index(layer, x, 1)
+                return key
+
+            base, toggles = _toggle_table(tuple(w.boundary for w in work), n, radius)
+            keys = list(base)
+            for f, w in enumerate(work):
+                for x, b in enumerate(w.bits):
+                    for y, bits in toggles[1 << f][x] if b else ():
+                        keys[y] |= bits
+            assert keys == [rebuilt(x) for x in range(n)]
+            by_jump = {}
+            for e in traj.events:
+                by_jump.setdefault((e.time, e.site), []).append(e)
+            for (_, x), flips in by_jump.items():
+                mask = 0
+                for e in flips:
+                    f = names.index(e.layer)
+                    work[f].flip(x)
+                    mask |= 1 << f
+                for y, bits in toggles[mask][x]:
+                    keys[y] ^= bits
+                assert keys == [rebuilt(y) for y in range(n)]
+                jumps += 1
+            for x, key in enumerate(keys):
+                menu, _ = _float_menu(pair, env, arity, key)
+                words = tuple(word_index(layer, x, 1) for layer in work[1:])
+                want = site_menu(pair, env, word_index(work[0], x, radius), words)
+                assert [entry[0] for entry in menu] == [float(rate) for _, rate in want]
+    assert jumps >= 60

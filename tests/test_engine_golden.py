@@ -263,6 +263,22 @@ def coupled_direct_wide():
     return h.hexdigest()
 
 
+def coupled_direct_small_rings():
+    # rings of 1 to 3 sites at background range 1 and 2: a word reads one
+    # site two or more times, and a flip changes several bits of one word
+    rng = np.random.default_rng(97)
+    h = hashlib.sha256()
+    for n, radius in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2)):
+        spec = ModelSpec(random_compatible_pair(rng, positive=True), random_attractive_env(rng, radius), n)
+        beta0 = spec.env_config(tuple(x % 2 for x in range(n)))
+        for arity in (1, 3, 4):
+            initial = JointState(beta0, tuple(_spin_stack(spec, arity)))
+            for seed in (0, 1, 2):
+                traj = simulate_coupled(CoupledSpec(spec, arity), initial, seed, 5.0)
+                h.update(traj.to_csv_text().encode())
+    return h.hexdigest()
+
+
 GOLDEN = {
     bench_cpree: "4df0cfcbf7d4e46f61d8ab553883b89e8b7beb49eaad97d25ce536129a67f944",
     envelope: "46a9d34678d5b425ca88c7b8e2c90c3122f3287e2b45cbffd3625b1094aefc83",
@@ -278,6 +294,7 @@ GOLDEN = {
     coupled_direct: "a1bd8a63ec611aef3773186f64938e624c84687c3ef64f811cf3a9498ec796f9",
     split_steps: "0698fdf391053ec900f08993d78b295b35b3cc7107dc9a6946928837ff125283",
     coupled_direct_wide: "effde15f95cb4c9b16ea7a3c850861d780bcfbc386f2ad5388aa0eb6c765607d",
+    coupled_direct_small_rings: "595196ee7f6a62f82065103db3f862e57522cb76755213f1727d24ea1e3111cd",
 }
 
 

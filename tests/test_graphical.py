@@ -38,6 +38,7 @@ from _support import (
     random_env,
     scaled_deaths,
 )
+from test_engine_golden import _crossing_spec, _spin_stack
 
 
 def cpree(sites=6, **kw):
@@ -686,3 +687,96 @@ def test_lockstep_law_on_wider_backgrounds_and_frozen_boundaries():
 def test_wider_background_gate_catches_high_death_rates():
     for p in _range_law_pvalues(sim_factor=1.1):
         assert p < GATE_LEVEL / 4, p
+
+
+# the order proof: a call whose joint table cannot cross an ordered pair
+# skips the per-ring check
+
+
+PRESET_PARAMS = {
+    "cpree": dict(gamma=1.0, delta0=1.0, delta1=0.5, p=0.5, lam=3.0),
+    "contact": dict(lam=2.0, delta=1.0),
+    "remark_iv": {},
+    "remark_vi": {},
+}
+
+
+def _proof_verdicts(monkeypatch, keep_check=False):
+    """Record what `_may_cross` decides on each call; with `keep_check` the
+    engine is told a crossing may happen whatever the verdict."""
+    real, verdicts = graphical._may_cross, []
+
+    def recorded(*args):
+        verdicts.append(real(*args))
+        return True if keep_check else verdicts[-1]
+
+    monkeypatch.setattr(graphical, "_may_cross", recorded)
+    return verdicts
+
+
+def _short_runs(spec):
+    # one layer has no ordered pair; the envelope holds one layer per group
+    beta0 = spec.env_config((0,) * spec.size)
+    for n_layers in (1, 3, 4):
+        batch_evolve(spec, beta0, _spin_stack(spec, n_layers), [0.05], 4, seed=1)
+    batch_envelope(spec, [0.05], 4, 2)
+
+
+def test_order_proof_holds_for_presets_and_attractive_specs(monkeypatch):
+    verdicts = _proof_verdicts(monkeypatch)
+    for name, params in PRESET_PARAMS.items():
+        _short_runs(preset(name, sites=5, **params))
+    rng = np.random.default_rng(120)
+    for k in range(30):
+        pair = random_compatible_pair(rng, positive=bool(k % 2))
+        _short_runs(ModelSpec(pair, random_attractive_env(rng, k % 3, positive=bool(k % 2)), 5))
+    # the 3- and 4-layer stacks and the envelope ask; a lone layer has no pair
+    assert verdicts == [False] * 3 * (len(PRESET_PARAMS) + 30)
+
+
+def test_order_proof_fails_for_a_non_attractive_table(monkeypatch):
+    verdicts = _proof_verdicts(monkeypatch)
+    spec = _crossing_spec()
+    with pytest.raises(graphical.OrderViolationError):
+        batch_evolve(spec, spec.env_config((0,) * 10), _spin_stack(spec, 3), [2.0], 40, seed=18)
+    assert verdicts == [True]
+    # a proof that always passes would let that crossing through unseen
+    monkeypatch.setattr(graphical, "_may_cross", lambda *args: False)
+    batch_evolve(spec, spec.env_config((0,) * 10), _spin_stack(spec, 3), [2.0], 40, seed=18)
+
+
+def test_order_proof_keeps_the_check_wherever_a_ring_crosses(monkeypatch):
+    # planted twin: the check runs on every ring whatever the proof says; on
+    # random tables with no attractivity, every run that crosses a pair must
+    # be one whose proof failed
+    verdicts = _proof_verdicts(monkeypatch, keep_check=True)
+    rng = np.random.default_rng(121)
+    raised = 0
+    for k in range(24):
+        radius = k % 3
+        c0, c1 = (LocalSpinRates(tuple(rng.integers(0, 8, 8) / 4)) for _ in range(2))
+        env = EnvRateSpec(radius, tuple(rng.integers(0, 8, 2 ** (2 * radius + 1)) / 4))
+        spec = ModelSpec(SpinRatePair(c0, c1), env, 6)
+        verdicts.clear()
+        try:
+            if k % 4 == 3:
+                batch_envelope(spec, [1.0], 30, seed=k)
+            else:
+                batch_evolve(spec, spec.env_config((0,) * 6), _spin_stack(spec, 3 + k % 2), [1.0], 30, seed=k)
+        except graphical.OrderViolationError:
+            raised += 1
+            assert verdicts == [True], k
+    assert raised >= 5
+
+
+def test_frozen_words_that_cross_a_pair_keep_the_check(monkeypatch):
+    # bodies ordered, boundary words not: the table alone proves nothing
+    # about keys that read the crossed words, so every ring is checked, and
+    # the first one that copies the crossing inward raises
+    verdicts = _proof_verdicts(monkeypatch)
+    spec = cpree(sites=4, boundary=FrozenWords("1", "1"))
+    zeros = np.zeros((20, 4), dtype=np.int8)
+    layers = [(zeros, FrozenWords("1", "1")), (zeros, FrozenWords("0", "0"))]
+    with pytest.raises(graphical.OrderViolationError, match="^layer0 and layer1 crossed"):
+        batch_evolve(spec, (zeros, spec.env_boundary), layers, [2.0], 20, seed=3)
+    assert verdicts == [False]
