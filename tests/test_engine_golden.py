@@ -179,6 +179,57 @@ def split_steps():
     return h.hexdigest()
 
 
+def _exact_window_spec():
+    # the benchmark's exact-window Monte Carlo spec: a 3-site contact process
+    # with spontaneous births, its up-rates raised under background 1
+    c0, c1 = [0.0] * 8, [0.0] * 8
+    for word in range(8):
+        left, center, right = word >> 2, (word >> 1) & 1, word & 1
+        if center == 0:
+            c0[word] = 0.25 + left + right
+            c1[word] = c0[word] + 0.5
+        else:
+            c0[word], c1[word] = 1.5, 0.75
+    return ModelSpec(SpinRatePair(LocalSpinRates(c0), LocalSpinRates(c1)), EnvRateSpec(0, (0.6, 0.4)), 3)
+
+
+def exact_window_words():
+    # exact-window's one-layer periodic run and its envelope, at replica
+    # counts where a whole window's table costs less than the rings
+    spec = _exact_window_spec()
+    h = hashlib.sha256()
+    top = spec.spin_config((1, 1, 1))
+    res = batch_evolve(spec, spec.env_config((0, 0, 0)), [top], [1.0], 2000, 31)
+    snaps = [[b] + list(ls) for b, ls in zip(res.background, res.layers)]
+    h.update(_digest(res.times, snaps, res.order_violations, res.counters).encode())
+    times, snaps, violations = batch_envelope(spec, [0.5, 1.0], 10_000, 32)
+    h.update(_digest(times, snaps, violations).encode())
+    return h.hexdigest()
+
+
+def coalescence_words():
+    # the coalescence shape: one background, all-zeros and all-ones layers
+    spec = preset("cpree", sites=3, **SUPERCRITICAL)
+    beta = np.random.default_rng(77).integers(0, 2, (2000, 3)).astype(np.int8)
+    layers = [np.zeros((2000, 3), dtype=np.int8), np.ones((2000, 3), dtype=np.int8)]
+    return _evolve_digest(spec, beta, layers, [0.5, 1.0], 2000, 33)
+
+
+def frozen_envelope_words():
+    # 4 sites of 4 fields: a whole window fills 16 bits, read next to frozen
+    # boundary words
+    spec = preset("contact", sites=4, boundary=FrozenWords("1", "0"), lam=2.0, delta=1.0)
+    times, snaps, violations = batch_envelope(spec, [1.0, 2.0], 20_000, 34)
+    return _digest(times, snaps, violations)
+
+
+def range2_frozen_words():
+    # range 2 on 3 sites: every ring reads the per-layer frozen words
+    spec = _frozen_spec(2, PerLayerFrozen(FrozenWords("110", "01"), FrozenWords("01", "001")), 3)
+    beta, layers = _random_triple_start(np.random.default_rng(78), 3000, 3)
+    return _evolve_digest(spec, beta, layers[::2], [0.5, 1.5], 3000, 35)
+
+
 def _crossing_spec():
     # a spin table that falls with its neighbors at center 0 is not
     # attractive, so ordered layers cross
@@ -295,6 +346,10 @@ GOLDEN = {
     split_steps: "0698fdf391053ec900f08993d78b295b35b3cc7107dc9a6946928837ff125283",
     coupled_direct_wide: "effde15f95cb4c9b16ea7a3c850861d780bcfbc386f2ad5388aa0eb6c765607d",
     coupled_direct_small_rings: "595196ee7f6a62f82065103db3f862e57522cb76755213f1727d24ea1e3111cd",
+    exact_window_words: "a51bc3049f684535fe481367e481d6d78b05d9b07496571f5a3f5def1a139967",
+    coalescence_words: "c06afefdab530ec3e4728b6952b01fd974043211b12f2e0bd76027bef8a7cc1f",
+    frozen_envelope_words: "0bf48a8a9d5896cc8a112e56445b10a623af8b848ffdaf0934280b9ee5802bd7",
+    range2_frozen_words: "b8b1d4ad5e7ec67a42646eac7f0d39b96362c79af5f8df0373beb980ea17eefe",
 }
 
 
@@ -308,20 +363,25 @@ def test_raised_crossing_names_the_first_crossed_pair(monkeypatch):
     # first pair it crosses in pair order, however steps are cut into pieces
     # (at 16, every 40-ring step is); messages as the engine gave them when
     # this test was written
-    spec = _crossing_spec()
-    beta, layers = _random_triple_start(np.random.default_rng(75), 40, 10)
-    for block in (BLOCK_RINGS, 16):
-        monkeypatch.setattr(graphical, "BLOCK_RINGS", block)
-        first = []
-        for seed in range(18, 34):
-            with pytest.raises(OrderViolationError) as err:
-                _evolve_digest(spec, beta, layers, [1.0, 2.0], 40, seed)
-            first.append(str(err.value).split(" crossed")[0])
-        assert first == [
-            "layer0 and layer%d" % k for k in (2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1)
-        ], block
-    with pytest.raises(OrderViolationError, match="^eta_lo and eta_hi crossed in a lockstep step$"):
-        batch_envelope(spec, [1.0], 40, 3)
+    base = _crossing_spec()
+    # its 3-site twin, at enough replicas that each whole window is one word
+    twin = ModelSpec(base.spin, base.env, 3)
+    for spec, replicas, envelope_replicas, expected in (
+        (base, 40, 40, (2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1)),
+        (twin, 5000, 10_000, (1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ):
+        beta, layers = _random_triple_start(np.random.default_rng(75), replicas, spec.size)
+        for block in (BLOCK_RINGS, 16):
+            monkeypatch.setattr(graphical, "BLOCK_RINGS", block)
+            first = []
+            for seed in range(18, 34):
+                with pytest.raises(OrderViolationError) as err:
+                    _evolve_digest(spec, beta, layers, [1.0, 2.0], replicas, seed)
+                first.append(str(err.value).split(" crossed")[0])
+            assert first == ["layer0 and layer%d" % k for k in expected], (spec.size, block)
+        monkeypatch.setattr(graphical, "BLOCK_RINGS", BLOCK_RINGS)
+        with pytest.raises(OrderViolationError, match="^eta_lo and eta_hi crossed in a lockstep step$"):
+            batch_envelope(spec, [1.0], envelope_replicas, 3)
 
 
 def test_mark_engine_raises_on_the_first_crossed_pair():

@@ -775,8 +775,10 @@ def test_frozen_words_that_cross_a_pair_keep_the_check(monkeypatch):
     # the first one that copies the crossing inward raises
     verdicts = _proof_verdicts(monkeypatch)
     spec = cpree(sites=4, boundary=FrozenWords("1", "1"))
-    zeros = np.zeros((20, 4), dtype=np.int8)
-    layers = [(zeros, FrozenWords("1", "1")), (zeros, FrozenWords("0", "0"))]
-    with pytest.raises(graphical.OrderViolationError, match="^layer0 and layer1 crossed"):
-        batch_evolve(spec, (zeros, spec.env_boundary), layers, [2.0], 20, seed=3)
-    assert verdicts == [False]
+    # at 3000 replicas each whole window is one word
+    for replicas in (20, 3000):
+        zeros = np.zeros((replicas, 4), dtype=np.int8)
+        layers = [(zeros, FrozenWords("1", "1")), (zeros, FrozenWords("0", "0"))]
+        with pytest.raises(graphical.OrderViolationError, match="^layer0 and layer1 crossed in a lockstep step$"):
+            batch_evolve(spec, (zeros, spec.env_boundary), layers, [2.0], replicas, seed=3)
+    assert verdicts == [False, False]
