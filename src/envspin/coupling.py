@@ -15,6 +15,7 @@ path fully independent of the mark-driven simulator in `graphical`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -220,6 +221,8 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
     """
     if len(initial.layers) != cspec.arity:
         raise ValueError("%d spin layers given for arity %d" % (len(initial.layers), cspec.arity))
+    if not 0 <= t_max < math.inf:
+        raise ValueError("t_max must be finite and >= 0")
     spec = cspec.base
     arity, n = cspec.arity, spec.size
     pair, env = spec.spin, spec.env
@@ -371,6 +374,8 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     run; a replica leaves the live arrays once its clock passes t or its
     total rate is 0.
     """
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
     n = spec.size
     rng = np.random.default_rng(seed)
     radius = spec.env.range

@@ -38,6 +38,14 @@ ring, ranked among the (site, atom) starts of `_site_atoms`, picks the site
 and the atom together, and per-call tables indexed by that rank give the
 ring's gather columns and key rows.
 
+A small window is held whole.  When n sites of F fields fit 16 bits and
+the tables below cost no more entries than the rings the call expects
+(`_holds_words`), each replica's window is one word and a ring is one
+lookup: a table built once per call from the joint table, with the frozen
+boundary bytes folded in, maps (rank, word) to the next word
+(`_word_table`).  Draws, ranks, counters and crossing messages are those
+of the byte path, so outputs are byte-identical on either path.
+
 Nor does the engine compare layers at every ring when the table itself
 proves the order: every site starts uncrossed, a ring writes only its own
 site, and if no table entry with an uncrossed key crosses a pair (nor do
@@ -130,8 +138,8 @@ class EventStream:
     """
 
     def __init__(self, spec: ModelSpec, seed, t_max, max_events=10_000_000):
-        if t_max < 0:
-            raise ValueError("t_max must be >= 0")
+        if not 0 <= t_max < math.inf:
+            raise ValueError("t_max must be finite and >= 0")
         self.spec = spec
         self.seed = int(seed)
         self.t_max = float(t_max)
@@ -586,6 +594,45 @@ def _site_atoms(edges, n):
     return starts[keep], site[keep], atom[keep]
 
 
+def _holds_words(n_fields, n, ranks, rings):
+    """Whether a `_lockstep` call holds each replica's window, n sites of
+    n_fields bits, as one word: the window fits 16 bits, and its tables
+    (`_word_table`, an entry per rank and word) hold at most TABLE_CAP
+    entries and no more than the `rings` the call expects to draw."""
+    bits = n_fields * n
+    return bits <= 16 and ranks << bits <= min(TABLE_CAP, rings)
+
+
+def _word_table(table, lut, rows_of, cols_of, site, edge, n_fields, n, crossed):
+    """Transition tables of a `_lockstep` call whose whole window, n sites of
+    n_fields bits, is one word: bits n_fields*x.. hold site x's byte.
+
+    A ring of rank k (`_site_atoms`) reads its key from the padded row of
+    the word, the frozen halo bytes `edge` on either side of the sites, as
+    the byte path does: the bytes at gather columns `cols_of[:, k]` through
+    `lut` and key rows `rows_of[:, k]`, then its mask from the joint table.
+    Entry (k << n_fields*n) + word of the flat tables holds the word after
+    the ring, its mask, and (only with `crossed`, per byte 1 + the first
+    pair it crosses) the crossing of the ring's new byte."""
+    bits = n_fields * n
+    word = np.arange(1 << bits, dtype=np.uint16)
+    halo = len(edge) // 2
+    # padded rows, one column per word
+    padded = np.empty((n + len(edge), 1 << bits), dtype=np.uint8)
+    padded[:halo] = edge[:halo, None]
+    padded[halo + n:] = edge[halo:, None]
+    padded[halo:halo + n] = (word >> n_fields * np.arange(n, dtype=np.uint16)[:, None]) & ((1 << n_fields) - 1)
+    # flat indices stay below TABLE_CAP: 32 bits hold them, and take them faster
+    lut, rows_of = lut.astype(np.int32), rows_of.astype(np.int32)
+    key = np.zeros((cols_of.shape[1], 1 << bits), dtype=np.int32)
+    for cols, rows in zip(cols_of, rows_of):
+        key += lut.take(padded.take(cols, axis=0) + rows[:, None])
+    mask = table.take(key)
+    step = (mask.astype(np.uint16) << (n_fields * site).astype(np.uint16)[:, None]) ^ word
+    cross = None if crossed is None else crossed.take(padded.take(cols_of[halo], axis=0) ^ mask).ravel()
+    return step.ravel(), mask.ravel(), cross
+
+
 def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     """Run `replicas` copies of G groups of (background, spin layers) in lockstep.
 
@@ -622,10 +669,21 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     (`rng.random` draws the same doubles in any chunks), so the temporaries
     stay cache-sized.
 
+    When `_holds_words` accepts the call (n_fields*n <= 16 bits, and tables
+    of at most TABLE_CAP entries and no more than the expected rings
+    lam*n*t*replicas), each replica is instead one word, bits n_fields*x..
+    holding site x's byte, and a ring adds its word to its rank's offset
+    and takes its next word, its mask and (only when rings are checked) its
+    crossing from the tables of `_word_table`.  There is no gather and no
+    scatter, and the draws, blocks, row order, counters and messages are
+    those of the byte path: outputs are byte-identical on either path.
+
     Returns the grid times, per grid time the in-window bits of every field,
     and the counters of `BatchResult`.
     """
     grid = [float(t) for t in t_grid]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("t_grid times must be finite")
     if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("t_grid must be nondecreasing and nonnegative")
     consts = dominating_rates(spec)
@@ -672,7 +730,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     ] if check_order else []
     byte = np.arange(256)
     # per packed byte, 1 + the index of the first pair it crosses (0: none)
-    crossed = np.zeros(256, dtype=np.intp)
+    crossed = np.zeros(256, dtype=np.uint8)
     for k, (p, q) in reversed(list(enumerate(pairs))):
         crossed[((byte >> p) & ~(byte >> q) & 1).astype(bool)] = k + 1
     # every body byte starts uncrossed and a ring writes only its center, so
@@ -683,44 +741,63 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         _may_cross(table, edges, b_bar, owner, radius, pairs) or bool(crossed.take(edge).any())
     )
 
+    words = None
+    bits = n_fields * n
     if lam > 0:  # a clock of rate 0 never rings
         starts, site, atom = _site_atoms(edges, n)
         lookup = _rank_lookup(starts)
         # gather columns and key rows by the rank of a ring's V
         cols_of = cols.take(site, axis=1)
         rows_of = rows_of.take(atom, axis=1)
+        if _holds_words(n_fields, n, len(starts), lam * n * (grid[-1] if grid else 0.0) * replicas):
+            step_of, mask_of, cross_of = _word_table(
+                table, lut, rows_of, cols_of, site, edge[0], n_fields, n, crossed if check else None
+            )
+            # slot 0 is not the center: its row is 0 exactly for background rings
+            spin_rank = rows_of[0] != 0
+            words = np.zeros(replicas, dtype=np.uint16)
+            for x in range(n):
+                words |= state[:, halo + x].astype(np.uint16) << n_fields * x
 
     hist = np.zeros(256, dtype=np.int64)
     bg_rings = 0
 
-    def run_block(pieces):
-        """Draw and apply the rings of consecutive pieces of steps, piece
-        (lo, hi) to the rows at base[lo:hi]; raise at the first ring whose
-        new byte crosses an ordered pair."""
+    def run_block(pieces, size):
+        """Draw and apply the `size` rings of consecutive pieces of steps,
+        piece (lo, hi) to rows lo..hi-1; raise at the first ring whose new
+        byte crosses an ordered pair."""
         nonlocal bg_rings
-        row_base = np.concatenate([base[lo:hi] for lo, hi in pieces])
-        rank = _ranks(rng.random(len(row_base)), starts, lookup)
-        gather = cols_of.take(rank, axis=1)
-        gather += row_base
-        rows = rows_of.take(rank, axis=1)
-        # slot 0 is not the center: its row is 0 exactly for background rings
-        bg_rings += len(rank) - int(np.count_nonzero(rows[0]))
-        mask = np.empty(len(rank), dtype=np.uint8)
-        new = np.empty(len(rank), dtype=np.uint8)
+        rank = _ranks(rng.random(size), starts, lookup)
         i = 0
-        for lo, hi in pieces:
-            j = i + hi - lo
-            b = flat.take(gather[:, i:j])
-            # in-range keys: "clip" spares take's buffered bounds check
-            table.take(np.add.reduce(lut.take(b + rows[:, i:j])), out=mask[i:j], mode="clip")
-            np.bitwise_xor(b[halo], mask[i:j], out=new[i:j])
-            flat[gather[halo, i:j]] = new[i:j]
-            i = j
+        if words is not None:
+            bg_rings += len(rank) - int(np.count_nonzero(spin_rank.take(rank)))
+            # each ring's flat table index, (rank << bits) + its word
+            rank <<= bits
+            for lo, hi in pieces:
+                j = i + hi - lo
+                rank[i:j] += words[lo:hi]
+                step_of.take(rank[i:j], out=words[lo:hi], mode="clip")
+                i = j
+            mask = mask_of.take(rank)
+            hit = cross_of.take(rank) if check else None
+        else:
+            gather = cols_of.take(rank, axis=1)
+            gather += np.concatenate([base[lo:hi] for lo, hi in pieces])
+            rows = rows_of.take(rank, axis=1)
+            bg_rings += len(rank) - int(np.count_nonzero(rows[0]))
+            mask = np.empty(len(rank), dtype=np.uint8)
+            new = np.empty(len(rank), dtype=np.uint8)
+            for lo, hi in pieces:
+                j = i + hi - lo
+                b = flat.take(gather[:, i:j])
+                # in-range keys: "clip" spares take's buffered bounds check
+                table.take(np.add.reduce(lut.take(b + rows[:, i:j])), out=mask[i:j], mode="clip")
+                np.bitwise_xor(b[halo], mask[i:j], out=new[i:j])
+                flat[gather[halo, i:j]] = new[i:j]
+                i = j
+            hit = crossed.take(new) if check else None
         hist[:] += np.bincount(mask, minlength=256)
-        if not check:
-            return
-        hit = crossed.take(new)
-        if hit.any():
+        if hit is not None and hit.any():
             p, q = pairs[hit[hit > 0][0] - 1]
             raise OrderViolationError("%s and %s crossed in a lockstep step" % (names[p], names[q]))
 
@@ -743,8 +820,11 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         # by radix sort, so the keys get the smallest type that holds them
         order = np.argsort((n_steps - counts).astype(np.min_scalar_type(n_steps)), kind="stable")
         # rows in that order, so that every step reads and writes a prefix
-        state = state.take(at.take(order), axis=0)
-        flat = state.reshape(-1)
+        if words is None:
+            state = state.take(at.take(order), axis=0)
+            flat = state.reshape(-1)
+        else:
+            words = words.take(at.take(order))
         at[order] = np.arange(replicas)
         active = replicas - np.cumsum(np.bincount(counts, minlength=n_steps))[:n_steps]
         steps += n_steps
@@ -755,15 +835,22 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
             while lo < a:
                 hi = a if a - lo <= BLOCK_RINGS else lo + BLOCK_RINGS
                 if size + hi - lo > BLOCK_RINGS:
-                    run_block(pieces)
+                    run_block(pieces, size)
                     pieces, size = [], 0
                 pieces.append((lo, hi))
                 size += hi - lo
                 lo = hi
         if pieces:
-            run_block(pieces)
+            run_block(pieces, size)
         times.append(t)
-        body = np.ascontiguousarray(state.take(at, axis=0)[:, halo:halo + n])
+        if words is None:
+            body = np.ascontiguousarray(state.take(at, axis=0)[:, halo:halo + n])
+        else:
+            # site x's byte, with bits of the sites after it above its fields
+            now = words.take(at)
+            body = np.empty((replicas, n), dtype=np.uint8)
+            for x in range(n):
+                body[:, x] = now >> n_fields * x
         snaps.append([((body >> f) & 1).view(np.int8) for f in range(n_fields)])
 
     counters = {

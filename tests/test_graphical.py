@@ -8,9 +8,11 @@ import pytest
 
 from envspin import (
     Configuration,
+    CoupledSpec,
     EnvRateSpec,
     EventStream,
     FrozenWords,
+    JointState,
     PerLayerFrozen,
     SpinRatePair,
     batch_envelope,
@@ -20,9 +22,11 @@ from envspin import (
     evolve,
     preset,
     semigroup_apply,
+    simulate_coupled,
     window_rates,
 )
 from envspin import graphical
+from envspin.coupling import batch_simulate_pair
 from envspin.graphical import EventBudgetError, accept_window, exact_clock, exact_table
 from envspin.lattice import PERIODIC, MutableWindow
 from envspin.rates import LocalSpinRates, ModelSpec
@@ -38,7 +42,7 @@ from _support import (
     random_env,
     scaled_deaths,
 )
-from test_engine_golden import _crossing_spec, _spin_stack
+from test_engine_golden import _crossing_spec, _exact_window_spec, _spin_stack
 
 
 def cpree(sites=6, **kw):
@@ -782,3 +786,113 @@ def test_frozen_words_that_cross_a_pair_keep_the_check(monkeypatch):
         with pytest.raises(graphical.OrderViolationError, match="^layer0 and layer1 crossed in a lockstep step$"):
             batch_evolve(spec, (zeros, spec.env_boundary), layers, [2.0], replicas, seed=3)
     assert verdicts == [False, False]
+
+
+# whole windows as words: a call whose sites and fields fit 16 bits, and whose
+# transition tables hold no more entries than the rings it expects, takes one
+# lookup per ring
+
+
+def _word_paths(monkeypatch):
+    """Record (fields, sites, entries) for each call that holds its windows
+    as words (`_word_table`)."""
+    real, shapes = graphical._word_table, []
+
+    def recorded(*args):
+        tables = real(*args)
+        shapes.append((*args[-3:-1], len(tables[0])))
+        return tables
+
+    monkeypatch.setattr(graphical, "_word_table", recorded)
+    return shapes
+
+
+def test_whole_window_words_are_chosen_by_size_and_rings(monkeypatch):
+    shapes = _word_paths(monkeypatch)
+    # the exact-window shapes: one layer, the envelope, the coalescence pair
+    spec = _exact_window_spec()
+    beta0, top = spec.env_config((0, 0, 0)), spec.spin_config((1, 1, 1))
+    batch_evolve(spec, beta0, [top], [1.0], 100_000, seed=1)
+    batch_envelope(spec, [0.5, 1.0], 100_000, 2)
+    sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
+    batch_evolve(sc, sc.env_config((0, 1, 0)), _spin_stack(sc, 4)[::3], [1.0], 20_000, seed=3)
+    assert shapes == [(2, 3, 30 << 6), (4, 3, 30 << 12), (3, 3, 18 << 9)]
+    shapes.clear()
+    # 64 sites; 5 sites of 4 fields; more entries than the 3 rings expected
+    big = preset("cpree", sites=64, **PRESET_PARAMS["cpree"])
+    batch_evolve(big, big.env_config((0,) * 64), _spin_stack(big, 3), [0.5], 50, seed=4)
+    five = cpree(sites=5)
+    batch_evolve(five, five.env_config((0,) * 5), _spin_stack(five, 3), [1.0], 20_000, seed=5)
+    batch_evolve(spec, beta0, [top], [0.05], 4, seed=6)
+    # over TABLE_CAP by one entry, at more rings than entries; at the cap
+    monkeypatch.setattr(graphical, "TABLE_CAP", (30 << 12) - 1)
+    batch_envelope(spec, [0.5, 1.0], 10_000, 7)
+    assert shapes == []
+    monkeypatch.setattr(graphical, "TABLE_CAP", 30 << 12)
+    batch_envelope(spec, [0.5, 1.0], 10_000, 7)
+    assert shapes == [(4, 3, 30 << 12)]
+
+
+def test_whole_window_words_match_the_byte_path(monkeypatch):
+    # each call again with words refused: both paths give the same bytes and
+    # counters, with the per-ring crossing check (forced on in odd cases) or
+    # without it; at 3000 replicas, 3 sites fit at most 3 fields and only
+    # 2-site envelopes fit the rings
+    shapes = _word_paths(monkeypatch)
+    holds_words, may_cross = graphical._holds_words, graphical._may_cross
+    rng = np.random.default_rng(130)
+    boundaries = (None, FrozenWords("10", "01"), PerLayerFrozen(FrozenWords("110", "01"), FrozenWords("01", "001")))
+    for k in range(12):
+        n, radius, boundary = 2 + k % 2, k % 3, boundaries[k // 4]
+        pair = random_compatible_pair(rng, positive=bool(k % 2))
+        env = random_attractive_env(rng, radius)
+        spec = ModelSpec(pair, env, n, boundary) if boundary else ModelSpec(pair, env, n)
+        beta = rng.integers(0, 2, (3000, n)).astype(np.int8)
+        layers = list(ordered_stack(rng.integers(0, 4, (3000, n))))[: 1 + (k // 2) % (5 - n)]
+        monkeypatch.setattr(graphical, "_may_cross", (lambda *args: True) if k % 2 else may_cross)
+
+        def run():
+            res = batch_evolve(
+                spec, (beta, spec.env_boundary), [(a, spec.spin_boundary) for a in layers], [1.0, 2.0], 3000, k
+            )
+            out = [res.times, res.background, res.layers, res.counters]
+            if n == 2:
+                out.append(batch_envelope(spec, [1.0, 2.0], 3000, k))
+            return out
+
+        monkeypatch.setattr(graphical, "_holds_words", holds_words)
+        shapes.clear()
+        words = run()
+        assert len(shapes) == (2 if n == 2 else 1), k
+        monkeypatch.setattr(graphical, "_holds_words", lambda *args: False)
+        shapes.clear()
+        np.testing.assert_equal(run(), words)
+        assert shapes == [], k
+
+
+def _horizon_calls(name, t):
+    sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
+    beta0, top = sc.env_config((0, 0, 0)), sc.spin_config((1, 1, 1))
+    if name == "envelope":
+        return batch_envelope(sc, [t], 5, 1)
+    if name == "evolve":
+        return batch_evolve(sc, beta0, [top], [0.5, t], 5, seed=1)
+    if name == "pair":
+        return batch_simulate_pair(sc, beta0, top, t, 5, 1)
+    if name == "coupled":
+        return simulate_coupled(CoupledSpec(sc, 3), JointState(beta0, tuple(_spin_stack(sc, 3))), 1, t)
+    return EventStream(sc, 1, t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("name", ["envelope", "evolve", "pair", "coupled", "stream"])
+def test_non_finite_or_negative_horizons_are_refused_before_any_draw(monkeypatch, name, t):
+    # a NaN grid time once gave a run of no rings, +inf died inside numpy,
+    # the direct simulators never returned at NaN or +inf, and a negative
+    # horizon returned the start
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was made before the horizon was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValueError, match="finite|nonnegative|>= 0"):
+        _horizon_calls(name, t)
