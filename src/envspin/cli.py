@@ -5,11 +5,17 @@ Every command that writes data also writes a manifest (<out>.manifest.json)
 recording the resolved spec, parameters, seed and output paths; `envspin
 replay MANIFEST` re-runs the command and reproduces the data files byte for
 byte (timestamps and runtime fields live only in the manifest and reports).
-
-Exit codes: 0 success, 1 validation failure, 2 usage or input error (a
-config, start bits, oracle, scenario or manifest input that cannot run, or
-an --out prefix in a missing directory), 3 numerical flag (a
-failed class certificate or residual, or non-convergence in the oracle).
+The commands only compute; `main` writes their data files, then the
+manifest, then prints their stdout lines.  A refusal is one stderr line and
+writes no data file and no manifest.  Exit codes and refusal prefixes:
+  0  success;
+  1  validation failure: `invalid preset`, `invalid model`; `validate`
+     prints its `violation` lines on stdout;
+  2  input error: `config error`, `simulate error`, `oracle error`,
+     `scenario error`, `replay error`, `output error`, and argparse usage
+     errors (a usage line, then the message);
+  3  numerical flag: a failed class certificate or residual, or
+     non-convergence in the oracle, printed after its outputs are written.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from functools import lru_cache
@@ -45,12 +52,18 @@ _PRESET_FLAGS = {
 }
 
 
+class Refusal(Exception):
+    """Refusal(message, code): a run refused before it wrote anything.  `main`
+    prints the one-line message to stderr and exits with the code, 2 for an
+    input error and 1 for a validation failure."""
+
+
 def _at_least(kind, low):
-    """An argparse type converting by `kind` and refusing values below `low` (and NaN)."""
+    """An argparse type converting by `kind` and refusing values below `low`, NaN and infinities."""
     def convert(text):
         value = kind(text)
-        if not value >= low:
-            raise argparse.ArgumentTypeError("must be at least %r, got %r" % (low, text))
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError("must be finite and at least %r, got %r" % (low, text))
         return value
     convert.__name__ = kind.__name__  # argparse names the type in "invalid float value"
     return convert
@@ -61,7 +74,7 @@ def _add_spec_args(p):
     p.add_argument("--preset", help="preset name: cpree, contact, remark_iv, remark_vi")
     for name, flag in _PRESET_FLAGS.items():
         p.add_argument(flag, dest=name, type=float)
-    p.add_argument("--sites", type=int, default=None,
+    p.add_argument("--sites", type=_at_least(int, 1), default=None,
                    help="window size of a preset (default 16; 5 for scenario iv and vi)")
     p.add_argument("--boundary", default=None, help="periodic | frozen:L|R | frozen:eL|eR;sL|sR")
 
@@ -129,34 +142,31 @@ def _resolve_spec(args, parser, sites=16):
         parser.error("--config conflicts with --preset")
     if not (args.config or args.preset):
         parser.error("one of --config or --preset is required")
+    params = {name: getattr(args, name) for name in _PRESET_FLAGS if getattr(args, name, None) is not None}
     try:
         if args.config:
             return parse_config(Path(args.config).read_text())
         boundary = parse_boundary(args.boundary) if args.boundary else None
+        return preset(args.preset, sites=sites if args.sites is None else args.sites, boundary=boundary, **params)
     except (ConfigError, OSError) as err:
-        print("config error: %s" % err, file=sys.stderr)
-        raise SystemExit(2) from None
-    params = {
-        name: getattr(args, name)
-        for name in _PRESET_FLAGS
-        if getattr(args, name, None) is not None
-    }
-    if args.sites is not None:
-        sites = args.sites
-    try:
-        return preset(args.preset, sites=sites, boundary=boundary, **params)
-    except ConfigError as err:
-        # an unknown preset or a parameter it does not take
-        print("config error: %s" % err, file=sys.stderr)
-        raise SystemExit(2) from None
+        # an unreadable or malformed file or boundary, an unknown preset or a parameter it does not take
+        raise Refusal("config error: %s" % err, 2) from None
     except KeyError as err:
         # a required preset parameter that no flag gave
         name = err.args[0]
-        print("config error: preset %s needs %s" % (args.preset, _PRESET_FLAGS.get(name, name)), file=sys.stderr)
-        raise SystemExit(2) from None
+        raise Refusal("config error: preset %s needs %s" % (args.preset, _PRESET_FLAGS.get(name, name)), 2) from None
     except ValueError as err:
-        print("invalid preset: %s" % err, file=sys.stderr)
-        raise SystemExit(1) from None
+        raise Refusal("invalid preset: %s" % err, 1) from None
+
+
+def _valid_spec(args, parser):
+    """The resolved spec of a command that runs the model, refused unless
+    it is attractive and compatible."""
+    spec = _resolve_spec(args, parser)
+    problems = spec.validate()
+    if problems:
+        raise Refusal("invalid model: %s" % "; ".join(problems), 1)
+    return spec
 
 
 # options that make up the spec; the manifest inlines the resolved config instead
@@ -194,59 +204,50 @@ def _write_manifest(args, spec, outputs):
     Path(args.out + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _trajectory_json(traj):
-    return json.dumps(
-        {
-            "t_max": traj.t_max,
-            "initial": {k: v.to_literal() for k, v in traj.initial.items()},
-            "final": {k: v.to_literal() for k, v in traj.final.items()},
-            "events": traj.to_records(),
-        },
-        indent=2,
-    ) + "\n"
-
-
-def _write_trajectory(traj, prefix, fmt):
-    if fmt == "json":
-        path = Path(str(prefix) + ".json")
-        path.write_text(_trajectory_json(traj))
+def _trajectory_output(args, spec, traj):
+    """What `simulate` and `couple` return: the trajectory as one file in --format."""
+    if args.format == "json":
+        text = json.dumps(
+            {
+                "t_max": traj.t_max,
+                "initial": {k: v.to_literal() for k, v in traj.initial.items()},
+                "final": {k: v.to_literal() for k, v in traj.final.items()},
+                "events": traj.to_records(),
+            },
+            indent=2,
+        ) + "\n"
     else:
-        path = Path(str(prefix) + ".csv")
-        path.write_text(traj.to_csv_text())
-    return path
+        text = traj.to_csv_text()
+    suffix = "." + args.format
+    return spec, {suffix: text}, ["wrote %s (%d events)" % (Path(args.out + suffix), len(traj.events))], 0
 
+
+# Each command returns (spec, {data file suffix: text} in output order,
+# stdout lines, exit code); a refusal raises Refusal.
 
 def cmd_validate(args, parser):
     spec = _resolve_spec(args, parser)
     problems = spec.validate()
-    for note in spec.warnings():
-        print("warning: %s" % note)
+    lines = ["warning: %s" % note for note in spec.warnings()]
     if problems:
-        for p in problems:
-            print("violation: %s" % p)
-        return 1
+        return spec, {}, lines + ["violation: %s" % p for p in problems], 1
     c = spec.constants()
-    print("ok: attractive and compatible")
-    print("C=%g K=%g b_bar=%g c_bar0=%g c_bar1=%g c_bar=%g c_hat=%g"
-          % (c.C, c.K, c.b_bar, c.c_bar0, c.c_bar1, c.c_bar, c.c_hat))
-    return 0
+    lines += ["ok: attractive and compatible",
+              "C=%g K=%g b_bar=%g c_bar0=%g c_bar1=%g c_bar=%g c_hat=%g"
+              % (c.C, c.K, c.b_bar, c.c_bar0, c.c_bar1, c.c_bar, c.c_hat)]
+    return spec, {}, lines, 0
 
 
 def cmd_simulate(args, parser):
-    spec = _resolve_spec(args, parser)
-    spec.require_valid()
+    spec = _valid_spec(args, parser)
     args.seed = _resolve_seed(args)
     for flag, bits in (("--init-beta", args.init_beta), ("--init-eta", args.init_eta)):
         if bits and (len(bits) != spec.size or set(bits) - {"0", "1"}):
-            print("simulate error: %s %s is not %d bits 0 or 1" % (flag, bits, spec.size), file=sys.stderr)
-            return 2
+            raise Refusal("simulate error: %s %s is not %d bits 0 or 1" % (flag, bits, spec.size), 2)
     beta0 = spec.env_config(args.init_beta if args.init_beta else (0,) * spec.size)
     eta0 = spec.spin_config(args.init_eta if args.init_eta else (1,) * spec.size)
     traj = graphical.evolve(beta0, [eta0], graphical.EventStream(spec, args.seed, args.tmax))
-    out = _write_trajectory(traj, args.out, args.format)
-    _write_manifest(args, spec, [out])
-    print("wrote %s (%d events)" % (out, len(traj.events)))
-    return 0
+    return _trajectory_output(args, spec, traj)
 
 
 def _default_coupled_initial(spec, n_layers):
@@ -264,41 +265,27 @@ def _default_coupled_initial(spec, n_layers):
 
 
 def cmd_couple(args, parser):
-    spec = _resolve_spec(args, parser)
-    spec.require_valid()
+    spec = _valid_spec(args, parser)
     args.seed = _resolve_seed(args)
     arity = 4 if args.layers == 5 else args.layers
     initial = _default_coupled_initial(spec, arity)
     traj = simulate_coupled(CoupledSpec(spec, arity), initial, args.seed, args.tmax)
-    out = _write_trajectory(traj, args.out, args.format)
-    _write_manifest(args, spec, [out])
-    print("wrote %s (%d events)" % (out, len(traj.events)))
-    return 0
+    return _trajectory_output(args, spec, traj)
 
 
 def cmd_oracle(args, parser):
-    spec = _resolve_spec(args, parser)
-    spec.require_valid()
+    spec = _valid_spec(args, parser)
     try:
         G = oracle.build_generator(spec)
     except ValueError as err:
-        print("oracle error: %s" % err, file=sys.stderr)
-        return 2
+        raise Refusal("oracle error: %s" % err, 2) from None
     S = oracle.stationary_set(G)
     L = oracle.limit_distributions(G)
-    prefix = args.out
-    outputs = []
-    path = Path(prefix + ".generator.csv")
-    path.write_text(G.to_csv_text())
-    outputs.append(path)
+    files = {".generator.csv": G.to_csv_text()}
     for k, dist in enumerate(S.distributions):
-        path = Path("%s.stationary%d.csv" % (prefix, k))
-        path.write_text(oracle.dump_distribution_csv(dist))
-        outputs.append(path)
-    for name, dist in (("nu0", L.lower), ("nu1", L.upper)):
-        path = Path("%s.%s.csv" % (prefix, name))
-        path.write_text(oracle.dump_distribution_csv(dist))
-        outputs.append(path)
+        files[".stationary%d.csv" % k] = oracle.dump_distribution_csv(dist)
+    files[".nu0.csv"] = oracle.dump_distribution_csv(L.lower)
+    files[".nu1.csv"] = oracle.dump_distribution_csv(L.upper)
     summary = {
         "dim": G.dim,
         "stationary_dimension": S.dimension,
@@ -307,21 +294,16 @@ def cmd_oracle(args, parser):
         "tv_nu0_nu1": L.tv_distance,
         "limits_converged": L.converged,
     }
-    path = Path(prefix + ".summary.json")
-    path.write_text(json.dumps(summary, indent=2) + "\n")
-    outputs.append(path)
-    _write_manifest(args, spec, outputs)
-    print("stationary dimension %d, TV(nu0, nu1) = %g" % (S.dimension, L.tv_distance))
+    files[".summary.json"] = json.dumps(summary, indent=2) + "\n"
+    lines = ["stationary dimension %d, TV(nu0, nu1) = %g" % (S.dimension, L.tv_distance)]
     if S.flagged or not L.converged:
-        print("numerical flag raised: %s" % ("; ".join(S.notes) if S.notes else "non-convergence"))
-        return 3
-    return 0
+        lines.append("numerical flag raised: %s" % ("; ".join(S.notes) if S.notes else "non-convergence"))
+        return spec, files, lines, 3
+    return spec, files, lines, 0
 
 
 def cmd_scenario(args, parser):
-    prefix = args.out
-    outputs = []
-    extra_files = {}
+    curve = {}
     if args.name in ("iv", "vi"):
         if args.preset is None and args.config is None:
             args.preset = "remark_" + args.name
@@ -329,12 +311,10 @@ def cmd_scenario(args, parser):
         try:
             report = experiments.scenario_remarks(args.name, spec=spec)
         except ValueError as err:
-            print("oracle error: %s" % err, file=sys.stderr)
-            return 2
+            raise Refusal("oracle error: %s" % err, 2) from None
         payload = json.dumps(report, indent=2) + "\n"
     else:
-        spec = _resolve_spec(args, parser)
-        spec.require_valid()
+        spec = _valid_spec(args, parser)
         args.seed = _resolve_seed(args)
         try:
             if args.name == "coalescence":
@@ -345,32 +325,23 @@ def cmd_scenario(args, parser):
             elif args.name == "density":
                 grid = [float(v) for v in args.tgrid.split(",")]
                 rep = experiments.density_curves(spec, grid, args.replicas, args.seed)
-                extra_files[prefix + ".curve.csv"] = experiments.density_csv_text(rep)
+                curve[".curve.csv"] = experiments.density_csv_text(rep)
             elif args.name == "run-decay":
                 n = spec.size
                 windows = [(n // 2 - w, n // 2 + w) for w in (1, 2, 4) if n // 2 - w > 0 and n // 2 + w < n - 1]
                 if not windows:
                     raise ValueError("no run-decay window fits in %d sites" % n)
                 rep = experiments.run_length_decay(spec, windows, args.tmax, args.replicas, args.seed)
-                extra_files[prefix + ".curve.csv"] = experiments.run_decay_csv_text(rep)
+                curve[".curve.csv"] = experiments.run_decay_csv_text(rep)
             elif args.name == "interval-bounds":
                 m, n = spec.size // 3, 2 * spec.size // 3
                 rep = experiments.interval_inequality_check(
                     spec, args.tmax, args.replicas, args.seed, m, n, l=1
                 )
         except ValueError as err:
-            print("scenario error: %s" % err, file=sys.stderr)
-            return 2
+            raise Refusal("scenario error: %s" % err, 2) from None
         payload = rep.to_json()
-    path = Path(prefix + ".report.json")
-    path.write_text(payload)
-    outputs.append(path)
-    for fname, text in extra_files.items():
-        Path(fname).write_text(text)
-        outputs.append(Path(fname))
-    _write_manifest(args, spec, outputs)
-    print("wrote %s" % path)
-    return 0
+    return spec, {".report.json": payload, **curve}, ["wrote %s" % Path(args.out + ".report.json")], 0
 
 
 _COMMANDS = {
@@ -382,48 +353,56 @@ _COMMANDS = {
 }
 
 
-def cmd_replay(args, parser):
+def cmd_replay(args):
+    """The output prefix, the command line and the resolved config (or None) of a manifest."""
     try:
         manifest = json.loads(Path(args.manifest).read_text())
     except (OSError, ValueError) as err:
-        print("replay error: %s" % err, file=sys.stderr)
-        return 2
+        raise Refusal("replay error: %s" % err, 2) from None
     if not isinstance(manifest, dict) or manifest.get("manifest_version") != MANIFEST_VERSION:
-        print("unsupported manifest version", file=sys.stderr)
-        return 2
-    prefix = args.out
-    if prefix is None:
-        prefix = str(Path(args.manifest))[: -len(".manifest.json")]
+        raise Refusal("replay error: unsupported manifest version", 2)
     argv = manifest.get("replay_args")
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
-        print("replay error: manifest holds no replay_args list of strings", file=sys.stderr)
-        return 2
+        raise Refusal("replay error: manifest holds no replay_args list of strings", 2)
+    if not argv or argv[0] not in _COMMANDS:
+        raise Refusal("replay error: replay_args do not start with one of %s" % ", ".join(_COMMANDS), 2)
     config = manifest.get("resolved_config")
     if config is not None and not isinstance(config, str):
-        print("replay error: manifest resolved_config is not a string", file=sys.stderr)
-        return 2
-    if config:
-        cfg_path = Path(prefix + ".replay.config")
-        cfg_path.write_text(config)
-        argv += ["--config", str(cfg_path)]
-    argv += ["--out", prefix]
-    return main(argv)
+        raise Refusal("replay error: manifest resolved_config is not a string", 2)
+    prefix = args.out if args.out is not None else str(Path(args.manifest))[: -len(".manifest.json")]
+    return prefix, argv, config
 
 
 def main(argv=None):
-    """Returns the exit code; argparse usage errors raise SystemExit(2)."""
+    """Returns the exit code; argparse usage errors raise SystemExit(2).
+    The one place that writes a command's files and prints its refusal."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    folder = os.path.dirname(getattr(args, "out", None) or "")
-    if folder and not os.path.isdir(folder):
-        print("output error: directory %s of --out %s does not exist" % (folder, args.out), file=sys.stderr)
-        return 2
     try:
+        folder = os.path.dirname(getattr(args, "out", None) or "")
+        if folder and not os.path.isdir(folder):
+            raise Refusal("output error: directory %s of --out %s does not exist" % (folder, args.out), 2)
         if args.command == "replay":
-            return cmd_replay(args, parser)
-        return _COMMANDS[args.command](args, parser)
-    except SystemExit as err:
+            prefix, argv, config = cmd_replay(args)
+            if config:
+                Path(prefix + ".replay.config").write_text(config)
+                argv += ["--config", prefix + ".replay.config"]
+            return main([*argv, "--out", prefix])
+        spec, files, lines, code = _COMMANDS[args.command](args, parser)
+    except Refusal as err:
+        message, code = err.args
+        print(message, file=sys.stderr)
+        return code
+    except SystemExit as err:  # parser.error on the spec options, or a replayed command line's usage
         return err.code if isinstance(err.code, int) else 2
+    outputs = [Path(args.out + suffix) for suffix in files]
+    for path, text in zip(outputs, files.values()):
+        path.write_text(text)
+    if outputs:  # validate writes nothing
+        _write_manifest(args, spec, outputs)
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -703,21 +703,31 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     edges, table, lut, rows_of = _joint_table(_windows(spec, consts), owner, radius, b_bar, lam, halo)
 
     state = np.zeros((replicas, width), dtype=np.uint8)
-    bodies, boundaries = [], []
+    boundaries = []
     for f, start in enumerate(starts):
         rows, boundary = _field_rows(start, replicas, halo)
         if rows.shape[1] != width:
             raise ValueError("%s has %d sites, not %d" % (names[f], rows.shape[1] - 2 * halo, n))
         state |= rows.view(np.uint8) << f
-        bodies.append(rows[:, halo:halo + n])
         boundaries.append(boundary)
     if len({isinstance(b, Periodic) for b in boundaries}) > 1:
         raise ValueError("fields mix periodic and frozen boundaries")
     cols = _site_columns(boundaries[0], n, halo, halo).T  # (slots, n)
 
-    @lru_cache(maxsize=None)
+    byte = np.arange(256)
+
+    def crossing(p, q):
+        """Per packed byte: bit p set and bit q clear."""
+        return ((byte >> p) & ~(byte >> q) & 1).astype(bool)
+
+    # which packed bytes some replica-site of the start holds (an indexed
+    # store converts the indices in small buffers, so no replica-sized
+    # temporary): field p starts below field q iff none of them crosses (p, q)
+    present = np.zeros(256, dtype=bool)
+    present[state[:, halo:halo + n]] = True
+
     def below(p, q):
-        return p == q or bool((bodies[p] <= bodies[q]).all())
+        return not present[crossing(p, q)].any()
 
     # background pairs, then spin pairs; equal fields need one orientation only
     kinds = ([f for f in range(n_fields) if owner[f] == f], [f for f in range(n_fields) if owner[f] != f])
@@ -728,11 +738,10 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         for j, q in enumerate(kind)
         if i != j and below(p, q) and not (i > j and below(q, p)) and below(owner[p], owner[q])
     ] if check_order else []
-    byte = np.arange(256)
     # per packed byte, 1 + the index of the first pair it crosses (0: none)
     crossed = np.zeros(256, dtype=np.uint8)
     for k, (p, q) in reversed(list(enumerate(pairs))):
-        crossed[((byte >> p) & ~(byte >> q) & 1).astype(bool)] = k + 1
+        crossed[crossing(p, q)] = k + 1
     # every body byte starts uncrossed and a ring writes only its center, so
     # rings need checking only if the table may cross a pair or the halo
     # columns (the same in every row, and never written) cross one

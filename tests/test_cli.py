@@ -229,6 +229,11 @@ INPUT_ERRORS = {
                             "simulate error: --init-beta 01 is not 4 bits 0 or 1"),
     "init-eta-too-short": (["simulate", *CPREE, "--sites", "4", "--init-eta", "11"],
                            "simulate error: --init-eta 11 is not 4 bits 0 or 1"),
+    "simulate-infinite-tmax": (["simulate", *CPREE, "--sites", "4", "--tmax", "inf"], "argument --tmax: "),
+    "couple-infinite-tmax": (["couple", *CPREE, "--sites", "4", "--tmax", "inf"], "argument --tmax: "),
+    "zero-sites": (["validate", *CPREE, "--sites", "0"], "argument --sites: "),
+    "negative-sites": (["simulate", *CPREE, "--sites", "-3"], "argument --sites: "),
+    "manifest-replays-itself": (["replay", "self.manifest.json"], "replay error: "),
 }
 
 # a config file that parses: cpree on 4 sites, background range 0; the c1
@@ -252,6 +257,7 @@ def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypat
         "bare.manifest.json": '{"manifest_version": 1}\n',
         "numbers.manifest.json": '{"manifest_version": 1, "replay_args": ["validate", 3]}\n',
         "intconfig.manifest.json": '{"manifest_version": 1, "replay_args": ["validate"], "resolved_config": 5}\n',
+        "self.manifest.json": '{"manifest_version": 1, "replay_args": ["replay", "self.manifest.json"]}\n',
         "zerosize.cfg": _config_with(27, "size = 0"),
         "negrate.cfg": _config_with(13, "001 = -1.0"),
         "negrange.cfg": _config_with(22, "range = -1"),
@@ -265,6 +271,26 @@ def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypat
     assert code == 2
     assert message in capsys.readouterr().err.splitlines()[-1]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+# every command that runs the model, on a config whose c1(010) = 5 exceeds c0(010) = 2
+INVALID_MODEL_COMMANDS = {
+    "simulate": ["simulate"],
+    "couple": ["couple"],
+    "oracle": ["oracle"],
+    **{"scenario-" + name: ["scenario", name] for name in ("coalescence", "density", "run-decay", "interval-bounds")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_MODEL_COMMANDS))
+def test_an_invalid_model_exits_1_with_a_one_line_message(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    Path("incompatible.cfg").write_text(_config_with(14, "010 = 5.0"))
+    assert main([*INVALID_MODEL_COMMANDS[case], "--config", "incompatible.cfg", "--out", "x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid model: compatibility: c1(010)=5 > c0(010)=2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["incompatible.cfg"]
 
 
 OUT_COMMANDS = {

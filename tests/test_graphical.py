@@ -415,6 +415,29 @@ def test_accept_windows_nest_and_stay_disjoint_exactly():
         assert any(d[0] == "up- and down-window overlap" for d in short)
 
 
+# layers of a 5-site batch_evolve -> the layer pairs ordered in every replica at the
+# start, each kept at every ring, so order_checks / events
+_ALT, _TLA = (0, 1, 0, 1, 0), (1, 0, 1, 0, 1)
+_LOW = np.random.default_rng(0).integers(0, 2, (200, 5))
+_HIGH = _LOW | np.random.default_rng(1).integers(0, 2, (200, 5))
+ORDERED_PAIRS = {
+    "decreasing": ([(1,) * 5, _ALT, (0,) * 5], 3),
+    "equal": ([_ALT, _ALT], 1),
+    "unordered-middles": ([(0,) * 5, _ALT, _TLA, (1,) * 5], 5),
+    "per-replica-ordered": ([_LOW, _HIGH], 1),
+    "per-replica-one-unordered": ([_LOW, np.where(np.arange(200)[:, None] == 17, 0, _HIGH)], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDERED_PAIRS))
+def test_order_checks_count_the_pairs_ordered_at_the_start(case):
+    spec = cpree(sites=5)
+    layers, pairs = ORDERED_PAIRS[case]
+    starts = [spec.spin_config(bits) if isinstance(bits, tuple) else (bits, PERIODIC) for bits in layers]
+    c = batch_evolve(spec, spec.env_config((0,) * 5), starts, [0.5], 200, 3).counters
+    assert c["events"] > 0 and c["order_checks"] == pairs * c["events"]
+
+
 def test_batch_counters_add_up():
     spec = cpree(sites=5)
     n, t, replicas, seed = 5, 1.5, 4000, 9
