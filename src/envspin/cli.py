@@ -7,7 +7,7 @@ replay MANIFEST` re-runs the command and reproduces the data files byte for
 byte (timestamps and runtime fields live only in the manifest and reports).
 The commands only compute; `main` writes their data files, then the
 manifest, then prints their stdout lines.  A refusal is one stderr line and
-writes no data file and no manifest.  Exit codes and refusal prefixes:
+writes no file.  Exit codes and refusal prefixes:
   0  success;
   1  validation failure: `invalid preset`, `invalid model`; `validate`
      prints its `violation` lines on stdout;
@@ -145,7 +145,8 @@ def _resolve_spec(args, parser, sites=16):
     params = {name: getattr(args, name) for name in _PRESET_FLAGS if getattr(args, name, None) is not None}
     try:
         if args.config:
-            return parse_config(Path(args.config).read_text())
+            # a replay holds its manifest's config in memory until its outputs are written
+            return parse_config(getattr(args, "resolved_config", None) or Path(args.config).read_text())
         boundary = parse_boundary(args.boundary) if args.boundary else None
         return preset(args.preset, sites=sites if args.sites is None else args.sites, boundary=boundary, **params)
     except (ConfigError, OSError) as err:
@@ -169,8 +170,9 @@ def _valid_spec(args, parser):
     return spec
 
 
-# options that make up the spec; the manifest inlines the resolved config instead
-_SPEC_OPTIONS = {"config", "preset", "sites", "boundary", *_PRESET_FLAGS}
+# options that make up the spec, and a replay's config text; the manifest
+# inlines the resolved config instead
+_SPEC_OPTIONS = {"config", "preset", "sites", "boundary", "resolved_config", *_PRESET_FLAGS}
 
 
 def _write_manifest(args, spec, outputs):
@@ -354,7 +356,10 @@ _COMMANDS = {
 
 
 def cmd_replay(args):
-    """The output prefix, the command line and the resolved config (or None) of a manifest."""
+    """The output prefix, the command line and the resolved config (or None)
+    of a manifest.  Only the commands that write a manifest replay, and
+    without --out the manifest's name must end in .manifest.json, whose
+    stem is the prefix."""
     try:
         manifest = json.loads(Path(args.manifest).read_text())
     except (OSError, ValueError) as err:
@@ -364,20 +369,29 @@ def cmd_replay(args):
     argv = manifest.get("replay_args")
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise Refusal("replay error: manifest holds no replay_args list of strings", 2)
-    if not argv or argv[0] not in _COMMANDS:
-        raise Refusal("replay error: replay_args do not start with one of %s" % ", ".join(_COMMANDS), 2)
+    replayable = [name for name in _COMMANDS if name != "validate"]
+    if not argv or argv[0] not in replayable:
+        raise Refusal("replay error: replay_args do not start with one of %s" % ", ".join(replayable), 2)
     config = manifest.get("resolved_config")
     if config is not None and not isinstance(config, str):
         raise Refusal("replay error: manifest resolved_config is not a string", 2)
-    prefix = args.out if args.out is not None else str(Path(args.manifest))[: -len(".manifest.json")]
-    return prefix, argv, config
+    if args.out is not None:
+        return args.out, argv, config
+    path = str(Path(args.manifest))
+    if not path.endswith(".manifest.json"):
+        raise Refusal("replay error: %s does not end in .manifest.json, so give --out" % path, 2)
+    return path[: -len(".manifest.json")], argv, config
 
 
 def main(argv=None):
     """Returns the exit code; argparse usage errors raise SystemExit(2).
-    The one place that writes a command's files and prints its refusal."""
+    The one place that writes a command's files and prints its refusal.  A
+    replay runs its manifest's command line here, on the manifest's config,
+    and writes that config to <prefix>.replay.config after the command's
+    files, so a refused replay writes nothing."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    config = None
     try:
         folder = os.path.dirname(getattr(args, "out", None) or "")
         if folder and not os.path.isdir(folder):
@@ -385,9 +399,9 @@ def main(argv=None):
         if args.command == "replay":
             prefix, argv, config = cmd_replay(args)
             if config:
-                Path(prefix + ".replay.config").write_text(config)
                 argv += ["--config", prefix + ".replay.config"]
-            return main([*argv, "--out", prefix])
+            args = parser.parse_args([*argv, "--out", prefix])
+            args.resolved_config = config
         spec, files, lines, code = _COMMANDS[args.command](args, parser)
     except Refusal as err:
         message, code = err.args
@@ -400,6 +414,8 @@ def main(argv=None):
         path.write_text(text)
     if outputs:  # validate writes nothing
         _write_manifest(args, spec, outputs)
+    if config:
+        Path(args.out + ".replay.config").write_text(config)
     for line in lines:
         print(line)
     return code

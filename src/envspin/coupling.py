@@ -11,6 +11,11 @@ the four-layer stack used to compare two middle layers at once.
 `simulate_coupled` runs the resulting continuous-time chain by direct
 stochastic simulation (exponential holding times, categorical jumps), a code
 path fully independent of the mark-driven simulator in `graphical`.
+
+A site's local words travel as one packed key, the background's (2R+1)-bit
+word and then each spin layer's 3-bit word, most significant bit first:
+`_key_columns` and `_fold_keys` build the keys of the exact oracle and of
+both direct simulators, and `_float_menu` alone decodes them.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress
 
 import numpy as np
 
@@ -26,7 +32,6 @@ from .lattice import (
     Configuration,
     FrozenWords,
     JointState,
-    Periodic,
     _field_rows,
     _site_columns,
     layer_names,
@@ -118,9 +123,30 @@ def coupled_event_rates(spec: ModelSpec, state: JointState, x):
     return dict(site_menu(spec.spin, spec.env, env_word, layer_words))
 
 
+def _key_columns(boundaries, n, env_range):
+    """The padded-row columns that every site's packed local key reads, one
+    row per key bit, most significant first: shape (2R+1 + 3*arity, n).
+    Field 0 is the background (its (2R+1)-bit word) and field 1 + k spin
+    layer k (its 3-bit word), each with its boundary; the columns index the
+    fields' `_field_rows` rows, halo max(1, R), laid end to end."""
+    halo = max(1, env_range)
+    return np.concatenate([f * (n + 2 * halo) + _site_columns(b, n, halo, 1 if f else env_range).T
+                           for f, b in enumerate(boundaries)])
+
+
+def _fold_keys(rows, columns):
+    """The packed keys that `columns` (`_key_columns`) read from the fields'
+    padded uint8 rows laid end to end along axis 0: shape (n,) + rows.shape[1:]."""
+    key = rows[columns[0]].astype(np.min_scalar_type((1 << len(columns)) - 1))
+    for col in columns[1:]:
+        key <<= 1
+        key |= rows[col]
+    return key
+
+
 def _float_menu(pair, env, arity, key):
-    """`site_menu` at the packed local key of `simulate_coupled`, with float
-    rates, and their total.
+    """`site_menu` at a packed local key (`_key_columns`), with float rates,
+    and their total; the one place that splits a key into its words.
 
     Per target, in `site_menu`'s order: its rate; the flips it makes, as
     (field name, old bit, new bit) in field order; their field mask (bit 0
@@ -146,64 +172,60 @@ def _float_menu(pair, env, arity, key):
     return tuple(menu), sum(entry[0] for entry in menu)
 
 
-@lru_cache(maxsize=16)
-def _float_menus(pair, env, arity):
-    """The `_float_menu`s of (pair, env) at `arity` layers, by packed local
-    key, filled on a miss: at most 2^(2R+1)*8^arity entries."""
-    return {}
+class _FloatMenus(dict):
+    """The `_float_menu`s of one (pair, env, arity) by packed local key, each
+    made on its first lookup: at most 2^(2R+1)*8^arity entries."""
+
+    def __init__(self, *model):
+        self.model = model
+
+    def __missing__(self, key):
+        menu = self[key] = _float_menu(*self.model, key)
+        return menu
+
+
+_float_menus = lru_cache(maxsize=16)(_FloatMenus)
 
 
 @lru_cache(maxsize=256)
 def _toggle_table(boundaries, n, env_range):
-    """Where `simulate_coupled`'s packed site keys read each field.
+    """Which packed site keys (`_key_columns`) a flip at a site changes, for
+    `simulate_coupled`; field 0 is the background, field 1 + k spin layer k.
 
-    Field 0 is the background, field 1 + k spin layer k, with the given
-    boundaries.  A site's key holds the background's (2R+1)-bit word, then
-    each layer's 3-bit word, most significant first, as `site_menu` reads
-    them.  Returns (base, toggles): `base[y]` holds the bits of site y's key
-    read from frozen boundary words, and `toggles[mask][x]` lists, per site
-    y whose key reads a field of `mask` (bit f for field f) at site x, the
-    pair (y, bits) of the key bits that read them (OR-ed where a small ring
-    reads x twice), so flipping those fields at x is `key[y] ^= bits` for
-    each pair.  The pairs run over x - radius..x + radius, radius =
-    max(1, R), as the background reads them, so of two new keys that break
-    attractivity the leftmost raises.
+    Returns (base, toggles): `base[y]` is site y's key with every field 0 in
+    the window (the bits it reads from frozen boundary words), and
+    `toggles[mask][x]` lists the pairs (y, key XOR base[y]) of the sites y
+    whose keys change when the fields of `mask` (bit f for field f) are set
+    at x alone, so flipping those fields at x is `key[y] ^= bits` for each
+    pair.  The pairs run over x - radius..x + radius, radius = max(1, R), as
+    the background reads them, so of two new keys that break attractivity
+    the leftmost raises.
     """
-    arity = len(boundaries) - 1
-    probes = [Configuration.all_zero(n, b) for b in boundaries]
-    base = [0] * n
-    single = [[{} for _ in range(n)] for _ in boundaries]
-    for y in range(n):
-        for f, probe in enumerate(probes):
-            r = env_range if f == 0 else 1
-            shift = 3 * arity if f == 0 else 3 * (arity - f)
-            for d in range(-r, r + 1):
-                bit = 1 << (shift + r - d)
-                p = y + d
-                if isinstance(probe.boundary, Periodic):
-                    p %= n
-                elif not 0 <= p < n:
-                    base[y] |= bit * site_value(probe, p)
-                    continue
-                single[f][p][y] = single[f][p].get(y, 0) | bit
-    # a flip's sites in the order x - radius..x + radius, then any other
-    radius = max(1, env_range)
-    near = [
-        [y % n if isinstance(probes[0].boundary, Periodic) else y for y in range(x - radius, x + radius + 1)]
-        + list(range(n))
-        for x in range(n)
-    ]
+    halo = max(1, env_range)
+    columns = _key_columns(boundaries, n, env_range)
+    one_site = np.eye(n, dtype=np.int8)
+
+    def keys(mask):
+        # row y, column x: site y's key with the fields of `mask` set at x
+        rows = [_field_rows((one_site * (mask >> f & 1), b), n, halo)[0].T for f, b in enumerate(boundaries)]
+        return _fold_keys(np.concatenate(rows).view(np.uint8), columns)
+
+    base = keys(0)
+    near = _site_columns(boundaries[0], n, halo, halo) - halo
     toggles = [None]
     for mask in range(1, 1 << len(boundaries)):
-        toggles.append([])
-        for x in range(n):
-            merged = {}
-            for f in range(len(boundaries)):
-                if mask >> f & 1:
-                    for y, bits in single[f][x].items():
-                        merged[y] = merged.get(y, 0) | bits
-            toggles[mask].append(tuple((y, merged.pop(y)) for y in near[x] if y in merged))
-    return base, toggles
+        # [x, i]: site near[x, i]'s key change, 0 past a frozen edge, where no key is
+        changed = np.pad(keys(mask) ^ base, ((halo, halo), (0, 0)))[near + halo, np.arange(n)[:, None]]
+        toggles.append([tuple({y: bits for y, bits in zip(*pairs) if bits}.items())
+                        for pairs in zip(near.tolist(), changed.tolist())])
+    return base[:, 0].tolist(), toggles
+
+
+@lru_cache(maxsize=256)
+def _center_shifts(boundaries, n, env_range):
+    """Per field f and site x, the place of a bit of x's key that reads f at x."""
+    toggles = _toggle_table(boundaries, n, env_range)[1]
+    return [[dict(toggles[1 << f][x])[x].bit_length() - 1 for x in range(n)] for f in range(len(boundaries))]
 
 
 def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Trajectory:
@@ -211,13 +233,13 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
 
     `initial` must hold `cspec.arity` spin layers.  Holding times are
     exponential in the total rate over sites; the jump is drawn categorically
-    among every site's transitions.  Each site keeps one packed integer key
-    of its local words (`_toggle_table`), and its float menu comes from a
-    dict kept per (spin pair, background table, arity) by that key
-    (`_float_menu`).  A flip XORs its bits into the keys of the sites that
-    read it, and only those sites get new menus.  The draws are those of
-    `exponential(1 / total)` and `uniform(0, total)`.  The layer order is
-    checked at every spin flip; a crossing raises OrderViolationError.
+    among every site's transitions.  Each site keeps its packed local key
+    (`_key_columns`) as an integer, and its float menu comes from the
+    `_float_menus` memo by that key.  A flip XORs its bits into the keys of
+    the sites that read it (`_toggle_table`), and only those get new menus.
+    The draws are those of `exponential(1 / total)` and `uniform(0, total)`.
+    The layer order is checked at every spin flip; a crossing raises
+    OrderViolationError.
     """
     if len(initial.layers) != cspec.arity:
         raise ValueError("%d spin layers given for arity %d" % (len(initial.layers), cspec.arity))
@@ -225,24 +247,18 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
         raise ValueError("t_max must be finite and >= 0")
     spec = cspec.base
     arity, n = cspec.arity, spec.size
-    pair, env = spec.spin, spec.env
     rng = np.random.default_rng(seed)
-    menus_of = _float_menus(pair, env, arity)
+    menus_of = _float_menus(spec.spin, spec.env, arity)
     fields = (initial.beta, *initial.layers)
-    base, toggles = _toggle_table(tuple(cfg.boundary for cfg in fields), n, env.range)
+    boundaries = tuple(cfg.boundary for cfg in fields)
+    base, toggles = _toggle_table(boundaries, n, spec.env.range)
 
     keys = list(base)
     for f, cfg in enumerate(fields):
-        for x, b in enumerate(cfg.bits):
-            if b:
-                for y, bits in toggles[1 << f][x]:
-                    keys[y] |= bits
+        for y, bits in chain.from_iterable(compress(toggles[1 << f], cfg.bits)):
+            keys[y] |= bits
 
-    def missing(key):
-        found = menus_of[key] = _float_menu(pair, env, arity, key)
-        return found
-
-    menus, site_totals = (list(v) for v in zip(*(menus_of.get(k) or missing(k) for k in keys)))
+    menus, site_totals = (list(v) for v in zip(*map(menus_of.__getitem__, keys)))
 
     events = []
     t = 0.0
@@ -276,16 +292,12 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
             raise OrderViolationError("%s crossed at site %d" % (crossed, x))
         for y, bits in toggles[mask][x]:
             key = keys[y] = keys[y] ^ bits
-            menus[y], site_totals[y] = menus_of.get(key) or missing(key)
+            menus[y], site_totals[y] = menus_of[key]
 
-    def final(f, cfg):
-        place = 3 * arity + env.range if f == 0 else 3 * (arity - f) + 1
-        return Configuration._of_bits(tuple([(k >> place) & 1 for k in keys]), cfg.boundary)
-
-    initial_dict = {"beta": initial.beta}
-    initial_dict.update(zip(initial.names, initial.layers))
-    final_dict = dict(zip(("beta", *initial.names), (final(f, cfg) for f, cfg in enumerate(fields))))
-    return Trajectory(initial=initial_dict, events=events, final=final_dict, t_max=float(t_max))
+    final = [Configuration._of_bits(tuple([(k >> s) & 1 for k, s in zip(keys, shifts)]), cfg.boundary)
+             for shifts, cfg in zip(_center_shifts(boundaries, n, spec.env.range), fields)]
+    names = ("beta", *initial.names)
+    return Trajectory(dict(zip(names, fields)), events, dict(zip(names, final)), float(t_max))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +379,8 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
 
     The state is one site-major byte array, the background's padded columns
     and then the spin's, by replica.  A site's background and spin flip rates
-    come from `site_menu` by its local key: the background word, then the
-    spin word.  The rates of a replica are added slot by slot, background
+    come from `_float_menu` by its packed local key (`_key_columns`,
+    `_fold_keys`).  The rates of a replica are added slot by slot, background
     slots first.  Every iteration draws one exponential and one uniform for
     each of the `replicas`, so the stream does not depend on how many still
     run; a replica leaves the live arrays once its clock passes t or its
@@ -384,28 +396,21 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     E, e_boundary = _field_rows(eta0, replicas, halo)
     width = B.shape[1]
     state = np.concatenate([B.T, E.T]).view(np.uint8)
-    # the state rows of each site's key, most significant first
-    reads = np.concatenate(
-        [_site_columns(b_boundary, n, halo, radius), width + _site_columns(e_boundary, n, halo, 1)], axis=1
-    ).T
-    # rate[kind, key]: kind 0 flips the background, kind 1 the spin
-    rate = np.zeros((2, 1 << len(reads)))
+    columns = _key_columns((b_boundary, e_boundary), n, radius)
+    # rate[kind, key]: kind 0 flips the background (field mask 1), kind 1 the spin (mask 2)
+    menus = _float_menus(spec.spin, spec.env, 1)
+    rate = np.zeros((2, 1 << len(columns)))
     for key in range(rate.shape[1]):
-        bit = (key >> (3 + radius)) & 1
-        for target, r in site_menu(spec.spin, spec.env, key >> 3, (key & 7,)):
-            rate[int(target[0] == bit), key] = float(r)
+        for r, _, mask, _ in menus[key][0]:
+            rate[mask >> 1, key] = r
 
     # the state row each slot flips: background sites, then spin sites
     slot_rows = np.add.outer([0, width], halo + np.arange(n)).ravel()
-    key_type = np.min_scalar_type(rate.shape[1] - 1)
     live = np.arange(replicas)
     cur = state.copy()
     clock = np.zeros(replicas)
     while True:
-        key = cur[reads[0]].astype(key_type)
-        for rows in reads[1:]:
-            key <<= 1
-            key |= cur[rows]
+        key = _fold_keys(cur, columns)
         cum = np.empty((2, n, len(live)))
         for kind in (0, 1):
             rate[kind].take(key, out=cum[kind], mode="clip")

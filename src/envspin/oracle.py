@@ -6,12 +6,12 @@ most significant bit of each field (so the literal "011" reads as 0b011).
 Coupled generators append further layer fields below, one N-bit block each.
 
 Everything here is brute force on purpose: coordinate-format rate matrices
-built from the local-word rule `coupling.site_menu`, stationary laws from
-closed communicating classes of the jump graph (certified by reachability
-sweeps independent of the class search), long-time limits as
-absorption-weighted mixtures of those laws (one dense solve over the
-transient states), and time-t laws by uniformization with explicit
-truncation error.
+built from the local-word rule `coupling.site_menu` (spin flips come through
+`coupling._float_menu`, at the packed local key), stationary laws from closed
+communicating classes of the jump graph (certified by reachability sweeps
+independent of the class search), long-time limits as absorption-weighted
+mixtures of those laws (one dense solve over the transient states), and time-t
+laws by uniformization with explicit truncation error.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import site_menu
-from .lattice import _field_rows, _site_columns, order_pairs
+from .coupling import _float_menus, _fold_keys, _key_columns
+from .lattice import _field_rows, order_pairs
 from .rates import ModelSpec
 
 
@@ -105,61 +105,48 @@ def _build(spec: ModelSpec, n_layers) -> GeneratorMatrix:
     """Exact rate matrix of the background and `n_layers` spin layers over the
     full product of their windows.
 
-    One gather over padded rows (`_field_rows`, `_site_columns`) gives every
-    field's word index at every site for all states at once.  Background
-    flips read the env table in every state.  Joint spin flips come from
-    `site_menu`, one call per distinct local key, in ordered states only:
-    states violating the layer order are never entered from ordered ones, so
-    they carry background flips alone.
+    The fields' padded rows (`_field_rows`) give every site's packed local key
+    for all states at once.  Background flips read the env table in every
+    state.  Joint spin flips come from `coupling._float_menu`, once per
+    distinct key, in ordered states only: states violating the layer order
+    are never entered from ordered ones, so they carry background flips alone.
     """
     n, radius = spec.size, spec.env.range
-    halo = max(1, radius)
     dim = 1 << (n * (n_layers + 1))
     idx = np.arange(dim, dtype=np.int64)
     # field values, background first, and their bits, site 0 most significant
     values = (idx[:, None] >> (n * np.arange(n_layers, -1, -1))) & ((1 << n) - 1)
     bits = ((values[:, :, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
-
-    def words(f, boundary, r):
-        rows, _ = _field_rows((bits[:, f], boundary), dim, halo)
-        return rows[:, _site_columns(boundary, n, halo, r)] @ (1 << np.arange(2 * r, -1, -1))
-
-    env_words = words(0, spec.env_boundary, radius)
-    layer_words = [words(f, spec.spin_boundary, 1) for f in range(1, n_layers + 1)]
+    boundaries = (spec.env_boundary,) + (spec.spin_boundary,) * n_layers
+    padded = np.concatenate([_field_rows((bits[:, f], b), dim, max(1, radius))[0].T for f, b in enumerate(boundaries)])
+    env_words = _fold_keys(padded.view(np.uint8), _key_columns(boundaries[:1], n, radius))  # the background alone
+    keys = _fold_keys(padded.view(np.uint8), _key_columns(boundaries, n, radius))
     ordered = np.ones(dim, dtype=bool)
     for i, j in order_pairs(n_layers):
         ordered &= (values[:, 1 + i] & ~values[:, 1 + j]) == 0
     states = idx[ordered]
     btab = spec.env.as_array()
+    menus = _float_menus(spec.spin, spec.env, n_layers)
 
     rows, cols, vals = [], [], []
     for x in range(n):
-        brate = btab[env_words[:, x]]
+        masks = [1 << (n * (n_layers - f) + n - 1 - x) for f in range(n_layers + 1)]  # field f's bit at x
+        brate = btab[env_words[x]]
         keep = brate > 0
         rows.append(idx[keep])
-        cols.append(idx[keep] ^ (1 << (n * n_layers + n - 1 - x)))
+        cols.append(idx[keep] ^ masks[0])
         vals.append(brate[keep])
 
-        key = env_words[ordered, x]
-        for w in layer_words:
-            key = (key << 3) | w[ordered, x]
-        keys, inverse = np.unique(key, return_inverse=True)
+        distinct, inverse = np.unique(keys[x, ordered], return_inverse=True)
         # each layer flips in at most one group, so a site has at most
         # n_layers spin transitions
-        flip = np.zeros((keys.size, n_layers), dtype=np.int64)
-        rate = np.zeros((keys.size, n_layers))
-        masks = [1 << (n * (n_layers - 1 - l) + n - 1 - x) for l in range(n_layers)]
-        for k, word in enumerate(keys.tolist()):
-            env_word = word >> (3 * n_layers)
-            local = tuple((word >> (3 * (n_layers - 1 - l))) & 7 for l in range(n_layers))
-            spins = [
-                (target, r)
-                for target, r in site_menu(spec.spin, spec.env, env_word, local)
-                if target[0] == (env_word >> radius) & 1
-            ]
-            for m, (target, r) in enumerate(spins):
-                flip[k, m] = sum(mask for mask, w, c in zip(masks, local, target[1:]) if (w >> 1) & 1 != c)
-                rate[k, m] = float(r)
+        flip = np.zeros((distinct.size, n_layers), dtype=np.int64)
+        rate = np.zeros((distinct.size, n_layers))
+        for k, key in enumerate(distinct.tolist()):
+            spins = [(r, fields) for r, _, fields, _ in menus[key][0] if not fields & 1]
+            for m, (r, fields) in enumerate(spins):
+                flip[k, m] = sum(mask for f, mask in enumerate(masks) if fields >> f & 1)
+                rate[k, m] = r
         flip, rate = flip[inverse], rate[inverse]
         keep = rate > 0
         rows.append(np.broadcast_to(states[:, None], keep.shape)[keep])

@@ -234,6 +234,12 @@ INPUT_ERRORS = {
     "zero-sites": (["validate", *CPREE, "--sites", "0"], "argument --sites: "),
     "negative-sites": (["simulate", *CPREE, "--sites", "-3"], "argument --sites: "),
     "manifest-replays-itself": (["replay", "self.manifest.json"], "replay error: "),
+    # without --out the prefix is the name before .manifest.json
+    "manifest-not-named-manifest": (["replay", "copied.json"], "replay error: "),
+    # the replayed command refuses the config, so not even it is written
+    "replayed-config-refused": (["replay", "garbage.manifest.json"], "config error: line 1: "),
+    # validate writes no manifest, so none replays it
+    "replay-validate": (["replay", "validate.manifest.json"], "replay error: "),
 }
 
 # a config file that parses: cpree on 4 sites, background range 0; the c1
@@ -258,6 +264,12 @@ def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypat
         "numbers.manifest.json": '{"manifest_version": 1, "replay_args": ["validate", 3]}\n',
         "intconfig.manifest.json": '{"manifest_version": 1, "replay_args": ["validate"], "resolved_config": 5}\n',
         "self.manifest.json": '{"manifest_version": 1, "replay_args": ["replay", "self.manifest.json"]}\n',
+        "copied.json": json.dumps({"manifest_version": 1, "replay_args": ["simulate", "--tmax", "0.5"],
+                                   "resolved_config": "".join(_CONFIG)}),
+        "garbage.manifest.json": json.dumps({"manifest_version": 1, "replay_args": ["simulate"],
+                                             "resolved_config": "garbage"}),
+        "validate.manifest.json": json.dumps({"manifest_version": 1, "replay_args": ["validate"],
+                                              "resolved_config": "".join(_CONFIG)}),
         "zerosize.cfg": _config_with(27, "size = 0"),
         "negrate.cfg": _config_with(13, "001 = -1.0"),
         "negrange.cfg": _config_with(22, "range = -1"),

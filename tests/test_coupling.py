@@ -13,6 +13,7 @@ from envspin import (
     LocalSpinRates,
     ModelSpec,
     ModelViolationError,
+    PerLayerFrozen,
     SpinRatePair,
     classify_agreement,
     coupled_event_rates,
@@ -467,8 +468,11 @@ def test_agreement_move_check_refuses_planted_twins(middle, flip, moved):
 @pytest.mark.parametrize(
     "n, radius, boundary",
     [(1, 1, None), (2, 2, None), (3, 1, None), (7, 2, None), (1, 2, FrozenWords("10", "01")),
-     (5, 1, FrozenWords("1", "0")), (6, 2, FrozenWords("110", "01"))],
-    ids=["ring1-r1", "ring2-r2", "ring3-r1", "ring7-r2", "frozen1-r2", "frozen5-r1", "frozen6-r2"],
+     (5, 1, FrozenWords("1", "0")), (6, 2, FrozenWords("110", "01")), (4, 0, None), (1, 0, None),
+     (3, 0, FrozenWords("1", "0")), (4, 1, PerLayerFrozen(FrozenWords("01", "10"), FrozenWords("1", "0"))),
+     (5, 2, PerLayerFrozen(FrozenWords("10", "11"), FrozenWords("01", "00")))],
+    ids=["ring1-r1", "ring2-r2", "ring3-r1", "ring7-r2", "frozen1-r2", "frozen5-r1", "frozen6-r2", "ring4-r0",
+         "ring1-r0", "frozen3-r0", "per-layer4-r1", "per-layer5-r2"],
 )
 def test_packed_site_keys_follow_the_bits(n, radius, boundary):
     # simulate_coupled keeps one packed key per site and XORs each flip into
