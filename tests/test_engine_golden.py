@@ -254,6 +254,25 @@ def direct_pair_simulation():
     return h.hexdigest()
 
 
+def direct_pair_bytes():
+    # windows the pair simulator keeps as bytes: 9 sites at range 1 (18 bits)
+    # next to frozen boundary words, and 4 sites (8 bits) on a ring with
+    # fewer replicas than words
+    rng = np.random.default_rng(98)
+    h = hashlib.sha256()
+    for spec, replicas in (
+        (_frozen_spec(1, FrozenWords("01", "10"), 9), 1000),
+        (preset("cpree", sites=4, **SUPERCRITICAL), 200),
+    ):
+        n = spec.size
+        beta = rng.integers(0, 2, (replicas, n)).astype(np.int8)
+        eta = rng.integers(0, 2, (replicas, n)).astype(np.int8)
+        for t in (0.3, 2.0):
+            B, E = batch_simulate_pair(spec, (beta, spec.env_boundary), (eta, spec.spin_boundary), t, replicas, 36)
+            h.update(B.tobytes() + E.tobytes())
+    return h.hexdigest()
+
+
 def _spin_stack(spec, n_layers):
     # ordered starts: 0 <= alternating (and its mirror) <= 1
     n = spec.size
@@ -341,6 +360,7 @@ GOLDEN = {
     small_rings: "0ca9b040a4b67ae2a3e6c8d57cd7a062dca13951a85d676cb98b9af006bdb04e",
     unchecked: "e171eba6e718eca1d15b3f1e1377cbe621bbb679e2218c89f8745a1921207818",
     direct_pair_simulation: "cb0f04e07b0ed71ed465a13874400518af39dbe477696751d12a7f873af441af",
+    direct_pair_bytes: "9216f96b911c2c27df61d7918dd8cd6800990db9da48ec5ed6862a812b6a2549",
     mark_engine: "7d181352b2a5dadff2106ee634d50a4b65e63fa3d46af61458482a109118e659",
     coupled_direct: "a1bd8a63ec611aef3773186f64938e624c84687c3ef64f811cf3a9498ec796f9",
     split_steps: "0698fdf391053ec900f08993d78b295b35b3cc7107dc9a6946928837ff125283",
