@@ -393,15 +393,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     config = None
     try:
-        folder = os.path.dirname(getattr(args, "out", None) or "")
-        if folder and not os.path.isdir(folder):
-            raise Refusal("output error: directory %s of --out %s does not exist" % (folder, args.out), 2)
         if args.command == "replay":
             prefix, argv, config = cmd_replay(args)
             if config:
                 argv += ["--config", prefix + ".replay.config"]
             args = parser.parse_args([*argv, "--out", prefix])
             args.resolved_config = config
+        if args.command != "validate":
+            folder, name = os.path.split(args.out)
+            if name in ("", ".", ".."):
+                raise Refusal("output error: output prefix %r has no file name" % args.out, 2)
+            if folder and not os.path.isdir(folder):
+                raise Refusal("output error: directory %s of --out %s does not exist" % (folder, args.out), 2)
         spec, files, lines, code = _COMMANDS[args.command](args, parser)
     except Refusal as err:
         message, code = err.args

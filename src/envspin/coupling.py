@@ -40,6 +40,7 @@ from .lattice import (
     site_value,
     word_index,
 )
+from . import graphical
 from .graphical import Event, OrderViolationError, Trajectory, exact_table
 from .rates import EnvRateSpec, ModelSpec, ModelViolationError, SpinRatePair
 
@@ -377,14 +378,25 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     categorical jump over the 2N per-site transitions.  Returns in-window
     (background, spin) arrays at time t.
 
-    The state is one site-major byte array, the background's padded columns
-    and then the spin's, by replica.  A site's background and spin flip rates
-    come from `_float_menu` by its packed local key (`_key_columns`,
-    `_fold_keys`).  The rates of a replica are added slot by slot, background
-    slots first.  Every iteration draws one exponential and one uniform for
-    each of the `replicas`, so the stream does not depend on how many still
-    run; a replica leaves the live arrays once its clock passes t or its
-    total rate is 0.
+    A site's background and spin flip rates come from `_float_menu` by its
+    packed local key (`_key_columns`, `_fold_keys`).  The rates of a replica
+    are added slot by slot, background slots first, and the jump is at the
+    first slot whose sum reaches a uniform on [0, total).  Every iteration
+    draws one exponential and one uniform for each of the `replicas`
+    (`standard_exponential`, `random`), so the stream does not depend on how
+    many still run; a replica leaves the live arrays once its clock passes t
+    or its total rate is 0.
+
+    When `graphical._holds_words` accepts the call (2N <= 16 bits, and at
+    least as many replicas as words), each replica is one word, bits 2x and
+    2x + 1 holding site x's background and spin, and the slot sums of every
+    word are tabled once per call from the padded rows of
+    `graphical._padded_words`: an iteration takes its replicas' columns,
+    counts the slots below the uniform and XORs in that slot's bit.
+    Otherwise the state is one site-major byte array, the background's
+    padded columns and then the spin's, by replica, whose keys and sums are
+    rebuilt at every iteration.  The sums, and so the draws and the output,
+    are bit-identical on either path.
     """
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and >= 0")
@@ -395,7 +407,6 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     B, b_boundary = _field_rows(beta0, replicas, halo)
     E, e_boundary = _field_rows(eta0, replicas, halo)
     width = B.shape[1]
-    state = np.concatenate([B.T, E.T]).view(np.uint8)
     columns = _key_columns((b_boundary, e_boundary), n, radius)
     # rate[kind, key]: kind 0 flips the background (field mask 1), kind 1 the spin (mask 2)
     menus = _float_menus(spec.spin, spec.env, 1)
@@ -404,39 +415,67 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
         for r, _, mask, _ in menus[key][0]:
             rate[mask >> 1, key] = r
 
-    # the state row each slot flips: background sites, then spin sites
-    slot_rows = np.add.outer([0, width], halo + np.arange(n)).ravel()
-    live = np.arange(replicas)
-    cur = state.copy()
-    clock = np.zeros(replicas)
-    while True:
-        key = _fold_keys(cur, columns)
-        cum = np.empty((2, n, len(live)))
+    def slot_sums(rows):
+        """Per slot (background sites, then spin sites), the rates up to it
+        at the keys of `rows`, the fields' padded rows laid end to end."""
+        key = _fold_keys(rows, columns)
+        cum = np.empty((2,) + key.shape)
         for kind in (0, 1):
             rate[kind].take(key, out=cum[kind], mode="clip")
         cum = cum.reshape(2 * n, -1)
         for k in range(1, 2 * n):
             cum[k] += cum[k - 1]
+        return cum
+
+    if graphical._holds_words(2, n, 2 * n, 2 * n * replicas):
+        packed = B.view(np.uint8) | E.view(np.uint8) << 1
+        padded = graphical._padded_words(np.concatenate([packed[0, :halo], packed[0, halo + n:]]), 2, n)
+        table = slot_sums(np.concatenate([padded & 1, padded >> 1]))
+        # the word bit each slot flips; slot 2n, past every sum, flips none
+        flip = np.append(1 << np.add.outer([0, 1], 2 * np.arange(n)).ravel(), 0).astype(np.uint16)
+        state = graphical._to_words(packed[:, halo:halo + n], 2)
+
+        def sums(cur):
+            return table.take(cur, axis=1)
+
+        def jump(cur, below):
+            cur ^= flip.take(np.add.reduce(below, axis=0, dtype=np.uint8))
+    else:
+        state = np.concatenate([B.T, E.T]).view(np.uint8)
+        # the state row each slot flips: background sites, then spin sites
+        slot_rows = np.add.outer([0, width], halo + np.arange(n)).ravel()
+        sums = slot_sums
+
+        def jump(cur, below):
+            cur[slot_rows] ^= np.diff(below, axis=0, prepend=True)
+
+    live = np.arange(replicas)
+    cur = state.copy()
+    clock = np.zeros(replicas)
+    while True:
+        cum = sums(cur)
         total = cum[-1]
         running = total > 0
         if not running.any():
             break
-        draws = rng.exponential(1.0, replicas)[live]
+        draws = rng.standard_exponential(replicas)[live]
         clock = clock + draws / np.maximum(total, 1e-300)
         act = running & ~(clock > t)
         if not act.any():
             break
         # the jump is at the first slot whose cumulative rate reaches u; a
         # stopped replica's u = inf reaches none
-        u = np.where(act, rng.uniform(0.0, 1.0, replicas)[live] * total, np.inf)
-        below = cum < u
-        cur[slot_rows] ^= np.diff(below, axis=0, prepend=True)
+        u = np.where(act, rng.random(replicas)[live] * total, np.inf)
+        jump(cur, cum < u)
         if not act.all():
-            state[:, live[~act]] = cur[:, ~act]
+            state[..., live[~act]] = cur[..., ~act]
             keep = np.flatnonzero(act)
-            live, cur, clock = live[keep], cur.take(keep, axis=1), clock[keep]
-    state[:, live] = cur
+            live, cur, clock = live[keep], cur.take(keep, axis=-1), clock[keep]
+    state[..., live] = cur
 
+    if state.ndim == 1:
+        body = graphical._site_bytes(state, 2, n)
+        return (body & 1).view(np.int8), (body >> 1 & 1).view(np.int8)
     return (
         np.ascontiguousarray(state[halo:halo + n].T).view(np.int8),
         np.ascontiguousarray(state[width + halo:width + halo + n].T).view(np.int8),

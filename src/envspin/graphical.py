@@ -598,9 +598,41 @@ def _holds_words(n_fields, n, ranks, rings):
     """Whether a `_lockstep` call holds each replica's window, n sites of
     n_fields bits, as one word: the window fits 16 bits, and its tables
     (`_word_table`, an entry per rank and word) hold at most TABLE_CAP
-    entries and no more than the `rings` the call expects to draw."""
+    entries and no more than the `rings` the call expects to draw.
+    `coupling.batch_simulate_pair` asks with its 2n slots as ranks and 2n
+    per replica as rings: at least as many replicas as words."""
     bits = n_fields * n
     return bits <= 16 and ranks << bits <= min(TABLE_CAP, rings)
+
+
+def _to_words(body, n_fields):
+    """Each replica's site bytes, a row of `body`, as one word: bits
+    n_fields*x.. hold site x's byte."""
+    words = np.zeros(len(body), dtype=np.uint16)
+    for x in range(body.shape[1]):
+        words |= body[:, x].astype(np.uint16) << n_fields * x
+    return words
+
+
+def _site_bytes(words, n_fields, n):
+    """The site bytes of `_to_words` words, one row per word."""
+    body = np.empty((len(words), n), dtype=np.uint8)
+    for x in range(n):
+        body[:, x] = (words >> n_fields * x) & ((1 << n_fields) - 1)
+    return body
+
+
+def _padded_words(edge, n_fields, n):
+    """The padded rows of every word of n sites of n_fields bits, bits
+    n_fields*x.. holding site x's byte: shape (n + len(edge), 2^(n_fields*n)),
+    column w word w's site bytes with the halo bytes `edge` on either side."""
+    word = np.arange(1 << n_fields * n, dtype=np.uint16)
+    halo = len(edge) // 2
+    padded = np.empty((n + len(edge), len(word)), dtype=np.uint8)
+    padded[:halo] = edge[:halo, None]
+    padded[halo + n:] = edge[halo:, None]
+    padded[halo:halo + n] = _site_bytes(word, n_fields, n).T
+    return padded
 
 
 def _word_table(table, lut, rows_of, cols_of, site, edge, n_fields, n, crossed):
@@ -614,17 +646,12 @@ def _word_table(table, lut, rows_of, cols_of, site, edge, n_fields, n, crossed):
     Entry (k << n_fields*n) + word of the flat tables holds the word after
     the ring, its mask, and (only with `crossed`, per byte 1 + the first
     pair it crosses) the crossing of the ring's new byte."""
-    bits = n_fields * n
-    word = np.arange(1 << bits, dtype=np.uint16)
+    word = np.arange(1 << n_fields * n, dtype=np.uint16)
     halo = len(edge) // 2
-    # padded rows, one column per word
-    padded = np.empty((n + len(edge), 1 << bits), dtype=np.uint8)
-    padded[:halo] = edge[:halo, None]
-    padded[halo + n:] = edge[halo:, None]
-    padded[halo:halo + n] = (word >> n_fields * np.arange(n, dtype=np.uint16)[:, None]) & ((1 << n_fields) - 1)
+    padded = _padded_words(edge, n_fields, n)
     # flat indices stay below TABLE_CAP: 32 bits hold them, and take them faster
     lut, rows_of = lut.astype(np.int32), rows_of.astype(np.int32)
-    key = np.zeros((cols_of.shape[1], 1 << bits), dtype=np.int32)
+    key = np.zeros((cols_of.shape[1], len(word)), dtype=np.int32)
     for cols, rows in zip(cols_of, rows_of):
         key += lut.take(padded.take(cols, axis=0) + rows[:, None])
     mask = table.take(key)
@@ -764,9 +791,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
             )
             # slot 0 is not the center: its row is 0 exactly for background rings
             spin_rank = rows_of[0] != 0
-            words = np.zeros(replicas, dtype=np.uint16)
-            for x in range(n):
-                words |= state[:, halo + x].astype(np.uint16) << n_fields * x
+            words = _to_words(state[:, halo:halo + n], n_fields)
 
     hist = np.zeros(256, dtype=np.int64)
     bg_rings = 0
@@ -855,11 +880,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         if words is None:
             body = np.ascontiguousarray(state.take(at, axis=0)[:, halo:halo + n])
         else:
-            # site x's byte, with bits of the sites after it above its fields
-            now = words.take(at)
-            body = np.empty((replicas, n), dtype=np.uint8)
-            for x in range(n):
-                body[:, x] = now >> n_fields * x
+            body = _site_bytes(words.take(at), n_fields, n)
         snaps.append([((body >> f) & 1).view(np.int8) for f in range(n_fields)])
 
     counters = {

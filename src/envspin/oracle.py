@@ -206,10 +206,13 @@ RESIDUAL_TOL = 1e-10  # largest |pi Q| entry accepted as stationary
 
 
 def _strongly_connected_components(dim, adj):
-    """Iterative Tarjan; returns a list of components (lists of states)."""
-    index = np.full(dim, -1, dtype=np.int64)
-    low = np.zeros(dim, dtype=np.int64)
-    on_stack = np.zeros(dim, dtype=bool)
+    """Iterative Tarjan; returns a list of components (lists of states).
+
+    `adj[v]` lists v's jump targets as Python ints; the per-state marks are
+    Python lists too, since the loop reads them one state at a time."""
+    index = [-1] * dim
+    low = [0] * dim
+    on_stack = [False] * dim
     stack = []
     components = []
     counter = 0
@@ -263,9 +266,9 @@ def _closed_classes(G: GeneratorMatrix):
     s or -1 for a transient state.
     """
     dim = G.dim
-    order = np.argsort(G.rows, kind="stable")
-    bounds = np.cumsum(np.bincount(G.rows, minlength=dim))[:-1]
-    adj = [targets.tolist() for targets in np.split(G.cols[order], bounds)]
+    targets = G.cols[np.argsort(G.rows, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(G.rows, minlength=dim)).tolist()
+    adj = [targets[a:b] for a, b in zip([0] + ends[:-1], ends)]
     comps = _strongly_connected_components(dim, adj)
     comp_id = np.empty(dim, dtype=np.int64)
     for k, comp in enumerate(comps):

@@ -240,6 +240,12 @@ INPUT_ERRORS = {
     "replayed-config-refused": (["replay", "garbage.manifest.json"], "config error: line 1: "),
     # validate writes no manifest, so none replays it
     "replay-validate": (["replay", "validate.manifest.json"], "replay error: "),
+    # an output prefix with no file name would name files by their suffix alone
+    "empty-out": (["simulate", *CPREE, "--sites", "4", "--tmax", "0.5", "--out", ""], "output error: "),
+    "out-names-a-directory": (["simulate", *CPREE, "--sites", "4", "--tmax", "0.5", "--out", "outdir/"],
+                              "output error: "),
+    "replay-of-bare-suffix": (["replay", ".manifest.json"], "output error: "),
+    "out-is-a-dot": (["simulate", *CPREE, "--sites", "4", "--tmax", "0.5", "--out", "outdir/."], "output error: "),
 }
 
 # a config file that parses: cpree on 4 sites, background range 0; the c1
@@ -270,19 +276,24 @@ def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypat
                                              "resolved_config": "garbage"}),
         "validate.manifest.json": json.dumps({"manifest_version": 1, "replay_args": ["validate"],
                                               "resolved_config": "".join(_CONFIG)}),
+        ".manifest.json": json.dumps({"manifest_version": 1, "replay_args": ["simulate", "--tmax", "0.5"],
+                                      "resolved_config": "".join(_CONFIG)}),
         "zerosize.cfg": _config_with(27, "size = 0"),
         "negrate.cfg": _config_with(13, "001 = -1.0"),
         "negrange.cfg": _config_with(22, "range = -1"),
     }
     for name, text in files.items():
         Path(name).write_text(text)
+    Path("outdir").mkdir()
     try:
         code = main(argv)
     except SystemExit as err:  # argparse rejects the value before main's handler
         code = err.code
     assert code == 2
     assert message in capsys.readouterr().err.splitlines()[-1]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files, "outdir"])
+    assert list(Path("outdir").iterdir()) == []
+    assert all(Path(name).read_text() == text for name, text in files.items())
 
 
 # every command that runs the model, on a config whose c1(010) = 5 exceeds c0(010) = 2

@@ -893,6 +893,42 @@ def test_whole_window_words_match_the_byte_path(monkeypatch):
         assert shapes == [], k
 
 
+def test_pair_words_match_the_byte_path(monkeypatch):
+    # each direct pair simulation again with words refused: both paths give
+    # the same bytes; at 1100 replicas every window of at most 5 sites (10
+    # bits) is held as words, the per-word slot sums laid out by
+    # `_padded_words`
+    real, calls = graphical._padded_words, []
+
+    def recorded(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(graphical, "_padded_words", recorded)
+    holds_words = graphical._holds_words
+    rng = np.random.default_rng(131)
+    boundaries = (None, FrozenWords("10", "01"), PerLayerFrozen(FrozenWords("110", "01"), FrozenWords("01", "001")))
+    for k in range(18):
+        n, radius, boundary, t = 1 + k % 5, k // 6, boundaries[k % 3], (0.0, 0.3, 2.0)[k // 3 % 3]
+        pair = random_compatible_pair(rng, positive=bool(k % 2))
+        env = random_attractive_env(rng, radius)
+        spec = ModelSpec(pair, env, n, boundary) if boundary else ModelSpec(pair, env, n)
+        beta = (rng.integers(0, 2, (1100, n)).astype(np.int8), spec.env_boundary)
+        eta = (rng.integers(0, 2, (1100, n)).astype(np.int8), spec.spin_boundary)
+
+        monkeypatch.setattr(graphical, "_holds_words", holds_words)
+        calls.clear()
+        words = batch_simulate_pair(spec, beta, eta, t, 1100, k)
+        assert calls == [(2, n)], k
+        monkeypatch.setattr(graphical, "_holds_words", lambda *args: False)
+        calls.clear()
+        out = batch_simulate_pair(spec, beta, eta, t, 1100, k)
+        assert calls == [], k
+        for a, b in zip(out, words):
+            assert a.dtype == b.dtype == np.int8 and a.flags.c_contiguous and b.flags.c_contiguous, k
+            np.testing.assert_array_equal(a, b)
+
+
 def _horizon_calls(name, t):
     sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
     beta0, top = sc.env_config((0, 0, 0)), sc.spin_config((1, 1, 1))

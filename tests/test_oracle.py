@@ -22,7 +22,7 @@ from envspin import (
 )
 from envspin.coupling import coupled_event_rates
 from envspin.lattice import word_index
-from envspin.oracle import _certify_classes
+from envspin.oracle import _certify_classes, _closed_classes, _strongly_connected_components
 
 from _support import random_compatible_pair, random_env, random_positive_spec
 
@@ -131,6 +131,108 @@ def test_class_certificate_flags_planted_wrong_classes():
     }
     for label, planted in wrong.items():
         assert _certify_classes(G, planted), label
+
+
+def _mutual_reach(dim, src, dst):
+    """Brute force: reach[u, v] iff v is reachable from u (itself included)
+    along the edges src -> dst, by squaring the boolean closure."""
+    reach = np.eye(dim, dtype=np.float32)
+    reach[src, dst] = 1.0
+    while True:
+        grown = (reach @ reach > 0).astype(np.float32)
+        if np.array_equal(grown, reach):
+            return reach > 0
+        reach = grown
+
+
+def _recursive_tarjan(adj):
+    """Textbook recursive Tarjan, neighbors in list order: the components and
+    the order they close in, for graphs small enough to recurse on."""
+    index, low, stack, out = {}, {}, [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in adj[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while not comp or comp[-1] != v:
+                comp.append(stack.pop())
+            out.append(comp)
+
+    for v in range(len(adj)):
+        if v not in index:
+            visit(v)
+    return out
+
+
+def test_tarjan_matches_mutual_reachability_on_random_graphs():
+    # sparse random graphs with self-loops and isolated states: the components
+    # are the classes of mutual reachability, and they close in the order of
+    # the recursive algorithm, each after every component it reaches
+    rng = np.random.default_rng(141)
+    for k in range(40):
+        dim = int(rng.integers(1, 60))
+        used = rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False)
+        m = int(rng.integers(0, 2 * len(used) + 1))
+        src, dst = rng.choice(used, m), rng.choice(used, m)
+        loops = rng.choice(dim, size=int(rng.integers(0, 3)))
+        src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
+        adj = [dst[src == v].tolist() for v in range(dim)]
+        comps = _strongly_connected_components(dim, adj)
+
+        assert comps == _recursive_tarjan(adj), k
+        assert sorted(v for comp in comps for v in comp) == list(range(dim)), k
+        reach = _mutual_reach(dim, src, dst)
+        same = reach & reach.T
+        comp_of = np.empty(dim, dtype=np.int64)
+        for c, comp in enumerate(comps):
+            comp_of[comp] = c
+        assert np.array_equal(same, comp_of[:, None] == comp_of[None, :]), k
+        # an edge between components points to one that closed earlier
+        cross = comp_of[src] != comp_of[dst]
+        assert (comp_of[dst][cross] < comp_of[src][cross]).all(), k
+
+
+def test_tarjan_needs_no_recursion_on_long_paths():
+    # a path and a cycle of 5 000 states, deeper than Python's recursion limit
+    n = 5_000
+    path = [[v + 1] for v in range(n - 1)] + [[]]
+    assert _strongly_connected_components(n, path) == [[v] for v in range(n - 1, -1, -1)]
+    cycle = [[(v + 1) % n] for v in range(n)]
+    assert _strongly_connected_components(n, cycle) == [list(range(n - 1, -1, -1))]
+
+
+def test_closed_classes_match_brute_force_reachability():
+    # the closed classes are the mutual-reachability classes with no jump
+    # out, each law is stationary on its class, and label[s] names the class
+    # holding s; the class order is the one the search gave when this test
+    # was written
+    rng = np.random.default_rng(63)
+    frozen = ModelSpec(random_compatible_pair(rng, positive=True), EnvRateSpec(0, (0.0, 0.0)), 3)
+    for spec, expected in (
+        (preset("remark_iv", sites=5), [[0], [992]]),
+        (preset("remark_vi", sites=5), [[992], [993], [995], [999], [1007], [1023]]),
+        (frozen, None),
+    ):
+        G = build_generator(spec)
+        classes, laws, label = _closed_classes(G)
+        if expected is not None:
+            assert classes == expected
+        reach = _mutual_reach(G.dim, G.rows, G.cols)
+        same = reach & reach.T
+        closed = {tuple(np.flatnonzero(same[s])) for s in range(G.dim) if not (reach[s] & ~same[s]).any()}
+        assert sorted(map(tuple, classes)) == sorted(closed)
+        for k, (comp, pi) in enumerate(zip(classes, laws)):
+            assert np.array_equal(np.flatnonzero(label == k), comp)
+            assert np.array_equal(np.flatnonzero(pi), comp) and abs(pi.sum() - 1.0) <= 1e-12
+            assert np.abs(G.matvec_left(pi)).max() <= 1e-12
+        assert (label[np.setdiff1d(np.arange(G.dim), np.concatenate(classes))] == -1).all()
 
 
 def _out_transitions(G, s):
