@@ -38,19 +38,19 @@ ring, ranked among the (site, atom) starts of `_site_atoms`, picks the site
 and the atom together, and per-call tables indexed by that rank give the
 ring's gather columns and key rows.
 
-A small window is held whole.  When n sites of F fields fit 16 bits and
-the tables below cost no more entries than the rings the call expects
-(`_holds_words`), each replica's window is one word and a ring is one
-lookup: a table built once per call from the joint table, with the frozen
-boundary bytes folded in, maps (rank, word) to the next word
-(`_word_table`).  Draws, ranks, counters and crossing messages are those
-of the byte path, so outputs are byte-identical on either path.
+Both engines keep the pairs of `lattice.initially_ordered_pairs` ordered,
+but the lockstep engine compares them at every ring only when its table
+fails to prove the order: every site starts uncrossed, a ring writes only
+its own site, and if no table entry with an uncrossed key crosses a pair
+(nor do the frozen boundary words), no ring ever can (`_may_cross`).  The
+proof and the per-ring check read one crossing table per call.
 
-Nor does the engine compare layers at every ring when the table itself
-proves the order: every site starts uncrossed, a ring writes only its own
-site, and if no table entry with an uncrossed key crosses a pair (nor do
-the frozen boundary words), then no ring ever can (`_may_cross`).  Tables
-that fail the proof, such as non-attractive ones, keep the per-ring check.
+A small window on a call the proof clears is held whole.  When n sites of
+F fields fit 16 bits and the tables below cost no more entries than the
+rings the call expects (`_holds_words`), each replica's window is one word
+and a ring is one lookup: a table built once per call from the joint
+table, with the frozen boundary bytes folded in, maps (rank, word) to the
+next word (`_word_table`).  Outputs are byte-identical on either path.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from .lattice import (
     _site_columns,
     initially_ordered_pairs,
     layer_names,
+    leq,
 )
 from .rates import ModelSpec, SpinRatePair, dominating_rates, tight_clock
 
@@ -234,7 +235,7 @@ def evolve(beta0: Configuration, spin_layers, stream: EventStream) -> Trajectory
 
     A spin ring reads the background bit at its instant, and every layer
     applies the spin rule to the shared mark with its own neighborhood rate;
-    each pair of layers that starts ordered must stay ordered after every spin
+    each pair of `initially_ordered_pairs` must stay ordered after every spin
     ring.  Rings sort by (time, site, kind); a background and a spin ring at
     one instant (never, for continuous clocks) trip an assertion.
     """
@@ -244,7 +245,7 @@ def evolve(beta0: Configuration, spin_layers, stream: EventStream) -> Trajectory
     if any(len(cfg) != spec.size for cfg in spin_layers):
         raise ValueError("spin layers must have %d sites" % spec.size)
     names = layer_names(len(spin_layers))
-    ordered = initially_ordered_pairs(list(spin_layers))
+    ordered = initially_ordered_pairs(spin_layers, leq)
     beta = MutableWindow(beta0)
     layers = [MutableWindow(cfg) for cfg in spin_layers]
     cb = (consts.c_bar0, consts.c_bar1)
@@ -277,7 +278,7 @@ def evolve(beta0: Configuration, spin_layers, stream: EventStream) -> Trajectory
             for a, b in ordered:
                 if layers[a].bits[x] > layers[b].bits[x]:
                     raise OrderViolationError(
-                        "layers %s and %s crossed at site %d, t=%r" % (names[a], names[b], x, t)
+                        "layers %s and %s crossed at site %d, t=%r" % (names[a], names[b], x, float(t))
                     )
 
     initial = {"beta": beta0, **dict(zip(names, spin_layers))}
@@ -493,11 +494,10 @@ def _joint_table(windows, owner, radius, b_bar, lam, halo):
 
 
 @lru_cache(maxsize=64)
-def _uncrossed_keys(reads, fields, pairs):
-    """For rings that read `reads` and flip `fields` (`_ring_kinds`): the
-    keys whose bits cross none of the ordered `pairs` at any site offset,
-    per such key the byte of the fields it reads at the center, and per
-    byte whether it crosses a pair of `fields`."""
+def _uncrossed_keys(reads, pairs):
+    """For rings that read `reads` (`_ring_kinds`): the keys whose bits
+    cross none of the ordered `pairs` at any site offset, and per such key
+    the byte of the fields it reads at the center, 0 in the others."""
     keys = np.arange(1 << len(reads))[:, None]
     place = {fd: len(reads) - 1 - j for j, fd in enumerate(reads)}
     p_at, q_at = np.array(
@@ -507,32 +507,27 @@ def _uncrossed_keys(reads, fields, pairs):
     fine = np.flatnonzero(~((keys >> p_at) & ~(keys >> q_at) & 1).any(axis=1))
     at, field = np.array([(j, f) for (f, d), j in place.items() if d == 0], dtype=np.intp).reshape(-1, 2).T
     center = (((keys[fine] >> at) & 1) << field).sum(axis=1).astype(np.uint8)
-    byte = np.arange(256)
-    crosses = np.zeros(256, dtype=bool)
-    for p, q in pairs:
-        if p in fields:
-            crosses |= ((byte >> p) & ~(byte >> q) & 1).astype(bool)
-    return fine, center, crosses
+    return fine, center
 
 
-def _may_cross(table, edges, b_bar, owner, radius, pairs):
+def _may_cross(table, edges, b_bar, owner, radius, pairs, crossed):
     """Whether a ring of a `_lockstep` call could cross one of its ordered
-    `pairs` (p, q), field p 1 where q is 0, decided once over its joint
-    table (`_joint_table`).
+    `pairs`, decided once over its joint table (`_joint_table`) by its
+    crossing table `crossed` (nonzero at the bytes that cross a pair).
 
     Only keys whose read bits cross no pair at any offset count: while the
     state crosses no pair, a ring reads one of them.  The call may cross a
     pair iff for one of those keys and some atom of a kind, the mask XOR-ed
-    into the key's center bits crosses a pair of that kind (a ring flips
-    only its kind's fields, and reads every one of them at its center).
+    into the key's center byte crosses a pair (a ring flips only its kind's
+    fields, and reads every one of them at its center).
     """
     n_bg = int(np.searchsorted(edges, b_bar))
     start = 0
-    for (fields, reads), atoms in zip(_ring_kinds(tuple(owner), radius), (n_bg, len(edges) - n_bg)):
+    for (_, reads), atoms in zip(_ring_kinds(tuple(owner), radius), (n_bg, len(edges) - n_bg)):
         masks = table[start:start + (atoms << len(reads))].reshape(atoms, 1 << len(reads))
         start += masks.size
-        fine, center, crosses = _uncrossed_keys(reads, fields, tuple(pairs))
-        if crosses.take(masks[:, fine] ^ center).any():
+        fine, center = _uncrossed_keys(reads, tuple(pairs))
+        if crossed.take(masks[:, fine] ^ center).any():
             return True
     return False
 
@@ -635,7 +630,7 @@ def _padded_words(edge, n_fields, n):
     return padded
 
 
-def _word_table(table, lut, rows_of, cols_of, site, edge, n_fields, n, crossed):
+def _word_table(table, lut, rows_of, cols_of, site, edge, n_fields, n):
     """Transition tables of a `_lockstep` call whose whole window, n sites of
     n_fields bits, is one word: bits n_fields*x.. hold site x's byte.
 
@@ -644,10 +639,8 @@ def _word_table(table, lut, rows_of, cols_of, site, edge, n_fields, n, crossed):
     the byte path does: the bytes at gather columns `cols_of[:, k]` through
     `lut` and key rows `rows_of[:, k]`, then its mask from the joint table.
     Entry (k << n_fields*n) + word of the flat tables holds the word after
-    the ring, its mask, and (only with `crossed`, per byte 1 + the first
-    pair it crosses) the crossing of the ring's new byte."""
+    the ring and its mask."""
     word = np.arange(1 << n_fields * n, dtype=np.uint16)
-    halo = len(edge) // 2
     padded = _padded_words(edge, n_fields, n)
     # flat indices stay below TABLE_CAP: 32 bits hold them, and take them faster
     lut, rows_of = lut.astype(np.int32), rows_of.astype(np.int32)
@@ -656,8 +649,7 @@ def _word_table(table, lut, rows_of, cols_of, site, edge, n_fields, n, crossed):
         key += lut.take(padded.take(cols, axis=0) + rows[:, None])
     mask = table.take(key)
     step = (mask.astype(np.uint16) << (n_fields * site).astype(np.uint16)[:, None]) ^ word
-    cross = None if crossed is None else crossed.take(padded.take(cols_of[halo], axis=0) ^ mask).ravel()
-    return step.ravel(), mask.ravel(), cross
+    return step.ravel(), mask.ravel()
 
 
 def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
@@ -671,14 +663,14 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     step order), whose rank among the starts of `_site_atoms` gives its site
     x and the atom of its mark U on [0, b_bar + c_hat): U < b_bar rings every
     background at x with mark U, otherwise every spin layer reads U - b_bar
-    against its own group's background.  Every initially ordered pair of
-    fields that the coupling keeps ordered is kept ordered: the first ring
-    whose new byte crosses one raises OrderViolationError, naming the first
-    pair, in pair order, that the byte crosses, as `evolve` does.  The call
-    decides once whether any ring can cross a pair (`_may_cross` on the
-    joint table, and the frozen halo columns of the start), and compares
-    the pairs at each ring only if one can.  RNG use depends only on (seed,
-    grid, Poisson counts), never on the state.
+    against its own group's background.  The pairs of
+    `initially_ordered_pairs`, per kind, whose backgrounds start ordered are
+    kept ordered: the call decides once, by its crossing table `crossed`,
+    whether any ring can cross one (`_may_cross` on the joint table, and the
+    frozen halo columns), and only then looks up every ring's new byte in
+    `crossed`; the first that crosses a pair raises OrderViolationError,
+    naming the first pair it crosses, as `evolve` does.  RNG use depends
+    only on (seed, grid, Poisson counts), never on the state.
 
     A replica-site holds all its fields in one byte, bit f for field f.  A
     ring gathers the bytes at x - halo..x + halo, turns them into its key by
@@ -696,14 +688,14 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     (`rng.random` draws the same doubles in any chunks), so the temporaries
     stay cache-sized.
 
-    When `_holds_words` accepts the call (n_fields*n <= 16 bits, and tables
-    of at most TABLE_CAP entries and no more than the expected rings
-    lam*n*t*replicas), each replica is instead one word, bits n_fields*x..
-    holding site x's byte, and a ring adds its word to its rank's offset
-    and takes its next word, its mask and (only when rings are checked) its
-    crossing from the tables of `_word_table`.  There is no gather and no
-    scatter, and the draws, blocks, row order, counters and messages are
-    those of the byte path: outputs are byte-identical on either path.
+    When no ring is checked and `_holds_words` accepts the call
+    (n_fields*n <= 16 bits, and tables of at most TABLE_CAP entries and no
+    more than the expected rings lam*n*t*replicas), each replica is instead
+    one word, bits n_fields*x.. holding site x's byte, and a ring adds its
+    word to its rank's offset and takes its next word and its mask from the
+    tables of `_word_table`.  There is no gather and no scatter, and the
+    draws, blocks, row order and counters are those of the byte path:
+    outputs are byte-identical on either path.
 
     Returns the grid times, per grid time the in-window bits of every field,
     and the counters of `BatchResult`.
@@ -756,14 +748,11 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     def below(p, q):
         return not present[crossing(p, q)].any()
 
-    # background pairs, then spin pairs; equal fields need one orientation only
+    # background pairs, then spin pairs, of fields whose backgrounds start ordered
     kinds = ([f for f in range(n_fields) if owner[f] == f], [f for f in range(n_fields) if owner[f] != f])
     pairs = [
-        (p, q)
-        for kind in kinds
-        for i, p in enumerate(kind)
-        for j, q in enumerate(kind)
-        if i != j and below(p, q) and not (i > j and below(q, p)) and below(owner[p], owner[q])
+        (kind[i], kind[j]) for kind in kinds for i, j in initially_ordered_pairs(kind, below)
+        if below(owner[kind[i]], owner[kind[j]])
     ] if check_order else []
     # per packed byte, 1 + the index of the first pair it crosses (0: none)
     crossed = np.zeros(256, dtype=np.uint8)
@@ -774,7 +763,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     # columns (the same in every row, and never written) cross one
     edge = np.concatenate([state[:1, :halo], state[:1, halo + n:]], axis=1)
     check = bool(pairs) and (
-        _may_cross(table, edges, b_bar, owner, radius, pairs) or bool(crossed.take(edge).any())
+        _may_cross(table, edges, b_bar, owner, radius, pairs, crossed) or bool(crossed.take(edge).any())
     )
 
     words = None
@@ -785,10 +774,9 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         # gather columns and key rows by the rank of a ring's V
         cols_of = cols.take(site, axis=1)
         rows_of = rows_of.take(atom, axis=1)
-        if _holds_words(n_fields, n, len(starts), lam * n * (grid[-1] if grid else 0.0) * replicas):
-            step_of, mask_of, cross_of = _word_table(
-                table, lut, rows_of, cols_of, site, edge[0], n_fields, n, crossed if check else None
-            )
+        # only the byte path checks rings, so a checked call keeps to it
+        if not check and _holds_words(n_fields, n, len(starts), lam * n * (grid[-1] if grid else 0.0) * replicas):
+            step_of, mask_of = _word_table(table, lut, rows_of, cols_of, site, edge[0], n_fields, n)
             # slot 0 is not the center: its row is 0 exactly for background rings
             spin_rank = rows_of[0] != 0
             words = _to_words(state[:, halo:halo + n], n_fields)
@@ -798,8 +786,8 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
 
     def run_block(pieces, size):
         """Draw and apply the `size` rings of consecutive pieces of steps,
-        piece (lo, hi) to rows lo..hi-1; raise at the first ring whose new
-        byte crosses an ordered pair."""
+        piece (lo, hi) to rows lo..hi-1; on a checked call, raise at the
+        first ring whose new byte crosses an ordered pair."""
         nonlocal bg_rings
         rank = _ranks(rng.random(size), starts, lookup)
         i = 0
@@ -813,7 +801,6 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
                 step_of.take(rank[i:j], out=words[lo:hi], mode="clip")
                 i = j
             mask = mask_of.take(rank)
-            hit = cross_of.take(rank) if check else None
         else:
             gather = cols_of.take(rank, axis=1)
             gather += np.concatenate([base[lo:hi] for lo, hi in pieces])
@@ -829,11 +816,12 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
                 np.bitwise_xor(b[halo], mask[i:j], out=new[i:j])
                 flat[gather[halo, i:j]] = new[i:j]
                 i = j
-            hit = crossed.take(new) if check else None
+            if check:
+                hit = crossed.take(new)
+                if hit.any():
+                    p, q = pairs[hit[hit > 0][0] - 1]
+                    raise OrderViolationError("%s and %s crossed in a lockstep step" % (names[p], names[q]))
         hist[:] += np.bincount(mask, minlength=256)
-        if hit is not None and hit.any():
-            p, q = pairs[hit[hit > 0][0] - 1]
-            raise OrderViolationError("%s and %s crossed in a lockstep step" % (names[p], names[q]))
 
     rng = np.random.default_rng(seed)
     times, snaps = [], []

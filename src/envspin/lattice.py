@@ -234,14 +234,13 @@ class JointState:
         return layer_names(len(self.layers))
 
 
-def initially_ordered_pairs(layers):
-    """All index pairs (i, j), i < j, whose layers start pointwise ordered."""
-    out = []
-    for i in range(len(layers)):
-        for j in range(i + 1, len(layers)):
-            if leq(layers[i], layers[j]):
-                out.append((i, j))
-    return tuple(out)
+def initially_ordered_pairs(fields, below):
+    """The pairs (i, j), i != j, in (i, j) order, that the mark engines keep
+    ordered: `below(fields[i], fields[j])` at the start, and of two equal
+    fields (each below the other) only the earlier below the later."""
+    at = range(len(fields))
+    return tuple((i, j) for i in at for j in at
+                 if i != j and below(fields[i], fields[j]) and not (i > j and below(fields[j], fields[i])))
 
 
 class MutableWindow:

@@ -12,6 +12,7 @@ bit for bit.
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -384,7 +385,8 @@ def test_raised_crossing_names_the_first_crossed_pair(monkeypatch):
     # (at 16, every 40-ring step is); messages as the engine gave them when
     # this test was written
     base = _crossing_spec()
-    # its 3-site twin, at enough replicas that each whole window is one word
+    # its 3-site twin, at enough replicas that a call the order proof cleared
+    # would hold each whole window as one word; a checked call keeps to bytes
     twin = ModelSpec(base.spin, base.env, 3)
     for spec, replicas, envelope_replicas, expected in (
         (base, 40, 40, (2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1)),
@@ -421,3 +423,29 @@ def test_mark_engine_raises_on_the_first_crossed_pair():
         for pair in (("gamma", 3), ("xi", 4), ("gamma", 9), ("gamma", 9),
                      ("gamma", 7), ("gamma", 7), ("gamma", 5), ("gamma", 9))
     ]
+
+
+def _crossing_message(layers, seed):
+    """What `evolve` raises on the crossing spec by t=5 (None: no crossing)."""
+    spec = _crossing_spec()
+    try:
+        evolve(spec.env_config((0,) * spec.size), layers, EventStream(spec, seed, 5.0))
+    except OrderViolationError as err:
+        return str(err)
+    return None
+
+
+def test_mark_engine_guards_a_reversed_stack():
+    # the order guard follows the starts, not the listed order: swapping two
+    # ordered layers raises at the same ring with the names swapped, and the
+    # time reads as a plain float; 19 of the 20 seeds cross by t=5
+    zero, alt = _spin_stack(_crossing_spec(), 4)[:2]
+    raised = 0
+    for seed in range(20):
+        message = _crossing_message([zero, alt], seed)
+        swapped = message and message.replace("eta and xi", "xi and eta")
+        assert _crossing_message([alt, zero], seed) == swapped, seed
+        if message:
+            raised += 1
+            assert re.fullmatch(r"layers eta and xi crossed at site \d+, t=\d+\.\d+(e-\d+)?", message), message
+    assert raised == 19

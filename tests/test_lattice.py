@@ -116,4 +116,7 @@ def test_initially_ordered_pairs():
     a = Configuration("000")
     b = Configuration("010")
     c = Configuration("101")
-    assert initially_ordered_pairs([a, b, c]) == ((0, 1), (0, 2))
+    assert initially_ordered_pairs([a, b, c], leq) == ((0, 1), (0, 2))
+    # a reversed stack keeps its pairs; of two equal layers only the earlier is below
+    assert initially_ordered_pairs([c, b, a], leq) == ((2, 0), (2, 1))
+    assert initially_ordered_pairs([b, Configuration("010")], leq) == ((0, 1),)
