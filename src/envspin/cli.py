@@ -11,9 +11,11 @@ writes no file.  Exit codes and refusal prefixes:
   0  success;
   1  validation failure: `invalid preset`, `invalid model`; `validate`
      prints its `violation` lines on stdout;
-  2  input error: `config error`, `simulate error`, `oracle error`,
-     `scenario error`, `replay error`, `output error`, and argparse usage
-     errors (a usage line, then the message);
+  2  input error: `config error` (also a bad ENVSPIN_SEED), `simulate
+     error`, `couple error` (a horizon over the event budget, as for
+     `simulate`), `oracle error`, `scenario error`, `replay error`,
+     `output error`, and argparse usage errors (a usage line, then the
+     message), among them a negative --seed;
   3  numerical flag: a failed class certificate or residual, or
      non-convergence in the oracle, printed after its outputs are written.
 """
@@ -92,7 +94,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="one mark-driven trajectory of the pair chain")
     _add_spec_args(p)
     p.add_argument("--tmax", type=_at_least(float, 0.0), default=10.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(int, 0), default=None)
     p.add_argument("--init-beta", default=None, help="background start bits (default all zeros)")
     p.add_argument("--init-eta", default=None, help="spin start bits (default all ones)")
     p.add_argument("--out", default="run")
@@ -104,7 +106,7 @@ def build_parser():
                    help="spin layers: 1, 3 or 4; 5 names the full five-coordinate stack"
                    " and runs the same 4 spin layers as 4")
     p.add_argument("--tmax", type=_at_least(float, 0.0), default=10.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(int, 0), default=None)
     p.add_argument("--out", default="run")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -115,7 +117,7 @@ def build_parser():
     p = sub.add_parser("scenario", help="experiment scenarios")
     p.add_argument("name", choices=("iv", "vi", "coalescence", "density", "run-decay", "interval-bounds"))
     _add_spec_args(p)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(int, 0), default=None)
     p.add_argument("--replicas", type=_at_least(int, 1), default=10000)
     p.add_argument("--tmax", type=_at_least(float, 0.0), default=10.0)
     p.add_argument("--window", type=int, default=2, help="half-width k of the recentred window")
@@ -130,10 +132,15 @@ def build_parser():
 
 
 def _resolve_seed(args):
-    """Flags win; the sole environment override supplies the default seed."""
+    """Flags win; the sole environment override supplies the default seed,
+    refused unless it is an integer at least 0."""
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(os.environ.get("ENVSPIN_SEED", "0"))
+    text = os.environ.get("ENVSPIN_SEED", "0")
+    try:
+        return _at_least(int, 0)(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise Refusal("config error: ENVSPIN_SEED must be an integer at least 0, got %r" % text, 2) from None
 
 
 def _resolve_spec(args, parser, sites=16):
@@ -248,7 +255,10 @@ def cmd_simulate(args, parser):
             raise Refusal("simulate error: %s %s is not %d bits 0 or 1" % (flag, bits, spec.size), 2)
     beta0 = spec.env_config(args.init_beta if args.init_beta else (0,) * spec.size)
     eta0 = spec.spin_config(args.init_eta if args.init_eta else (1,) * spec.size)
-    traj = graphical.evolve(beta0, [eta0], graphical.EventStream(spec, args.seed, args.tmax))
+    try:
+        traj = graphical.evolve(beta0, [eta0], graphical.EventStream(spec, args.seed, args.tmax))
+    except graphical.EventBudgetError as err:
+        raise Refusal("simulate error: %s" % err, 2) from None
     return _trajectory_output(args, spec, traj)
 
 
@@ -271,7 +281,10 @@ def cmd_couple(args, parser):
     args.seed = _resolve_seed(args)
     arity = 4 if args.layers == 5 else args.layers
     initial = _default_coupled_initial(spec, arity)
-    traj = simulate_coupled(CoupledSpec(spec, arity), initial, args.seed, args.tmax)
+    try:
+        traj = simulate_coupled(CoupledSpec(spec, arity), initial, args.seed, args.tmax)
+    except graphical.EventBudgetError as err:
+        raise Refusal("couple error: %s" % err, 2) from None
     return _trajectory_output(args, spec, traj)
 
 

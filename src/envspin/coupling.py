@@ -41,7 +41,7 @@ from .lattice import (
     word_index,
 )
 from . import graphical
-from .graphical import Event, OrderViolationError, Trajectory, exact_table
+from .graphical import EVENT_BUDGET, Event, EventBudgetError, OrderViolationError, Trajectory, exact_table
 from .rates import EnvRateSpec, ModelSpec, ModelViolationError, SpinRatePair
 
 
@@ -240,7 +240,9 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
     the sites that read it (`_toggle_table`), and only those get new menus.
     The draws are those of `exponential(1 / total)` and `uniform(0, total)`.
     The layer order is checked at every spin flip; a crossing raises
-    OrderViolationError.
+    OrderViolationError.  A horizon at which the start's total rate would
+    make more than EVENT_BUDGET jumps is refused with EventBudgetError
+    before anything is drawn.
     """
     if len(initial.layers) != cspec.arity:
         raise ValueError("%d spin layers given for arity %d" % (len(initial.layers), cspec.arity))
@@ -248,7 +250,6 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
         raise ValueError("t_max must be finite and >= 0")
     spec = cspec.base
     arity, n = cspec.arity, spec.size
-    rng = np.random.default_rng(seed)
     menus_of = _float_menus(spec.spin, spec.env, arity)
     fields = (initial.beta, *initial.layers)
     boundaries = tuple(cfg.boundary for cfg in fields)
@@ -260,7 +261,14 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
             keys[y] |= bits
 
     menus, site_totals = (list(v) for v in zip(*map(menus_of.__getitem__, keys)))
+    jumps = sum(site_totals) * t_max
+    if jumps > EVENT_BUDGET:
+        raise EventBudgetError(
+            "about %.3g jumps by t_max=%r at the start's rate exceed the event budget of %d; lower t_max"
+            % (jumps, t_max, EVENT_BUDGET)
+        )
 
+    rng = np.random.default_rng(seed)
     events = []
     t = 0.0
     exponential, uniform = rng.standard_exponential, rng.random

@@ -80,6 +80,10 @@ class EventBudgetError(RuntimeError):
     pass
 
 
+# the most events one run of a direct simulator may draw
+EVENT_BUDGET = 10_000_000
+
+
 class OrderViolationError(AssertionError):
     pass
 
@@ -138,7 +142,7 @@ class EventStream:
     the lattice does not perturb existing sites.
     """
 
-    def __init__(self, spec: ModelSpec, seed, t_max, max_events=10_000_000):
+    def __init__(self, spec: ModelSpec, seed, t_max, max_events=EVENT_BUDGET):
         if not 0 <= t_max < math.inf:
             raise ValueError("t_max must be finite and >= 0")
         self.spec = spec

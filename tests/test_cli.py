@@ -246,6 +246,22 @@ INPUT_ERRORS = {
                               "output error: "),
     "replay-of-bare-suffix": (["replay", ".manifest.json"], "output error: "),
     "out-is-a-dot": (["simulate", *CPREE, "--sites", "4", "--tmax", "0.5", "--out", "outdir/."], "output error: "),
+    # horizons over the event budget once ended in a traceback or never returned
+    "simulate-over-event-budget": (["simulate", *CPREE, "--sites", "4", "--tmax", "1e7", "--out", "big"],
+                                   "simulate error: event budget of 10000000 exceeded"),
+    "couple-over-event-budget": (["couple", *CPREE, "--sites", "4", "--tmax", "1e300", "--out", "c"],
+                                 "couple error: about 1.4e+301 jumps by t_max=1e+300"),
+    # seeds numpy refuses once died inside numpy or int()
+    "simulate-negative-seed": (["simulate", *CPREE, "--sites", "4", "--seed", "-1"], "argument --seed: "),
+    "couple-negative-seed": (["couple", *CPREE, "--sites", "4", "--seed", "-1"], "argument --seed: "),
+    "scenario-negative-seed": (["scenario", "density", *CPREE, "--seed", "-1"], "argument --seed: "),
+    # a third entry sets environment variables
+    "env-seed-not-an-integer": (["simulate", *CPREE, "--sites", "4", "--tmax", "0.5"],
+                                "config error: ENVSPIN_SEED must be an integer at least 0, got 'abc'",
+                                {"ENVSPIN_SEED": "abc"}),
+    "env-seed-negative": (["couple", *CPREE, "--sites", "4", "--tmax", "0.5"],
+                          "config error: ENVSPIN_SEED must be an integer at least 0, got '-1'",
+                          {"ENVSPIN_SEED": "-1"}),
 }
 
 # a config file that parses: cpree on 4 sites, background range 0; the c1
@@ -262,7 +278,9 @@ def _config_with(lineno, text):
 
 @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
 def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypatch, case):
-    argv, message = INPUT_ERRORS[case]
+    argv, message, *env = INPUT_ERRORS[case]
+    for name, value in dict(*env).items():
+        monkeypatch.setenv(name, value)
     monkeypatch.chdir(tmp_path)
     files = {
         "notjson.manifest.json": "not json\n",

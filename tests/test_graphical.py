@@ -956,3 +956,18 @@ def test_non_finite_or_negative_horizons_are_refused_before_any_draw(monkeypatch
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     with pytest.raises(ValueError, match="finite|nonnegative|>= 0"):
         _horizon_calls(name, t)
+
+
+def test_coupled_horizons_over_the_event_budget_are_refused_before_any_draw(monkeypatch):
+    # the coupled simulator once ran on at any finite horizon, its event list
+    # growing without bound; a start whose rates are all 0 still returns at once
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was made before the budget was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(EventBudgetError, match="exceed the event budget of 10000000"):
+        _horizon_calls("coupled", 1e300)
+    monkeypatch.undo()
+    sc = preset("contact", sites=3, lam=2.0, delta=1.0)
+    start = JointState(sc.env_config((0, 0, 0)), (sc.spin_config((0, 0, 0)),))
+    assert simulate_coupled(CoupledSpec(sc, 1), start, 1, 1e300).events == []
