@@ -80,7 +80,8 @@ class EventBudgetError(RuntimeError):
     pass
 
 
-# the most events one run of a direct simulator may draw
+# the most rings an EventStream draws by default, and the most jumps
+# `coupling.simulate_coupled` lets a run expect
 EVENT_BUDGET = 10_000_000
 
 
