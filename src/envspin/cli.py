@@ -255,10 +255,11 @@ def cmd_simulate(args, parser):
             raise Refusal("simulate error: %s %s is not %d bits 0 or 1" % (flag, bits, spec.size), 2)
     beta0 = spec.env_config(args.init_beta if args.init_beta else (0,) * spec.size)
     eta0 = spec.spin_config(args.init_eta if args.init_eta else (1,) * spec.size)
+    stream = graphical.EventStream(spec, args.seed, args.tmax)
     try:
-        traj = graphical.evolve(beta0, [eta0], graphical.EventStream(spec, args.seed, args.tmax))
-    except graphical.EventBudgetError as err:
-        raise Refusal("simulate error: %s" % err, 2) from None
+        traj = graphical.evolve(beta0, [eta0], stream)
+    except graphical.EventBudgetError:
+        raise Refusal("simulate error: event budget of %d exceeded; lower --tmax" % stream.max_events, 2) from None
     return _trajectory_output(args, spec, traj)
 
 

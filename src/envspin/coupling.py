@@ -222,11 +222,50 @@ def _toggle_table(boundaries, n, env_range):
     return base[:, 0].tolist(), toggles
 
 
-@lru_cache(maxsize=256)
-def _center_shifts(boundaries, n, env_range):
-    """Per field f and site x, the place of a bit of x's key that reads f at x."""
-    toggles = _toggle_table(boundaries, n, env_range)[1]
-    return [[dict(toggles[1 << f][x])[x].bit_length() - 1 for x in range(n)] for f in range(len(boundaries))]
+class _CoupledStart:
+    """What a `simulate_coupled` start determines: the `_float_menus` memo,
+    the `_toggle_table` toggles, the start's site keys, their menus and site
+    totals, the start's total rate, the field names and, per field f and
+    site x, the place of the bit of x's key that reads f at x.  Made once
+    per distinct (cspec, initial) by `_coupled_start`; a start whose menus
+    raise ModelViolationError is not cached, so it raises on every call.
+    Hashed by identity, so it keys `_final_fields` cheaply."""
+
+    __slots__ = ("menus_of", "toggles", "keys", "menus", "site_totals", "total", "names", "boundaries", "shifts")
+
+    def __init__(self, cspec, initial):
+        spec = cspec.base
+        n = spec.size
+        fields = (initial.beta, *initial.layers)
+        self.menus_of = _float_menus(spec.spin, spec.env, cspec.arity)
+        self.boundaries = tuple(cfg.boundary for cfg in fields)
+        base, self.toggles = _toggle_table(self.boundaries, n, spec.env.range)
+        keys = list(base)
+        for f, cfg in enumerate(fields):
+            for y, bits in chain.from_iterable(compress(self.toggles[1 << f], cfg.bits)):
+                keys[y] |= bits
+        self.keys = tuple(keys)
+        self.menus, self.site_totals = zip(*map(self.menus_of.__getitem__, keys))
+        self.total = sum(self.site_totals)
+        self.names = ("beta", *initial.names)
+        self.shifts = [[dict(self.toggles[1 << f][x])[x].bit_length() - 1 for x in range(n)]
+                       for f in range(len(fields))]
+
+
+_coupled_start = lru_cache(maxsize=64)(_CoupledStart)
+
+
+@lru_cache(maxsize=1024)
+def _final_fields(start, keys):
+    """The fields' Configurations at the site keys `keys` (a tuple) of a run
+    from `start`."""
+    return tuple(Configuration._of_bits(tuple([(k >> s) & 1 for k, s in zip(keys, shifts)]), boundary)
+                 for shifts, boundary in zip(start.shifts, start.boundaries))
+
+
+# the last (cspec, initial, start) of `simulate_coupled`, matched by identity;
+# it holds both objects, so their ids are not reused while it is kept
+_last_start = None, None, None
 
 
 def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Trajectory:
@@ -243,30 +282,34 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
     OrderViolationError.  A horizon at which the start's total rate would
     make more than EVENT_BUDGET jumps is refused with EventBudgetError
     before anything is drawn.
+
+    What the start determines (its keys, menus and totals, the toggles) is
+    made once per distinct (cspec, initial) and kept in a bounded cache
+    (`_coupled_start`), and the final Configurations come from a bounded
+    cache keyed by the final keys (`_final_fields`): a call costs its
+    seeding and its events.  The last start is also kept by identity, since
+    hashing (cspec, initial) costs about a fifth of a call at horizon 0.
+    Equal starts give equal trajectories, and the trajectory's dicts are new
+    on every call.
     """
     if len(initial.layers) != cspec.arity:
         raise ValueError("%d spin layers given for arity %d" % (len(initial.layers), cspec.arity))
     if not 0 <= t_max < math.inf:
         raise ValueError("t_max must be finite and >= 0")
-    spec = cspec.base
-    arity, n = cspec.arity, spec.size
-    menus_of = _float_menus(spec.spin, spec.env, arity)
-    fields = (initial.beta, *initial.layers)
-    boundaries = tuple(cfg.boundary for cfg in fields)
-    base, toggles = _toggle_table(boundaries, n, spec.env.range)
-
-    keys = list(base)
-    for f, cfg in enumerate(fields):
-        for y, bits in chain.from_iterable(compress(toggles[1 << f], cfg.bits)):
-            keys[y] |= bits
-
-    menus, site_totals = (list(v) for v in zip(*map(menus_of.__getitem__, keys)))
-    jumps = sum(site_totals) * t_max
+    global _last_start
+    last_cspec, last_initial, start = _last_start
+    if cspec is not last_cspec or initial is not last_initial:
+        start = _coupled_start(cspec, initial)
+        _last_start = cspec, initial, start
+    jumps = start.total * t_max
     if jumps > EVENT_BUDGET:
         raise EventBudgetError(
             "about %.3g jumps by t_max=%r at the start's rate exceed the event budget of %d; lower t_max"
             % (jumps, t_max, EVENT_BUDGET)
         )
+    n = cspec.base.size
+    menus_of, toggles = start.menus_of, start.toggles
+    keys, menus, site_totals = list(start.keys), list(start.menus), list(start.site_totals)
 
     rng = np.random.default_rng(seed)
     events = []
@@ -303,10 +346,9 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
             key = keys[y] = keys[y] ^ bits
             menus[y], site_totals[y] = menus_of[key]
 
-    final = [Configuration._of_bits(tuple([(k >> s) & 1 for k, s in zip(keys, shifts)]), cfg.boundary)
-             for shifts, cfg in zip(_center_shifts(boundaries, n, spec.env.range), fields)]
-    names = ("beta", *initial.names)
-    return Trajectory(dict(zip(names, fields)), events, dict(zip(names, final)), float(t_max))
+    names = start.names
+    final = _final_fields(start, tuple(keys))
+    return Trajectory(dict(zip(names, (initial.beta, *initial.layers))), events, dict(zip(names, final)), float(t_max))
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +428,13 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     categorical jump over the 2N per-site transitions.  Returns in-window
     (background, spin) arrays at time t.
 
+    `beta0` and `eta0` are each a Configuration, the same in every replica,
+    or a pair (bits of shape (replicas, n), boundary), as for `_lockstep`:
+    their `_field_rows` rows are packed by broadcasting into one row, or one
+    per replica when either is given per replica, the halo bytes and words
+    are read from those rows, and the state gets a column per replica only
+    when the run starts.  The output does not depend on the form.
+
     A site's background and spin flip rates come from `_float_menu` by its
     packed local key (`_key_columns`, `_fold_keys`).  The rates of a replica
     are added slot by slot, background slots first, and the jump is at the
@@ -414,7 +463,9 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     halo = max(1, radius)
     B, b_boundary = _field_rows(beta0, replicas, halo)
     E, e_boundary = _field_rows(eta0, replicas, halo)
-    width = B.shape[1]
+    # one row when both fields start alike in all replicas, else one per replica
+    packed = B.view(np.uint8) | E.view(np.uint8) << 1
+    width = packed.shape[1]
     columns = _key_columns((b_boundary, e_boundary), n, radius)
     # rate[kind, key]: kind 0 flips the background (field mask 1), kind 1 the spin (mask 2)
     menus = _float_menus(spec.spin, spec.env, 1)
@@ -436,7 +487,6 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
         return cum
 
     if graphical._holds_words(2, n, 2 * n, 2 * n * replicas):
-        packed = B.view(np.uint8) | E.view(np.uint8) << 1
         padded = graphical._padded_words(np.concatenate([packed[0, :halo], packed[0, halo + n:]]), 2, n)
         table = slot_sums(np.concatenate([padded & 1, padded >> 1]))
         # the word bit each slot flips; slot 2n, past every sum, flips none
@@ -449,7 +499,7 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
         def jump(cur, below):
             cur ^= flip.take(np.add.reduce(below, axis=0, dtype=np.uint8))
     else:
-        state = np.concatenate([B.T, E.T]).view(np.uint8)
+        state = np.concatenate([packed.T & 1, packed.T >> 1])
         # the state row each slot flips: background sites, then spin sites
         slot_rows = np.add.outer([0, width], halo + np.arange(n)).ravel()
         sums = slot_sums
@@ -458,6 +508,8 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
             cur[slot_rows] ^= np.diff(below, axis=0, prepend=True)
 
     live = np.arange(replicas)
+    # every replica's start, one column each
+    state = state.take(live % len(packed), axis=-1)
     cur = state.copy()
     clock = np.zeros(replicas)
     while True:

@@ -97,12 +97,16 @@ def _site_rng(seed, kind, site):
 
 
 def _clock_times(rng, rate, t_max, limit):
-    """Strictly increasing ring times in (0, t_max]; empty when rate is 0.
+    """Strictly increasing ring times in (0, t_max]; empty when rate is 0, and
+    None once they number more than `limit`.
 
-    Gaps come in chunks of about rate*t_max + 6 sd, each summed from its start
-    and drawn whole, at most limit + 1 gaps at a time.  The times return as
-    soon as they number more than `limit`: memory scales with the limit, not
-    with rate*t_max, and a clock within the limit draws the same for any limit.
+    Gaps come in chunks of about rate*t_max + 6 sd, each summed from its start.
+    A chunk is drawn in pieces of at most limit + 1 gaps, summed in place with
+    the running sum carried from piece to piece: numpy draws the same
+    exponentials, and cumsum adds them in the same order, in any pieces.  The
+    draws stop as soon as the times number more than `limit`, and only times
+    within the limit are ever joined: memory scales with the limit, not with
+    rate*t_max, and a clock within the limit draws the same for any limit.
     """
     if rate <= 0.0 or t_max <= 0.0:
         return np.empty(0)
@@ -114,16 +118,20 @@ def _clock_times(rng, rate, t_max, limit):
     while t <= t_max:
         head = 0.0
         for start in range(0, chunk, step):
-            gaps = rng.exponential(1.0 / rate, min(step, chunk - start))
-            sums = np.cumsum(np.concatenate(([head], gaps)))[1:]
-            head = sums[-1]
-            cum = t + sums
-            pieces.append(cum[cum <= t_max])
-            kept += pieces[-1].size
-            if kept > limit:
-                return np.concatenate(pieces)
+            cum = rng.exponential(1.0 / rate, min(step, chunk - start))
+            cum[0] += head
+            np.cumsum(cum, out=cum)
+            head = cum[-1]
+            cum += t
+            # the times do not decrease, so those up to t_max are a prefix
+            kept_here = int(np.searchsorted(cum, t_max, "right"))
+            if kept_here:
+                pieces.append(cum[:kept_here])
+                kept += kept_here
+                if kept > limit:
+                    return None
         t += head
-    return np.concatenate(pieces)
+    return np.concatenate(pieces) if pieces else np.empty(0)
 
 
 @dataclass
@@ -157,12 +165,12 @@ class EventStream:
     def _clock(self, rng, rate):
         """One clock's ring times, charged to the event budget."""
         times = _clock_times(rng, rate, self.t_max, self.max_events - self._events_used)
-        self._events_used += times.size
-        if self._events_used > self.max_events:
+        if times is None:
             raise EventBudgetError(
                 "event budget of %d exceeded; lower t_max or raise max_events"
                 % self.max_events
             )
+        self._events_used += times.size
         return times
 
     def site(self, x) -> SiteStream:
@@ -661,7 +669,15 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     """Run `replicas` copies of G groups of (background, spin layers) in lockstep.
 
     `groups` holds (background start, [spin layer starts]) per group and
-    `names` names every field, group by group, background first.  Per grid
+    `names` names every field, group by group, background first.  A start
+    is a Configuration, the same in every replica, or a pair (bits of shape
+    (replicas, n), boundary); `_field_rows` gives the one padded row of a
+    Configuration.  The fields' rows are packed by broadcasting into one
+    row, or one per replica when some field is given per replica, and the
+    start's census of packed bytes, its frozen halo bytes and its words are
+    read from those rows: set-up scales with the distinct starts, not with
+    the replicas.  The first interval's `take` makes a row per replica, and
+    the output does not depend on which form a start is given in.  Per grid
     interval each replica gets a Poisson number of rings of its clock of rate
     N*(b_bar + c_hat), and step j applies ring j of every replica with more
     than j rings.  Each ring draws one double V on [0, 1) (`rng.random`, in
@@ -726,13 +742,14 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         raise ValueError("%d fields do not fit the 8 bits of a packed site" % n_fields)
     edges, table, lut, rows_of = _joint_table(_windows(spec, consts), owner, radius, b_bar, lam, halo)
 
-    state = np.zeros((replicas, width), dtype=np.uint8)
+    # one row while every field starts alike in all replicas, else one per replica
+    state = np.zeros((1, width), dtype=np.uint8)
     boundaries = []
     for f, start in enumerate(starts):
         rows, boundary = _field_rows(start, replicas, halo)
         if rows.shape[1] != width:
             raise ValueError("%s has %d sites, not %d" % (names[f], rows.shape[1] - 2 * halo, n))
-        state |= rows.view(np.uint8) << f
+        state = state | rows.view(np.uint8) << f
         boundaries.append(boundary)
     if len({isinstance(b, Periodic) for b in boundaries}) > 1:
         raise ValueError("fields mix periodic and frozen boundaries")
@@ -832,9 +849,11 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     times, snaps = [], []
     steps = events = 0
     t_prev = 0.0
-    # replica r sits in row at[r] of `state`; base[i] starts row i
-    at = np.arange(replicas)
-    base = at * width
+    # replica r sits in row at[r] of `state` (of `words`): all in row 0 of a
+    # one-row start until the first interval's `take` makes a row per replica;
+    # base[i] starts row i from then on
+    at = np.arange(replicas) % len(state)
+    base = np.arange(replicas) * width
     for t in grid:
         dt, t_prev = t - t_prev, t
         if lam > 0 and dt > 0:

@@ -136,12 +136,14 @@ def word_index(a, x: int, radius: int) -> int:
 
 
 def _field_rows(init, replicas, halo):
-    """One field stacked over replicas, and its boundary.  `init` is a
-    Configuration tiled across replicas or a pair (bits of shape (replicas,
-    n), boundary).  The int8 rows are n + 2*halo wide: frozen boundary words
-    fill the halo columns and never change; a ring wraps (`_site_columns`)."""
+    """One field's padded rows, and its boundary.  `init` is a Configuration,
+    the same start in every replica, which gives its one row (shape (1,
+    n + 2*halo), broadcast over replicas by the caller), or a pair (bits of
+    shape (replicas, n), boundary), which gives one row per replica.  The
+    int8 rows are n + 2*halo wide: frozen boundary words fill the halo
+    columns and never change; a ring wraps (`_site_columns`)."""
     if isinstance(init, Configuration):
-        body = np.tile(init.as_array(), (replicas, 1))
+        body = init.as_array()[None]
         boundary = init.boundary
     else:
         bits, boundary = init
@@ -152,7 +154,7 @@ def _field_rows(init, replicas, halo):
             raise ValueError("per-replica bits must be 0 or 1")
         body = body.astype(np.int8, copy=False)
     n = body.shape[1]
-    rows = np.zeros((replicas, n + 2 * halo), dtype=np.int8)
+    rows = np.zeros((len(body), n + 2 * halo), dtype=np.int8)
     rows[:, halo:halo + n] = body
     if isinstance(boundary, FrozenWords):
         if len(boundary.left) < halo or len(boundary.right) < halo:

@@ -248,7 +248,7 @@ INPUT_ERRORS = {
     "out-is-a-dot": (["simulate", *CPREE, "--sites", "4", "--tmax", "0.5", "--out", "outdir/."], "output error: "),
     # horizons over the event budget once ended in a traceback or never returned
     "simulate-over-event-budget": (["simulate", *CPREE, "--sites", "4", "--tmax", "1e7", "--out", "big"],
-                                   "simulate error: event budget of 10000000 exceeded"),
+                                   "simulate error: event budget of 10000000 exceeded; lower --tmax"),
     "couple-over-event-budget": (["couple", *CPREE, "--sites", "4", "--tmax", "1e300", "--out", "c"],
                                  "couple error: about 1.4e+301 jumps by t_max=1e+300"),
     # seeds numpy refuses once died inside numpy or int()

@@ -259,6 +259,44 @@ def test_simulate_coupled_replay_and_order():
     assert all(a <= b for a, b in zip(final[1], final[2]))
 
 
+def test_simulate_coupled_equal_starts_give_equal_runs():
+    # the start's set-up is cached by (cspec, initial): two equal but distinct
+    # starts, and the same start before and after its results are mutated,
+    # give the same trajectory
+    spec = preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, sites=6)
+    bits = ((0, 1, 0, 1, 0, 1), [(0,) * 6, (0, 1, 0, 1, 0, 1), (1,) * 6])
+    first, second = make_state(spec, *bits), make_state(spec, *bits)
+    assert first == second and first is not second and first.beta is not second.beta
+    cspec = CoupledSpec(spec, 3)
+
+    def run(init):
+        traj = simulate_coupled(cspec, init, seed=11, t_max=2.0)
+        return traj, (traj.to_csv_text(), dict(traj.initial), dict(traj.final), list(traj.events))
+
+    traj, reference = run(first)
+    assert traj.events
+    assert run(second)[1] == reference
+    traj.initial["beta"] = spec.env_config((1,) * 6)
+    traj.final["eta"] = spec.spin_config((1,) * 6)
+    del traj.final["xi"]
+    assert run(first)[1] == run(second)[1] == reference
+    # each result holds dicts of its own
+    again, _ = run(first)
+    assert again.initial is not traj.initial and again.final is not traj.final
+
+
+def test_simulate_coupled_start_violation_raises_on_every_call():
+    vals = [1.0] * 8
+    vals[0b000] = 2.0
+    vals[0b001] = 0.5  # center-0 monotonicity broken
+    bad = LocalSpinRates(vals)
+    spec = spec_from(SpinRatePair(bad, bad), sites=3)
+    state = make_state(spec, (0, 0, 0), [(0, 0, 0), (0, 0, 1), (0, 1, 1)])
+    for seed in (1, 1, 2):
+        with pytest.raises(ModelViolationError, match="attractivity"):
+            simulate_coupled(CoupledSpec(spec, 3), state, seed=seed, t_max=0.0)
+
+
 def test_simulate_coupled_rejects_layers_other_than_arity():
     spec = preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, sites=6)
     init = make_state(spec, (0,) * 6, [(0,) * 6, (0, 1, 0, 1, 0, 1), (1,) * 6])

@@ -109,6 +109,22 @@ def test_event_budget_refused_before_the_clock_is_drawn_in_full():
     assert peak < 2**20
 
 
+def test_event_budget_refusal_holds_about_the_kept_times():
+    # a clock of about 1e9 rings refused at 1e6 keeps 8 MB of ring times; the
+    # refusal may hold 2.5 times that, and joins none of them
+    spec = cpree()
+    stream = EventStream(spec, 1, 1e9, max_events=10**6)
+    EventStream(spec, seed=1, t_max=1.0).site(0)  # numpy.random's lazy imports, untraced
+    tracemalloc.start()
+    try:
+        with pytest.raises(EventBudgetError):
+            stream.site(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+
+
 def test_tight_event_budget_draws_the_same_stream():
     # a budget of exactly the rings drawn gives the same times and marks as
     # the default budget, and one ring less is refused
@@ -928,6 +944,60 @@ def test_pair_words_match_the_byte_path(monkeypatch):
         for a, b in zip(out, words):
             assert a.dtype == b.dtype == np.int8 and a.flags.c_contiguous and b.flags.c_contiguous, k
             np.testing.assert_array_equal(a, b)
+
+
+def test_configuration_starts_match_tiled_starts_on_both_paths(monkeypatch):
+    # a Configuration start is one padded row, broadcast over the replicas; the
+    # same start tiled into per-replica bits, for every field or for the
+    # spins alone, gives the same snapshots and counters, on the word path
+    # and (words refused) on the byte path
+    real, calls = graphical._padded_words, []
+
+    def recorded(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(graphical, "_padded_words", recorded)
+    holds_words = graphical._holds_words
+    replicas = 10_000
+
+    def tiled(config):
+        return np.tile(np.array(config.bits, dtype=np.int8), (replicas, 1)), config.boundary
+
+    def same(config):
+        return config
+
+    base = _exact_window_spec()
+    for boundary in (None, PerLayerFrozen(FrozenWords("110", "01"), FrozenWords("01", "001"))):
+        spec = ModelSpec(base.spin, base.env, base.size, boundary) if boundary else base
+        n = spec.size
+        beta0 = spec.env_config((0, 1, 0))
+        layers = [spec.spin_config((0, 0, 1)), spec.spin_config((0, 1, 1))]
+        envelope = [
+            (spec.env_config((0,) * n), [spec.spin_config((0,) * n)]),
+            (spec.env_config((1,) * n), [spec.spin_config((1,) * n)]),
+        ]
+        names = ("beta_lo", "eta_lo", "beta_hi", "eta_hi")
+
+        def runs(bg, spin):
+            res = batch_evolve(spec, bg(beta0), [spin(a) for a in layers], [0.5, 1.0], replicas, 5)
+            groups = [(bg(b), [spin(e) for e in es]) for b, es in envelope]
+            return [
+                [res.times, res.background, res.layers, res.counters],
+                graphical._lockstep(spec, groups, names, [0.5, 1.0], replicas, 6, True),
+                batch_simulate_pair(spec, bg(beta0), spin(layers[0]), 1.0, replicas, 7),
+            ]
+
+        for words in (True, False):
+            monkeypatch.setattr(graphical, "_holds_words", holds_words if words else (lambda *args: False))
+            calls.clear()
+            one_row = runs(same, same)
+            # batch_evolve's and the envelope's word tables, the pair's slot sums
+            assert calls == ([(3, n), (4, n), (2, n)] if words else []), boundary
+            np.testing.assert_equal(runs(tiled, tiled), one_row)
+            np.testing.assert_equal(runs(same, tiled), one_row)
+            times, snaps, _ = one_row[1]
+            np.testing.assert_equal(batch_envelope(spec, [0.5, 1.0], replicas, 6), (times, [tuple(s) for s in snaps], 0))
 
 
 def _horizon_calls(name, t):
