@@ -34,6 +34,7 @@ from .functionals import (
     interval_run_count,
     interval_stats,
     run_counts,
+    window_run_counts,
 )
 from .graphical import (
     EventStream,

@@ -258,8 +258,8 @@ def cmd_simulate(args, parser):
     stream = graphical.EventStream(spec, args.seed, args.tmax)
     try:
         traj = graphical.evolve(beta0, [eta0], stream)
-    except graphical.EventBudgetError:
-        raise Refusal("simulate error: event budget of %d exceeded; lower --tmax" % stream.max_events, 2) from None
+    except graphical.EventBudgetError as err:
+        raise Refusal("simulate error: %s; lower --tmax" % err.reason, 2) from None
     return _trajectory_output(args, spec, traj)
 
 
@@ -285,7 +285,7 @@ def cmd_couple(args, parser):
     try:
         traj = simulate_coupled(CoupledSpec(spec, arity), initial, args.seed, args.tmax)
     except graphical.EventBudgetError as err:
-        raise Refusal("couple error: %s" % err, 2) from None
+        raise Refusal("couple error: %s; lower --tmax" % err.reason, 2) from None
     return _trajectory_output(args, spec, traj)
 
 

@@ -304,7 +304,7 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
     jumps = start.total * t_max
     if jumps > EVENT_BUDGET:
         raise EventBudgetError(
-            "about %.3g jumps by t_max=%r at the start's rate exceed the event budget of %d; lower t_max"
+            "about %.3g jumps by t=%r at the start's rate exceed the event budget of %d"
             % (jumps, t_max, EVENT_BUDGET)
         )
     n = cspec.base.size

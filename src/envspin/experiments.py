@@ -174,7 +174,9 @@ def _random_coupled_run(spec, t_grid, replicas, seed):
 
 def run_length_decay(spec: ModelSpec, windows, t, replicas, seed, initial=None) -> EstimateReport:
     """Normalized expected run count E[runs]/(n-m) over growing windows at a
-    late time, from coupled three-layer samples."""
+    late time, from coupled three-layer samples.  The final stack is
+    scanned once (`functionals.window_run_counts`) and each window is a
+    query on that scan."""
     start = time.perf_counter()
     if initial is None:
         result = _random_coupled_run(spec, [float(t)], replicas, seed)
@@ -183,8 +185,8 @@ def run_length_decay(spec: ModelSpec, windows, t, replicas, seed, initial=None) 
         result = graphical.batch_evolve(spec, beta0, list(layers), [float(t)], replicas, seed)
     lower, middle, upper = result.layers[-1]
     rows = []
-    for m, n in windows:
-        runs, interior = functionals.run_counts(lower, middle, upper, m, n)
+    counts = functionals.window_run_counts(lower, middle, upper, windows)
+    for (m, n), (runs, interior) in zip(windows, counts):
         totals = interior.sum(axis=0)
         mean, se = _mean_se(runs)
         width = n - m if n > m else 1
@@ -221,7 +223,8 @@ def interval_inequality_check(spec: ModelSpec, t, replicas, seed, m, n, l=1) -> 
     - 2*runs(m,n)] and C*E[runs of length l+1] <= 12*K*l*E[runs of length l].
     Each inequality is reported as held when the estimated slack is above
     -3 standard errors; a larger violation flags insufficient burn-in or an
-    implementation bug."""
+    implementation bug.  The three windows [m, n], [m-1, n] and [m, n+1] are
+    queries on one scan of the final stack (`functionals.window_run_counts`)."""
     start = time.perf_counter()
     if not (0 < m <= n < spec.size - 1):
         raise ValueError("need 0 < m <= n < size-1 so both window extensions exist")
@@ -230,9 +233,9 @@ def interval_inequality_check(spec: ModelSpec, t, replicas, seed, m, n, l=1) -> 
     consts = dominating_rates(spec)
     C, K = consts.C, consts.K
 
-    f_mn, interior = functionals.run_counts(lower, middle, upper, m, n)
-    f_left = functionals.run_counts(lower, middle, upper, m - 1, n)[0]
-    f_right = functionals.run_counts(lower, middle, upper, m, n + 1)[0]
+    (f_mn, interior), (f_left, _), (f_right, _) = functionals.window_run_counts(
+        lower, middle, upper, [(m, n), (m - 1, n), (m, n + 1)]
+    )
 
     g = dict(enumerate(interior.T))  # length -> per-replica interior run counts
     g_first = g[1]

@@ -77,7 +77,13 @@ from .rates import ModelSpec, SpinRatePair, dominating_rates, tight_clock
 
 
 class EventBudgetError(RuntimeError):
-    pass
+    """A run refused because its events would exceed a budget.  `reason`
+    says which budget; the message adds `advice` in the Python parameters'
+    names, and the CLI gives its own."""
+
+    def __init__(self, reason, advice="lower t_max"):
+        super().__init__("%s; %s" % (reason, advice))
+        self.reason = reason
 
 
 # the most rings an EventStream draws by default, and the most jumps
@@ -167,8 +173,7 @@ class EventStream:
         times = _clock_times(rng, rate, self.t_max, self.max_events - self._events_used)
         if times is None:
             raise EventBudgetError(
-                "event budget of %d exceeded; lower t_max or raise max_events"
-                % self.max_events
+                "event budget of %d exceeded" % self.max_events, "lower t_max or raise max_events"
             )
         self._events_used += times.size
         return times

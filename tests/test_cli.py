@@ -250,7 +250,8 @@ INPUT_ERRORS = {
     "simulate-over-event-budget": (["simulate", *CPREE, "--sites", "4", "--tmax", "1e7", "--out", "big"],
                                    "simulate error: event budget of 10000000 exceeded; lower --tmax"),
     "couple-over-event-budget": (["couple", *CPREE, "--sites", "4", "--tmax", "1e300", "--out", "c"],
-                                 "couple error: about 1.4e+301 jumps by t_max=1e+300"),
+                                 "couple error: about 1.4e+301 jumps by t=1e+300 at the start's rate exceed"
+                                 " the event budget of 10000000; lower --tmax"),
     # seeds numpy refuses once died inside numpy or int()
     "simulate-negative-seed": (["simulate", *CPREE, "--sites", "4", "--seed", "-1"], "argument --seed: "),
     "couple-negative-seed": (["couple", *CPREE, "--sites", "4", "--seed", "-1"], "argument --seed: "),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from envspin import (
     interval_run_count,
     interval_stats,
     run_counts,
+    window_run_counts,
 )
 
 from _support import (
@@ -168,3 +171,74 @@ def test_scalar_names_accept_every_single_triple_form():
     stack = [np.array([layer, layer]) for layer in (lo, mid, up)]
     with pytest.raises(ValueError, match="one triple"):
         interval_run_count(*stack, 0, 10)
+
+
+def _fixed_windows(size):
+    """Single sites, both lattice ends, the whole lattice, and overlapping,
+    repeated and unsorted windows."""
+    last = size - 1
+    return [(last, last), (0, 0), (0, last), (last // 2, last), (0, last // 2), (0, last), (last // 2, last // 2)]
+
+
+def test_window_run_counts_matches_brute_force():
+    rng = np.random.default_rng(8)
+    for trial in range(400):
+        replicas, size = int(rng.integers(1, 13)), int(rng.integers(1, 16))
+        cols = rng.integers(0, 4, (replicas, size))
+        cols[rng.random(replicas) < 0.2] = 0  # rows with no disagreement site
+        cols[rng.random(replicas) < 0.2] = 3
+        lo, mid, up = ordered_stack(cols)
+        if trial % 2:
+            lo, mid, up = (layer.astype(np.int64) for layer in (lo, mid, up))
+        windows = []
+        for _ in range(int(rng.integers(1, 7))):
+            m = int(rng.integers(0, size))
+            windows.append((m, int(rng.integers(m, size))))
+        if trial % 5 == 0:
+            windows += _fixed_windows(size)
+        counts = list(window_run_counts(lo, mid, up, windows))
+        assert len(counts) == len(windows)
+        for (m, n), (runs, interior) in zip(windows, counts):
+            assert runs.dtype == interior.dtype == np.int64
+            assert runs.shape == (replicas,) and interior.shape == (replicas, size + 1)
+            for r in range(replicas):
+                assert runs[r] == brute_run_count(lo[r], mid[r], up[r], m, n)
+                hist = {int(l): int(interior[r, l]) for l in np.flatnonzero(interior[r])}
+                assert hist == brute_interior_runs(lo[r], mid[r], up[r], m, n)
+        assert list(window_run_counts(lo, mid, up, [])) == []
+
+
+def test_window_run_counts_checks_every_window_when_called(monkeypatch):
+    rng = np.random.default_rng(9)
+    lo, mid, up = ordered_stack(rng.integers(0, 4, (5, 8)))
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the stack was scanned before every window was checked")
+
+    monkeypatch.setattr(np, "nonzero", no_scan)
+    monkeypatch.setattr(np, "cumsum", no_scan)
+    good = [(0, 2), (7, 7), (1, 6)]
+    bad_windows = (((4, 3), "m <= n"), ((-1, 3), r"window \[-1, 3\] outside"), ((2, 8), r"window \[2, 8\] outside"))
+    for bad, message in bad_windows:
+        for at in range(len(good) + 1):
+            with pytest.raises(ValueError, match=message):
+                window_run_counts(lo, mid, up, good[:at] + [bad] + good[at:])
+    with pytest.raises(ValueError, match="ordered"):
+        window_run_counts(np.ones_like(lo), mid, up, good)
+
+
+def test_window_run_counts_holds_one_window_at_a_time():
+    # the benchmark's 300 x 64 stack and its 30 nested windows: a stacked
+    # (windows, replicas, N + 1) result would hold 4.7 MB in `interior` alone
+    lo, mid, up = ordered_stack(np.random.default_rng(10).integers(0, 4, (300, 64)))
+    windows = [(32 - k, 32 + k) for k in range(1, 31)]
+    for _ in window_run_counts(lo, mid, up, windows[:1]):
+        pass  # numpy's lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        for runs, interior in window_run_counts(lo, mid, up, windows):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, "peak %d bytes" % peak
