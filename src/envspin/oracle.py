@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import _float_menus, _fold_keys, _key_columns
+from .graphical import EVENT_BUDGET, EventBudgetError
 from .lattice import _field_rows, order_pairs
 from .rates import ModelSpec
 
@@ -74,8 +75,7 @@ class GeneratorMatrix:
         return out + p * self.diag
 
     def dense(self):
-        if self.dim > 4096:
-            raise ValueError("refusing to densify a %d-state generator" % self.dim)
+        _check_dense(self.dim, "generator")
         Q = np.zeros((self.dim, self.dim))
         np.add.at(Q, (self.rows, self.cols), self.vals)
         Q[np.arange(self.dim), np.arange(self.dim)] += self.diag
@@ -99,6 +99,15 @@ class GeneratorMatrix:
         for k in order:
             lines.append("%d,%d,%r" % (self.rows[k], self.cols[k], self.vals[k]))
         return "\n".join(lines) + "\n"
+
+
+DENSE_CAP = 4096  # most states of any dense block: a generator, a class, the transient states
+
+
+def _check_dense(size, what):
+    """Refuse a dense `size` x `size` block before it is allocated."""
+    if size > DENSE_CAP:
+        raise ValueError("%s of %d states exceeds the dense cap of %d states" % (what, size, DENSE_CAP))
 
 
 def _build(spec: ModelSpec, n_layers) -> GeneratorMatrix:
@@ -276,6 +285,7 @@ def _closed_classes(G: GeneratorMatrix):
     has_exit = np.zeros(len(comps), dtype=bool)
     has_exit[comp_id[G.rows[comp_id[G.rows] != comp_id[G.cols]]]] = True
     classes = [sorted(comp) for k, comp in enumerate(comps) if not has_exit[k]]
+    _check_dense(max(map(len, classes)), "closed class")
 
     label = np.full(dim, -1, dtype=np.int64)
     laws = []
@@ -396,14 +406,21 @@ def semigroup_apply(G: GeneratorMatrix, p0, t) -> SemigroupResult:
     The jump rate is the maximal outflow plus one; the Poisson series is cut
     once its mass reaches 1 - SERIES_TAIL, and long horizons are split into
     chunks of mean CHUNK so the leading Poisson weight never underflows.  The
-    accumulated tail mass is reported as `truncation_error`.
+    accumulated tail mass is reported as `truncation_error`.  A horizon at
+    which the uniformized chain would make more than EVENT_BUDGET jumps is
+    refused with EventBudgetError before any product.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
     p = np.array(p0, dtype=float)
     if p.shape != (G.dim,):
         raise ValueError("distribution must have length %d" % G.dim)
     lam = float(-G.diag.min()) + 1.0
+    if lam * t > EVENT_BUDGET:
+        raise EventBudgetError(
+            "about %.3g jumps by t=%r at the uniformization rate exceed the event budget of %d"
+            % (lam * t, t, EVENT_BUDGET), "lower t"
+        )
     err = 0.0
     remaining = float(t)
     while remaining > 0:
@@ -458,6 +475,7 @@ def limit_distributions(G: GeneratorMatrix) -> LimitDistributions:
     pending = [s for s in starts if label[s] < 0]
     if pending:
         transient = np.flatnonzero(label < 0)
+        _check_dense(transient.size, "transient set")
         pos = np.full(G.dim, -1, dtype=np.int64)
         pos[transient] = np.arange(transient.size)
         src, dst = pos[G.rows], pos[G.cols]

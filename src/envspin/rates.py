@@ -8,8 +8,11 @@ table over its own (2R+1)-site neighborhood.
 
 Every table is indexed by the integer word of its neighborhood, site x - R
 the most significant bit, as `lattice.word_index` builds it: `values[w]` and
-`table[w]`.  0/1 strings appear only where text is read or written (the
-`from_dict` readers, the config format) and in messages.
+`table[w]`.  0/1 strings appear only in the config text and in messages.
+`parse_config` reads the text `format_config` writes, one table per
+section, and refuses with its line a section other than [spin.c0],
+[spin.c1], [env] and [lattice], a [lattice] key other than size and
+boundary, and a table key that is not a word of the table's width.
 
 Two structural conditions drive everything downstream:
 
@@ -49,17 +52,6 @@ def _word_keys(width):
     return [format(w, "0%db" % width) for w in range(1 << width)]
 
 
-def _read_words(mapping, width, what):
-    """The values of a map keyed by `width`-bit 0/1 strings, listed by
-    integer word; None where a word is missing."""
-    table = [None] * (1 << width)
-    for key, val in mapping.items():
-        if len(key) != width or set(key) - {"0", "1"}:
-            raise ValueError("%s word %r must have %d bits" % (what, key, width))
-        table[int(key, 2)] = val
-    return table
-
-
 @dataclass(frozen=True)
 class LocalSpinRates:
     """Eight nonnegative rates indexed by the neighborhood word of (a, b, c),
@@ -69,14 +61,6 @@ class LocalSpinRates:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _check_table(self.values, 8, "spin rate table"))
-
-    @classmethod
-    def from_dict(cls, mapping):
-        """Build from a map keyed by 3-bit words like "010"."""
-        table = _read_words(mapping, 3, "spin")
-        if None in table:
-            raise ValueError("spin rate table must define all 8 neighborhoods")
-        return cls(tuple(table))
 
     def as_array(self):
         return np.array(self.values, dtype=float)
@@ -163,14 +147,6 @@ class EnvRateSpec:
             raise ValueError("range must be >= 0")
         n = 2 ** (2 * self.range + 1)
         object.__setattr__(self, "table", _check_table(self.table, n, "background rate table"))
-
-    @classmethod
-    def from_dict(cls, radius, mapping):
-        """Build from a map keyed by (2*radius+1)-bit words like "010"."""
-        table = _read_words(mapping, 2 * radius + 1, "background")
-        if None in table:
-            raise ValueError("background table must define all %d words" % len(table))
-        return cls(radius, tuple(table))
 
     def as_array(self):
         return np.array(self.table, dtype=float)
@@ -425,7 +401,9 @@ def _no_extra(params):
 # [spin.c0] / [spin.c1]: keys 000..111; [env]: key range plus one key per
 # background word; [lattice]: keys size and boundary.  Boundary values are
 # "periodic", "frozen:L|R" (both layers) or "frozen:eL|eR;sL|sR" (background
-# and spin words separately).
+# and spin words separately).  Any other section, any other [lattice] key and
+# a table key that is not a word of the table's width are refused with their
+# line.
 
 
 class ConfigError(ValueError):
@@ -445,6 +423,8 @@ def parse_config(text) -> ModelSpec:
             if not line.endswith("]"):
                 raise ConfigError("unterminated section header", lineno)
             current = line[1:-1].strip()
+            if current not in ("spin.c0", "spin.c1", "env", "lattice"):
+                raise ConfigError("unknown section [%s]" % current, lineno)
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -452,7 +432,10 @@ def parse_config(text) -> ModelSpec:
         if current is None:
             raise ConfigError("key outside any section", lineno)
         key, _, value = line.partition("=")
-        sections[current][key.strip()] = (value.strip(), lineno)
+        key = key.strip()
+        if current == "lattice" and key not in ("size", "boundary"):
+            raise ConfigError("unknown key %r in [lattice]" % key, lineno)
+        sections[current][key] = (value.strip(), lineno)
 
     def need(section):
         if section not in sections:
@@ -475,23 +458,32 @@ def parse_config(text) -> ModelSpec:
             raise ConfigError("%r must be at least %d, got %d" % (key, low, number), lineno)
         return number
 
-    def table_from(section, keys):
-        out = {}
-        for key in keys:
-            value, lineno = entry(section, key)
+    def table(section, width):
+        """The section's rates by integer word, in one pass over the word
+        keys it holds; `range` is the one other key [env] holds."""
+        rates = {}
+        for key, (value, lineno) in need(section).items():
+            if key == "range" and section == "env":
+                continue
+            if len(key) != width or set(key) - {"0", "1"}:
+                raise ConfigError("key %r in [%s] is not a %d-bit word" % (key, section, width), lineno)
             try:
-                out[key] = float(value)
+                rate = float(value)
             except ValueError:
                 raise ConfigError("bad number %r for key %r" % (value, key), lineno) from None
-            if not (math.isfinite(out[key]) and out[key] >= 0):
+            if not (math.isfinite(rate) and rate >= 0):
                 raise ConfigError("rate %r for key %r must be finite and >= 0" % (value, key), lineno)
-        return out
+            rates[int(key, 2)] = rate
+        if len(rates) < 1 << width:
+            missing = next(w for w in range(1 << width) if w not in rates)
+            raise ConfigError("missing key %r in [%s]" % (format(missing, "0%db" % width), section))
+        return tuple(rates[w] for w in range(1 << width))
 
-    c0 = LocalSpinRates.from_dict(table_from("spin.c0", _word_keys(3)))
-    c1 = LocalSpinRates.from_dict(table_from("spin.c1", _word_keys(3)))
+    c0 = LocalSpinRates(table("spin.c0", 3))
+    c1 = LocalSpinRates(table("spin.c1", 3))
 
     radius = integer("env", "range", 0)
-    env = EnvRateSpec.from_dict(radius, table_from("env", _word_keys(2 * radius + 1)))
+    env = EnvRateSpec(radius, table("env", 2 * radius + 1))
 
     size = integer("lattice", "size", 1)
     bvalue, blineno = need("lattice").get("boundary", ("periodic", None))

@@ -23,12 +23,8 @@ def random_attractive_table(rng, positive=False):
     down = np.sort(_dyadic(rng, 4, low=low))[::-1]
     if rng.random() < 0.5:
         down[1], down[2] = down[2], down[1]
-    return LocalSpinRates.from_dict(
-        {
-            "000": up[0], "001": up[1], "100": up[2], "101": up[3],
-            "010": down[0], "011": down[1], "110": down[2], "111": down[3],
-        }
-    )
+    # by word 000..111: up-rates at center 0, down-rates at center 1
+    return LocalSpinRates((up[0], up[1], down[0], down[1], up[2], up[3], down[2], down[3]))
 
 
 def random_compatible_pair(rng, positive=False):

@@ -213,7 +213,11 @@ INPUT_ERRORS = {
                          "--replicas", "10", "--tmax", "0.5"], "scenario error: window half-width -1 is negative"),
     "manifest-without-replay-args": (["replay", "bare.manifest.json"], "replay error: "),
     "replay-args-not-strings": (["replay", "numbers.manifest.json"], "replay error: "),
-    "config-not-a-string": (["replay", "intconfig.manifest.json"], "replay error: "),
+    "config-not-a-string": (["replay", "intconfig.manifest.json"],
+                            "replay error: manifest resolved_config is not a string"),
+    "manifest-wrong-version": (["replay", "v2.manifest.json"], "replay error: unsupported manifest version"),
+    "manifest-not-an-object": (["replay", "list.manifest.json"], "replay error: unsupported manifest version"),
+    "no-config-or-preset": (["validate"], "error: one of --config or --preset is required"),
     "unknown-preset": (["validate", "--preset", "nosuch"], "config error: unknown preset 'nosuch'"),
     "unexpected-preset-parameter": (["validate", "--preset", "contact", "--lambda", "1", "--delta", "1",
                                      "--gamma", "1"], "config error: unexpected preset parameters: gamma"),
@@ -223,6 +227,13 @@ INPUT_ERRORS = {
                              "config error: line 13: rate '-1.0' for key '001' must be finite and >= 0"),
     "config-negative-range": (["validate", "--config", "negrange.cfg"],
                               "config error: line 22: 'range' must be at least 0, got -1"),
+    # sections and keys the reader does not know once were dropped unread
+    "config-unknown-section": (["validate", "--config", "spni.cfg"],
+                               "config error: line 1: unknown section [spni.c0]"),
+    "config-unknown-lattice-key": (["validate", "--config", "boundry.cfg"],
+                                   "config error: line 28: unknown key 'boundry' in [lattice]"),
+    "config-key-not-a-word": (["validate", "--config", "notaword.cfg"],
+                              "config error: line 23: key '00' in [env] is not a 1-bit word"),
     "init-beta-not-bits": (["simulate", *CPREE, "--sites", "4", "--init-beta", "0120"],
                            "simulate error: --init-beta 0120 is not 4 bits 0 or 1"),
     "init-beta-too-short": (["simulate", *CPREE, "--sites", "4", "--init-beta", "01"],
@@ -266,7 +277,8 @@ INPUT_ERRORS = {
 }
 
 # a config file that parses: cpree on 4 sites, background range 0; the c1
-# rate of "001" is on line 13, `range` on line 22 and `size` on line 27
+# rate of "001" is on line 13, `range` on line 22, the background rate of
+# "0" on line 23, `size` on line 27 and `boundary` on line 28
 _CONFIG = format_config(preset("cpree", sites=4, gamma=1, delta0=2, delta1=1, p=0.5)).splitlines(keepends=True)
 
 
@@ -287,7 +299,9 @@ def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypat
         "notjson.manifest.json": "not json\n",
         "bare.manifest.json": '{"manifest_version": 1}\n',
         "numbers.manifest.json": '{"manifest_version": 1, "replay_args": ["validate", 3]}\n',
-        "intconfig.manifest.json": '{"manifest_version": 1, "replay_args": ["validate"], "resolved_config": 5}\n',
+        "intconfig.manifest.json": '{"manifest_version": 1, "replay_args": ["simulate"], "resolved_config": 5}\n',
+        "v2.manifest.json": '{"manifest_version": 2, "replay_args": ["simulate"]}\n',
+        "list.manifest.json": '[{"manifest_version": 1, "replay_args": ["simulate"]}]\n',
         "self.manifest.json": '{"manifest_version": 1, "replay_args": ["replay", "self.manifest.json"]}\n',
         "copied.json": json.dumps({"manifest_version": 1, "replay_args": ["simulate", "--tmax", "0.5"],
                                    "resolved_config": "".join(_CONFIG)}),
@@ -300,6 +314,9 @@ def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypat
         "zerosize.cfg": _config_with(27, "size = 0"),
         "negrate.cfg": _config_with(13, "001 = -1.0"),
         "negrange.cfg": _config_with(22, "range = -1"),
+        "spni.cfg": _config_with(1, "[spni.c0]"),
+        "boundry.cfg": _config_with(28, "boundry = frozen:1|1"),
+        "notaword.cfg": _config_with(23, "00 = 0.5"),
     }
     for name, text in files.items():
         Path(name).write_text(text)

@@ -79,6 +79,13 @@ def test_window_monotone_examples():
     assert check_window_monotone(bits, bits, bits, 1, 2)
 
 
+@pytest.mark.parametrize("m, n", [(0, 2), (1, 3), (0, 3)])
+def test_window_monotone_refuses_a_window_that_cannot_be_extended(m, n):
+    bits = (0, 1, 0, 1)
+    with pytest.raises(ValueError, match="^window must be extendable by one site on both sides$"):
+        check_window_monotone(bits, bits, bits, m, n)
+
+
 def test_window_monotone_exhaustive_subwindows():
     rng = np.random.default_rng(4)
     for _ in range(300):
@@ -111,6 +118,14 @@ def test_interval_stats_bounds():
         IntervalStats(0, 3, run_count=9, interior_runs={1: 1})
     with pytest.raises(ValueError):
         IntervalStats(0, 3, run_count=2, interior_runs={5: 1})
+
+
+def test_interval_stats_refuses_a_reversed_window_and_negative_counts():
+    with pytest.raises(ValueError, match="^m must be <= n$"):
+        IntervalStats(4, 3, run_count=0)
+    for run_count, interior in ((-1, {}), (2, {1: -1})):
+        with pytest.raises(ValueError, match="^counts must be >= 0$"):
+            IntervalStats(0, 3, run_count=run_count, interior_runs=interior)
 
 
 def test_run_counts_rows_match_brute_force():

@@ -696,6 +696,13 @@ def test_lockstep_rejects_bits_other_than_zero_and_one():
             batch_evolve(spec, spec.env_config((0,) * 4), [(bits, spec.spin_boundary)], [1.0], 3, seed=1)
 
 
+def test_lockstep_rejects_fields_that_mix_periodic_and_frozen_boundaries():
+    spec = cpree(sites=4)
+    frozen = [Configuration((0,) * 4, FrozenWords("0", "1"))]
+    with pytest.raises(ValueError, match="^fields mix periodic and frozen boundaries$"):
+        batch_evolve(spec, spec.env_config((0,) * 4), frozen, [1.0], 3, seed=1)
+
+
 def _range_law_pvalues(sim_factor=1.0, seed=90):
     """Chi-square p-values of the lockstep engine's (background, spin) law
     at t=0.8 against the exact pair law, for background range 1 and 2, each

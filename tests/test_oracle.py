@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from envspin import (
     total_variation,
 )
 from envspin.coupling import coupled_event_rates
+from envspin.graphical import EVENT_BUDGET, EventBudgetError
 from envspin.lattice import word_index
 from envspin.oracle import _certify_classes, _closed_classes, _strongly_connected_components
 
@@ -331,6 +333,57 @@ def test_semigroup_converges_to_stationary():
     pi = stationary_set(G).distributions[0]
     res = semigroup_apply(G, G.point_mass(3), 200.0)
     assert total_variation(res.dist, pi) < 1e-6
+
+
+def _no_product(p):
+    raise AssertionError("a product was taken before the horizon was checked")
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_semigroup_refuses_a_horizon_that_is_not_finite_and_nonnegative(t):
+    G = build_generator(single_site_spec(0.7, 0.3, 0.0, 0.0))
+    G.matvec_left = _no_product
+    with pytest.raises(ValueError, match="^t must be finite and >= 0$"):
+        semigroup_apply(G, G.point_mass(0), t)
+
+
+def test_semigroup_refuses_a_horizon_over_the_event_budget_before_any_product():
+    G = build_generator(single_site_spec(0.7, 0.3, 0.0, 0.0))
+    lam = 1.0 - G.diag.min()  # the uniformization rate: the largest outflow plus one
+    G.matvec_left = _no_product
+    for t in (1e300, EVENT_BUDGET / lam * (1 + 1e-9)):
+        with pytest.raises(EventBudgetError, match="exceed the event budget of %d; lower t$" % EVENT_BUDGET):
+            semigroup_apply(G, G.point_mass(0), t)
+
+
+def test_semigroup_refuses_a_distribution_of_the_wrong_length():
+    G = build_generator(single_site_spec(0.7, 0.3, 0.0, 0.0))
+    with pytest.raises(ValueError, match="^distribution must have length 4$"):
+        semigroup_apply(G, np.full(3, 1 / 3), 1.0)
+
+
+def _refused_under(limit_bytes, solve, G, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^%s$" % message):
+            solve(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_bytes
+
+
+def test_dense_blocks_over_the_cap_are_refused_before_they_are_allocated():
+    # a positive spec on 7 sites is one closed class of all 16384 states,
+    # whose dense block would take 2.1 GB
+    G = build_coupled_generator(random_positive_spec(np.random.default_rng(70), sites=7), 1)
+    for solve in (stationary_set, limit_distributions):
+        _refused_under(64e6, solve, G, "closed class of 16384 states exceeds the dense cap of 4096 states")
+    # a frozen background keeps each of its 128 words with all spins 0
+    # absorbing; the other 16256 states are transient
+    G = build_coupled_generator(preset("contact", lam=1.0, delta=1.0, sites=7), 1)
+    with pytest.raises(ValueError, match="^transient set of 16256 states exceeds the dense cap of 4096 states$"):
+        limit_distributions(G)
 
 
 def test_limits_match_unique_stationary():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,10 @@ from envspin import (
     parse_config,
     preset,
 )
-from envspin.lattice import FrozenWords
+from envspin.lattice import PERIODIC, FrozenWords
 from envspin.rates import ConfigError
 
-from _support import random_attractive_table, random_compatible_pair
+from _support import random_attractive_env, random_attractive_table, random_compatible_pair, random_env
 
 GRID = 64
 
@@ -192,18 +194,9 @@ def test_symmetric_pair_positivity_equivalence():
         b1 = max(b0, u1) + rng.integers(0, 4) / 4
         v0 = v1 + rng.integers(0, 4) / 4
         p0 = max(p1, v0) + rng.integers(0, 4) / 4
-        c0 = LocalSpinRates.from_dict(
-            {
-                "000": 0.0, "001": u0, "100": u0, "101": b0 + u0,
-                "010": p0 + v0, "011": v0, "110": v0, "111": 0.0,
-            }
-        )
-        c1 = LocalSpinRates.from_dict(
-            {
-                "000": 0.0, "001": u1, "100": u1, "101": b1 + u1,
-                "010": p1 + v1, "011": v1, "110": v1, "111": 0.0,
-            }
-        )
+        # by word 000..111
+        c0 = LocalSpinRates((0.0, u0, p0 + v0, v0, u0, b0 + u0, v0, 0.0))
+        c1 = LocalSpinRates((0.0, u1, p1 + v1, v1, u1, b1 + u1, v1, 0.0))
         pair = SpinRatePair(c0, c1)
         assert not pair.validate()
         positive = min_boundary_pair_sum(pair) > 0
@@ -237,13 +230,7 @@ def test_checks_invariant_under_reflection():
 
 def test_env_attractivity_warning():
     pair = SpinRatePair(contact_table(1, 1.0), contact_table(1, 1.0))
-    bad_env = EnvRateSpec.from_dict(
-        1,
-        {
-            "000": 1.0, "001": 0.0, "010": 1.0, "011": 0.5,
-            "100": 0.0, "101": 0.5, "110": 0.5, "111": 0.0,
-        },
-    )
+    bad_env = EnvRateSpec(1, (1.0, 0.0, 1.0, 0.5, 0.0, 0.5, 0.5, 0.0))
     assert not bad_env.is_attractive
     spec = ModelSpec(pair, bad_env, 4)
     assert spec.validate() == []  # accepted
@@ -267,6 +254,91 @@ def test_config_round_trip():
         assert back == spec
 
 
+def _random_spec(rng, k):
+    """A compatible pair over a background of range 0 to 2 on 1 to 9 sites,
+    on a ring, between frozen words, or between words per layer."""
+    radius = k % 3
+    env = random_env(rng) if radius == 0 else random_attractive_env(rng, radius, positive=bool(k % 2))
+    need = max(1, radius)
+
+    def words():
+        return FrozenWords(*("".join(map(str, rng.integers(0, 2, need + k % 2))) for _ in range(2)))
+
+    boundary = (PERIODIC, words(), PerLayerFrozen(env=words(), spin=words()))[k // 3 % 3]
+    return ModelSpec(random_compatible_pair(rng, positive=bool(k % 2)), env, int(rng.integers(1, 10)), boundary)
+
+
+def _shuffled(text, rng):
+    """The config with the keys of each section in a random order."""
+    out, keys = [], []
+    for line in text.splitlines() + ["[end]"]:
+        if line.startswith("["):
+            out += [keys[i] for i in rng.permutation(len(keys))] + [line]
+            keys = []
+        elif line:
+            keys.append(line)
+    return "\n".join(out[:-1])
+
+
+def test_every_preset_and_random_spec_round_trips_in_any_key_order():
+    rng = np.random.default_rng(24)
+    specs = [
+        preset("cpree", gamma=1.5, delta0=2.0, delta1=0.5, p=0.25, lam=1.25, sites=9),
+        preset("contact", lam=2.0, delta=1.0, sites=3),
+        preset("remark_iv", sites=5),
+        preset("remark_vi", sites=5),
+        *(_random_spec(rng, k) for k in range(50)),
+    ]
+    assert {type(spec.boundary) for spec in specs} == {type(PERIODIC), FrozenWords, PerLayerFrozen}
+    assert {spec.env.range for spec in specs} == {0, 1, 2}
+    for spec in specs:
+        text = format_config(spec)
+        assert parse_config(text) == spec
+        assert parse_config(_shuffled(text, rng)) == spec
+
+
+# the config of `_error_in`: cpree on 4 sites, background range 0; [spin.c1]
+# holds lines 12-19, [env] lines 22-24 and [lattice] lines 27-28
+_CPREE = format_config(preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, sites=4)).splitlines()
+
+
+def _error_in(lineno, text):
+    """The refusal of `_CPREE` with line `lineno` (from 1) replaced by
+    `text`, or dropped when `text` is None."""
+    lines = list(_CPREE)
+    lines[lineno - 1:lineno] = [] if text is None else [text]
+    with pytest.raises(ConfigError) as err:
+        parse_config("\n".join(lines))
+    return err.value.line, str(err.value)
+
+
+def test_config_refusals_name_the_key_and_line():
+    assert _CPREE[13] == "010 = 1.0" and _CPREE[21] == "range = 0" and _CPREE[26] == "size = 4"
+    assert _error_in(15, None) == (None, "missing key '011' in [spin.c1]")
+    assert _error_in(23, None) == (None, "missing key '0' in [env]")
+    assert _error_in(14, "010 = two") == (14, "line 14: bad number 'two' for key '010'")
+    assert _error_in(14, "010 = nan") == (14, "line 14: rate 'nan' for key '010' must be finite and >= 0")
+    assert _error_in(14, "0100 = 2.0") == (14, "line 14: key '0100' in [spin.c1] is not a 3-bit word")
+    assert _error_in(14, "range = 0") == (14, "line 14: key 'range' in [spin.c1] is not a 3-bit word")
+    assert _error_in(24, "1b = 0.5") == (24, "line 24: key '1b' in [env] is not a 1-bit word")
+    assert _error_in(22, "range = 1") == (23, "line 23: key '0' in [env] is not a 3-bit word")
+    assert _error_in(11, "[spni.c1]") == (11, "line 11: unknown section [spni.c1]")
+    assert _error_in(28, "boundry = frozen:1|1") == (28, "line 28: unknown key 'boundry' in [lattice]")
+
+
+def test_a_large_range_is_refused_from_the_keys_given():
+    # listing every word of range 8 takes some 15 MB; the keys given take none
+    for radius, peak in ((8, 1e6), (40, 1e6)):
+        tracemalloc.start()
+        try:
+            line, message = _error_in(22, "range = %d" % radius)
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (line, message) == (23, "line 23: key '0' in [env] is not a %d-bit word" % (2 * radius + 1))
+        assert used < peak
+
+
 def test_config_parse_errors_carry_line_numbers():
     spec = preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, sites=4)
     lines = format_config(spec).splitlines()
@@ -283,7 +355,7 @@ def test_config_parse_errors_carry_line_numbers():
 
 def test_frozen_boundary_word_length_checked():
     pair = SpinRatePair(contact_table(1, 1.0), contact_table(1, 1.0))
-    env = EnvRateSpec.from_dict(2, {format(i, "05b"): 0.5 for i in range(32)})
+    env = EnvRateSpec(2, (0.5,) * 32)
     with pytest.raises(ValueError):
         ModelSpec(pair, env, 4, FrozenWords("1", "1"))  # need length >= range
     ModelSpec(pair, env, 4, FrozenWords("11", "10"))
