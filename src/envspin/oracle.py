@@ -269,10 +269,12 @@ def _strongly_connected_components(dim, adj):
 def _closed_classes(G: GeneratorMatrix):
     """Closed classes of the jump graph and their stationary laws.
 
-    Returns (classes, laws, label): each class as a sorted list of states,
-    its stationary law as a full-length vector (one dense solve on the class
-    block of the generator), and `label[s]`, the index of the class holding
-    s or -1 for a transient state.
+    Returns (classes, law, label): each class as a sorted list of states,
+    one full-length vector `law` holding each class's stationary law on that
+    class's states (one dense solve on the class block of the generator) and
+    0 on transient states, and `label[s]`, the index of the class holding s
+    or -1 for a transient state.  Class k's own law is
+    `np.where(label == k, law, 0)`.
     """
     dim = G.dim
     targets = G.cols[np.argsort(G.rows, kind="stable")].tolist()
@@ -288,12 +290,11 @@ def _closed_classes(G: GeneratorMatrix):
     _check_dense(max(map(len, classes)), "closed class")
 
     label = np.full(dim, -1, dtype=np.int64)
-    laws = []
+    law = np.zeros(dim)
     for k, comp in enumerate(classes):
         label[comp] = k
-        pi = np.zeros(dim)
         if len(comp) == 1:
-            pi[comp[0]] = 1.0
+            law[comp[0]] = 1.0
         else:
             m = len(comp)
             pos = np.full(dim, -1, dtype=np.int64)
@@ -307,9 +308,8 @@ def _closed_classes(G: GeneratorMatrix):
             b = np.zeros(m)
             b[-1] = 1.0
             local = np.clip(np.linalg.solve(M, b), 0.0, None)
-            pi[comp] = local / local.sum()
-        laws.append(pi)
-    return classes, laws, label
+            law[comp] = local / local.sum()
+    return classes, law, label
 
 
 def _residual(G: GeneratorMatrix, dist):
@@ -367,17 +367,19 @@ def stationary_set(G: GeneratorMatrix) -> StationarySet:
     The extreme stationary laws of a finite chain are exactly the stationary
     laws of its closed classes, so extremality is decided by graph structure,
     not by numerical vertex hunting.  The classes are certified by
-    reachability (`_certify_classes`) and each law by its residual; a failure
-    sets the `flagged` bit and a note instead of being silently resolved.
+    reachability (`_certify_classes`) and the laws by the residual of their
+    joint vector; a failure sets the `flagged` bit and a note instead of
+    being silently resolved.
     """
-    closed, distributions, _ = _closed_classes(G)
+    closed, law, label = _closed_classes(G)
     notes = _certify_classes(G, closed)
-    for pi in distributions:
-        resid = _residual(G, pi)
-        if resid > RESIDUAL_TOL:
-            notes.append("stationary residual %.3e exceeds %.0e" % (resid, RESIDUAL_TOL))
+    # the classes are closed and disjoint, so the residual of their joint
+    # law is the largest residual of one class's law
+    resid = _residual(G, law)
+    if resid > RESIDUAL_TOL:
+        notes.append("stationary residual %.3e exceeds %.0e" % (resid, RESIDUAL_TOL))
     return StationarySet(
-        distributions=distributions,
+        distributions=[np.where(label == k, law, 0.0) for k in range(len(closed))],
         closed_classes=closed,
         dimension=len(closed),
         flagged=bool(notes),
@@ -469,9 +471,9 @@ def limit_distributions(G: GeneratorMatrix) -> LimitDistributions:
     a stationarity residual of at most RESIDUAL_TOL; a failure is reported,
     not papered over.
     """
-    classes, laws, label = _closed_classes(G)
+    classes, law, label = _closed_classes(G)
     starts = (0, G.dim - 1)
-    limits = {s: laws[label[s]] for s in starts if label[s] >= 0}
+    limits = {s: np.where(label == label[s], law, 0.0) for s in starts if label[s] >= 0}
     pending = [s for s in starts if label[s] < 0]
     if pending:
         transient = np.flatnonzero(label < 0)
@@ -489,9 +491,8 @@ def limit_distributions(G: GeneratorMatrix) -> LimitDistributions:
         nu = np.linalg.solve(A, rhs)
         exits = (src >= 0) & (dst < 0)
         into = label[G.cols[exits]]
-        # the class laws have disjoint supports, so their sum holds each one
         closed = label >= 0
-        stationary = np.sum(laws, axis=0)[closed]
+        stationary = law[closed]
         for j, s in enumerate(pending):
             flow = nu[src[exits], j] * G.vals[exits]
             weights = np.bincount(into, weights=flow, minlength=len(classes))

@@ -12,7 +12,8 @@ the most significant bit, as `lattice.word_index` builds it: `values[w]` and
 `parse_config` reads the text `format_config` writes, one table per
 section, and refuses with its line a section other than [spin.c0],
 [spin.c1], [env] and [lattice], a [lattice] key other than size and
-boundary, and a table key that is not a word of the table's width.
+boundary, a table key that is not a word of the table's width, and a
+section or key given twice.
 
 Two structural conditions drive everything downstream:
 
@@ -66,35 +67,30 @@ class LocalSpinRates:
         return np.array(self.values, dtype=float)
 
 
-def _attractivity_violations(values, radius):
-    """Pairs of comparable neighborhoods (equal center) where monotonicity fails.
-
-    Comparisons are exact: the tables are user-given literals.
-    """
-    width = 2 * radius + 1
-    center = 1 << radius
-
-    def text(w):
-        return format(w, "0%db" % width)
-
-    violations = []
-    for lo in range(1 << width):
-        for hi in range(1 << width):
-            # comparable: lo <= hi bitwise, distinct, same center
-            if lo == hi or lo & ~hi or (lo ^ hi) & center:
-                continue
-            v_lo, v_hi = values[lo], values[hi]
-            if not lo & center and v_lo > v_hi:
-                violations.append("center 0: rate(%s)=%g > rate(%s)=%g" % (text(lo), v_lo, text(hi), v_hi))
-            if lo & center and v_lo < v_hi:
-                violations.append("center 1: rate(%s)=%g < rate(%s)=%g" % (text(lo), v_lo, text(hi), v_hi))
-    return violations
+def _monotone_violations(values, bits, center):
+    """The covering pairs (lo, hi), sorted, where hi is lo with one of the
+    single-bit masks `bits` raised and the rate falls (lo's `center` bit
+    clear) or rises (set) from lo to hi.  A chain of covering pairs joins
+    any two comparable words, so an empty list means monotone over all of
+    them.  Comparisons are exact: the tables are user-given literals."""
+    return sorted(
+        (lo, lo | bit)
+        for bit in bits
+        for lo in range(len(values))
+        if not lo & bit
+        and (values[lo] < values[lo | bit] if lo & center else values[lo] > values[lo | bit])
+    )
 
 
 def check_attractive(rates: LocalSpinRates):
     """True iff the table is monotone increasing at center 0 and decreasing at
-    center 1 over comparable neighborhoods; also returns the failing pairs."""
-    violations = _attractivity_violations(rates.values, 1)
+    center 1; also returns the failing covering pairs (one neighbour bit apart)."""
+    v = rates.values
+    violations = []
+    for lo, hi in _monotone_violations(v, (0b001, 0b100), 0b010):
+        c = lo >> 1 & 1
+        violations.append("center %d: rate(%s)=%g %s rate(%s)=%g"
+                          % (c, format(lo, "03b"), v[lo], "><"[c], format(hi, "03b"), v[hi]))
     return not violations, violations
 
 
@@ -121,17 +117,15 @@ class SpinRatePair:
 
 
 def check_compatible(pair: SpinRatePair):
-    """True iff c0 <= c1 on center-0 words and c1 <= c0 on center-1 words."""
-    c0, c1 = pair.c0.values, pair.c1.values
+    """True iff c0 <= c1 on center-0 words and c1 <= c0 on center-1 words:
+    the joint table c0 + c1, indexed by the background bit above the 3-bit
+    word, is monotone in that bit.  Failures are listed by word."""
+    tables = (pair.c0.values, pair.c1.values)
     violations = []
-    for up in (0b000, 0b001, 0b100, 0b101):
-        down = up | 0b010
-        if c0[up] > c1[up]:
-            word = format(up, "03b")
-            violations.append("compatibility: c0(%s)=%g > c1(%s)=%g" % (word, c0[up], word, c1[up]))
-        if c1[down] > c0[down]:
-            word = format(down, "03b")
-            violations.append("compatibility: c1(%s)=%g > c0(%s)=%g" % (word, c1[down], word, c0[down]))
+    for word, _ in _monotone_violations(tables[0] + tables[1], (0b1000,), 0b010):
+        i, text = word >> 1 & 1, format(word, "03b")
+        violations.append("compatibility: c%d(%s)=%g > c%d(%s)=%g"
+                          % (i, text, tables[i][word], 1 - i, text, tables[1 - i][word]))
     return not violations, violations
 
 
@@ -153,7 +147,8 @@ class EnvRateSpec:
 
     @property
     def is_attractive(self):
-        return not _attractivity_violations(self.table, self.range)
+        bits = [1 << k for k in range(2 * self.range + 1) if k != self.range]
+        return not _monotone_violations(self.table, bits, 1 << self.range)
 
 
 @dataclass(frozen=True)
@@ -401,9 +396,9 @@ def _no_extra(params):
 # [spin.c0] / [spin.c1]: keys 000..111; [env]: key range plus one key per
 # background word; [lattice]: keys size and boundary.  Boundary values are
 # "periodic", "frozen:L|R" (both layers) or "frozen:eL|eR;sL|sR" (background
-# and spin words separately).  Any other section, any other [lattice] key and
-# a table key that is not a word of the table's width are refused with their
-# line.
+# and spin words separately).  Any other section, any other [lattice] key, a
+# table key that is not a word of the table's width, and a section or key
+# given twice are refused with their line.
 
 
 class ConfigError(ValueError):
@@ -425,7 +420,9 @@ def parse_config(text) -> ModelSpec:
             current = line[1:-1].strip()
             if current not in ("spin.c0", "spin.c1", "env", "lattice"):
                 raise ConfigError("unknown section [%s]" % current, lineno)
-            sections.setdefault(current, {})
+            if current in sections:
+                raise ConfigError("duplicate section [%s]" % current, lineno)
+            sections[current] = {}
             continue
         if "=" not in line:
             raise ConfigError("expected key = value", lineno)
@@ -435,6 +432,8 @@ def parse_config(text) -> ModelSpec:
         key = key.strip()
         if current == "lattice" and key not in ("size", "boundary"):
             raise ConfigError("unknown key %r in [lattice]" % key, lineno)
+        if key in sections[current]:
+            raise ConfigError("duplicate key %r in [%s]" % (key, current), lineno)
         sections[current][key] = (value.strip(), lineno)
 
     def need(section):

@@ -234,6 +234,11 @@ INPUT_ERRORS = {
                                    "config error: line 28: unknown key 'boundry' in [lattice]"),
     "config-key-not-a-word": (["validate", "--config", "notaword.cfg"],
                               "config error: line 23: key '00' in [env] is not a 1-bit word"),
+    # a key or section given twice is refused, not merged
+    "config-duplicate-key": (["validate", "--config", "dupkey.cfg"],
+                             "config error: line 15: duplicate key '011' in [spin.c1]"),
+    "config-duplicate-section": (["validate", "--config", "dupsection.cfg"],
+                                 "config error: line 25: duplicate section [spin.c0]"),
     "init-beta-not-bits": (["simulate", *CPREE, "--sites", "4", "--init-beta", "0120"],
                            "simulate error: --init-beta 0120 is not 4 bits 0 or 1"),
     "init-beta-too-short": (["simulate", *CPREE, "--sites", "4", "--init-beta", "01"],
@@ -317,6 +322,8 @@ def test_input_errors_exit_2_with_a_one_line_message(tmp_path, capsys, monkeypat
         "spni.cfg": _config_with(1, "[spni.c0]"),
         "boundry.cfg": _config_with(28, "boundry = frozen:1|1"),
         "notaword.cfg": _config_with(23, "00 = 0.5"),
+        "dupkey.cfg": _config_with(14, "011 = 9.0"),
+        "dupsection.cfg": _config_with(25, "[spin.c0]"),
     }
     for name, text in files.items():
         Path(name).write_text(text)

@@ -223,14 +223,15 @@ def test_closed_classes_match_brute_force_reachability():
         (frozen, None),
     ):
         G = build_generator(spec)
-        classes, laws, label = _closed_classes(G)
+        classes, law, label = _closed_classes(G)
         if expected is not None:
             assert classes == expected
         reach = _mutual_reach(G.dim, G.rows, G.cols)
         same = reach & reach.T
         closed = {tuple(np.flatnonzero(same[s])) for s in range(G.dim) if not (reach[s] & ~same[s]).any()}
         assert sorted(map(tuple, classes)) == sorted(closed)
-        for k, (comp, pi) in enumerate(zip(classes, laws)):
+        for k, comp in enumerate(classes):
+            pi = np.where(label == k, law, 0)
             assert np.array_equal(np.flatnonzero(label == k), comp)
             assert np.array_equal(np.flatnonzero(pi), comp) and abs(pi.sum() - 1.0) <= 1e-12
             assert np.abs(G.matvec_left(pi)).max() <= 1e-12
@@ -384,6 +385,20 @@ def test_dense_blocks_over_the_cap_are_refused_before_they_are_allocated():
     G = build_coupled_generator(preset("contact", lam=1.0, delta=1.0, sites=7), 1)
     with pytest.raises(ValueError, match="^transient set of 16256 states exceeds the dense cap of 4096 states$"):
         limit_distributions(G)
+
+
+def test_many_closed_classes_share_one_law_vector():
+    # a frozen background leaves 2816 closed classes on the 4096 states of
+    # this stack, so a full-length law per class would take 92 MB
+    G = build_coupled_generator(preset("contact", lam=1.0, delta=1.0, sites=4), 2)
+    tracemalloc.start()
+    try:
+        L = limit_distributions(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L.converged
+    assert peak <= 40e6
 
 
 def test_limits_match_unique_stationary():

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from envspin import (
     preset,
 )
 from envspin.lattice import PERIODIC, FrozenWords
-from envspin.rates import ConfigError
+from envspin.rates import ConfigError, _monotone_violations
 
 from _support import random_attractive_env, random_attractive_table, random_compatible_pair, random_env
 
@@ -45,7 +46,8 @@ def test_direct_attractivity_violation():
 
 
 def test_center_one_attractivity_violation():
-    # monotone at center 0, but c(010) < c(011), c(110), c(111) at center 1
+    # monotone at center 0, but c(010) < c(011), c(110), c(111) at center 1;
+    # only the covering pairs (one neighbour bit apart) are listed
     vals = [1.0] * 8
     vals[0b010] = 0.5
     vals[0b011] = 2.0
@@ -54,8 +56,107 @@ def test_center_one_attractivity_violation():
     assert violations == [
         "center 1: rate(010)=0.5 < rate(011)=2",
         "center 1: rate(010)=0.5 < rate(110)=1",
-        "center 1: rate(010)=0.5 < rate(111)=1",
     ]
+
+
+def _comparable_violations(values, radius):
+    """Every pair lo < hi (bitwise, same center) where the rate falls at
+    center 0 or rises at center 1, by brute force over all word pairs."""
+    center = 1 << radius
+    words = range(1 << (2 * radius + 1))
+    return [
+        (lo, hi) for lo in words for hi in words
+        if lo != hi and not lo & ~hi and not (lo ^ hi) & center
+        and (values[lo] < values[hi] if lo & center else values[lo] > values[hi])
+    ]
+
+
+def _moved(values, rng):
+    """`values` with one entry moved up or down by a grid step or more."""
+    vals = list(values)
+    w = int(rng.integers(len(vals)))
+    vals[w] = max(0.0, vals[w] + int(rng.choice([-1, 1])) * int(rng.integers(1, GRID)) / GRID)
+    return tuple(vals)
+
+
+def _random_tables(rng):
+    """Attractive tables of range 0 to 3, each also with one entry moved."""
+    for k in range(80):
+        radius = k % 4
+        if radius == 1 and k % 8 == 1:
+            values = random_attractive_table(rng, positive=bool(k % 3)).values
+        else:
+            values = random_attractive_env(rng, radius, positive=bool(k % 3)).table
+        yield radius, values
+        yield radius, _moved(values, rng)
+
+
+def test_covering_pair_scan_matches_all_comparable_pairs():
+    rng = np.random.default_rng(25)
+    seen = {True: 0, False: 0}
+    for radius, values in _random_tables(rng):
+        width, center = 2 * radius + 1, 1 << radius
+        bits = [1 << k for k in range(width) if k != radius]
+        reported = _monotone_violations(values, bits, center)
+        brute = _comparable_violations(values, radius)
+        attractive = not brute
+        seen[attractive] += 1
+        assert (not reported) == attractive
+        assert EnvRateSpec(radius, values).is_attractive == attractive
+        if radius == 1:
+            ok, lines = check_attractive(LocalSpinRates(values))
+            assert ok == attractive and len(lines) == len(reported)
+        assert reported == sorted(set(reported))
+        # each reported pair is a failing covering pair ...
+        for lo, hi in reported:
+            assert bin(lo ^ hi).count("1") == 1 and lo < hi and not (lo ^ hi) & center
+            assert (lo, hi) in brute
+        # ... and every failing comparable pair has one between its words
+        for lo, hi in brute:
+            assert any(lo & ~a == 0 and b & ~hi == 0 for a, b in reported)
+    assert seen[True] >= 40 and seen[False] >= 20
+
+
+def _four_up_word_violations(c0, c1):
+    """The compatibility messages of a loop over the four center-0 words
+    and the center-1 word above each."""
+    out = []
+    for up in (0b000, 0b001, 0b100, 0b101):
+        down = up | 0b010
+        if c0[up] > c1[up]:
+            word = format(up, "03b")
+            out.append("compatibility: c0(%s)=%g > c1(%s)=%g" % (word, c0[up], word, c1[up]))
+        if c1[down] > c0[down]:
+            word = format(down, "03b")
+            out.append("compatibility: c1(%s)=%g > c0(%s)=%g" % (word, c1[down], word, c0[down]))
+    return out
+
+
+def test_compatibility_scan_matches_the_four_up_words():
+    rng = np.random.default_rng(26)
+    seen = {True: 0, False: 0}
+    for k in range(200):
+        pair = random_compatible_pair(rng, positive=bool(k % 2))
+        c0, c1 = pair.c0.values, pair.c1.values
+        if k % 4:
+            moved = _moved(c0 + c1, rng)
+            c0, c1 = moved[:8], moved[8:]
+        ok, violations = check_compatible(SpinRatePair(LocalSpinRates(c0), LocalSpinRates(c1)))
+        expected = _four_up_word_violations(c0, c1)
+        assert ok == (not expected)
+        assert sorted(violations) == sorted(expected)
+        # listed by word
+        assert violations == sorted(violations, key=lambda line: line.split("(")[1])
+        seen[ok] += 1
+    assert seen[True] >= 100 and seen[False] >= 15
+
+
+def test_range_six_attractivity_is_decided_quickly():
+    # covering pairs cost 12 * 2^13 comparisons here, all word pairs 4^13
+    env = random_attractive_env(np.random.default_rng(27), 6)
+    start = time.perf_counter()
+    assert env.is_attractive
+    assert time.perf_counter() - start < 2.0
 
 
 def test_contact_rates_attractive_by_enumeration():
@@ -324,6 +425,9 @@ def test_config_refusals_name_the_key_and_line():
     assert _error_in(22, "range = 1") == (23, "line 23: key '0' in [env] is not a 3-bit word")
     assert _error_in(11, "[spni.c1]") == (11, "line 11: unknown section [spni.c1]")
     assert _error_in(28, "boundry = frozen:1|1") == (28, "line 28: unknown key 'boundry' in [lattice]")
+    # a key or section given twice is refused, not merged
+    assert _error_in(14, "011 = 9.0") == (15, "line 15: duplicate key '011' in [spin.c1]")
+    assert _error_in(25, "[spin.c0]") == (25, "line 25: duplicate section [spin.c0]")
 
 
 def test_a_large_range_is_refused_from_the_keys_given():
