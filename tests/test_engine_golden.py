@@ -13,6 +13,7 @@ bit for bit.
 import hashlib
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,14 +169,16 @@ def unchecked():
 
 
 def split_steps():
-    # more replicas than BLOCK_RINGS: early steps apply their rings in
-    # pieces of BLOCK_RINGS, the last piece ragged
-    replicas = 2 * BLOCK_RINGS + 37
+    # more replicas than a block of 4096 rings, the size these runs were
+    # captured under: early steps apply their rings in pieces of 4096, the
+    # last piece ragged
+    replicas = 8229
     spec = preset("cpree", sites=3, **SUPERCRITICAL)
     beta, layers = _random_triple_start(np.random.default_rng(76), replicas, 3)
-    h = hashlib.sha256(_evolve_digest(spec, beta, layers, [0.4, 0.8], replicas, 20).encode())
     frozen = _frozen_spec(1, FrozenWords("01", "10"), 4)
-    times, snaps, violations = batch_envelope(frozen, [0.3, 0.6], replicas, 21)
+    with mock.patch.object(graphical, "BLOCK_RINGS", 4096):
+        h = hashlib.sha256(_evolve_digest(spec, beta, layers, [0.4, 0.8], replicas, 20).encode())
+        times, snaps, violations = batch_envelope(frozen, [0.3, 0.6], replicas, 21)
     h.update(_digest(times, snaps, violations).encode())
     return h.hexdigest()
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -373,22 +374,29 @@ def test_lockstep_snapshot_does_not_depend_on_later_grid_times():
 def test_lockstep_output_does_not_depend_on_block_size(monkeypatch):
     # blocks of any size draw the same doubles in the same order, and the
     # rings of one step fall on distinct replicas, so the pieces a step is
-    # cut into apply independently
+    # cut into apply independently: on the byte path (10 sites), and on the
+    # word path (exact-window's 3 sites) at more replicas than a block
+    shapes = _word_paths(monkeypatch)
+    blocks = (4096, graphical.BLOCK_RINGS, 67)
     rng = np.random.default_rng(44)
-    replicas, n = 200, 10
-    spec = cpree(sites=n, delta0=1.0, delta1=0.5, lam=3.0)
-    beta = (rng.integers(0, 2, (replicas, n)), spec.env_boundary)
-    layers = [(a, spec.spin_boundary) for a in ordered_stack(rng.integers(0, 4, (replicas, n)))]
-    runs = []
-    for block in (graphical.BLOCK_RINGS, 67):
-        monkeypatch.setattr(graphical, "BLOCK_RINGS", block)
-        res = batch_evolve(spec, beta, layers, [0.5, 1.0], replicas, seed=9)
-        snaps = [[b, *ls] for b, ls in zip(res.background, res.layers)]
-        runs.append((res.counters, snaps, batch_envelope(spec, [0.5, 1.0], replicas, 9)[1]))
-    (counters, *a), (counters_b, *b) = runs
-    assert counters == counters_b
-    for x, y in zip(a, b):
-        assert all(np.array_equal(f, g) for snap, snap_b in zip(x, y) for f, g in zip(snap, snap_b))
+    cases = ((cpree(sites=10, delta0=1.0, delta1=0.5, lam=3.0), 200), (_exact_window_spec(), blocks[1] + 3000))
+    for spec, replicas in cases:
+        n = spec.size
+        beta = (rng.integers(0, 2, (replicas, n)), spec.env_boundary)
+        layers = [(a, spec.spin_boundary) for a in ordered_stack(rng.integers(0, 4, (replicas, n)))]
+        runs = []
+        for block in blocks:
+            monkeypatch.setattr(graphical, "BLOCK_RINGS", block)
+            res = batch_evolve(spec, beta, layers, [0.5, 1.0], replicas, seed=9)
+            snaps = [[b, *ls] for b, ls in zip(res.background, res.layers)]
+            runs.append((res.counters, snaps, batch_envelope(spec, [0.5, 1.0], replicas, 9)[1]))
+        counters, *a = runs[0]
+        for counters_b, *b in runs[1:]:
+            assert counters == counters_b
+            for x, y in zip(a, b):
+                assert all(np.array_equal(f, g) for snap, snap_b in zip(x, y) for f, g in zip(snap, snap_b))
+    # the 3-site runs and envelopes held their windows as words
+    assert [fields for fields, *_ in shapes] == [4, 4] * len(blocks)
 
 
 def _window_defects(pair, clock):
@@ -475,6 +483,10 @@ def test_batch_counters_add_up():
     for cfg, final, (name, flips) in zip([beta0] + layers, finals, c["flips"].items()):
         changed = int((final != cfg.as_array()).sum())
         assert flips >= changed and (flips - changed) % 2 == 0, name
+    # plain ints, which JSON reports and digests take as they are
+    values = [v for k, v in c.items() if k != "flips"] + list(c["flips"].values())
+    assert all(type(v) is int for v in values), c
+    assert json.loads(json.dumps(c)) == c
 
 
 def test_rank_lookup_matches_binary_search():
