@@ -13,7 +13,8 @@ writes no file.  Exit codes and refusal prefixes:
      prints its `violation` lines on stdout;
   2  input error: `config error` (also a bad ENVSPIN_SEED), `simulate
      error`, `couple error` (a horizon over the event budget, as for
-     `simulate`), `oracle error`, `scenario error`, `replay error`,
+     `simulate`), `oracle error`, `scenario error` (also a horizon, --tmax
+     or the last --tgrid time, over the event budget), `replay error`,
      `output error`, and argparse usage errors (a usage line, then the
      message), among them a negative --seed;
   3  numerical flag: a failed class certificate or residual, or
@@ -356,6 +357,9 @@ def cmd_scenario(args, parser):
                 )
         except ValueError as err:
             raise Refusal("scenario error: %s" % err, 2) from None
+        except graphical.EventBudgetError as err:
+            flag = "--tgrid" if args.name == "density" else "--tmax"
+            raise Refusal("scenario error: %s; lower %s" % (err.reason, flag), 2) from None
         payload = rep.to_json()
     return spec, {".report.json": payload, **curve}, ["wrote %s" % Path(args.out + ".report.json")], 0
 

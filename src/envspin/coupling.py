@@ -454,10 +454,17 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     padded columns and then the spin's, by replica, whose keys and sums are
     rebuilt at every iteration.  The sums, and so the draws and the output,
     are bit-identical on either path.
+
+    A replica's total rate is at most N*(b_bar + c_hat), the lockstep
+    clock's, so a horizon at which that clock expects more than EVENT_BUDGET
+    rings per replica is refused with EventBudgetError before anything is
+    drawn, as `graphical._lockstep` refuses it.
     """
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and >= 0")
     n = spec.size
+    consts = spec.constants()
+    graphical._ring_budget(n * (consts.b_bar + consts.c_hat), t, "lower t")
     rng = np.random.default_rng(seed)
     radius = spec.env.range
     halo = max(1, radius)

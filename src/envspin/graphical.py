@@ -36,7 +36,11 @@ its key, and one table lookup.  The table's atom lengths per flip set are
 `window_rates`' rates.  Nor does the engine draw U: one uniform double per
 ring, ranked among the (site, atom) starts of `_site_atoms`, picks the site
 and the atom together, and per-call tables indexed by that rank give the
-ring's gather columns and key rows.
+ring's gather columns and key rows.  A schedule that never sees the state
+(`_schedule`) draws every ring's count, order and rank, and one apply step
+per path (bytes, or the words below) applies them.  A call in which one
+replica expects more than EVENT_BUDGET rings is refused before anything is
+drawn, as is a `coupling.batch_simulate_pair` call (`_ring_budget`).
 
 Both engines keep the pairs of `lattice.initially_ordered_pairs` ordered,
 but the lockstep engine compares them at every ring only when its table
@@ -58,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -86,9 +90,17 @@ class EventBudgetError(RuntimeError):
         self.reason = reason
 
 
-# the most rings an EventStream draws by default, and the most jumps
-# `coupling.simulate_coupled` lets a run expect
+# the most rings an EventStream draws by default, and the most events a run of
+# `coupling.simulate_coupled` or one batch replica may expect (`_ring_budget`)
 EVENT_BUDGET = 10_000_000
+
+
+def _ring_budget(rate, t, advice):
+    """rate*t, one replica's expected rings by t on a clock of `rate`; over EVENT_BUDGET, EventBudgetError."""
+    if rate * t > EVENT_BUDGET:
+        raise EventBudgetError("about %.3g rings per replica by t=%r exceed the event budget of %d"
+                               % (rate * t, t, EVENT_BUDGET), advice)
+    return rate * t
 
 
 class OrderViolationError(AssertionError):
@@ -670,6 +682,49 @@ def _word_table(table, lut, rows_of, cols_of, site, edge, n_fields, n):
     return step.ravel(), mask.ravel()
 
 
+def _schedule(rng, grid, rate, replicas, starts, lookup):
+    """The rings of a `_lockstep` call, drawn without its state: per grid
+    time, (counts, order, blocks).
+
+    Per grid interval each replica gets a Poisson number `counts` of rings of
+    its clock of rate `rate` (a rate of 0 draws nothing), and step j applies
+    ring j of every replica with more than j rings; `order` lists the replicas
+    by decreasing count, so those active at step j are a prefix of it.  A step
+    of more than BLOCK_RINGS rings is cut into pieces of BLOCK_RINGS (its
+    rings fall on distinct replicas, so the pieces apply independently), and
+    consecutive pieces are packed into blocks of at most BLOCK_RINGS rings.
+    `blocks` yields per block its pieces (lo, hi), rows lo..hi-1 in that
+    order, and the ranks (`_ranks`) among `starts` of its rings' doubles V on
+    [0, 1), one each (`rng.random`, in step order), which pick a ring's site
+    and the atom of its mark (`_site_atoms`).  An interval's blocks are drawn
+    as they are read, all before the next interval's counts, so RNG use
+    depends only on (seed, grid, Poisson counts); `rng.random` draws the same
+    doubles in any chunks.  BLOCK_RINGS = 16384 keeps a block's temporaries
+    within a 2 MiB L2 cache while its dozen-odd numpy calls cost little per
+    ring; 4096 paid them four times as often, and 32768 measured slower.
+    """
+
+    def blocks(active):
+        pieces, size = [], 0
+        for a in active.tolist():
+            for lo in range(0, a, BLOCK_RINGS):
+                hi = min(a, lo + BLOCK_RINGS)
+                if size + hi - lo > BLOCK_RINGS:
+                    yield pieces, _ranks(rng.random(size), starts, lookup)
+                    pieces, size = [], 0
+                pieces.append((lo, hi))
+                size += hi - lo
+        if pieces:
+            yield pieces, _ranks(rng.random(size), starts, lookup)
+
+    for t_prev, t in zip([0.0, *grid], grid):
+        counts = rng.poisson(rate * (t - t_prev), replicas)
+        n_steps = int(counts.max(initial=0))
+        # in the smallest type that holds them: numpy radix-sorts keys of at most 16 bits
+        order = np.argsort((n_steps - counts).astype(np.min_scalar_type(n_steps)), kind="stable")
+        yield counts, order, blocks(replicas - np.cumsum(np.bincount(counts, minlength=n_steps))[:n_steps])
+
+
 def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     """Run `replicas` copies of G groups of (background, spin layers) in lockstep.
 
@@ -682,41 +737,31 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     start's census of packed bytes, its frozen halo bytes and its words are
     read from those rows: set-up scales with the distinct starts, not with
     the replicas.  The first interval's `take` makes a row per replica, and
-    the output does not depend on which form a start is given in.  Per grid
-    interval each replica gets a Poisson number of rings of its clock of rate
-    N*(b_bar + c_hat), and step j applies ring j of every replica with more
-    than j rings.  Each ring draws one double V on [0, 1) (`rng.random`, in
-    step order), whose rank among the starts of `_site_atoms` gives its site
-    x and the atom of its mark U on [0, b_bar + c_hat): U < b_bar rings every
-    background at x with mark U, otherwise every spin layer reads U - b_bar
-    against its own group's background.  The pairs of
-    `initially_ordered_pairs`, per kind, whose backgrounds start ordered are
-    kept ordered: the call decides once, by its crossing table `crossed`,
+    the output does not depend on which form a start is given in.  A call in
+    which one replica expects more than EVENT_BUDGET rings is refused before
+    anything is built or drawn.  The rings come from `_schedule`: a ring's
+    rank gives its site x and the atom of its mark U on [0, b_bar + c_hat),
+    and U < b_bar rings every background at x with mark U, otherwise every
+    spin layer reads U - b_bar against its own group's background.  The pairs
+    of `initially_ordered_pairs`, per kind, whose backgrounds start ordered
+    are kept ordered: the call decides once, by its crossing table `crossed`,
     whether any ring can cross one (`_may_cross` on the joint table, and the
     frozen halo columns), and only then looks up every ring's new byte in
     `crossed`; the first that crosses a pair raises OrderViolationError,
-    naming the first pair it crosses, as `evolve` does.  RNG use depends
-    only on (seed, grid, Poisson counts), never on the state.
+    naming the first pair it crosses, as `evolve` does.
 
-    A replica-site holds all its fields in one byte, bit f for field f.  A
-    ring gathers the bytes at x - halo..x + halo, turns them into its key by
-    one lookup per slot (the center slot's row also adds the offset of U's
-    atom), and reads the XOR mask of the fields that flip from the joint
-    flip table of `_joint_table`.  The gather columns and key rows of every
-    (site, atom) pair of `_site_atoms` are laid out once per call, so a
-    ring's rank picks both directly.  At each grid interval the replica
-    rows move (one `take`) into that interval's ring-count order, so every
-    step reads and writes a prefix of the rows.  A step of more than
-    BLOCK_RINGS rings is cut into pieces of BLOCK_RINGS (its rings fall on
-    distinct replicas, so the pieces apply independently), and consecutive
-    pieces are packed into blocks of at most BLOCK_RINGS rings; the
-    state-free work (draws, ranks, gather indices) is done per block
-    (`rng.random` draws the same doubles in any chunks).  BLOCK_RINGS =
-    16384 keeps a block's temporaries within a 2 MiB L2 cache while its
-    dozen-odd numpy calls cost little per ring; 4096 paid them four times as
-    often, and 32768 measured slower.  Per block, the rings that flip field
-    f are counted as the nonzero `mask & (1 << f)`, and the null rings at the
-    end as the events less the rings with a nonzero mask.
+    One loop drives either path's apply step: per interval it moves the rows
+    (one `take`) into the schedule's order, so every step reads and writes a
+    prefix of the rows; per block the apply step returns per ring a flag,
+    nonzero for a spin ring, and the XOR mask, by which the loop counts
+    background rings and flips (field f's as nonzero `mask & (1 << f)`, null
+    rings as the events less the nonzero masks).  On the byte path a
+    replica-site holds its fields in one byte, bit f for field f; a ring
+    gathers the bytes at x - halo..x + halo, turns them into its key by one
+    lookup per slot (the center slot's row adds the offset of U's atom), and
+    reads the mask of the fields that flip from the joint flip table of
+    `_joint_table`, by gather columns and key rows laid out per (site, atom)
+    pair of `_site_atoms` once per call.
 
     When no ring is checked and `_holds_words` accepts the call
     (n_fields*n <= 16 bits, and tables of at most TABLE_CAP entries and no
@@ -724,8 +769,8 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     one word, bits n_fields*x.. holding site x's byte, and a ring adds its
     word to its rank's offset and takes its next word and its mask from the
     tables of `_word_table`.  There is no gather and no scatter, and the
-    draws, blocks, row order and counters are those of the byte path:
-    outputs are byte-identical on either path.
+    schedule and counters are those of the byte path: outputs are
+    byte-identical on either path.
 
     Returns the grid times, per grid time the in-window bits of every field,
     and the counters of `BatchResult`.
@@ -739,14 +784,15 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     n, radius = spec.size, spec.env.range
     b_bar, c_hat = consts.b_bar, consts.c_hat
     lam = b_bar + c_hat
+    expected = _ring_budget(lam * n, grid[-1] if grid else 0.0, "lower the t_grid times")
     halo = max(1, radius)
     width = n + 2 * halo
 
-    starts, owner = [], []
+    inits, owner = [], []
     for beta0, layers in groups:
-        owner += [len(starts)] * (1 + len(layers))
-        starts += [beta0, *layers]
-    n_fields = len(starts)
+        owner += [len(inits)] * (1 + len(layers))
+        inits += [beta0, *layers]
+    n_fields = len(inits)
     if n_fields > 8:
         raise ValueError("%d fields do not fit the 8 bits of a packed site" % n_fields)
     edges, table, lut, rows_of = _joint_table(_windows(spec, consts), owner, radius, b_bar, lam, halo)
@@ -754,7 +800,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     # one row while every field starts alike in all replicas, else one per replica
     state = np.zeros((1, width), dtype=np.uint8)
     boundaries = []
-    for f, start in enumerate(starts):
+    for f, start in enumerate(inits):
         rows, boundary = _field_rows(start, replicas, halo)
         if rows.shape[1] != width:
             raise ValueError("%s has %d sites, not %d" % (names[f], rows.shape[1] - 2 * halo, n))
@@ -797,49 +843,46 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         _may_cross(table, edges, b_bar, owner, radius, pairs, crossed) or bool(crossed.take(edge).any())
     )
 
-    words = None
-    bits = n_fields * n
+    starts = lookup = None
     if lam > 0:  # a clock of rate 0 never rings
         starts, site, atom = _site_atoms(edges, n)
         lookup = _rank_lookup(starts)
         # gather columns and key rows by the rank of a ring's V
         cols_of = cols.take(site, axis=1)
         rows_of = rows_of.take(atom, axis=1)
-        # only the byte path checks rings, so a checked call keeps to it
-        if not check and _holds_words(n_fields, n, len(starts), lam * n * (grid[-1] if grid else 0.0) * replicas):
-            step_of, mask_of = _word_table(table, lut, rows_of, cols_of, site, edge[0], n_fields, n)
-            # slot 0 is not the center: its row is 0 exactly for background rings
-            spin_rank = rows_of[0] != 0
-            words = _to_words(state[:, halo:halo + n], n_fields)
+    # only the byte path checks rings, so a checked call keeps to it
+    if lam > 0 and not check and _holds_words(n_fields, n, len(starts), expected * replicas):
+        step_of, mask_of = _word_table(table, lut, rows_of, cols_of, site, edge[0], n_fields, n)
+        state = _to_words(state[:, halo:halo + n], n_fields)
+        window = partial(_site_bytes, n_fields=n_fields, n=n)
+        # slot 0 is not the center: its row is 0 exactly for background rings
+        spin_rank = rows_of[0] != 0
 
-    # per field the rings that flip it, and the rings that flip something
-    flips = [0] * n_fields
-    bg_rings = flipped = 0
-
-    def run_block(pieces, size):
-        """Draw and apply the `size` rings of consecutive pieces of steps,
-        piece (lo, hi) to rows lo..hi-1; on a checked call, raise at the
-        first ring whose new byte crosses an ordered pair."""
-        nonlocal bg_rings, flipped
-        rank = _ranks(rng.random(size), starts, lookup)
-        i = 0
-        if words is not None:
-            bg_rings += len(rank) - int(np.count_nonzero(spin_rank.take(rank)))
-            # each ring's flat table index, (rank << bits) + its word
-            rank <<= bits
+        def apply(words, pieces, rank):
+            spin = spin_rank.take(rank)
+            # each ring's flat table index, (rank << n_fields*n) + its word
+            rank <<= n_fields * n
+            i = 0
             for lo, hi in pieces:
                 j = i + hi - lo
                 rank[i:j] += words[lo:hi]
                 step_of.take(rank[i:j], out=words[lo:hi], mode="clip")
                 i = j
-            mask = mask_of.take(rank)
-        else:
+            return mask_of.take(rank), spin
+    else:
+        base = np.arange(replicas) * width
+
+        def window(rows):
+            return np.ascontiguousarray(rows[:, halo:halo + n])
+
+        def apply(state, pieces, rank):
+            flat = state.reshape(-1)
             gather = cols_of.take(rank, axis=1)
             gather += np.concatenate([base[lo:hi] for lo, hi in pieces])
             rows = rows_of.take(rank, axis=1)
-            bg_rings += len(rank) - int(np.count_nonzero(rows[0]))
             mask = np.empty(len(rank), dtype=np.uint8)
             new = np.empty(len(rank), dtype=np.uint8)
+            i = 0
             for lo, hi in pieces:
                 j = i + hi - lo
                 b = flat.take(gather[:, i:j])
@@ -853,70 +896,34 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
                 if hit.any():
                     p, q = pairs[hit[hit > 0][0] - 1]
                     raise OrderViolationError("%s and %s crossed in a lockstep step" % (names[p], names[q]))
-        flipped += int(np.count_nonzero(mask))
-        for f in range(n_fields):
-            flips[f] += int(np.count_nonzero(mask & (1 << f)))
+            return mask, rows[0]
 
-    rng = np.random.default_rng(seed)
-    times, snaps = [], []
-    steps = events = 0
-    t_prev = 0.0
-    # replica r sits in row at[r] of `state` (of `words`): all in row 0 of a
-    # one-row start until the first interval's `take` makes a row per replica;
-    # base[i] starts row i from then on
+    snaps = []
+    # per field the rings that flip it, and the rings that flip something
+    flips = [0] * n_fields
+    steps = events = bg_rings = flipped = 0
+    # replica r sits in row at[r] of `state`: all in row 0 of a one-row start
+    # until the first interval's `take` makes a row per replica
     at = np.arange(replicas) % len(state)
-    base = np.arange(replicas) * width
-    for t in grid:
-        dt, t_prev = t - t_prev, t
-        if lam > 0 and dt > 0:
-            counts = rng.poisson(lam * n * dt, replicas)
-        else:
-            counts = np.zeros(replicas, dtype=np.int64)
-        n_steps = int(counts.max()) if replicas else 0
-        # replicas by decreasing ring count: those still active at step j
-        # are a prefix of `order`; numpy sorts keys of at most 16 bits stably
-        # by radix sort, so the keys get the smallest type that holds them
-        order = np.argsort((n_steps - counts).astype(np.min_scalar_type(n_steps)), kind="stable")
-        # rows in that order, so that every step reads and writes a prefix
-        if words is None:
-            state = state.take(at.take(order), axis=0)
-            flat = state.reshape(-1)
-        else:
-            words = words.take(at.take(order))
+    for counts, order, blocks in _schedule(np.random.default_rng(seed), grid, lam * n, replicas, starts, lookup):
+        state = state.take(at.take(order), axis=0)
         at[order] = np.arange(replicas)
-        active = replicas - np.cumsum(np.bincount(counts, minlength=n_steps))[:n_steps]
-        steps += n_steps
+        steps += int(counts.max(initial=0))
         events += int(counts.sum())
-        pieces, size = [], 0
-        for a in active.tolist():
-            lo = 0
-            while lo < a:
-                hi = a if a - lo <= BLOCK_RINGS else lo + BLOCK_RINGS
-                if size + hi - lo > BLOCK_RINGS:
-                    run_block(pieces, size)
-                    pieces, size = [], 0
-                pieces.append((lo, hi))
-                size += hi - lo
-                lo = hi
-        if pieces:
-            run_block(pieces, size)
-        times.append(t)
-        if words is None:
-            body = np.ascontiguousarray(state.take(at, axis=0)[:, halo:halo + n])
-        else:
-            body = _site_bytes(words.take(at), n_fields, n)
+        for pieces, rank in blocks:
+            # per ring its XOR mask, and nonzero for a spin ring
+            mask, spin = apply(state, pieces, rank)
+            bg_rings += len(rank) - int(np.count_nonzero(spin))
+            flipped += int(np.count_nonzero(mask))
+            for f in range(n_fields):
+                flips[f] += int(np.count_nonzero(mask & (1 << f)))
+            del rank, mask, spin  # held into the next block's draw, they would raise peak RSS
+        body = window(state.take(at, axis=0))
         snaps.append([((body >> f) & 1).view(np.int8) for f in range(n_fields)])
 
-    counters = {
-        "steps": steps,
-        "events": events,
-        "background_rings": bg_rings,
-        "spin_rings": events - bg_rings,
-        "null_rings": events - flipped,
-        "flips": dict(zip(names, flips)),
-        "order_checks": len(pairs) * events,
-    }
-    return times, snaps, counters
+    counters = dict(steps=steps, events=events, background_rings=bg_rings, spin_rings=events - bg_rings,
+                    null_rings=events - flipped, flips=dict(zip(names, flips)), order_checks=len(pairs) * events)
+    return grid, snaps, counters
 
 
 def batch_evolve(

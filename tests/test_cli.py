@@ -186,6 +186,10 @@ SCENARIO_INPUT_ERRORS = {
                            "need 0 < m <= n < size-1 so both window extensions exist"),
     "decreasing-grid": (["density", "--tgrid", "2,1"], "t_grid must be nondecreasing and nonnegative"),
     "no-run-decay-window": (["run-decay", "--sites", "4"], "no run-decay window fits in 4 sites"),
+    # the last grid time over the event budget once died inside numpy
+    "density-over-event-budget": (["density", "--tgrid", "0,1e12"],
+                                  "about 8e+13 rings per replica by t=1000000000000.0 exceed the event budget"
+                                  " of 10000000; lower --tgrid"),
 }
 
 
@@ -268,6 +272,11 @@ INPUT_ERRORS = {
     "couple-over-event-budget": (["couple", *CPREE, "--sites", "4", "--tmax", "1e300", "--out", "c"],
                                  "couple error: about 1.4e+301 jumps by t=1e+300 at the start's rate exceed"
                                  " the event budget of 10000000; lower --tmax"),
+    # a batch engine once tried to allocate 931 TiB for its ring counts
+    "scenario-over-event-budget": (["scenario", "coalescence", *CPREE, "--sites", "16", "--window", "1",
+                                    "--tmax", "1e12", "--replicas", "1", "--out", "s"],
+                                   "scenario error: about 8e+13 rings per replica by t=1000000000000.0 exceed"
+                                   " the event budget of 10000000; lower --tmax"),
     # seeds numpy refuses once died inside numpy or int()
     "simulate-negative-seed": (["simulate", *CPREE, "--sites", "4", "--seed", "-1"], "argument --seed: "),
     "couple-negative-seed": (["couple", *CPREE, "--sites", "4", "--seed", "-1"], "argument --seed: "),

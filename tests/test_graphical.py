@@ -369,6 +369,10 @@ def test_lockstep_snapshot_does_not_depend_on_later_grid_times():
     spec = cpree(sites=n, delta0=1.0, delta1=0.5, lam=3.0)
     short, long = batch_envelope(spec, [0.6], replicas, 6)[1], batch_envelope(spec, [0.6, 1.2], replicas, 6)[1]
     assert all(np.array_equal(a, b) for a, b in zip(short[0], long[0]))
+    # an empty interval draws nothing: a repeated grid time repeats its snapshot
+    twice = batch_envelope(spec, [0.6, 0.6, 1.2], replicas, 6)[1]
+    assert all(np.array_equal(a, b) for x, y in zip(twice[1:], long) for a, b in zip(x, y))
+    assert all(np.array_equal(a, b) for a, b in zip(twice[0], twice[1]))
 
 
 def test_lockstep_output_does_not_depend_on_block_size(monkeypatch):
@@ -866,6 +870,51 @@ def _word_paths(monkeypatch):
     return shapes
 
 
+def _scheduled_counters(spec, grid, replicas, seed):
+    """`steps`, `events` and `background_rings` of `_schedule` run alone on
+    the clock and ranks of a lockstep call: it is never shown a state."""
+    c = spec.constants()
+    n, lam, halo = spec.size, c.b_bar + c.c_hat, max(1, spec.env.range)
+    edges = graphical._joint_table(graphical._windows(spec, c), [0, 0], spec.env.range, c.b_bar, lam, halo)[0]
+    starts, _, atom = graphical._site_atoms(edges, n)
+    background = atom < np.searchsorted(edges, c.b_bar)
+    steps = events = rings = 0
+    schedule = graphical._schedule(np.random.default_rng(seed), grid, lam * n, replicas, starts,
+                                   graphical._rank_lookup(starts))
+    for counts, order, blocks in schedule:
+        assert sorted(order.tolist()) == list(range(replicas))
+        steps += int(counts.max(initial=0))
+        events += int(counts.sum())
+        drawn = 0
+        for pieces, rank in blocks:
+            assert sum(hi - lo for lo, hi in pieces) == len(rank) <= graphical.BLOCK_RINGS
+            drawn += len(rank)
+            rings += int(np.count_nonzero(background[rank]))
+        assert drawn == counts.sum()
+    return steps, events, rings
+
+
+def test_schedule_alone_gives_the_ring_counters_of_either_path(monkeypatch):
+    # the ring schedule draws without the state: run alone on a call's seed,
+    # grid, clock and replicas, it counts the call's steps, events and
+    # background rings, on the byte path (10 sites) and the word path
+    # (exact-window's 3 sites), and calls from other starts count the same
+    shapes = _word_paths(monkeypatch)
+    rng = np.random.default_rng(45)
+    for spec, replicas in ((cpree(sites=10, delta0=1.0, delta1=0.5, lam=3.0), 200), (_exact_window_spec(), 3000)):
+        n, grid = spec.size, [0.5, 0.5, 1.25]
+        alone = _scheduled_counters(spec, grid, replicas, 11)
+        for k in range(3):
+            beta = (rng.integers(0, 2, (replicas, n)), spec.env_boundary)
+            layers = [(a, spec.spin_boundary) for a in ordered_stack(rng.integers(0, 4, (replicas, n)))][: 1 + k]
+            counters = batch_evolve(spec, beta, layers, grid, replicas, seed=11).counters
+            assert (counters["steps"], counters["events"], counters["background_rings"]) == alone
+            assert alone[1] > alone[2] > 0
+    # the 3-site calls of one and two layers held their windows as words; three
+    # layers' word tables would outnumber the rings
+    assert [fields for fields, *_ in shapes] == [2, 3]
+
+
 def test_whole_window_words_are_chosen_by_size_and_rings(monkeypatch):
     shapes = _word_paths(monkeypatch)
     # the exact-window shapes: one layer, the envelope, the coalescence pair
@@ -1049,14 +1098,41 @@ def test_non_finite_or_negative_horizons_are_refused_before_any_draw(monkeypatch
 
 def test_coupled_horizons_over_the_event_budget_are_refused_before_any_draw(monkeypatch):
     # the coupled simulator once ran on at any finite horizon, its event list
-    # growing without bound; a start whose rates are all 0 still returns at once
+    # growing without bound, and the batch engines died allocating per-step
+    # ring counts (931 TiB at t = 1e12); a start or a spec whose rates are
+    # all 0 still returns at once
     def no_generator(*args, **kwargs):
         raise AssertionError("a generator was made before the budget was checked")
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     with pytest.raises(EventBudgetError, match="exceed the event budget of 10000000"):
         _horizon_calls("coupled", 1e300)
+    for name in ("envelope", "evolve", "pair"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(EventBudgetError, match="rings per replica by t=1e\\+300 exceed the event budget"):
+                _horizon_calls(name, 1e300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (name, peak)
+    # just over the budget of one replica's expected rings, with each engine's advice
+    sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
+    c = sc.constants()
+    t = graphical.EVENT_BUDGET / (3 * (c.b_bar + c.c_hat))
+    with pytest.raises(EventBudgetError, match="; lower the t_grid times$"):
+        batch_envelope(sc, [t * (1 + 1e-9)], 5, 1)
+    with pytest.raises(EventBudgetError, match="; lower t$"):
+        batch_simulate_pair(sc, sc.env_config((0, 0, 0)), sc.spin_config((1, 1, 1)), t * (1 + 1e-9), 5, 1)
     monkeypatch.undo()
     sc = preset("contact", sites=3, lam=2.0, delta=1.0)
     start = JointState(sc.env_config((0, 0, 0)), (sc.spin_config((0, 0, 0)),))
     assert simulate_coupled(CoupledSpec(sc, 1), start, 1, 1e300).events == []
+    zero = LocalSpinRates((0.0,) * 8)
+    still = ModelSpec(SpinRatePair(zero, zero), EnvRateSpec(0, (0.0, 0.0)), 3)
+    top = still.spin_config((1, 0, 1))
+    res = batch_evolve(still, still.env_config((0, 1, 0)), [top], [1e300], 5, seed=1)
+    assert res.counters["events"] == 0 and np.all(res.layers[0][0] == (1, 0, 1))
+    assert batch_envelope(still, [1e300], 5, 1)[0] == [1e300]
+    beta, eta = batch_simulate_pair(still, still.env_config((0, 1, 0)), top, 1e300, 5, 1)
+    assert np.all(eta == (1, 0, 1)) and np.all(beta == (0, 1, 0))
