@@ -28,19 +28,21 @@ arithmetic on the engine's own windows.
 
 The engine never compares U with a window.  All window endpoints, as the
 floats a comparison would use, cut [0, b_bar + c_hat) into atoms, and every
-U in one atom passes the same tests.  So one joint flip table, built once per
-call, maps (the bits a ring reads, the atom of U) to the XOR mask of the
-fields that flip, and each replica-site keeps all its fields in one byte:
-a ring is one gather of the bytes around its site, one lookup per slot for
-its key, and one table lookup.  The table's atom lengths per flip set are
-`window_rates`' rates.  Nor does the engine draw U: one uniform double per
-ring, ranked among the (site, atom) starts of `_site_atoms`, picks the site
-and the atom together, and per-call tables indexed by that rank give the
-ring's gather columns and key rows.  A schedule that never sees the state
-(`_schedule`) draws every ring's count, order and rank, and one apply step
-per path (bytes, or the words below) applies them.  A call in which one
-replica expects more than EVENT_BUDGET rings is refused before anything is
-drawn, as is a `coupling.batch_simulate_pair` call (`_ring_budget`).
+U in one atom passes the same tests.  So one joint flip table, built once
+per call, maps (the bits a ring reads, the atom of U) to the XOR mask of the
+fields that flip, and each replica-site keeps all its fields in one byte: a
+ring is one gather of the bytes around its site, one lookup per slot for its
+key (or one word of those bytes beside its atom, when they fit 16 bits and
+the rings pay for its table), and one table lookup.  The table's atom
+lengths per flip set are `window_rates`' rates.  Nor does the engine draw U:
+one uniform double per ring, ranked among the (site, atom) starts of
+`_site_atoms`, picks the site and the atom together, and per-call tables
+indexed by that rank give the ring's gather columns and key rows.  A
+schedule that never sees the state (`_schedule`) draws every ring's count,
+order and rank, and one apply step per path (bytes, or the words below)
+applies them.  A call in which one replica expects more than EVENT_BUDGET
+rings is refused before anything is drawn, as is a
+`coupling.batch_simulate_pair` call (`_ring_budget`).
 
 Both engines keep the pairs of `lattice.initially_ordered_pairs` ordered,
 but the lockstep engine compares them at every ring only when its table
@@ -620,10 +622,10 @@ def _site_atoms(edges, n):
 
 
 def _holds_words(n_fields, n, ranks, rings):
-    """Whether a `_lockstep` call holds each replica's window, n sites of
-    n_fields bits, as one word: the window fits 16 bits, and its tables
-    (`_word_table`, an entry per rank and word) hold at most TABLE_CAP
-    entries and no more than the `rings` the call expects to draw.
+    """Whether a `_lockstep` call holds n sites of n_fields bits as one word
+    (a replica's window for `_word_table`, a ring's slots for
+    `_neighbourhood_table`): they fit 16 bits, and the tables, an entry per
+    rank and word, hold no more than TABLE_CAP or the `rings` it expects.
     `coupling.batch_simulate_pair` asks with its 2n slots as ranks and 2n
     per replica as rings: at least as many replicas as words."""
     bits = n_fields * n
@@ -660,6 +662,24 @@ def _padded_words(edge, n_fields, n):
     return padded
 
 
+def _slot_masks(table, lut, rows, slot_bytes):
+    """The joint-table masks of rings whose slot s reads `slot_bytes[s]` by
+    the key rows `rows[s]` (`_joint_table`), a row per rank or atom."""
+    shares = (lut.take(b + row[:, None]) for b, row in zip(slot_bytes, rows))
+    key = next(shares)
+    for share in shares:
+        key += share
+    return table.take(key)
+
+
+def _neighbourhood_table(table, lut, rows, n_fields):
+    """The joint flip table by neighbourhood words, for key rows `rows[s, atom]`:
+    entry (atom << n_fields*slots) + word holds the mask of a ring whose mark
+    is in that atom and whose slot s reads the byte at bits n_fields*s.."""
+    word = np.arange(1 << n_fields * len(rows))
+    return _slot_masks(table, lut, rows, _site_bytes(word, n_fields, len(rows)).T).ravel()
+
+
 def _word_table(table, lut, rows_of, cols_of, site, edge, n_fields, n):
     """Transition tables of a `_lockstep` call whose whole window, n sites of
     n_fields bits, is one word: bits n_fields*x.. hold site x's byte.
@@ -674,10 +694,7 @@ def _word_table(table, lut, rows_of, cols_of, site, edge, n_fields, n):
     padded = _padded_words(edge, n_fields, n)
     # flat indices stay below TABLE_CAP: 32 bits hold them, and take them faster
     lut, rows_of = lut.astype(np.int32), rows_of.astype(np.int32)
-    key = np.zeros((cols_of.shape[1], len(word)), dtype=np.int32)
-    for cols, rows in zip(cols_of, rows_of):
-        key += lut.take(padded.take(cols, axis=0) + rows[:, None])
-    mask = table.take(key)
+    mask = _slot_masks(table, lut, rows_of, (padded.take(cols, axis=0) for cols in cols_of))
     step = (mask.astype(np.uint16) << (n_fields * site).astype(np.uint16)[:, None]) ^ word
     return step.ravel(), mask.ravel()
 
@@ -761,7 +778,10 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     lookup per slot (the center slot's row adds the offset of U's atom), and
     reads the mask of the fields that flip from the joint flip table of
     `_joint_table`, by gather columns and key rows laid out per (site, atom)
-    pair of `_site_atoms` once per call.
+    pair of `_site_atoms` once per call.  When `_holds_words` accepts its
+    2*halo + 1 slots with the atoms as ranks, a ring instead packs its bytes
+    below its atom into one word, slot s at bits n_fields*s.., and takes its
+    mask from `_neighbourhood_table`; the keyings share all else.
 
     When no ring is checked and `_holds_words` accepts the call
     (n_fields*n <= 16 bits, and tables of at most TABLE_CAP entries and no
@@ -795,7 +815,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     n_fields = len(inits)
     if n_fields > 8:
         raise ValueError("%d fields do not fit the 8 bits of a packed site" % n_fields)
-    edges, table, lut, rows_of = _joint_table(_windows(spec, consts), owner, radius, b_bar, lam, halo)
+    edges, table, lut, key_rows = _joint_table(_windows(spec, consts), owner, radius, b_bar, lam, halo)
 
     # one row while every field starts alike in all replicas, else one per replica
     state = np.zeros((1, width), dtype=np.uint8)
@@ -849,14 +869,14 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         lookup = _rank_lookup(starts)
         # gather columns and key rows by the rank of a ring's V
         cols_of = cols.take(site, axis=1)
-        rows_of = rows_of.take(atom, axis=1)
+        rows_of = key_rows.take(atom, axis=1)
+        # slot 0 is not the center: its row is 0 exactly for background rings
+        spin_rank = rows_of[0] != 0
     # only the byte path checks rings, so a checked call keeps to it
     if lam > 0 and not check and _holds_words(n_fields, n, len(starts), expected * replicas):
         step_of, mask_of = _word_table(table, lut, rows_of, cols_of, site, edge[0], n_fields, n)
         state = _to_words(state[:, halo:halo + n], n_fields)
         window = partial(_site_bytes, n_fields=n_fields, n=n)
-        # slot 0 is not the center: its row is 0 exactly for background rings
-        spin_rank = rows_of[0] != 0
 
         def apply(words, pieces, rank):
             spin = spin_rank.take(rank)
@@ -871,23 +891,42 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
             return mask_of.take(rank), spin
     else:
         base = np.arange(replicas) * width
+        slots = 2 * halo + 1
 
         def window(rows):
             return np.ascontiguousarray(rows[:, halo:halo + n])
+
+        if lam > 0 and _holds_words(n_fields, slots, key_rows.shape[1], expected * replicas):
+            by_word = _neighbourhood_table(table, lut, key_rows, n_fields)
+            keys_of = (atom << n_fields).take
+
+            def masks(b, key, out):
+                # key: the ring's atom << n_fields; its slots' bytes go below, slot 0 lowest
+                for s in range(slots - 1, 0, -1):
+                    key |= b[s]
+                    key <<= n_fields
+                key |= b[0]
+                by_word.take(key, out=out, mode="clip")
+        else:
+            def keys_of(rank):
+                return rows_of.take(rank, axis=1)
+
+            def masks(b, rows, out):
+                # in-range keys: "clip" spares take's buffered bounds check
+                table.take(np.add.reduce(lut.take(b + rows)), out=out, mode="clip")
 
         def apply(state, pieces, rank):
             flat = state.reshape(-1)
             gather = cols_of.take(rank, axis=1)
             gather += np.concatenate([base[lo:hi] for lo, hi in pieces])
-            rows = rows_of.take(rank, axis=1)
+            keys = keys_of(rank)
             mask = np.empty(len(rank), dtype=np.uint8)
             new = np.empty(len(rank), dtype=np.uint8)
             i = 0
             for lo, hi in pieces:
                 j = i + hi - lo
                 b = flat.take(gather[:, i:j])
-                # in-range keys: "clip" spares take's buffered bounds check
-                table.take(np.add.reduce(lut.take(b + rows[:, i:j])), out=mask[i:j], mode="clip")
+                masks(b, keys[..., i:j], mask[i:j])
                 np.bitwise_xor(b[halo], mask[i:j], out=new[i:j])
                 flat[gather[halo, i:j]] = new[i:j]
                 i = j
@@ -896,7 +935,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
                 if hit.any():
                     p, q = pairs[hit[hit > 0][0] - 1]
                     raise OrderViolationError("%s and %s crossed in a lockstep step" % (names[p], names[q]))
-            return mask, rows[0]
+            return mask, spin_rank.take(rank)
 
     snaps = []
     # per field the rings that flip it, and the rings that flip something

@@ -39,7 +39,9 @@ class Mutant(NamedTuple):
 
 GRAPHICAL = "envspin/graphical.py"
 RATES = "envspin/rates.py"
+ORACLE = "envspin/oracle.py"
 GOLDEN = "tests/test_engine_golden.py::test_engine_output_matches_golden_digest"
+KEYINGS = "tests/test_graphical.py::test_neighbourhood_words_match_lut_keys"
 
 MUTANTS = (
     Mutant(
@@ -81,7 +83,7 @@ MUTANTS = (
     ),
     Mutant(
         "byte apply flags every ring as a spin ring", GRAPHICAL,
-        "            return mask, rows[0]\n", "            return mask, rows[halo]\n",
+        "            return mask, spin_rank.take(rank)\n", "            return mask, rank >= 0\n",
         ("tests/test_graphical.py::test_schedule_alone_gives_the_ring_counters_of_either_path",),
     ),
     Mutant(
@@ -99,6 +101,34 @@ MUTANTS = (
         "batch engines without the event budget", GRAPHICAL,
         "    if rate * t > EVENT_BUDGET:\n", "    if False:\n",
         ("tests/test_graphical.py::test_coupled_horizons_over_the_event_budget_are_refused_before_any_draw",),
+    ),
+    Mutant(
+        "neighbourhood words combine the slots in reversed order", GRAPHICAL,
+        "for s in range(slots - 1, 0, -1):\n                    key |= b[s]\n"
+        "                    key <<= n_fields\n                key |= b[0]\n",
+        "for s in range(slots - 1):\n                    key |= b[s]\n"
+        "                    key <<= n_fields\n                key |= b[slots - 1]\n",
+        (GOLDEN, KEYINGS),
+    ),
+    Mutant(
+        "neighbourhood words without the ring's atom", GRAPHICAL,
+        "keys_of = (atom << n_fields).take", "keys_of = (0 * atom).take",
+        (GOLDEN, KEYINGS),
+    ),
+    Mutant(
+        "class certificate without its jump-out check", ORACLE,
+        "    if ((src >= 0) & (src != dst)).any():\n", "    if False:\n",
+        ("tests/test_oracle.py::test_class_certificate_flags_planted_wrong_classes",),
+    ),
+    Mutant(
+        "stationary_set without its residual check", ORACLE,
+        "    if resid > RESIDUAL_TOL:\n", "    if False:\n",
+        ("tests/test_oracle.py::test_stationary_set_flags_a_law_that_is_not_stationary",),
+    ),
+    Mutant(
+        "replay without its old-value check", GRAPHICAL,
+        "            if work[e.layer][e.site] != e.old:\n", "            if False:\n",
+        ("tests/test_graphical.py::test_replay_refuses_an_event_whose_old_value_does_not_match",),
     ),
 )
 

@@ -251,6 +251,19 @@ def test_evolve_preserves_order_and_replays():
         assert all(x <= y for x, y in zip(final[a].bits, final[b].bits))
 
 
+def test_replay_refuses_an_event_whose_old_value_does_not_match():
+    # planted: one event claims its site already held the value it writes;
+    # replay still reaches the final state, so only the old-value check sees it
+    spec = cpree(sites=8)
+    traj = evolve(spec.env_config((0,) * 8), _spin_stack(spec, 3), EventStream(spec, seed=17, t_max=6.0))
+    assert traj.verify_replay()
+    e = traj.events[len(traj.events) // 2]
+    assert e.old != e.new
+    traj.events[len(traj.events) // 2] = e._replace(old=e.new)
+    with pytest.raises(AssertionError, match="does not match the replayed state"):
+        traj.verify_replay()
+
+
 def test_trajectory_fully_determined_by_seed():
     spec = cpree(sites=6)
     def run():
@@ -977,6 +990,97 @@ def test_whole_window_words_match_the_byte_path(monkeypatch):
         np.testing.assert_equal(run(), words)
         assert shapes == [], k
 
+
+# neighbourhood words: a byte-path call whose 2*halo + 1 slots of fields fit
+# 16 bits, and whose table holds no more entries than the rings it expects,
+# keys each ring by one lookup of its atom and neighbourhood word
+
+
+def _neighbourhood_keys(monkeypatch):
+    """Record (fields, slots, entries) for each call that keys its rings by
+    neighbourhood words (`_neighbourhood_table`)."""
+    real, shapes = graphical._neighbourhood_table, []
+
+    def recorded(table, lut, rows, n_fields):
+        by_word = real(table, lut, rows, n_fields)
+        shapes.append((n_fields, len(rows), len(by_word)))
+        return by_word
+
+    monkeypatch.setattr(graphical, "_neighbourhood_table", recorded)
+    return shapes
+
+
+def test_neighbourhood_words_are_chosen_by_size_and_rings(monkeypatch):
+    shapes = _neighbourhood_keys(monkeypatch)
+    big = preset("cpree", sites=64, **PRESET_PARAMS["cpree"])
+    beta0 = big.env_config((0,) * 64)
+    # large-window's shapes: three layers, the envelope; 7 atoms of 12 bits
+    batch_evolve(big, beta0, _spin_stack(big, 3), [0.5], 300, seed=1)
+    batch_envelope(big, [0.5], 300, 2)
+    assert shapes == [(4, 3, 7 << 12)] * 2
+    shapes.clear()
+    # run-counts' shape: 300 replicas to t = 0.05 expect 7 680 rings
+    batch_evolve(big, beta0, _spin_stack(big, 3), [0.05], 300, seed=3)
+    assert shapes == []
+    # five fields at halo 1 fit 15 bits; radius 2 puts four fields on 20
+    batch_evolve(big, beta0, _spin_stack(big, 4), [1.0], 600, seed=4)
+    assert shapes == [(5, 3, 7 << 15)]
+    shapes.clear()
+    wide = ModelSpec(big.spin, random_attractive_env(np.random.default_rng(133), 2), 64)
+    batch_evolve(wide, wide.env_config((0,) * 64), _spin_stack(wide, 3), [1.0], 600, seed=5)
+    assert shapes == []
+    # over TABLE_CAP by one entry, at more rings than entries; at the cap
+    monkeypatch.setattr(graphical, "TABLE_CAP", (7 << 12) - 1)
+    batch_evolve(big, beta0, _spin_stack(big, 3), [0.5], 300, seed=1)
+    assert shapes == []
+    monkeypatch.setattr(graphical, "TABLE_CAP", 7 << 12)
+    batch_evolve(big, beta0, _spin_stack(big, 3), [0.5], 300, seed=1)
+    assert shapes == [(4, 3, 7 << 12)]
+
+
+def test_neighbourhood_words_match_lut_keys(monkeypatch):
+    # each call again with neighbourhood words refused: both keyings give the
+    # same bytes and counters.  9 sites of at least 2 fields never fit one
+    # word, so both runs are on the byte path; odd cases force the per-ring
+    # crossing check on.  Four layers get more replicas, since their 15-bit
+    # table outnumbers the rings of 3000
+    shapes = _neighbourhood_keys(monkeypatch)
+    holds_words, may_cross = graphical._holds_words, graphical._may_cross
+    rng = np.random.default_rng(132)
+    boundaries = (None, FrozenWords("10", "01"), PerLayerFrozen(FrozenWords("110", "01"), FrozenWords("01", "001")))
+    n, taken = 9, []
+    for k in range(12):
+        boundary, radius = boundaries[k % 3], (k // 3) % 3
+        n_layers = 1 + k % (2 if radius == 2 else 4)
+        replicas = 12_000 if n_layers == 4 else 3000
+        pair = random_compatible_pair(rng, positive=bool(k % 2))
+        env = random_attractive_env(rng, radius)
+        spec = ModelSpec(pair, env, n, boundary) if boundary else ModelSpec(pair, env, n)
+        beta = rng.integers(0, 2, (replicas, n)).astype(np.int8)
+        stack = list(ordered_stack(rng.integers(0, 4, (replicas, n))))
+        layers = (stack + stack[-1:])[:n_layers]
+        monkeypatch.setattr(graphical, "_may_cross", (lambda *args: True) if k % 2 else may_cross)
+
+        def run():
+            res = batch_evolve(
+                spec, (beta, spec.env_boundary), [(a, spec.spin_boundary) for a in layers], [1.0, 2.0], replicas, k
+            )
+            out = [res.times, res.background, res.layers, res.counters]
+            if radius < 2:
+                out.append(batch_envelope(spec, [1.0, 2.0], replicas, k))
+            return out
+
+        monkeypatch.setattr(graphical, "_holds_words", holds_words)
+        shapes.clear()
+        words = run()
+        taken.append([fields for fields, *_ in shapes])
+        monkeypatch.setattr(graphical, "_holds_words", lambda *args: False)
+        shapes.clear()
+        np.testing.assert_equal(run(), words)
+        assert shapes == [], k
+    # every case but radius 2 with two layers (15 bits of 45 atoms) took the
+    # new keying at least once; the envelope has four fields
+    assert taken == [[2, 4], [3, 4], [4, 4], [5, 4], [2, 4], [3, 4], [2], [], [2], [3, 4], [4, 4], [5, 4]]
 
 def test_pair_words_match_the_byte_path(monkeypatch):
     # each direct pair simulation again with words refused: both paths give

@@ -21,6 +21,7 @@ from envspin import (
     stationary_set,
     total_variation,
 )
+from envspin import oracle
 from envspin.coupling import coupled_event_rates
 from envspin.graphical import EVENT_BUDGET, EventBudgetError
 from envspin.lattice import word_index
@@ -102,6 +103,25 @@ def test_stationary_residuals_small():
         assert np.abs(G.matvec_left(pi)).max() <= 1e-10
 
 
+def test_stationary_set_flags_a_law_that_is_not_stationary(monkeypatch):
+    # planted: the class search returns its one class, every state, with the
+    # uniform law; the class certifies, so only the residual check can see it
+    rng = np.random.default_rng(62)
+    G = build_generator(random_positive_spec(rng, sites=3))
+    S = stationary_set(G)
+    assert S.dimension == 1 and not S.flagged
+    real = oracle._closed_classes
+
+    def uniform(G):
+        classes, law, label = real(G)
+        return classes, np.full(G.dim, 1.0 / G.dim), label
+
+    monkeypatch.setattr(oracle, "_closed_classes", uniform)
+    S = stationary_set(G)
+    assert S.flagged
+    assert [note.split(" ")[:2] for note in S.notes] == [["stationary", "residual"]]
+
+
 def test_frozen_background_sector_product_structure():
     # a never-moving background freezes each sector; with strictly positive
     # spin tables every sector is irreducible, so one stationary law per
@@ -130,6 +150,8 @@ def test_class_certificate_flags_planted_wrong_classes():
         "dropped": classes[1:],
         "merged": [sorted(first + classes[1])] + classes[2:],
         "split": [first[: len(first) // 2], first[len(first) // 2:]] + classes[1:],
+        # strongly connected, and every state reaches it, but not closed
+        "open": [first[:1]] + classes[1:],
     }
     for label, planted in wrong.items():
         assert _certify_classes(G, planted), label
