@@ -460,6 +460,7 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     rings per replica is refused with EventBudgetError before anything is
     drawn, as `graphical._lockstep` refuses it.
     """
+    replicas = graphical._replica_count(replicas)
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and >= 0")
     n = spec.size

@@ -36,10 +36,12 @@ class EstimateReport:
 
 
 def _mean_se(values):
+    """Mean and standard error along the last axis, as floats or lists of floats."""
     values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return mean, se
+    mean = values.mean(axis=-1)
+    size = values.shape[-1]
+    se = values.std(axis=-1, ddof=1) / math.sqrt(size) if size > 1 else np.zeros_like(mean)
+    return mean.tolist(), se.tolist()
 
 
 def sample_ordered_triples(rng, replicas, n):
@@ -157,6 +159,7 @@ def run_decay_csv_text(report: EstimateReport) -> str:
 def _random_coupled_run(spec, t_grid, replicas, seed):
     """Coupled triples from per-replica random ordered starts over a random
     background; returns the batch result."""
+    replicas = graphical._replica_count(replicas)
     rng = np.random.default_rng(seed)
     beta_bits = rng.integers(0, 2, size=(replicas, spec.size)).astype(np.int8)
     layers = sample_ordered_triples(rng, replicas, spec.size)
@@ -174,30 +177,28 @@ def _random_coupled_run(spec, t_grid, replicas, seed):
 
 def run_length_decay(spec: ModelSpec, windows, t, replicas, seed, initial=None) -> EstimateReport:
     """Normalized expected run count E[runs]/(n-m) over growing windows at a
-    late time, from coupled three-layer samples.  The final stack is
-    scanned once (`functionals.window_run_counts`) and each window is a
-    query on that scan."""
+    late time, from coupled three-layer samples.  All windows' run counts
+    come from one scan of the final stack (`functionals._window_queries`)
+    and are reduced at once; a window's interior totals count its runs' lengths."""
     start = time.perf_counter()
     if initial is None:
         result = _random_coupled_run(spec, [float(t)], replicas, seed)
     else:
         beta0, layers = initial
         result = graphical.batch_evolve(spec, beta0, list(layers), [float(t)], replicas, seed)
-    lower, middle, upper = result.layers[-1]
+    runs, _, length, interiors = functionals._window_queries(*result.layers[-1], windows)
+    means, ses = _mean_se(runs)
     rows = []
-    counts = functionals.window_run_counts(lower, middle, upper, windows)
-    for (m, n), (runs, interior) in zip(windows, counts):
-        totals = interior.sum(axis=0)
-        mean, se = _mean_se(runs)
-        width = n - m if n > m else 1
+    for (m, n), mean, se, inner in zip(windows, means, ses, interiors):
+        totals = np.bincount(length[inner]).tolist()
         rows.append(
             {
                 "m": m,
                 "n": n,
                 "mean_runs": mean,
                 "se": se,
-                "normalized": mean / width,
-                "mean_interior_runs": {int(l): int(totals[l]) / replicas for l in np.flatnonzero(totals)},
+                "normalized": mean / (n - m if n > m else 1),
+                "mean_interior_runs": {l: c / replicas for l, c in enumerate(totals) if c},
             }
         )
     return EstimateReport(
@@ -224,29 +225,24 @@ def interval_inequality_check(spec: ModelSpec, t, replicas, seed, m, n, l=1) -> 
     Each inequality is reported as held when the estimated slack is above
     -3 standard errors; a larger violation flags insufficient burn-in or an
     implementation bug.  The three windows [m, n], [m-1, n] and [m, n+1] are
-    queries on one scan of the final stack (`functionals.window_run_counts`)."""
+    queries on one scan of the final stack (`functionals._window_queries`)."""
     start = time.perf_counter()
     if not (0 < m <= n < spec.size - 1):
         raise ValueError("need 0 < m <= n < size-1 so both window extensions exist")
     result = _random_coupled_run(spec, [float(t)], replicas, seed)
-    lower, middle, upper = result.layers[-1]
     consts = dominating_rates(spec)
     C, K = consts.C, consts.K
 
-    (f_mn, interior), (f_left, _), (f_right, _) = functionals.window_run_counts(
-        lower, middle, upper, [(m, n), (m - 1, n), (m, n + 1)]
-    )
-
-    g = dict(enumerate(interior.T))  # length -> per-replica interior run counts
-    g_first = g[1]
+    windows = [(m, n), (m - 1, n), (m, n + 1)]
+    (f_mn, f_left, f_right), row, length, interiors = functionals._window_queries(*result.layers[-1], windows)
+    inner = next(interiors)
+    # per-replica interior runs of length 1, l and l + 1 on [m, n]
+    g_first, g_l, g_next = (np.bincount(row[inner & (length == k)], minlength=f_mn.size) for k in (1, l, l + 1))
     curvature = f_left + f_right - 2 * f_mn
     slack_d = K * curvature - C * g_first
-    slack_e = 12.0 * K * l * g.get(l, 0) - C * g.get(l + 1, 0)
+    slack_e = 12.0 * K * l * g_l - C * g_next
 
-    mean_d, se_d = _mean_se(slack_d)
-    mean_e, se_e = _mean_se(slack_e)
-    mean_g1, se_g1 = _mean_se(g_first)
-    mean_curv, se_curv = _mean_se(curvature)
+    (mean_d, mean_e, mean_g1, mean_curv), (se_d, se_e, se_g1, se_curv) = _mean_se([slack_d, slack_e, g_first, curvature])
     holds_d = mean_d >= -3.0 * se_d
     holds_e = mean_e >= -3.0 * se_e
     return EstimateReport(

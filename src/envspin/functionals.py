@@ -4,10 +4,12 @@ Given layers lower <= middle <= upper and an inclusive window [m, n], restrict
 attention to the disagreement sites (lower 0, upper 1) inside the window and
 read off the middle layer along that subsequence: its run count is the number
 of maximal constant runs, and its interior runs are those flanked on both
-sides by further disagreement sites.  `window_run_counts` computes both for a
-whole stack of triples on many windows from one scan of the stack, the
-windows being queries on it; `run_counts` is its batch of one window, and the
-scalar functions are batches of one triple.
+sides by further disagreement sites.  One query core (`_window_queries`)
+scans a whole stack of triples once over the hull of many windows and answers
+every window's run counts in one array pass, and each window's interior runs
+as a mask over the stack's runs.  `window_run_counts` and the estimators of
+`experiments` read both from it; `run_counts` is its batch of one window, and
+the scalar functions are batches of one triple.
 """
 
 from __future__ import annotations
@@ -36,18 +38,32 @@ def window_run_counts(lower, middle, upper, windows):
     Yields one (runs, interior) pair per window, in order: `runs[r]` is row
     r's run count (0 when the window holds no disagreement site) and
     `interior[r, l]` its number of interior runs of exact length l, an
-    (R, N + 1) integer array.  Every row must be ordered over the whole
-    lattice and every window must lie in it; both are checked when the
-    function is called, before anything is counted.
+    (R, N + 1) integer array built for one window at a time.  Every row must
+    be ordered over the whole lattice and every window must lie in it; both
+    are checked, and the stack scanned, when the function is called.
+    """
+    runs, row, length, interiors = _window_queries(lower, middle, upper, windows)
+    replicas, cells = runs.shape[1], _rows(middle).shape[1] + 1
+    code = row * cells + length
+    return ((r, np.bincount(code[inner], minlength=replicas * cells).reshape(replicas, cells))
+            for r, inner in zip(runs, interiors))
 
-    The stack is scanned once, over the hull of the windows: the
-    disagreement sites of all rows are laid end to end, so a run is a
-    stretch of constant (row, middle value).  Each window is then a query.
-    Its disagreement sites in row r are the stretch [lo_r, hi_r) of that
-    sequence, read off prefix counts; its runs are the runs that meet the
-    stretch, and a run is interior when the sites just before and just
-    after it both lie in the stretch, so that it is neither the first nor
-    the last of its row.
+
+def _window_queries(lower, middle, upper, windows):
+    """The one query core: every window, for every row of a stack of triples,
+    from one scan of the windows' hull, once the stack and windows are checked.
+
+    The hull's disagreement sites of all rows are laid end to end as
+    positions r * width + j, so a run is a stretch of constant (row, middle
+    value).  Window w's sites in row r are the stretch [lo, hi) of the sites,
+    read off the prefix counts `before` for all (w, r) at once, and the runs
+    meeting it are numbered count[lo + 1] to count[hi] (count[k + 1] numbers
+    site k's run).  A run is interior when the sites just before and after
+    it (`lead`, `trail`: their columns, outside every window when in another
+    row or missing) lie in the window, so it is neither first nor last there.
+
+    Returns the (windows, R) run counts, every run's row and length, and a
+    generator of each window's interior mask over the runs.
     """
     lo, mid, up = _rows(lower), _rows(middle), _rows(upper)
     if not (lo.shape == mid.shape == up.shape) or lo.ndim != 2:
@@ -55,57 +71,35 @@ def window_run_counts(lower, middle, upper, windows):
     if (lo > mid).any() or (mid > up).any():
         raise ValueError("layers must be ordered lower <= middle <= upper")
     size = lo.shape[1]
-    windows = list(windows)
-    for m, n in windows:
+    bounds = np.array(list(windows), dtype=np.int64).reshape(-1, 2)
+    for m, n in bounds.tolist():
         if m > n:
             raise ValueError("window endpoints must satisfy m <= n")
         if m < 0 or n >= size:
             raise ValueError("window [%d, %d] outside the lattice" % (m, n))
-    return _window_queries(lo, mid, up, windows)
-
-
-def _hull_runs(lo, mid, up, first, width):
-    """The runs of the hull columns [first, first + width) of every row.
-
-    The hull's disagreement sites are laid end to end as positions
-    r * width + j.  Returns `before`, where before[r * width + j] counts the
-    sites before that position, and each run's first site, its end (one past
-    its last site) and its row, as indices into the sites.  The sites, rows
-    and keys are freed on return, so only these stay alive while the
-    windows are answered.
-    """
+    first = bounds[:, 0].min(initial=size)
+    width = bounds[:, 1].max(initial=first - 1) + 1 - first
     hull = slice(first, first + width)
     disagree = ((lo[:, hull] == 0) & (up[:, hull] == 1)).ravel()
     before = np.zeros(disagree.size + 1, dtype=np.int64)
     np.cumsum(disagree, out=before[1:])
     sites = np.flatnonzero(disagree)
-    row = sites // width
-    key = 2 * row + mid[:, hull].ravel()[sites]
-    new_run = np.empty(sites.size, dtype=bool)
-    new_run[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    return before, starts, np.append(starts[1:], sites.size), row[starts]
-
-
-def _window_queries(lo, mid, up, windows):
-    if not windows:
-        return
-    replicas, size = lo.shape
-    first = min(m for m, _ in windows)
-    width = max(n for _, n in windows) + 1 - first
-    before, starts, ends, run_row = _hull_runs(lo, mid, up, first, width)
-    code = run_row * (size + 1) + (ends - starts)
-    base = np.arange(replicas) * width
-    for m, n in windows:
-        # row r's sites in [m, n] are the stretch [lo_r, hi_r) of the sites
-        lo_r = before[base + (m - first)]
-        hi_r = before[base + (n + 1 - first)]
-        # a run [s, e) meets the stretch when s < hi_r and e > lo_r
-        runs = (np.searchsorted(starts, hi_r) - np.searchsorted(ends, lo_r, side="right")) * (hi_r > lo_r)
-        inner = (starts > lo_r[run_row]) & (ends < hi_r[run_row])
-        interior = np.bincount(code[inner], minlength=replicas * (size + 1)).reshape(replicas, size + 1)
-        yield runs, interior
+    key = 2 * (sites // width) + mid[:, hull].ravel()[sites]
+    new_run = np.ones(sites.size + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new_run[1:-1])
+    count = np.zeros(sites.size + 2, dtype=np.int64)
+    np.cumsum(new_run[:-1], out=count[1:-1])
+    edges = np.flatnonzero(new_run)  # each run's first site, then one past the last
+    starts, ends = edges[:-1], edges[1:]
+    row = sites[starts] // width
+    at = np.concatenate(([-1], sites, [disagree.size]))  # at[k + 1]: site k's position
+    shift = first - row * width  # a position in a run's row, to its column
+    lead, trail = at[starts] + shift, at[ends + 1] + shift
+    base = np.arange(lo.shape[0]) * width - first
+    lo_r, hi_r = before[base + bounds[:, :1]], before[base + bounds[:, 1:] + 1]
+    runs = (count[hi_r] - count[lo_r + 1] + 1) * (hi_r > lo_r)
+    interiors = ((lead >= m) & (trail <= n) for m, n in bounds.tolist())
+    return runs, row, ends - starts, interiors
 
 
 def run_counts(lower, middle, upper, m, n):

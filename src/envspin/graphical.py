@@ -105,6 +105,13 @@ def _ring_budget(rate, t, advice):
     return rate * t
 
 
+def _replica_count(replicas):
+    """`replicas` as an int; a count that is not an integer >= 1 is a ValueError naming it."""
+    if isinstance(replicas, bool) or not isinstance(replicas, (int, np.integer)) or replicas < 1:
+        raise ValueError("replicas must be an integer >= 1, not %r" % (replicas,))
+    return int(replicas)
+
+
 class OrderViolationError(AssertionError):
     pass
 
@@ -795,6 +802,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     Returns the grid times, per grid time the in-window bits of every field,
     and the counters of `BatchResult`.
     """
+    replicas = _replica_count(replicas)
     grid = [float(t) for t in t_grid]
     if not all(map(math.isfinite, grid)):
         raise ValueError("t_grid times must be finite")

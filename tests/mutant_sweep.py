@@ -1,4 +1,4 @@
-"""Planted defects in the lockstep engine and its checks, and whether the tests kill them (not part of tier 1).
+"""Planted defects in the engines, the functionals and their checks, and whether the tests kill them (not part of tier 1).
 
     python tests/mutant_sweep.py [NAME ...]
 
@@ -40,8 +40,10 @@ class Mutant(NamedTuple):
 GRAPHICAL = "envspin/graphical.py"
 RATES = "envspin/rates.py"
 ORACLE = "envspin/oracle.py"
+FUNCTIONALS = "envspin/functionals.py"
 GOLDEN = "tests/test_engine_golden.py::test_engine_output_matches_golden_digest"
 KEYINGS = "tests/test_graphical.py::test_neighbourhood_words_match_lut_keys"
+BRUTE_RUNS = "tests/test_functionals.py::test_window_run_counts_matches_brute_force"
 
 MUTANTS = (
     Mutant(
@@ -129,6 +131,26 @@ MUTANTS = (
         "replay without its old-value check", GRAPHICAL,
         "            if work[e.layer][e.site] != e.old:\n", "            if False:\n",
         ("tests/test_graphical.py::test_replay_refuses_an_event_whose_old_value_does_not_match",),
+    ),
+    Mutant(
+        "run counts read the upper stretch bound one site short", FUNCTIONALS,
+        "before[base + bounds[:, 1:] + 1]", "before[base + bounds[:, 1:]]",
+        (BRUTE_RUNS,),
+    ),
+    Mutant(
+        "non-strict interior test: a run's own first site stands for the site before it", FUNCTIONALS,
+        "lead, trail = at[starts] + shift", "lead, trail = at[starts + 1] + shift",
+        (BRUTE_RUNS,),
+    ),
+    Mutant(
+        "window_rates opens an up-window at its upper end", GRAPHICAL,
+        "events.append((lo if ctr == 0 else hi, ctr, k))", "events.append((hi if ctr == 0 else lo, ctr, k))",
+        ("tests/test_acceptance.py::test_criterion_2_coupling_table_identity",),
+    ),
+    Mutant(
+        "generator diagonal summed over the incoming rates", ORACLE,
+        "diag = -np.bincount(rows, weights=vals, minlength=dim)", "diag = -np.bincount(cols, weights=vals, minlength=dim)",
+        ("tests/test_oracle.py::test_remark_vi_staircases_absorbing",),
     ),
 )
 

@@ -1,5 +1,10 @@
+import dataclasses
+import hashlib
 import json
 import math
+import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from envspin import (
     scenario_remarks,
     semigroup_apply,
 )
+from envspin import graphical
 from envspin.experiments import (
     EstimateReport,
     _mean_se,
@@ -28,7 +34,7 @@ from envspin.experiments import (
     sample_ordered_triples,
 )
 
-from _support import random_positive_spec, sample_ordered_quadruples
+from _support import ordered_stack, random_positive_spec, sample_ordered_quadruples
 
 
 def cpree(sites, **kw):
@@ -274,3 +280,104 @@ def test_report_json_schema():
         "scenario", "params", "estimate", "stderr", "replicas", "seed",
         "window", "horizon", "runtime_ms", "extra",
     }
+
+
+SUPERCRITICAL = dict(gamma=1.0, delta0=1.0, delta1=0.5, p=0.5, lam=3.0)
+
+
+def _report_digest(report):
+    """SHA-256 of a report's JSON with its wall time dropped, keys in the
+    order the estimator wrote them."""
+    data = dataclasses.asdict(report)
+    del data["runtime_ms"]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+def decay_nested_windows():
+    # the benchmark's run-counts shape: 300 coupled 64-site triples, 30
+    # nested windows, t = 0.05
+    spec = preset("cpree", sites=64, **SUPERCRITICAL)
+    windows = [(32 - k, 32 + k) for k in range(1, 31)]
+    return run_length_decay(spec, windows, t=0.05, replicas=300, seed=41)
+
+
+def decay_without_disagreement():
+    # lower = middle = upper in every replica: no window holds a
+    # disagreement site
+    spec = cpree(12)
+    rng = np.random.default_rng(42)
+    beta = rng.integers(0, 2, (40, 12)).astype(np.int8)
+    eta = rng.integers(0, 2, (40, 12)).astype(np.int8)
+    layers = [(eta, spec.spin_boundary)] * 3
+    windows = [(3, 6), (2, 9), (0, 11), (5, 5)]
+    return run_length_decay(spec, windows, t=0.5, replicas=40, seed=43, initial=((beta, spec.env_boundary), layers))
+
+
+def inequality_widest_window():
+    # m = 1, n = size - 2: both extensions reach the lattice ends
+    spec = cpree(10, lam=3.0, delta0=1.0, delta1=0.5)
+    return interval_inequality_check(spec, t=0.5, replicas=400, seed=44, m=1, n=8, l=1)
+
+
+def inequality_narrow_window():
+    spec = cpree(10, lam=3.0, delta0=1.0, delta1=0.5)
+    return interval_inequality_check(spec, t=0.5, replicas=400, seed=45, m=4, n=5, l=2)
+
+
+# captured before the estimators read the functionals' one query core; a
+# rewrite that claims the same samples and floats reproduces them bit for bit
+REPORT_GOLDEN = {
+    decay_nested_windows: "6b448a94fff307ef007893cba30d752a9807b0bef8f48e0ffd00ceeecd9f2cb3",
+    decay_without_disagreement: "fe8b3b3180bc6b784fe37ddd3709af8df06a2ac0d167efb58437ee6d1b419cb9",
+    inequality_widest_window: "79823fb89f1d72bdd2d4068008e5a8339623bc0512f9818723b9d1cd2fc46b40",
+    inequality_narrow_window: "6289c066723efb28e7e2b75a564f9fa6cfeb5e38b2b756a10f26c7ebca20260b",
+}
+
+
+@pytest.mark.parametrize("run", list(REPORT_GOLDEN), ids=lambda f: f.__name__)
+def test_estimator_report_matches_golden_digest(run):
+    assert _report_digest(run()) == REPORT_GOLDEN[run]
+
+
+@pytest.mark.parametrize("replicas", [0, -3, 2.5, True, "4"], ids=repr)
+def test_estimators_refuse_a_replica_count_that_is_not_a_positive_integer(monkeypatch, replicas):
+    # 0 once gave NaN estimates with "Mean of empty slice" warnings, -3 died
+    # in numpy's "negative dimensions are not allowed" and 2.5 in a numpy
+    # TypeError
+    spec = cpree(9)
+    eta = spec.spin_config((0, 1) * 4 + (1,))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made before the replica count was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    calls = (
+        lambda: estimate_coalescence(spec, "0" * 9, 1, 1.0, replicas, seed=1),
+        lambda: density_curves(spec, [0.5], replicas, seed=1),
+        lambda: run_length_decay(spec, [(3, 5)], 1.0, replicas, seed=1),
+        lambda: run_length_decay(spec, [(3, 5)], 1.0, replicas, seed=1, initial=(spec.env_config("0" * 9), [eta] * 3)),
+        lambda: interval_inequality_check(spec, 1.0, replicas, seed=1, m=3, n=5),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^replicas must be an integer >= 1, not %s$" % re.escape(repr(replicas))):
+            call()
+
+
+def test_run_length_decay_functional_pass_holds_one_window_at_a_time(monkeypatch):
+    # the benchmark's 300 x 64 stack and its 30 nested windows, within the
+    # bound `window_run_counts` keeps: a (windows, replicas, N + 1) array
+    # would hold 4.7 MB
+    spec = preset("cpree", sites=64, **SUPERCRITICAL)
+    stack = ordered_stack(np.random.default_rng(10).integers(0, 4, (300, 64)))
+    windows = [(32 - k, 32 + k) for k in range(1, 31)]
+    monkeypatch.setattr(graphical, "batch_evolve", lambda *args, **kwargs: SimpleNamespace(layers=[stack]))
+    beta = spec.env_config("0" * 64)
+    run_length_decay(spec, windows[:1], 0.05, 300, 1, initial=(beta, []))  # numpy's lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        rep = run_length_decay(spec, windows, 0.05, 300, 1, initial=(beta, []))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.extra["rows"]) == 30 and rep.extra["rows"][-1]["mean_runs"] > 0
+    assert peak <= 1.5e6, "peak %d bytes" % peak

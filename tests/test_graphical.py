@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -1240,3 +1241,39 @@ def test_coupled_horizons_over_the_event_budget_are_refused_before_any_draw(monk
     assert batch_envelope(still, [1e300], 5, 1)[0] == [1e300]
     beta, eta = batch_simulate_pair(still, still.env_config((0, 1, 0)), top, 1e300, 5, 1)
     assert np.all(eta == (1, 0, 1)) and np.all(beta == (0, 1, 0))
+
+
+BAD_REPLICAS = [0, -3, 2.5, True, "4"]
+
+
+@pytest.mark.parametrize("replicas", BAD_REPLICAS, ids=repr)
+@pytest.mark.parametrize("name", ["envelope", "evolve", "pair"])
+def test_batch_engines_refuse_a_replica_count_that_is_not_a_positive_integer(monkeypatch, name, replicas):
+    # 0 once gave empty stacks, -3 died in numpy's "negative dimensions are
+    # not allowed" and 2.5 in a numpy TypeError
+    sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
+    beta0, top = sc.env_config((0, 0, 0)), sc.spin_config((1, 1, 1))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a table or a generator was made before the replica count was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    monkeypatch.setattr(graphical, "_joint_table", no_work)
+    monkeypatch.setattr(graphical, "_field_rows", no_work)
+    calls = {
+        "envelope": lambda: batch_envelope(sc, [0.5], replicas, 1),
+        "evolve": lambda: batch_evolve(sc, beta0, [top], [0.5], replicas, seed=1),
+        "pair": lambda: batch_simulate_pair(sc, beta0, top, 0.5, replicas, 1),
+    }
+    with pytest.raises(ValueError, match=r"^replicas must be an integer >= 1, not %s$" % re.escape(repr(replicas))):
+        calls[name]()
+
+
+def test_batch_engines_take_a_numpy_integer_replica_count():
+    sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
+    beta0, top = sc.env_config((0, 0, 0)), sc.spin_config((1, 1, 1))
+    for replicas in (np.int64(4), np.int32(4)):
+        a, b = batch_evolve(sc, beta0, [top], [0.5], replicas, seed=1), batch_evolve(sc, beta0, [top], [0.5], 4, seed=1)
+        assert a.counters == b.counters and np.array_equal(a.layers[-1][0], b.layers[-1][0])
+        pair = batch_simulate_pair(sc, beta0, top, 0.5, replicas, 1)
+        assert all(np.array_equal(x, y) for x, y in zip(pair, batch_simulate_pair(sc, beta0, top, 0.5, 4, 1)))
