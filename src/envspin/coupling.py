@@ -448,8 +448,9 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     least as many replicas as words), each replica is one word, bits 2x and
     2x + 1 holding site x's background and spin, and the slot sums of every
     word are tabled once per call from the padded rows of
-    `graphical._padded_words`: an iteration takes its replicas' columns,
-    counts the slots below the uniform and XORs in that slot's bit.
+    `graphical._padded_words`: an iteration gathers its replicas' totals,
+    counts the slots below the uniform one slot row at a time, so no (2N,
+    replicas) array is gathered, and XORs in that slot's bit.
     Otherwise the state is one site-major byte array, the background's
     padded columns and then the spin's, by replica, whose keys and sums are
     rebuilt at every iteration.  The sums, and so the draws and the output,
@@ -501,19 +502,29 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
         flip = np.append(1 << np.add.outer([0, 1], 2 * np.arange(n)).ravel(), 0).astype(np.uint16)
         state = graphical._to_words(packed[:, halo:halo + n], 2)
 
-        def sums(cur):
-            return table.take(cur, axis=1)
+        def total_rate(cur):
+            return table[-1].take(cur)
 
-        def jump(cur, below):
-            cur ^= flip.take(np.add.reduce(below, axis=0, dtype=np.uint8))
+        def jump(cur, u):
+            # the slot of the jump: the number of slot sums below u, gathered
+            # a slot at a time, so no (2n, live) table is made
+            slot = np.zeros(len(cur), dtype=np.uint8)
+            for sums in table:
+                slot += sums.take(cur) < u
+            cur ^= flip.take(slot)
     else:
         state = np.concatenate([packed.T & 1, packed.T >> 1])
         # the state row each slot flips: background sites, then spin sites
         slot_rows = np.add.outer([0, width], halo + np.arange(n)).ravel()
-        sums = slot_sums
+        cum = None
 
-        def jump(cur, below):
-            cur[slot_rows] ^= np.diff(below, axis=0, prepend=True)
+        def total_rate(cur):
+            nonlocal cum
+            cum = slot_sums(cur)
+            return cum[-1]
+
+        def jump(cur, u):
+            cur[slot_rows] ^= np.diff(cum < u, axis=0, prepend=True)
 
     live = np.arange(replicas)
     # every replica's start, one column each
@@ -521,8 +532,7 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     cur = state.copy()
     clock = np.zeros(replicas)
     while True:
-        cum = sums(cur)
-        total = cum[-1]
+        total = total_rate(cur)
         running = total > 0
         if not running.any():
             break
@@ -534,7 +544,7 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
         # the jump is at the first slot whose cumulative rate reaches u; a
         # stopped replica's u = inf reaches none
         u = np.where(act, rng.random(replicas)[live] * total, np.inf)
-        jump(cur, cum < u)
+        jump(cur, u)
         if not act.all():
             state[..., live[~act]] = cur[..., ~act]
             keep = np.flatnonzero(act)

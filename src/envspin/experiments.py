@@ -225,10 +225,14 @@ def interval_inequality_check(spec: ModelSpec, t, replicas, seed, m, n, l=1) -> 
     Each inequality is reported as held when the estimated slack is above
     -3 standard errors; a larger violation flags insufficient burn-in or an
     implementation bug.  The three windows [m, n], [m-1, n] and [m, n+1] are
-    queries on one scan of the final stack (`functionals._window_queries`)."""
+    queries on one scan of the final stack (`functionals._window_queries`).
+    The run length l must be an integer >= 1 (a bool is not), as (E) is
+    stated; any other l is refused before anything is drawn."""
     start = time.perf_counter()
     if not (0 < m <= n < spec.size - 1):
         raise ValueError("need 0 < m <= n < size-1 so both window extensions exist")
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l < 1:
+        raise ValueError("l must be an integer >= 1, not %r" % (l,))
     result = _random_coupled_run(spec, [float(t)], replicas, seed)
     consts = dominating_rates(spec)
     C, K = consts.C, consts.K

@@ -29,20 +29,21 @@ arithmetic on the engine's own windows.
 The engine never compares U with a window.  All window endpoints, as the
 floats a comparison would use, cut [0, b_bar + c_hat) into atoms, and every
 U in one atom passes the same tests.  So one joint flip table, built once
-per call, maps (the bits a ring reads, the atom of U) to the XOR mask of the
-fields that flip, and each replica-site keeps all its fields in one byte: a
-ring is one gather of the bytes around its site, one lookup per slot for its
-key (or one word of those bytes beside its atom, when they fit 16 bits and
-the rings pay for its table), and one table lookup.  The table's atom
-lengths per flip set are `window_rates`' rates.  Nor does the engine draw U:
-one uniform double per ring, ranked among the (site, atom) starts of
-`_site_atoms`, picks the site and the atom together, and per-call tables
-indexed by that rank give the ring's gather columns and key rows.  A
-schedule that never sees the state (`_schedule`) draws every ring's count,
-order and rank, and one apply step per path (bytes, or the words below)
-applies them.  A call in which one replica expects more than EVENT_BUDGET
-rings is refused before anything is drawn, as is a
-`coupling.batch_simulate_pair` call (`_ring_budget`).
+per shape (`_plan`), maps (the bits a ring reads, the atom of U) to the XOR
+mask of the fields that flip, and each replica-site keeps all its fields in
+one byte: a ring is one gather of the bytes around its site, one lookup per
+slot for its key (or one word of those bytes beside its atom, when they fit
+16 bits and the rings pay for its table), and one table lookup.  The
+table's atom lengths per flip set are `window_rates`' rates.  Nor does the
+engine draw U: one uniform double per ring, ranked among the (site, atom)
+starts of `_site_atoms`, picks the site and the atom together, and tables
+indexed by that rank give the ring's key rows (per shape) and gather
+columns (per call: they read the start's boundary).  A schedule that never
+sees the state (`_schedule`) draws every ring's count, order and rank, and
+one apply step per path (bytes, or the words below) applies them.  A call
+in which one replica expects more than EVENT_BUDGET rings is refused before
+anything is drawn, as is a `coupling.batch_simulate_pair` call
+(`_ring_budget`).
 
 Both engines keep the pairs of `lattice.initially_ordered_pairs` ordered,
 but the lockstep engine compares them at every ring only when its table
@@ -749,6 +750,42 @@ def _schedule(rng, grid, rate, replicas, starts, lookup):
         yield counts, order, blocks(replicas - np.cumsum(np.bincount(counts, minlength=n_steps))[:n_steps])
 
 
+# _CROSSING[p, q]: per packed byte, bit p set and bit q clear
+_CROSSING = (np.arange(256) >> np.arange(8)[:, None, None]) & ~(np.arange(256) >> np.arange(8)[:, None]) & 1 > 0
+_CROSSING.flags.writeable = False
+
+# the most `_lockstep` shapes whose tables `_plan` keeps
+PLANS = 8
+
+
+@lru_cache(maxsize=PLANS)
+def _plan(pair, env, n, owner):
+    """The read-only tables of a `_lockstep` shape: spin tables `pair`,
+    background table `env`, size n, group backgrounds `owner` (a tuple).
+    Returns (edges, table, lut, key_rows) of `_joint_table`, (starts, site,
+    atom) of `_site_atoms`, the `_rank_lookup` of the starts, the key rows
+    by rank and `spin_rank`, nonzero at spin rings' ranks; the last six are
+    None on a clock of rate 0.  A TABLE_CAP refusal is not kept."""
+    spec = ModelSpec(pair, env, n)
+    consts = dominating_rates(spec)
+    lam = consts.b_bar + consts.c_hat
+    edges, table, lut, key_rows = _joint_table(
+        _windows(spec, consts), owner, env.range, consts.b_bar, lam, max(1, env.range)
+    )
+    starts = site = atom = lookup = rows_of = spin_rank = None
+    if lam > 0:  # a clock of rate 0 never rings
+        starts, site, atom = _site_atoms(edges, n)
+        lookup = _rank_lookup(starts)
+        rows_of = key_rows.take(atom, axis=1)
+        # slot 0 is not the center: its row is 0 exactly for background rings
+        spin_rank = rows_of[0] != 0
+    arrays = (edges, table, lut, key_rows, starts, site, atom, rows_of, spin_rank, *(lookup or ())[1:])
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+    return edges, table, lut, key_rows, starts, site, atom, lookup, rows_of, spin_rank
+
+
 def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     """Run `replicas` copies of G groups of (background, spin layers) in lockstep.
 
@@ -784,8 +821,8 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     gathers the bytes at x - halo..x + halo, turns them into its key by one
     lookup per slot (the center slot's row adds the offset of U's atom), and
     reads the mask of the fields that flip from the joint flip table of
-    `_joint_table`, by gather columns and key rows laid out per (site, atom)
-    pair of `_site_atoms` once per call.  When `_holds_words` accepts its
+    `_joint_table`, by key rows and gather columns laid out per (site, atom)
+    pair of `_site_atoms`.  When `_holds_words` accepts its
     2*halo + 1 slots with the atoms as ranks, a ring instead packs its bytes
     below its atom into one word, slot s at bits n_fields*s.., and takes its
     mask from `_neighbourhood_table`; the keyings share all else.
@@ -798,6 +835,21 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     tables of `_word_table`.  There is no gather and no scatter, and the
     schedule and counters are those of the byte path: outputs are
     byte-identical on either path.
+
+    What the shape determines is built once and kept (`_plan`), keyed by the
+    spin and background tables (which fix the halo), the size and the
+    fields' owners: the joint table, its lut and key rows, the (site, atom)
+    starts and their rank lookup, the key rows by rank and the spin ranks,
+    read-only, for the last PLANS shapes.  A plan holds at most TABLE_CAP
+    bytes of joint table, about 1.5 MiB of rank lookup, 2 KiB per lut row
+    (2*slots + one per edge) and 8*slots + 25 bytes per (site, atom) pair;
+    the benchmark's shapes hold about 60 KB each.  What a start determines
+    stays per call: the field rows, their census, the ordered pairs and
+    `crossed`, the gather columns (a ring wraps, or reads frozen words, by
+    the start's boundary) and the frozen halo bytes.  So do the order
+    proof, which reads the pairs and `crossed`, and the word and
+    neighbourhood tables, which a call builds only when its expected rings
+    outnumber their entries.
 
     Returns the grid times, per grid time the in-window bits of every field,
     and the counters of `BatchResult`.
@@ -823,7 +875,9 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     n_fields = len(inits)
     if n_fields > 8:
         raise ValueError("%d fields do not fit the 8 bits of a packed site" % n_fields)
-    edges, table, lut, key_rows = _joint_table(_windows(spec, consts), owner, radius, b_bar, lam, halo)
+    edges, table, lut, key_rows, starts, site, atom, lookup, rows_of, spin_rank = _plan(
+        spec.spin, spec.env, n, tuple(owner)
+    )
 
     # one row while every field starts alike in all replicas, else one per replica
     state = np.zeros((1, width), dtype=np.uint8)
@@ -836,13 +890,6 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         boundaries.append(boundary)
     if len({isinstance(b, Periodic) for b in boundaries}) > 1:
         raise ValueError("fields mix periodic and frozen boundaries")
-    cols = _site_columns(boundaries[0], n, halo, halo).T  # (slots, n)
-
-    byte = np.arange(256)
-
-    def crossing(p, q):
-        """Per packed byte: bit p set and bit q clear."""
-        return ((byte >> p) & ~(byte >> q) & 1).astype(bool)
 
     # which packed bytes some replica-site of the start holds (an indexed
     # store converts the indices in small buffers, so no replica-sized
@@ -851,7 +898,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     present[state[:, halo:halo + n]] = True
 
     def below(p, q):
-        return not present[crossing(p, q)].any()
+        return not present[_CROSSING[p, q]].any()
 
     # background pairs, then spin pairs, of fields whose backgrounds start ordered
     kinds = ([f for f in range(n_fields) if owner[f] == f], [f for f in range(n_fields) if owner[f] != f])
@@ -862,7 +909,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     # per packed byte, 1 + the index of the first pair it crosses (0: none)
     crossed = np.zeros(256, dtype=np.uint8)
     for k, (p, q) in reversed(list(enumerate(pairs))):
-        crossed[crossing(p, q)] = k + 1
+        crossed[_CROSSING[p, q]] = k + 1
     # every body byte starts uncrossed and a ring writes only its center, so
     # rings need checking only if the table may cross a pair or the halo
     # columns (the same in every row, and never written) cross one
@@ -871,15 +918,9 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
         _may_cross(table, edges, b_bar, owner, radius, pairs, crossed) or bool(crossed.take(edge).any())
     )
 
-    starts = lookup = None
     if lam > 0:  # a clock of rate 0 never rings
-        starts, site, atom = _site_atoms(edges, n)
-        lookup = _rank_lookup(starts)
-        # gather columns and key rows by the rank of a ring's V
-        cols_of = cols.take(site, axis=1)
-        rows_of = key_rows.take(atom, axis=1)
-        # slot 0 is not the center: its row is 0 exactly for background rings
-        spin_rank = rows_of[0] != 0
+        # gather columns by the rank of a ring's V, through the start's boundary
+        cols_of = _site_columns(boundaries[0], n, halo, halo).T.take(site, axis=1)
     # only the byte path checks rings, so a checked call keeps to it
     if lam > 0 and not check and _holds_words(n_fields, n, len(starts), expected * replicas):
         step_of, mask_of = _word_table(table, lut, rows_of, cols_of, site, edge[0], n_fields, n)

@@ -118,6 +118,19 @@ MUTANTS = (
         (GOLDEN, KEYINGS),
     ),
     Mutant(
+        # owners that hash alike and compare equal: a plan is found by the
+        # tables and size alone, whatever fields and groups it was built for
+        "lockstep plan keyed without the field owners", GRAPHICAL,
+        "spec.spin, spec.env, n, tuple(owner)",
+        'spec.spin, spec.env, n, type("Unkeyed", (tuple,), {"__hash__": lambda s: 0, "__eq__": lambda s, o: True})(owner)',
+        ("tests/test_graphical.py::test_plans_are_shared_only_by_calls_of_one_shape",),
+    ),
+    Mutant(
+        "lockstep plan arrays left writeable", GRAPHICAL,
+        "            array.flags.writeable = False\n", "            array.flags.writeable = True\n",
+        ("tests/test_graphical.py::test_plan_arrays_are_read_only",),
+    ),
+    Mutant(
         "class certificate without its jump-out check", ORACLE,
         "    if ((src >= 0) & (src != dst)).any():\n", "    if False:\n",
         ("tests/test_oracle.py::test_class_certificate_flags_planted_wrong_classes",),

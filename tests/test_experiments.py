@@ -363,6 +363,21 @@ def test_estimators_refuse_a_replica_count_that_is_not_a_positive_integer(monkey
             call()
 
 
+@pytest.mark.parametrize("l", [-2, 0, 1.5, 2.0, True, "1"], ids=repr)
+def test_interval_inequality_check_refuses_a_run_length_that_is_not_a_positive_integer(monkeypatch, l):
+    # on 12-site supercritical cpree (t = 0.5, 200 replicas, seed 22, m = 3,
+    # n = 8), l = -2, 0 and 1.5 were reported to hold (E), -2 and 1.5 with a
+    # slack of 0 +- 0
+    spec = cpree(12, lam=3.0, delta0=1.0, delta1=0.5)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made before l was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=r"^l must be an integer >= 1, not %s$" % re.escape(repr(l))):
+        interval_inequality_check(spec, t=0.5, replicas=200, seed=22, m=3, n=8, l=l)
+
+
 def test_run_length_decay_functional_pass_holds_one_window_at_a_time(monkeypatch):
     # the benchmark's 300 x 64 stack and its 30 nested windows, within the
     # bound `window_run_counts` keeps: a (windows, replicas, N + 1) array

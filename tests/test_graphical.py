@@ -1173,6 +1173,84 @@ def test_configuration_starts_match_tiled_starts_on_both_paths(monkeypatch):
             np.testing.assert_equal(batch_envelope(spec, [0.5, 1.0], replicas, 6), (times, [tuple(s) for s in snaps], 0))
 
 
+# the plan memo: what a lockstep shape determines is built once per shape and
+# shared, read-only, by every call of that shape
+
+
+def _plan_calls():
+    """Short lockstep calls, each differing from the first in one of: the
+    layer count or grouping (field owners), the boundary and its halo
+    bytes, the size, the background range, one spin rate."""
+    base = cpree(sites=6, delta0=1.0, delta1=0.5, lam=3.0)
+    rates = list(base.spin.c0.values)
+    rates[0b101] += 0.25  # the top up-rate: still attractive
+    specs = [
+        base,
+        ModelSpec(base.spin, base.env, 6, FrozenWords("10", "01")),
+        ModelSpec(base.spin, base.env, 6, FrozenWords("01", "11")),
+        cpree(sites=7, delta0=1.0, delta1=0.5, lam=3.0),
+        ModelSpec(base.spin, random_attractive_env(np.random.default_rng(134), 1), 6),
+        ModelSpec(SpinRatePair(LocalSpinRates(tuple(rates)), base.spin.c1), base.env, 6),
+    ]
+
+    def evolve_call(spec, n_layers, seed):
+        def run():
+            beta0 = spec.env_config(tuple(x % 2 for x in range(spec.size)))
+            res = batch_evolve(spec, beta0, _spin_stack(spec, n_layers), [0.3, 0.6], 40, seed)
+            return [res.times, res.background, res.layers, res.counters]
+        return run
+
+    calls = [evolve_call(spec, 3, k) for k, spec in enumerate(specs)]
+    calls += [evolve_call(base, 1, 10), evolve_call(base, 4, 11), lambda: batch_envelope(base, [0.3, 0.6], 40, 12)]
+    return calls
+
+
+def test_plans_are_shared_only_by_calls_of_one_shape():
+    # interleaved twice, every call gives what it gives on an empty memo;
+    # the 3-layer stack and the envelope both pack four fields, grouped
+    # differently
+    calls = _plan_calls()
+    graphical._plan.cache_clear()
+    first = [call() for call in calls]
+    second = [call() for call in calls]
+    info = graphical._plan.cache_info()
+    # nine calls of seven shapes: the frozen starts are the periodic shape's
+    assert info.misses == 7 and info.hits == 2 * len(calls) - 7, info
+    for call, a, b in zip(calls, first, second):
+        graphical._plan.cache_clear()
+        np.testing.assert_equal(a, call())
+        np.testing.assert_equal(b, a)
+
+
+def test_plan_arrays_are_read_only():
+    spec = cpree(sites=6, delta0=1.0, delta1=0.5, lam=3.0)
+    for owner in ((0, 0), (0, 0, 0, 0), (0, 0, 2, 2)):
+        edges, table, lut, key_rows, starts, site, atom, lookup, rows_of, spin_rank = graphical._plan(
+            spec.spin, spec.env, 6, owner
+        )
+        arrays = [edges, table, lut, key_rows, starts, site, atom, rows_of, spin_rank, *lookup[1:]]
+        for array in arrays + [graphical._CROSSING]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = array[(0,) * array.ndim]
+
+
+def test_plan_memo_is_bounded_and_keeps_no_refusal():
+    graphical._plan.cache_clear()
+    assert graphical._plan.cache_info().maxsize == graphical.PLANS
+    for n in range(3, graphical.PLANS + 6):
+        spec = cpree(sites=n)
+        batch_evolve(spec, spec.env_config((0,) * n), _spin_stack(spec, 1), [0.1], 2, seed=n)
+    info = graphical._plan.cache_info()
+    assert info.misses == graphical.PLANS + 3 and info.currsize == graphical.PLANS, info
+    # six layers' joint table exceeds TABLE_CAP: refused on every call, never kept
+    spec = cpree(sites=5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exceeds TABLE_CAP"):
+            batch_evolve(spec, spec.env_config((0,) * 5), [spec.spin_config((1,) * 5)] * 6, [0.1], 2, seed=1)
+    assert graphical._plan.cache_info().misses == info.misses + 2
+
+
 def _horizon_calls(name, t):
     sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
     beta0, top = sc.env_config((0, 0, 0)), sc.spin_config((1, 1, 1))
