@@ -20,7 +20,6 @@ both direct simulators, and `_float_menu` alone decodes them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,8 +31,11 @@ from .lattice import (
     Configuration,
     FrozenWords,
     JointState,
+    _count,
     _field_rows,
+    _finite_nonnegative,
     _site_columns,
+    _start_size,
     layer_names,
     leq,
     order_pairs,
@@ -41,7 +43,7 @@ from .lattice import (
     word_index,
 )
 from . import graphical
-from .graphical import EVENT_BUDGET, Event, EventBudgetError, OrderViolationError, Trajectory, exact_table
+from .graphical import Event, OrderViolationError, Trajectory, _expected_events, exact_table
 from .rates import EnvRateSpec, ModelSpec, ModelViolationError, SpinRatePair
 
 
@@ -236,6 +238,7 @@ class _CoupledStart:
     def __init__(self, cspec, initial):
         spec = cspec.base
         n = spec.size
+        _start_size("beta", len(initial.beta), n)
         fields = (initial.beta, *initial.layers)
         self.menus_of = _float_menus(spec.spin, spec.env, cspec.arity)
         self.boundaries = tuple(cfg.boundary for cfg in fields)
@@ -279,9 +282,7 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
     the sites that read it (`_toggle_table`), and only those get new menus.
     The draws are those of `exponential(1 / total)` and `uniform(0, total)`.
     The layer order is checked at every spin flip; a crossing raises
-    OrderViolationError.  A horizon at which the start's total rate would
-    make more than EVENT_BUDGET jumps is refused with EventBudgetError
-    before anything is drawn.
+    OrderViolationError.  The inputs are checked before anything is drawn.
 
     What the start determines (its keys, menus and totals, the toggles) is
     made once per distinct (cspec, initial) and kept in a bounded cache
@@ -294,19 +295,13 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
     """
     if len(initial.layers) != cspec.arity:
         raise ValueError("%d spin layers given for arity %d" % (len(initial.layers), cspec.arity))
-    if not 0 <= t_max < math.inf:
-        raise ValueError("t_max must be finite and >= 0")
+    _finite_nonnegative("t_max", t_max)
     global _last_start
     last_cspec, last_initial, start = _last_start
     if cspec is not last_cspec or initial is not last_initial:
         start = _coupled_start(cspec, initial)
         _last_start = cspec, initial, start
-    jumps = start.total * t_max
-    if jumps > EVENT_BUDGET:
-        raise EventBudgetError(
-            "about %.3g jumps by t=%r at the start's rate exceed the event budget of %d"
-            % (jumps, t_max, EVENT_BUDGET)
-        )
+    _expected_events(start.total, t_max, "lower t_max", "jumps by t=%r at the start's rate")
     n = cspec.base.size
     menus_of, toggles = start.menus_of, start.toggles
     keys, menus, site_totals = list(start.keys), list(start.menus), list(start.site_totals)
@@ -457,21 +452,20 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     are bit-identical on either path.
 
     A replica's total rate is at most N*(b_bar + c_hat), the lockstep
-    clock's, so a horizon at which that clock expects more than EVENT_BUDGET
-    rings per replica is refused with EventBudgetError before anything is
-    drawn, as `graphical._lockstep` refuses it.
+    clock's, so the event budget holds its horizon to that clock's rings, as
+    for `graphical._lockstep`; the inputs are checked before anything is drawn.
     """
-    replicas = graphical._replica_count(replicas)
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and >= 0")
+    replicas = _count("replicas", replicas, 1)
     n = spec.size
     consts = spec.constants()
-    graphical._ring_budget(n * (consts.b_bar + consts.c_hat), t, "lower t")
-    rng = np.random.default_rng(seed)
+    _expected_events(n * (consts.b_bar + consts.c_hat), _finite_nonnegative("t", t), "lower t")
     radius = spec.env.range
     halo = max(1, radius)
     B, b_boundary = _field_rows(beta0, replicas, halo)
     E, e_boundary = _field_rows(eta0, replicas, halo)
+    _start_size("beta", B.shape[1] - 2 * halo, n)
+    _start_size("eta", E.shape[1] - 2 * halo, n)
+    rng = np.random.default_rng(seed)
     # one row when both fields start alike in all replicas, else one per replica
     packed = B.view(np.uint8) | E.view(np.uint8) << 1
     width = packed.shape[1]

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import functionals, graphical, oracle
+from .lattice import _count
 from .rates import ModelSpec, dominating_rates, preset
 
 
@@ -58,9 +59,10 @@ def _window_sites(spec, k):
     """2k+1 contiguous sites recentred on the middle of the window."""
     n = spec.size
     if k < 0:
-        raise ValueError("window half-width %d is negative" % k)
+        raise ValueError("window half-width %s is negative" % k)
     if 2 * k + 1 > n:
-        raise ValueError("window half-width %d does not fit in %d sites" % (k, n))
+        raise ValueError("window half-width %s does not fit in %d sites" % (k, n))
+    k = _count("k", k, 0)
     center = n // 2
     return [(center + d) % n for d in range(-k, k + 1)]
 
@@ -159,7 +161,7 @@ def run_decay_csv_text(report: EstimateReport) -> str:
 def _random_coupled_run(spec, t_grid, replicas, seed):
     """Coupled triples from per-replica random ordered starts over a random
     background; returns the batch result."""
-    replicas = graphical._replica_count(replicas)
+    replicas = _count("replicas", replicas, 1)
     rng = np.random.default_rng(seed)
     beta_bits = rng.integers(0, 2, size=(replicas, spec.size)).astype(np.int8)
     layers = sample_ordered_triples(rng, replicas, spec.size)
@@ -181,6 +183,7 @@ def run_length_decay(spec: ModelSpec, windows, t, replicas, seed, initial=None) 
     come from one scan of the final stack (`functionals._window_queries`)
     and are reduced at once; a window's interior totals count its runs' lengths."""
     start = time.perf_counter()
+    windows = functionals._window_bounds(windows, spec.size).tolist()
     if initial is None:
         result = _random_coupled_run(spec, [float(t)], replicas, seed)
     else:
@@ -226,13 +229,12 @@ def interval_inequality_check(spec: ModelSpec, t, replicas, seed, m, n, l=1) -> 
     -3 standard errors; a larger violation flags insufficient burn-in or an
     implementation bug.  The three windows [m, n], [m-1, n] and [m, n+1] are
     queries on one scan of the final stack (`functionals._window_queries`).
-    The run length l must be an integer >= 1 (a bool is not), as (E) is
-    stated; any other l is refused before anything is drawn."""
+    The endpoints m, n and the run length l >= 1 (as (E) is stated) must
+    be integers; they are checked before anything is drawn."""
     start = time.perf_counter()
     if not (0 < m <= n < spec.size - 1):
         raise ValueError("need 0 < m <= n < size-1 so both window extensions exist")
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l < 1:
-        raise ValueError("l must be an integer >= 1, not %r" % (l,))
+    m, n, l = _count("m", m, 0), _count("n", n, 0), _count("l", l, 1)
     result = _random_coupled_run(spec, [float(t)], replicas, seed)
     consts = dominating_rates(spec)
     C, K = consts.C, consts.K

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Configuration
+from .lattice import Configuration, _count
 
 
 def _rows(layer):
@@ -49,6 +49,18 @@ def window_run_counts(lower, middle, upper, windows):
             for r, inner in zip(runs, interiors))
 
 
+def _window_bounds(windows, size):
+    """The windows [m, n] as a (W, 2) int64 array, once each is checked: integer ends in `size` sites."""
+    bounds = []
+    for m, n in windows:
+        if m > n:
+            raise ValueError("window endpoints must satisfy m <= n")
+        if m < 0 or n >= size:
+            raise ValueError("window [%s, %s] outside the lattice" % (m, n))
+        bounds.append((_count("m", m, 0), _count("n", n, 0)))
+    return np.array(bounds, dtype=np.int64).reshape(-1, 2)
+
+
 def _window_queries(lower, middle, upper, windows):
     """The one query core: every window, for every row of a stack of triples,
     from one scan of the windows' hull, once the stack and windows are checked.
@@ -71,12 +83,7 @@ def _window_queries(lower, middle, upper, windows):
     if (lo > mid).any() or (mid > up).any():
         raise ValueError("layers must be ordered lower <= middle <= upper")
     size = lo.shape[1]
-    bounds = np.array(list(windows), dtype=np.int64).reshape(-1, 2)
-    for m, n in bounds.tolist():
-        if m > n:
-            raise ValueError("window endpoints must satisfy m <= n")
-        if m < 0 or n >= size:
-            raise ValueError("window [%d, %d] outside the lattice" % (m, n))
+    bounds = _window_bounds(windows, size)
     first = bounds[:, 0].min(initial=size)
     width = bounds[:, 1].max(initial=first - 1) + 1 - first
     hull = slice(first, first + width)

@@ -40,10 +40,7 @@ starts of `_site_atoms`, picks the site and the atom together, and tables
 indexed by that rank give the ring's key rows (per shape) and gather
 columns (per call: they read the start's boundary).  A schedule that never
 sees the state (`_schedule`) draws every ring's count, order and rank, and
-one apply step per path (bytes, or the words below) applies them.  A call
-in which one replica expects more than EVENT_BUDGET rings is refused before
-anything is drawn, as is a `coupling.batch_simulate_pair` call
-(`_ring_budget`).
+one apply step per path (bytes, or the words below) applies them.
 
 Both engines keep the pairs of `lattice.initially_ordered_pairs` ordered,
 but the lockstep engine compares them at every ring only when its table
@@ -74,8 +71,11 @@ from .lattice import (
     Configuration,
     MutableWindow,
     Periodic,
+    _count,
     _field_rows,
+    _finite_nonnegative,
     _site_columns,
+    _start_size,
     initially_ordered_pairs,
     layer_names,
     leq,
@@ -93,24 +93,17 @@ class EventBudgetError(RuntimeError):
         self.reason = reason
 
 
-# the most rings an EventStream draws by default, and the most events a run of
-# `coupling.simulate_coupled` or one batch replica may expect (`_ring_budget`)
+# the most rings an EventStream draws by default, and the most events that a
+# run, a batch replica or a uniformized chain may expect (`_expected_events`)
 EVENT_BUDGET = 10_000_000
 
 
-def _ring_budget(rate, t, advice):
-    """rate*t, one replica's expected rings by t on a clock of `rate`; over EVENT_BUDGET, EventBudgetError."""
+def _expected_events(rate, t, advice, what="rings per replica by t=%r"):
+    """rate*t, a clock's expected events by t; over EVENT_BUDGET, EventBudgetError saying `what` % t and `advice`."""
     if rate * t > EVENT_BUDGET:
-        raise EventBudgetError("about %.3g rings per replica by t=%r exceed the event budget of %d"
-                               % (rate * t, t, EVENT_BUDGET), advice)
+        raise EventBudgetError("about %.3g %s exceed the event budget of %d" % (rate * t, what % (t,), EVENT_BUDGET),
+                               advice)
     return rate * t
-
-
-def _replica_count(replicas):
-    """`replicas` as an int; a count that is not an integer >= 1 is a ValueError naming it."""
-    if isinstance(replicas, bool) or not isinstance(replicas, (int, np.integer)) or replicas < 1:
-        raise ValueError("replicas must be an integer >= 1, not %r" % (replicas,))
-    return int(replicas)
 
 
 class OrderViolationError(AssertionError):
@@ -180,11 +173,9 @@ class EventStream:
     """
 
     def __init__(self, spec: ModelSpec, seed, t_max, max_events=EVENT_BUDGET):
-        if not 0 <= t_max < math.inf:
-            raise ValueError("t_max must be finite and >= 0")
         self.spec = spec
-        self.seed = int(seed)
-        self.t_max = float(t_max)
+        self.seed = _count("seed", seed, 0)
+        self.t_max = float(_finite_nonnegative("t_max", t_max))
         self.max_events = int(max_events)
         self.consts = dominating_rates(spec)
         self._sites = {}
@@ -280,11 +271,9 @@ def evolve(beta0: Configuration, spin_layers, stream: EventStream) -> Trajectory
     one instant (never, for continuous clocks) trip an assertion.
     """
     spec, consts = stream.spec, stream.consts
-    if len(beta0) != spec.size:
-        raise ValueError("initial background has %d sites, spec wants %d" % (len(beta0), spec.size))
-    if any(len(cfg) != spec.size for cfg in spin_layers):
-        raise ValueError("spin layers must have %d sites" % spec.size)
     names = layer_names(len(spin_layers))
+    for name, cfg in zip(("beta", *names), (beta0, *spin_layers)):
+        _start_size(name, len(cfg), spec.size)
     ordered = initially_ordered_pairs(spin_layers, leq)
     beta = MutableWindow(beta0)
     layers = [MutableWindow(cfg) for cfg in spin_layers]
@@ -798,9 +787,8 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     start's census of packed bytes, its frozen halo bytes and its words are
     read from those rows: set-up scales with the distinct starts, not with
     the replicas.  The first interval's `take` makes a row per replica, and
-    the output does not depend on which form a start is given in.  A call in
-    which one replica expects more than EVENT_BUDGET rings is refused before
-    anything is built or drawn.  The rings come from `_schedule`: a ring's
+    the output does not depend on which form a start is given in.  Its inputs
+    are checked before anything is built or drawn.  The rings come from `_schedule`: a ring's
     rank gives its site x and the atom of its mark U on [0, b_bar + c_hat),
     and U < b_bar rings every background at x with mark U, otherwise every
     spin layer reads U - b_bar against its own group's background.  The pairs
@@ -854,17 +842,15 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     Returns the grid times, per grid time the in-window bits of every field,
     and the counters of `BatchResult`.
     """
-    replicas = _replica_count(replicas)
-    grid = [float(t) for t in t_grid]
-    if not all(map(math.isfinite, grid)):
-        raise ValueError("t_grid times must be finite")
-    if any(b < a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
+    replicas = _count("replicas", replicas, 1)
+    grid = [_finite_nonnegative("t_grid times", float(t)) for t in t_grid]
+    if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("t_grid must be nondecreasing and nonnegative")
     consts = dominating_rates(spec)
     n, radius = spec.size, spec.env.range
     b_bar, c_hat = consts.b_bar, consts.c_hat
     lam = b_bar + c_hat
-    expected = _ring_budget(lam * n, grid[-1] if grid else 0.0, "lower the t_grid times")
+    expected = _expected_events(lam * n, grid[-1] if grid else 0.0, "lower the t_grid times")
     halo = max(1, radius)
     width = n + 2 * halo
 
@@ -884,8 +870,7 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     boundaries = []
     for f, start in enumerate(inits):
         rows, boundary = _field_rows(start, replicas, halo)
-        if rows.shape[1] != width:
-            raise ValueError("%s has %d sites, not %d" % (names[f], rows.shape[1] - 2 * halo, n))
+        _start_size(names[f], rows.shape[1] - 2 * halo, n)
         state = state | rows.view(np.uint8) << f
         boundaries.append(boundary)
     if len({isinstance(b, Periodic) for b in boundaries}) > 1:

@@ -135,6 +135,27 @@ def word_index(a, x: int, radius: int) -> int:
     return idx
 
 
+# the input rules of every engine and estimator: a ValueError naming the input
+def _count(name, value, low):
+    """`value` as an int: an integer (numpy's too, not a bool) of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError("%s must be an integer >= %d, not %r" % (name, low, value))
+    return int(value)
+
+
+def _finite_nonnegative(name, x, *args):
+    """`x`, a horizon or a rate, when it is finite and at least 0; `name % args` names it."""
+    if not 0 <= x < np.inf:
+        raise ValueError("%s must be finite and >= 0" % (name % args))
+    return x
+
+
+def _start_size(name, sites, n):
+    """A start, here of `sites` sites, must have the spec's n."""
+    if sites != n:
+        raise ValueError("%s has %d sites, not %d" % (name, sites, n))
+
+
 def _field_rows(init, replicas, halo):
     """One field's padded rows, and its boundary.  `init` is a Configuration,
     the same start in every replica, which gives its one row (shape (1,

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import _float_menus, _fold_keys, _key_columns
-from .graphical import EVENT_BUDGET, EventBudgetError
-from .lattice import _field_rows, order_pairs
+from .graphical import _expected_events
+from .lattice import _field_rows, _finite_nonnegative, order_pairs
 from .rates import ModelSpec
 
 
@@ -408,21 +408,15 @@ def semigroup_apply(G: GeneratorMatrix, p0, t) -> SemigroupResult:
     The jump rate is the maximal outflow plus one; the Poisson series is cut
     once its mass reaches 1 - SERIES_TAIL, and long horizons are split into
     chunks of mean CHUNK so the leading Poisson weight never underflows.  The
-    accumulated tail mass is reported as `truncation_error`.  A horizon at
-    which the uniformized chain would make more than EVENT_BUDGET jumps is
-    refused with EventBudgetError before any product.
+    accumulated tail mass is reported as `truncation_error`.  The horizon is
+    held to the event budget at the jump rate before any product.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and >= 0")
+    _finite_nonnegative("t", t)
     p = np.array(p0, dtype=float)
     if p.shape != (G.dim,):
         raise ValueError("distribution must have length %d" % G.dim)
     lam = float(-G.diag.min()) + 1.0
-    if lam * t > EVENT_BUDGET:
-        raise EventBudgetError(
-            "about %.3g jumps by t=%r at the uniformization rate exceed the event budget of %d"
-            % (lam * t, t, EVENT_BUDGET), "lower t"
-        )
+    _expected_events(lam, t, "lower t", "jumps by t=%r at the uniformization rate")
     err = 0.0
     remaining = float(t)
     while remaining > 0:

@@ -26,12 +26,11 @@ Two structural conditions drive everything downstream:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import PERIODIC, Configuration, FrozenWords, Periodic
+from .lattice import PERIODIC, Configuration, FrozenWords, Periodic, _finite_nonnegative
 
 
 class ModelViolationError(RuntimeError):
@@ -42,10 +41,7 @@ def _check_table(values, n_entries, what):
     vals = tuple(float(v) for v in values)
     if len(vals) != n_entries:
         raise ValueError("%s needs exactly %d entries, got %d" % (what, n_entries, len(vals)))
-    for v in vals:
-        if not math.isfinite(v) or v < 0:
-            raise ValueError("%s entries must be finite and >= 0, got %r" % (what, v))
-    return vals
+    return tuple(_finite_nonnegative("%s entry %r", v, what, v) for v in vals)
 
 
 def _word_keys(width):
@@ -470,9 +466,10 @@ def parse_config(text) -> ModelSpec:
                 rate = float(value)
             except ValueError:
                 raise ConfigError("bad number %r for key %r" % (value, key), lineno) from None
-            if not (math.isfinite(rate) and rate >= 0):
-                raise ConfigError("rate %r for key %r must be finite and >= 0" % (value, key), lineno)
-            rates[int(key, 2)] = rate
+            try:
+                rates[int(key, 2)] = _finite_nonnegative("rate %r for key %r", rate, value, key)
+            except ValueError as err:
+                raise ConfigError(str(err), lineno) from None
         if len(rates) < 1 << width:
             missing = next(w for w in range(1 << width) if w not in rates)
             raise ConfigError("missing key %r in [%s]" % (format(missing, "0%db" % width), section))

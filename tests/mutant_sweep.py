@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 
 GRAPHICAL = "envspin/graphical.py"
+LATTICE = "envspin/lattice.py"
 RATES = "envspin/rates.py"
 ORACLE = "envspin/oracle.py"
 FUNCTIONALS = "envspin/functionals.py"
@@ -100,9 +101,34 @@ MUTANTS = (
         ("tests/test_graphical.py::test_order_proof_fails_for_a_non_attractive_table",),
     ),
     Mutant(
-        "batch engines without the event budget", GRAPHICAL,
+        "expected events without the event budget", GRAPHICAL,
         "    if rate * t > EVENT_BUDGET:\n", "    if False:\n",
-        ("tests/test_graphical.py::test_coupled_horizons_over_the_event_budget_are_refused_before_any_draw",),
+        ("tests/test_graphical.py::test_lockstep_horizons_over_the_event_budget_are_refused_before_any_draw",
+         "tests/test_graphical.py::test_pair_horizons_over_the_event_budget_are_refused_before_any_draw",
+         "tests/test_graphical.py::test_coupled_horizons_over_the_event_budget_are_refused_before_any_draw",
+         "tests/test_oracle.py::test_semigroup_refuses_a_horizon_over_the_event_budget_before_any_product"),
+    ),
+    Mutant(
+        "horizon rule accepts +inf", LATTICE,
+        "    if not 0 <= x < np.inf:\n", "    if not 0 <= x <= np.inf:\n",
+        ("tests/test_graphical.py::test_non_finite_or_negative_horizons_are_refused_before_any_draw",
+         "tests/test_oracle.py::test_semigroup_refuses_a_horizon_that_is_not_finite_and_nonnegative"),
+    ),
+    Mutant(
+        "count rule accepts a bool", LATTICE,
+        "isinstance(value, bool) or not isinstance(value, (int, np.integer))",
+        "not isinstance(value, (int, np.integer))",
+        ("tests/test_graphical.py::test_batch_engines_refuse_a_replica_count_that_is_not_a_positive_integer",
+         "tests/test_graphical.py::test_event_stream_refuses_a_seed_that_is_not_an_integer_of_at_least_0",
+         "tests/test_experiments.py::test_interval_inequality_check_refuses_a_run_length_that_is_not_a_positive_integer"),
+    ),
+    Mutant(
+        "start-size rule accepts any size", LATTICE,
+        "    if sites != n:\n", "    if False:\n",
+        ("tests/test_coupling.py::test_simulate_coupled_refuses_a_start_of_another_size",
+         "tests/test_coupling.py::test_pair_byte_path_refuses_a_start_of_another_size",
+         "tests/test_coupling.py::test_pair_word_path_refuses_a_start_of_another_size",
+         "tests/test_graphical.py::test_evolve_refuses_a_start_of_another_size"),
     ),
     Mutant(
         "neighbourhood words combine the slots in reversed order", GRAPHICAL,

@@ -23,7 +23,8 @@ from envspin import (
     simulate_coupled,
     window_rates,
 )
-from envspin.coupling import _agreement_scan, _float_menu, _toggle_table, site_menu
+from envspin import graphical
+from envspin.coupling import _agreement_scan, _float_menu, _toggle_table, batch_simulate_pair, site_menu
 from envspin.graphical import Event, Trajectory
 from envspin.lattice import MutableWindow, layer_names, word_index
 
@@ -302,6 +303,42 @@ def test_simulate_coupled_rejects_layers_other_than_arity():
     init = make_state(spec, (0,) * 6, [(0,) * 6, (0, 1, 0, 1, 0, 1), (1,) * 6])
     with pytest.raises(ValueError, match="arity 4"):
         simulate_coupled(CoupledSpec(spec, 4), init, seed=1, t_max=1.0)
+
+
+def _cpree4():
+    return preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.5, sites=4)
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a generator was made before the start was checked")
+
+
+def test_simulate_coupled_refuses_a_start_of_another_size(monkeypatch):
+    # a 5-site start on a 4-site spec once gave a trajectory whose initial
+    # state had 5 sites and whose final state had 4
+    spec = _cpree4()
+    monkeypatch.setattr(np.random, "default_rng", _no_draw)
+    with pytest.raises(ValueError, match="^beta has 5 sites, not 4$"):
+        simulate_coupled(CoupledSpec(spec, 1), make_state(spec, (0,) * 5, [(1,) * 5]), 1, 1.0)
+
+
+def _pair_refuses_a_start_of_another_size(monkeypatch, replicas, words):
+    # 5-site starts on a 4-site spec once gave (replicas, 4) arrays on both paths
+    spec = _cpree4()
+    assert graphical._holds_words(2, 4, 8, 8 * replicas) == words
+    monkeypatch.setattr(np.random, "default_rng", _no_draw)
+    five, four = spec.spin_config((1,) * 5), spec.spin_config((1,) * 4)
+    for beta0, eta0, name in ((five, five, "beta"), (four, five, "eta")):
+        with pytest.raises(ValueError, match="^%s has 5 sites, not 4$" % name):
+            batch_simulate_pair(spec, beta0, eta0, 1.0, replicas, 1)
+
+
+def test_pair_byte_path_refuses_a_start_of_another_size(monkeypatch):
+    _pair_refuses_a_start_of_another_size(monkeypatch, 10, False)
+
+
+def test_pair_word_path_refuses_a_start_of_another_size(monkeypatch):
+    _pair_refuses_a_start_of_another_size(monkeypatch, 2000, True)
 
 
 def test_classification_examples():

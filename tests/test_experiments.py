@@ -378,6 +378,48 @@ def test_interval_inequality_check_refuses_a_run_length_that_is_not_a_positive_i
         interval_inequality_check(spec, t=0.5, replicas=200, seed=22, m=3, n=8, l=l)
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("a generator was made or the engine ran before the window was checked")
+
+
+@pytest.mark.parametrize("case", ["decay-m", "decay-n", "interval-m", "interval-n", "coalescence-k"])
+def test_estimators_refuse_window_endpoints_that_are_not_integers_before_any_draw(monkeypatch, case):
+    # run_length_decay once reported m = 1.5, interval_inequality_check a
+    # window of 2.5 sites at m = 1.5, and estimate_coalescence died in a
+    # TypeError from range at k = 1.5
+    spec = cpree(5)
+    monkeypatch.setattr(np.random, "default_rng", _no_work)
+    monkeypatch.setattr(graphical, "batch_evolve", _no_work)
+    calls = {
+        "decay-m": (lambda: run_length_decay(spec, [(1, 2), (1.5, 3)], 1.0, 10, seed=1), "m", 1.5),
+        "decay-n": (lambda: run_length_decay(spec, [(1, 3.0)], 1.0, 10, seed=1), "n", 3.0),
+        "interval-m": (lambda: interval_inequality_check(spec, 1.0, 10, seed=1, m=1.5, n=3), "m", 1.5),
+        "interval-n": (lambda: interval_inequality_check(spec, 1.0, 10, seed=1, m=1, n=np.float64(3)), "n",
+                       np.float64(3)),
+        "coalescence-k": (lambda: estimate_coalescence(spec, "0" * 5, 1.5, 1.0, 10, seed=1), "k", 1.5),
+    }
+    call, name, value = calls[case]
+    with pytest.raises(ValueError, match=r"^%s must be an integer >= 0, not %s$" % (name, re.escape(repr(value)))):
+        call()
+
+
+def test_run_length_decay_refuses_a_window_outside_the_lattice_before_the_engine_runs(monkeypatch):
+    # it once refused such a window only after a full engine call
+    monkeypatch.setattr(np.random, "default_rng", _no_work)
+    monkeypatch.setattr(graphical, "batch_evolve", _no_work)
+    with pytest.raises(ValueError, match=r"^window \[1, 5\] outside the lattice$"):
+        run_length_decay(cpree(5), [(1, 3), (1, 5)], 1.0, 10, seed=1)
+
+
+def test_run_length_decay_reports_numpy_integer_windows_as_ints():
+    # a window of numpy integers once gave a report that to_json refused
+    spec = cpree(9)
+    reports = [run_length_decay(spec, [(cast(2), cast(5))], 0.5, 10, seed=1) for cast in (np.int64, int)]
+    for rep in reports:
+        rep.runtime_ms = 0.0
+    assert reports[0].to_json() == reports[1].to_json()
+
+
 def test_run_length_decay_functional_pass_holds_one_window_at_a_time(monkeypatch):
     # the benchmark's 300 x 64 stack and its 30 nested windows, within the
     # bound `window_run_counts` keeps: a (windows, replicas, N + 1) array

@@ -257,3 +257,24 @@ def test_window_run_counts_holds_one_window_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5e6, "peak %d bytes" % peak
+
+
+@pytest.mark.parametrize("window, name", [((0.9, 4.9), "m"), ((1, 4.0), "n"), ((True, 3), "m")], ids=repr)
+def test_window_endpoints_that_are_not_integers_are_refused_before_the_scan(monkeypatch, window, name):
+    # run_counts(lo, mid, up, 0.9, 4.9) once answered for the window [0, 4]
+    lo, mid, up = ordered_stack(np.random.default_rng(9).integers(0, 4, (5, 8)))
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the stack was scanned before the window was checked")
+
+    monkeypatch.setattr(np, "cumsum", no_scan)
+    value = dict(zip("mn", window))[name]
+    with pytest.raises(ValueError, match=r"^%s must be an integer >= 0, not %r$" % (name, value)):
+        run_counts(lo, mid, up, *window)
+
+
+def test_window_endpoints_may_be_numpy_integers():
+    lo, mid, up = ordered_stack(np.random.default_rng(9).integers(0, 4, (5, 8)))
+    runs, interior = run_counts(lo, mid, up, np.int64(1), np.int32(6))
+    expected = run_counts(lo, mid, up, 1, 6)
+    assert np.array_equal(runs, expected[0]) and np.array_equal(interior, expected[1])

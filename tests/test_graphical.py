@@ -1279,45 +1279,74 @@ def test_non_finite_or_negative_horizons_are_refused_before_any_draw(monkeypatch
         _horizon_calls(name, t)
 
 
-def test_coupled_horizons_over_the_event_budget_are_refused_before_any_draw(monkeypatch):
-    # the coupled simulator once ran on at any finite horizon, its event list
-    # growing without bound, and the batch engines died allocating per-step
-    # ring counts (931 TiB at t = 1e12); a start or a spec whose rates are
-    # all 0 still returns at once
-    def no_generator(*args, **kwargs):
-        raise AssertionError("a generator was made before the budget was checked")
+def _no_generator(*args, **kwargs):
+    raise AssertionError("a generator was made before the budget was checked")
 
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
-    with pytest.raises(EventBudgetError, match="exceed the event budget of 10000000"):
-        _horizon_calls("coupled", 1e300)
-    for name in ("envelope", "evolve", "pair"):
-        tracemalloc.start()
-        try:
-            with pytest.raises(EventBudgetError, match="rings per replica by t=1e\\+300 exceed the event budget"):
-                _horizon_calls(name, 1e300)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20, (name, peak)
-    # just over the budget of one replica's expected rings, with each engine's advice
+
+def _still_spec():
+    """A 3-site spec whose rates are all 0: no horizon is over its budget."""
+    zero = LocalSpinRates((0.0,) * 8)
+    return ModelSpec(SpinRatePair(zero, zero), EnvRateSpec(0, (0.0, 0.0)), 3)
+
+
+def _refused_within_a_mebibyte(name):
+    # the batch engines once died allocating per-step ring counts (931 TiB at t = 1e12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EventBudgetError, match="rings per replica by t=1e\\+300 exceed the event budget"):
+            _horizon_calls(name, 1e300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, (name, peak)
+
+
+def _just_over_the_budget():
+    """A 3-site cpree spec and a horizon just above one replica's budget of
+    expected lockstep rings."""
     sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
     c = sc.constants()
-    t = graphical.EVENT_BUDGET / (3 * (c.b_bar + c.c_hat))
-    with pytest.raises(EventBudgetError, match="; lower the t_grid times$"):
-        batch_envelope(sc, [t * (1 + 1e-9)], 5, 1)
-    with pytest.raises(EventBudgetError, match="; lower t$"):
-        batch_simulate_pair(sc, sc.env_config((0, 0, 0)), sc.spin_config((1, 1, 1)), t * (1 + 1e-9), 5, 1)
+    return sc, graphical.EVENT_BUDGET / (3 * (c.b_bar + c.c_hat)) * (1 + 1e-9)
+
+
+def test_coupled_horizons_over_the_event_budget_are_refused_before_any_draw(monkeypatch):
+    # the coupled simulator once ran on at any finite horizon, its event list
+    # growing without bound; a start whose rates are all 0 still returns at once
+    monkeypatch.setattr(np.random, "default_rng", _no_generator)
+    with pytest.raises(EventBudgetError, match="exceed the event budget of 10000000"):
+        _horizon_calls("coupled", 1e300)
     monkeypatch.undo()
     sc = preset("contact", sites=3, lam=2.0, delta=1.0)
     start = JointState(sc.env_config((0, 0, 0)), (sc.spin_config((0, 0, 0)),))
     assert simulate_coupled(CoupledSpec(sc, 1), start, 1, 1e300).events == []
-    zero = LocalSpinRates((0.0,) * 8)
-    still = ModelSpec(SpinRatePair(zero, zero), EnvRateSpec(0, (0.0, 0.0)), 3)
+
+
+def test_lockstep_horizons_over_the_event_budget_are_refused_before_any_draw(monkeypatch):
+    # a spec whose rates are all 0 still returns at once
+    monkeypatch.setattr(np.random, "default_rng", _no_generator)
+    for name in ("envelope", "evolve"):
+        _refused_within_a_mebibyte(name)
+    sc, t = _just_over_the_budget()
+    with pytest.raises(EventBudgetError, match="; lower the t_grid times$"):
+        batch_envelope(sc, [t], 5, 1)
+    monkeypatch.undo()
+    still = _still_spec()
     top = still.spin_config((1, 0, 1))
     res = batch_evolve(still, still.env_config((0, 1, 0)), [top], [1e300], 5, seed=1)
     assert res.counters["events"] == 0 and np.all(res.layers[0][0] == (1, 0, 1))
     assert batch_envelope(still, [1e300], 5, 1)[0] == [1e300]
-    beta, eta = batch_simulate_pair(still, still.env_config((0, 1, 0)), top, 1e300, 5, 1)
+
+
+def test_pair_horizons_over_the_event_budget_are_refused_before_any_draw(monkeypatch):
+    # a spec whose rates are all 0 still returns at once
+    monkeypatch.setattr(np.random, "default_rng", _no_generator)
+    _refused_within_a_mebibyte("pair")
+    sc, t = _just_over_the_budget()
+    with pytest.raises(EventBudgetError, match="; lower t$"):
+        batch_simulate_pair(sc, sc.env_config((0, 0, 0)), sc.spin_config((1, 1, 1)), t, 5, 1)
+    monkeypatch.undo()
+    still = _still_spec()
+    beta, eta = batch_simulate_pair(still, still.env_config((0, 1, 0)), still.spin_config((1, 0, 1)), 1e300, 5, 1)
     assert np.all(eta == (1, 0, 1)) and np.all(beta == (0, 1, 0))
 
 
@@ -1355,3 +1384,28 @@ def test_batch_engines_take_a_numpy_integer_replica_count():
         assert a.counters == b.counters and np.array_equal(a.layers[-1][0], b.layers[-1][0])
         pair = batch_simulate_pair(sc, beta0, top, 0.5, replicas, 1)
         assert all(np.array_equal(x, y) for x, y in zip(pair, batch_simulate_pair(sc, beta0, top, 0.5, 4, 1)))
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, "1"], ids=repr)
+def test_event_stream_refuses_a_seed_that_is_not_an_integer_of_at_least_0(seed):
+    # 1.5 once replayed seed 1's events, and True became seed 1
+    sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, not %s$" % re.escape(repr(seed))):
+        EventStream(sc, seed, 1.0)
+
+
+def test_event_stream_takes_a_numpy_integer_seed():
+    sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
+    beta0, top = sc.env_config((0, 0, 0)), sc.spin_config((1, 1, 1))
+    runs = [evolve(beta0, [top], EventStream(sc, seed, 2.0)) for seed in (np.int64(7), np.uint32(7), 7)]
+    assert runs[0].events and all(run.events == runs[-1].events for run in runs)
+
+
+def test_evolve_refuses_a_start_of_another_size():
+    # the lockstep engine's wording, for the background and for each layer
+    sc = preset("cpree", sites=4, **PRESET_PARAMS["cpree"])
+    four, five = sc.spin_config((1,) * 4), sc.spin_config((1,) * 5)
+    for beta0, layers, message in ((five, [four], "beta has 5 sites, not 4"),
+                                   (four, [four, five], "xi has 5 sites, not 4")):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            evolve(beta0, layers, EventStream(sc, 1, 1.0))
