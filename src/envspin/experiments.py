@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import functionals, graphical, oracle
-from .lattice import _count
+from .lattice import _count, _integers
 from .rates import ModelSpec, dominating_rates, preset
 
 
@@ -58,11 +58,12 @@ def sample_ordered_triples(rng, replicas, n):
 def _window_sites(spec, k):
     """2k+1 contiguous sites recentred on the middle of the window."""
     n = spec.size
+    _integers(0, k=k)
     if k < 0:
         raise ValueError("window half-width %s is negative" % k)
     if 2 * k + 1 > n:
         raise ValueError("window half-width %s does not fit in %d sites" % (k, n))
-    k = _count("k", k, 0)
+    k = int(k)
     center = n // 2
     return [(center + d) % n for d in range(-k, k + 1)]
 
@@ -179,21 +180,24 @@ def _random_coupled_run(spec, t_grid, replicas, seed):
 
 def run_length_decay(spec: ModelSpec, windows, t, replicas, seed, initial=None) -> EstimateReport:
     """Normalized expected run count E[runs]/(n-m) over growing windows at a
-    late time, from coupled three-layer samples.  All windows' run counts
-    come from one scan of the final stack (`functionals._window_queries`)
-    and are reduced at once; a window's interior totals count its runs' lengths."""
+    late time, from coupled three-layer samples.  The windows are checked
+    once, before the engine runs; all their run counts come from one scan of
+    the final stack (`functionals._window_queries`) and are reduced at once,
+    and their interior-run totals by length from one corner count
+    (`functionals._interior_totals`)."""
     start = time.perf_counter()
-    windows = functionals._window_bounds(windows, spec.size).tolist()
+    bounds = functionals._window_bounds(windows, spec.size)
+    windows = bounds.tolist()
     if initial is None:
         result = _random_coupled_run(spec, [float(t)], replicas, seed)
     else:
         beta0, layers = initial
         result = graphical.batch_evolve(spec, beta0, list(layers), [float(t)], replicas, seed)
-    runs, _, length, interiors = functionals._window_queries(*result.layers[-1], windows)
+    runs, _, length, lead, trail = functionals._window_queries(*result.layers[-1], bounds)
     means, ses = _mean_se(runs)
+    totals = functionals._interior_totals(length, lead, trail, bounds).tolist()
     rows = []
-    for (m, n), mean, se, inner in zip(windows, means, ses, interiors):
-        totals = np.bincount(length[inner]).tolist()
+    for (m, n), mean, se, counts in zip(windows, means, ses, totals):
         rows.append(
             {
                 "m": m,
@@ -201,7 +205,7 @@ def run_length_decay(spec: ModelSpec, windows, t, replicas, seed, initial=None) 
                 "mean_runs": mean,
                 "se": se,
                 "normalized": mean / (n - m if n > m else 1),
-                "mean_interior_runs": {l: c / replicas for l, c in enumerate(totals) if c},
+                "mean_interior_runs": {l: c / replicas for l, c in enumerate(counts) if c},
             }
         )
     return EstimateReport(
@@ -232,16 +236,17 @@ def interval_inequality_check(spec: ModelSpec, t, replicas, seed, m, n, l=1) -> 
     The endpoints m, n and the run length l >= 1 (as (E) is stated) must
     be integers; they are checked before anything is drawn."""
     start = time.perf_counter()
+    _integers(0, m=m, n=n)
     if not (0 < m <= n < spec.size - 1):
         raise ValueError("need 0 < m <= n < size-1 so both window extensions exist")
-    m, n, l = _count("m", m, 0), _count("n", n, 0), _count("l", l, 1)
+    m, n, l = int(m), int(n), _count("l", l, 1)
     result = _random_coupled_run(spec, [float(t)], replicas, seed)
     consts = dominating_rates(spec)
     C, K = consts.C, consts.K
 
-    windows = [(m, n), (m - 1, n), (m, n + 1)]
-    (f_mn, f_left, f_right), row, length, interiors = functionals._window_queries(*result.layers[-1], windows)
-    inner = next(interiors)
+    bounds = np.array([(m, n), (m - 1, n), (m, n + 1)], dtype=np.int64)
+    (f_mn, f_left, f_right), row, length, lead, trail = functionals._window_queries(*result.layers[-1], bounds)
+    inner = (lead >= m) & (trail <= n)
     # per-replica interior runs of length 1, l and l + 1 on [m, n]
     g_first, g_l, g_next = (np.bincount(row[inner & (length == k)], minlength=f_mn.size) for k in (1, l, l + 1))
     curvature = f_left + f_right - 2 * f_mn

@@ -5,20 +5,25 @@ attention to the disagreement sites (lower 0, upper 1) inside the window and
 read off the middle layer along that subsequence: its run count is the number
 of maximal constant runs, and its interior runs are those flanked on both
 sides by further disagreement sites.  One query core (`_window_queries`)
-scans a whole stack of triples once over the hull of many windows and answers
-every window's run counts in one array pass, and each window's interior runs
-as a mask over the stack's runs.  `window_run_counts` and the estimators of
-`experiments` read both from it; `run_counts` is its batch of one window, and
-the scalar functions are batches of one triple.
+scans a whole stack of triples once over the hull of many windows, whose
+bounds its callers have checked once (`_window_bounds`), and answers every
+window's run counts in one array pass.  A window's interior runs are those
+whose neighbouring sites lie in it: `window_run_counts` and
+`interval_inequality_check` mask the stack's runs one window at a time, for
+counts per row, and `run_length_decay` reads every window's totals over the
+rows from one corner count (`_interior_totals`).  `run_counts` is the batch
+of one window of `window_run_counts`, and the scalar functions are batches of
+one triple.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Configuration, _count
+from .lattice import Configuration, _distinct, _integers
 
 
 def _rows(layer):
@@ -38,44 +43,50 @@ def window_run_counts(lower, middle, upper, windows):
     Yields one (runs, interior) pair per window, in order: `runs[r]` is row
     r's run count (0 when the window holds no disagreement site) and
     `interior[r, l]` its number of interior runs of exact length l, an
-    (R, N + 1) integer array built for one window at a time.  Every row must
-    be ordered over the whole lattice and every window must lie in it; both
-    are checked, and the stack scanned, when the function is called.
+    (R, N + 1) integer array built for one window at a time.  Every window
+    must lie in the lattice and every row must be ordered over the whole
+    lattice; both are checked, and the stack scanned, when the function is
+    called.
     """
-    runs, row, length, interiors = _window_queries(lower, middle, upper, windows)
-    replicas, cells = runs.shape[1], _rows(middle).shape[1] + 1
+    cells = _rows(middle).shape[-1] + 1
+    bounds = _window_bounds(windows, cells - 1)
+    runs, row, length, lead, trail = _window_queries(lower, middle, upper, bounds)
+    replicas = runs.shape[1]
     code = row * cells + length
-    return ((r, np.bincount(code[inner], minlength=replicas * cells).reshape(replicas, cells))
-            for r, inner in zip(runs, interiors))
+    return ((r, np.bincount(code[(lead >= m) & (trail <= n)], minlength=replicas * cells).reshape(replicas, cells))
+            for r, (m, n) in zip(runs, bounds.tolist()))
 
 
 def _window_bounds(windows, size):
     """The windows [m, n] as a (W, 2) int64 array, once each is checked: integer ends in `size` sites."""
     bounds = []
     for m, n in windows:
+        _integers(0, m=m, n=n)
         if m > n:
             raise ValueError("window endpoints must satisfy m <= n")
         if m < 0 or n >= size:
             raise ValueError("window [%s, %s] outside the lattice" % (m, n))
-        bounds.append((_count("m", m, 0), _count("n", n, 0)))
+        bounds.append((m, n))
     return np.array(bounds, dtype=np.int64).reshape(-1, 2)
 
 
-def _window_queries(lower, middle, upper, windows):
-    """The one query core: every window, for every row of a stack of triples,
-    from one scan of the windows' hull, once the stack and windows are checked.
+def _window_queries(lower, middle, upper, bounds):
+    """The one query core: every window of `bounds`, a (W, 2) array already
+    checked by `_window_bounds`, for every row of a stack of triples, from
+    one scan of the windows' hull, once the stack is checked.
 
     The hull's disagreement sites of all rows are laid end to end as
     positions r * width + j, so a run is a stretch of constant (row, middle
     value).  Window w's sites in row r are the stretch [lo, hi) of the sites,
     read off the prefix counts `before` for all (w, r) at once, and the runs
     meeting it are numbered count[lo + 1] to count[hi] (count[k + 1] numbers
-    site k's run).  A run is interior when the sites just before and after
-    it (`lead`, `trail`: their columns, outside every window when in another
-    row or missing) lie in the window, so it is neither first nor last there.
+    site k's run).  A run is interior to [m, n] when the sites just before
+    and after it (`lead`, `trail`: their columns, outside every window when
+    in another row or missing) lie in the window, lead >= m and trail <= n,
+    so it is neither first nor last there.
 
-    Returns the (windows, R) run counts, every run's row and length, and a
-    generator of each window's interior mask over the runs.
+    Returns the (windows, R) run counts, and every run's row, length, lead
+    and trail.
     """
     lo, mid, up = _rows(lower), _rows(middle), _rows(upper)
     if not (lo.shape == mid.shape == up.shape) or lo.ndim != 2:
@@ -83,7 +94,6 @@ def _window_queries(lower, middle, upper, windows):
     if (lo > mid).any() or (mid > up).any():
         raise ValueError("layers must be ordered lower <= middle <= upper")
     size = lo.shape[1]
-    bounds = _window_bounds(windows, size)
     first = bounds[:, 0].min(initial=size)
     width = bounds[:, 1].max(initial=first - 1) + 1 - first
     hull = slice(first, first + width)
@@ -105,8 +115,49 @@ def _window_queries(lower, middle, upper, windows):
     base = np.arange(lo.shape[0]) * width - first
     lo_r, hi_r = before[base + bounds[:, :1]], before[base + bounds[:, 1:] + 1]
     runs = (count[hi_r] - count[lo_r + 1] + 1) * (hi_r > lo_r)
-    interiors = ((lead >= m) & (trail <= n) for m, n in bounds.tolist())
-    return runs, row, ends - starts, interiors
+    return runs, row, ends - starts, lead, trail
+
+
+# the cells a block of `_interior_totals` may hold however few runs there are
+CORNER_FLOOR = 1024
+
+
+def _interior_totals(length, lead, trail, bounds):
+    """Every window's interior runs, summed over the rows and split by length,
+    from the runs of `_window_queries`: a (W, L + 1) array for L the longest
+    run, row w for window w of `bounds`.
+
+    One corner count per block of windows.  A run's lead rank is the number
+    of the block's distinct starts at or below its lead, its trail rank the
+    number of distinct ends below its trail (both looked up by column, the
+    columns clipped to one past the windows' hull); the runs are counted by
+    (lead rank, trail rank, length).  A run is interior to a window of start
+    rank i and end rank j iff its lead rank is above i and its trail rank at
+    most j, so a reversed cumulative sum over lead ranks, then a cumulative
+    sum over trail ranks, leaves the window's totals at (i + 1, j).  B
+    windows have at most B distinct starts and ends, so a block's
+    (B + 1)^2 (L + 1) cells are no more than the runs, or CORNER_FLOOR,
+    unless a block of one window needs more.
+    """
+    cells = int(length.max(initial=0)) + 1
+    block = max(1, math.isqrt(max(length.size, CORNER_FLOOR) // cells) - 1)
+    totals = np.empty((len(bounds), cells), dtype=np.int64)
+    high = bounds.max(initial=0) + 1
+    low = bounds.min(initial=high) - 1
+    columns = np.arange(low, high + 1)
+    lead, trail = np.clip(lead, low, high) - low, np.clip(trail, low, high) - low
+    for b in range(0, len(bounds), block):
+        m, n = bounds[b:b + block].T
+        starts, ends = _distinct(m), _distinct(n)
+        shape = (len(starts) + 1, len(ends) + 1, cells)
+        code = (np.searchsorted(starts, columns, "right") * (shape[1] * cells)).take(lead)
+        code += (np.searchsorted(ends, columns, "left") * cells).take(trail)
+        code += length
+        table = np.bincount(code, minlength=math.prod(shape)).reshape(shape)
+        np.cumsum(table[::-1], axis=0, out=table[::-1])
+        np.cumsum(table, axis=1, out=table)
+        totals[b:b + block] = table[np.searchsorted(starts, m) + 1, np.searchsorted(ends, n)]
+    return totals
 
 
 def run_counts(lower, middle, upper, m, n):

@@ -72,6 +72,7 @@ from .lattice import (
     MutableWindow,
     Periodic,
     _count,
+    _distinct,
     _field_rows,
     _finite_nonnegative,
     _site_columns,
@@ -176,7 +177,7 @@ class EventStream:
         self.spec = spec
         self.seed = _count("seed", seed, 0)
         self.t_max = float(_finite_nonnegative("t_max", t_max))
-        self.max_events = int(max_events)
+        self.max_events = _count("max_events", max_events, 0)
         self.consts = dominating_rates(spec)
         self._sites = {}
         self._events_used = 0
@@ -483,9 +484,7 @@ def _joint_table(windows, owner, radius, b_bar, lam, halo):
     bg_lo, bg_hi, sp_lo, sp_hi = windows
     (bg, bg_reads), (spin, spin_reads) = _ring_kinds(tuple(owner), radius)
     reads = (bg_reads, spin_reads)
-    # sorted and deduplicated by hand: np.unique imports numpy.ma, a megabyte
-    edges = np.sort(np.concatenate([[0.0, b_bar, lam], bg_lo, bg_hi, sp_lo, sp_hi]))
-    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    edges = _distinct(np.concatenate([[0.0, b_bar, lam], bg_lo, bg_hi, sp_lo, sp_hi]))
     kind = (np.arange(len(edges)) >= np.searchsorted(edges, b_bar)).astype(np.intp)
     sizes = np.array([1 << len(rd) for rd in reads])[kind]
     size = int(sizes.sum())
@@ -775,6 +774,44 @@ def _plan(pair, env, n, owner):
     return edges, table, lut, key_rows, starts, site, atom, lookup, rows_of, spin_rank
 
 
+# the most `_lockstep` starts whose order proofs `_PROOFS` keeps
+PROOFS = 64
+# order proofs by plan key, census bytes, frozen edge bytes and check_order,
+# the least recently used first
+_PROOFS = {}
+
+
+def _order_proof(table, edges, b_bar, owner, radius, present, edge, check_order):
+    """The order proof of a `_lockstep` start, from its plan's joint table,
+    the packed bytes `present` in its body and its frozen halo bytes `edge`:
+    the ordered pairs it keeps (a tuple), per packed byte 1 + the index of
+    the first pair that byte crosses (0: none; `crossed`, read-only), and
+    whether its rings need checking."""
+
+    # field p starts below field q iff no byte of the start crosses (p, q)
+    def below(p, q):
+        return not present[_CROSSING[p, q]].any()
+
+    # background pairs, then spin pairs, of fields whose backgrounds start ordered
+    fields = range(len(owner))
+    kinds = ([f for f in fields if owner[f] == f], [f for f in fields if owner[f] != f])
+    pairs = tuple(
+        (kind[i], kind[j]) for kind in kinds for i, j in initially_ordered_pairs(kind, below)
+        if below(owner[kind[i]], owner[kind[j]])
+    ) if check_order else ()
+    crossed = np.zeros(256, dtype=np.uint8)
+    for k, (p, q) in reversed(list(enumerate(pairs))):
+        crossed[_CROSSING[p, q]] = k + 1
+    crossed.flags.writeable = False
+    # every body byte starts uncrossed and a ring writes only its center, so
+    # rings need checking only if the table may cross a pair or the halo
+    # columns (never written) cross one
+    check = bool(pairs) and (
+        _may_cross(table, edges, b_bar, owner, radius, pairs, crossed) or bool(crossed.take(edge).any())
+    )
+    return pairs, crossed, check
+
+
 def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     """Run `replicas` copies of G groups of (background, spin layers) in lockstep.
 
@@ -793,11 +830,12 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     and U < b_bar rings every background at x with mark U, otherwise every
     spin layer reads U - b_bar against its own group's background.  The pairs
     of `initially_ordered_pairs`, per kind, whose backgrounds start ordered
-    are kept ordered: the call decides once, by its crossing table `crossed`,
-    whether any ring can cross one (`_may_cross` on the joint table, and the
-    frozen halo columns), and only then looks up every ring's new byte in
-    `crossed`; the first that crosses a pair raises OrderViolationError,
-    naming the first pair it crosses, as `evolve` does.
+    are kept ordered: the start's order proof (`_order_proof`) decides once,
+    by its crossing table `crossed`, whether any ring can cross one
+    (`_may_cross` on the joint table, and the frozen halo columns), and only
+    then does the call look up every ring's new byte in `crossed`; the first
+    that crosses a pair raises OrderViolationError, naming the first pair it
+    crosses, as `evolve` does.
 
     One loop drives either path's apply step: per interval it moves the rows
     (one `take`) into the schedule's order, so every step reads and writes a
@@ -831,11 +869,13 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     read-only, for the last PLANS shapes.  A plan holds at most TABLE_CAP
     bytes of joint table, about 1.5 MiB of rank lookup, 2 KiB per lut row
     (2*slots + one per edge) and 8*slots + 25 bytes per (site, atom) pair;
-    the benchmark's shapes hold about 60 KB each.  What a start determines
-    stays per call: the field rows, their census, the ordered pairs and
-    `crossed`, the gather columns (a ring wraps, or reads frozen words, by
-    the start's boundary) and the frozen halo bytes.  So do the order
-    proof, which reads the pairs and `crossed`, and the word and
+    the benchmark's shapes hold about 60 KB each.  Each start's order proof
+    (the ordered pairs, `crossed`, read-only, and the verdict `check`) is
+    kept beside the plans in `_PROOFS`, keyed by the plan's key, the census
+    bytes, the frozen edge bytes and `check_order`, for the last PROOFS
+    starts.  What else a start determines stays per call: the field rows,
+    their census, the gather columns (a ring wraps, or reads frozen words,
+    by the start's boundary) and the frozen halo bytes, and the word and
     neighbourhood tables, which a call builds only when its expected rings
     outnumber their entries.
 
@@ -861,9 +901,8 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
     n_fields = len(inits)
     if n_fields > 8:
         raise ValueError("%d fields do not fit the 8 bits of a packed site" % n_fields)
-    edges, table, lut, key_rows, starts, site, atom, lookup, rows_of, spin_rank = _plan(
-        spec.spin, spec.env, n, tuple(owner)
-    )
+    shape = (spec.spin, spec.env, n, tuple(owner))
+    edges, table, lut, key_rows, starts, site, atom, lookup, rows_of, spin_rank = _plan(*shape)
 
     # one row while every field starts alike in all replicas, else one per replica
     state = np.zeros((1, width), dtype=np.uint8)
@@ -878,30 +917,16 @@ def _lockstep(spec, groups, names, t_grid, replicas, seed, check_order):
 
     # which packed bytes some replica-site of the start holds (an indexed
     # store converts the indices in small buffers, so no replica-sized
-    # temporary): field p starts below field q iff none of them crosses (p, q)
+    # temporary), and the frozen halo columns (the same in every row)
     present = np.zeros(256, dtype=bool)
     present[state[:, halo:halo + n]] = True
-
-    def below(p, q):
-        return not present[_CROSSING[p, q]].any()
-
-    # background pairs, then spin pairs, of fields whose backgrounds start ordered
-    kinds = ([f for f in range(n_fields) if owner[f] == f], [f for f in range(n_fields) if owner[f] != f])
-    pairs = [
-        (kind[i], kind[j]) for kind in kinds for i, j in initially_ordered_pairs(kind, below)
-        if below(owner[kind[i]], owner[kind[j]])
-    ] if check_order else []
-    # per packed byte, 1 + the index of the first pair it crosses (0: none)
-    crossed = np.zeros(256, dtype=np.uint8)
-    for k, (p, q) in reversed(list(enumerate(pairs))):
-        crossed[_CROSSING[p, q]] = k + 1
-    # every body byte starts uncrossed and a ring writes only its center, so
-    # rings need checking only if the table may cross a pair or the halo
-    # columns (the same in every row, and never written) cross one
     edge = np.concatenate([state[:1, :halo], state[:1, halo + n:]], axis=1)
-    check = bool(pairs) and (
-        _may_cross(table, edges, b_bar, owner, radius, pairs, crossed) or bool(crossed.take(edge).any())
-    )
+    key = (shape, present.tobytes(), edge.tobytes(), check_order)
+    proof = _PROOFS.pop(key, None) or _order_proof(table, edges, b_bar, owner, radius, present, edge, check_order)
+    _PROOFS[key] = proof  # the most recently used last
+    if len(_PROOFS) > PROOFS:
+        del _PROOFS[next(iter(_PROOFS))]
+    pairs, crossed, check = proof
 
     if lam > 0:  # a clock of rate 0 never rings
         # gather columns by the rank of a ring's V, through the start's boundary

@@ -135,12 +135,33 @@ def word_index(a, x: int, radius: int) -> int:
     return idx
 
 
+def _distinct(values):
+    """`values` sorted, each once: deduplicated by hand, since np.unique
+    imports numpy.ma, a megabyte."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
+
+
 # the input rules of every engine and estimator: a ValueError naming the input
+def _is_integer(value):
+    """The count rule's type test: an integer, numpy's too, but not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def _count(name, value, low):
-    """`value` as an int: an integer (numpy's too, not a bool) of at least `low`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+    """`value` as an int: an integer (`_is_integer`) of at least `low`."""
+    if not _is_integer(value) or value < low:
         raise ValueError("%s must be an integer >= %d, not %r" % (name, low, value))
     return int(value)
+
+
+def _integers(low, **values):
+    """The count rule's type test alone, for inputs whose range test has its
+    own message and comes next: the first of `values` that is not an
+    integer is refused as `_count` refuses it."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            _count(name, value, low)
 
 
 def _finite_nonnegative(name, x, *args):

@@ -45,6 +45,8 @@ FUNCTIONALS = "envspin/functionals.py"
 GOLDEN = "tests/test_engine_golden.py::test_engine_output_matches_golden_digest"
 KEYINGS = "tests/test_graphical.py::test_neighbourhood_words_match_lut_keys"
 BRUTE_RUNS = "tests/test_functionals.py::test_window_run_counts_matches_brute_force"
+CORNER = "tests/test_experiments.py::test_run_length_decay_interior_totals_equal_window_run_counts_summed"
+PROOFS_SHARED = "tests/test_graphical.py::test_order_proofs_are_shared_only_by_calls_of_one_start"
 
 MUTANTS = (
     Mutant(
@@ -116,8 +118,8 @@ MUTANTS = (
     ),
     Mutant(
         "count rule accepts a bool", LATTICE,
-        "isinstance(value, bool) or not isinstance(value, (int, np.integer))",
-        "not isinstance(value, (int, np.integer))",
+        "not isinstance(value, bool) and isinstance(value, (int, np.integer))",
+        "isinstance(value, (int, np.integer))",
         ("tests/test_graphical.py::test_batch_engines_refuse_a_replica_count_that_is_not_a_positive_integer",
          "tests/test_graphical.py::test_event_stream_refuses_a_seed_that_is_not_an_integer_of_at_least_0",
          "tests/test_experiments.py::test_interval_inequality_check_refuses_a_run_length_that_is_not_a_positive_integer"),
@@ -157,6 +159,18 @@ MUTANTS = (
         ("tests/test_graphical.py::test_plan_arrays_are_read_only",),
     ),
     Mutant(
+        "order proof memo keyed without the census", GRAPHICAL,
+        "key = (shape, present.tobytes(), edge.tobytes(), check_order)",
+        "key = (shape, edge.tobytes(), check_order)",
+        (PROOFS_SHARED,),
+    ),
+    Mutant(
+        "order proof memo keyed without check_order", GRAPHICAL,
+        "key = (shape, present.tobytes(), edge.tobytes(), check_order)",
+        "key = (shape, present.tobytes(), edge.tobytes())",
+        (PROOFS_SHARED,),
+    ),
+    Mutant(
         "class certificate without its jump-out check", ORACLE,
         "    if ((src >= 0) & (src != dst)).any():\n", "    if False:\n",
         ("tests/test_oracle.py::test_class_certificate_flags_planted_wrong_classes",),
@@ -180,6 +194,23 @@ MUTANTS = (
         "non-strict interior test: a run's own first site stands for the site before it", FUNCTIONALS,
         "lead, trail = at[starts] + shift", "lead, trail = at[starts + 1] + shift",
         (BRUTE_RUNS,),
+    ),
+    Mutant(
+        # a run whose lead is a window's start is then not interior to it
+        "corner count ranks leads among the starts below them", FUNCTIONALS,
+        'np.searchsorted(starts, columns, "right")', 'np.searchsorted(starts, columns, "left")',
+        (CORNER,),
+    ),
+    Mutant(
+        # a run whose trail is a window's end is then not interior to it
+        "corner count ranks trails among the ends at or below them", FUNCTIONALS,
+        'np.searchsorted(ends, columns, "left")', 'np.searchsorted(ends, columns, "right")',
+        (CORNER,),
+    ),
+    Mutant(
+        "corner count sums the lead ranks forward", FUNCTIONALS,
+        "np.cumsum(table[::-1], axis=0, out=table[::-1])", "np.cumsum(table, axis=0, out=table)",
+        (CORNER,),
     ),
     Mutant(
         "window_rates opens an up-window at its upper end", GRAPHICAL,

@@ -23,8 +23,9 @@ from envspin import (
     run_length_decay,
     scenario_remarks,
     semigroup_apply,
+    window_run_counts,
 )
-from envspin import graphical
+from envspin import functionals, graphical
 from envspin.experiments import (
     EstimateReport,
     _mean_se,
@@ -382,7 +383,11 @@ def _no_work(*args, **kwargs):
     raise AssertionError("a generator was made or the engine ran before the window was checked")
 
 
-@pytest.mark.parametrize("case", ["decay-m", "decay-n", "interval-m", "interval-n", "coalescence-k"])
+@pytest.mark.parametrize(
+    "case",
+    ["decay-m", "decay-n", "interval-m", "interval-n", "coalescence-k",
+     "decay-m-text", "decay-n-text", "interval-m-text", "interval-n-text", "coalescence-k-text", "coalescence-k-bool"],
+)
 def test_estimators_refuse_window_endpoints_that_are_not_integers_before_any_draw(monkeypatch, case):
     # run_length_decay once reported m = 1.5, interval_inequality_check a
     # window of 2.5 sites at m = 1.5, and estimate_coalescence died in a
@@ -397,6 +402,13 @@ def test_estimators_refuse_window_endpoints_that_are_not_integers_before_any_dra
         "interval-n": (lambda: interval_inequality_check(spec, 1.0, 10, seed=1, m=1, n=np.float64(3)), "n",
                        np.float64(3)),
         "coalescence-k": (lambda: estimate_coalescence(spec, "0" * 5, 1.5, 1.0, 10, seed=1), "k", 1.5),
+        # the type test comes before each range test, whose messages stay as they are
+        "decay-m-text": (lambda: run_length_decay(spec, [(1, 2), ("1", 3)], 1.0, 10, seed=1), "m", "1"),
+        "decay-n-text": (lambda: run_length_decay(spec, [(-1, "3")], 1.0, 10, seed=1), "n", "3"),
+        "interval-m-text": (lambda: interval_inequality_check(spec, 1.0, 10, seed=1, m="1", n=3), "m", "1"),
+        "interval-n-text": (lambda: interval_inequality_check(spec, 1.0, 10, seed=1, m=0, n="3"), "n", "3"),
+        "coalescence-k-text": (lambda: estimate_coalescence(spec, "0" * 5, "1", 1.0, 10, seed=1), "k", "1"),
+        "coalescence-k-bool": (lambda: estimate_coalescence(spec, "0" * 5, True, 1.0, 10, seed=1), "k", True),
     }
     call, name, value = calls[case]
     with pytest.raises(ValueError, match=r"^%s must be an integer >= 0, not %s$" % (name, re.escape(repr(value)))):
@@ -438,3 +450,49 @@ def test_run_length_decay_functional_pass_holds_one_window_at_a_time(monkeypatch
         tracemalloc.stop()
     assert len(rep.extra["rows"]) == 30 and rep.extra["rows"][-1]["mean_runs"] > 0
     assert peak <= 1.5e6, "peak %d bytes" % peak
+
+
+def _corner_windows(rng, size, quiet):
+    """Windows that overlap, nest, repeat, share a start or an end, hold one
+    site or only the sites of `quiet` (no disagreement site), in random
+    order: enough for more than one corner-count block."""
+    last, mid = size - 1, size // 2
+    windows = [(mid - k, mid + k) for k in range(min(mid, last - mid) + 1)]  # nested
+    windows += [(0, last), (0, last), (mid, mid), (0, 0), (last, last), (0, mid), (mid, last), (1, mid), (1, last - 1)]
+    windows += [(quiet.start, quiet.stop - 1), (quiet.start + 1, quiet.stop - 2)]
+    for _ in range(60):
+        m = int(rng.integers(0, size))
+        windows.append((m, int(rng.integers(m, size))))
+    windows += windows[-10:]  # repeated
+    return [windows[k] for k in rng.permutation(len(windows))]
+
+
+@pytest.mark.parametrize("replicas, size", [(7, 12), (40, 33), (300, 64)])
+def test_run_length_decay_interior_totals_equal_window_run_counts_summed(monkeypatch, replicas, size):
+    # the corner count against the per-window masks of window_run_counts
+    rng = np.random.default_rng(140 + size)
+    cols = rng.integers(0, 4, (replicas, size))
+    quiet = slice(size // 3, size // 3 + 4)
+    cols[:, quiet] = rng.choice([0, 3], (replicas, 4))  # lower = upper: no disagreement site
+    stack = ordered_stack(cols)
+    windows = _corner_windows(rng, size, quiet)
+    spec = preset("cpree", sites=size, **SUPERCRITICAL)
+    monkeypatch.setattr(graphical, "batch_evolve", lambda *args, **kwargs: SimpleNamespace(layers=[stack]))
+    distinct, blocks = functionals._distinct, []
+
+    def counted(values):
+        blocks.append(len(values))
+        return distinct(values)
+
+    monkeypatch.setattr(functionals, "_distinct", counted)
+    rep = run_length_decay(spec, windows, 0.05, replicas, 1, initial=(spec.env_config("0" * size), []))
+    assert len(blocks) > 2  # each block ranks its starts and its ends
+    rows = rep.extra["rows"]
+    assert [(row["m"], row["n"]) for row in rows] == windows
+    for row, (runs, interior) in zip(rows, window_run_counts(*stack, windows)):
+        totals = interior.sum(axis=0)
+        assert row["mean_interior_runs"] == {l: int(c) / replicas for l, c in enumerate(totals) if c}
+        assert list(row["mean_interior_runs"]) == sorted(row["mean_interior_runs"])
+        assert row["mean_runs"] == runs.mean()
+    quiet_rows = [row for row in rows if (row["m"], row["n"]) == (quiet.start, quiet.stop - 1)]
+    assert quiet_rows and all(row["mean_runs"] == 0 and row["mean_interior_runs"] == {} for row in quiet_rows)

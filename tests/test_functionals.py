@@ -259,9 +259,15 @@ def test_window_run_counts_holds_one_window_at_a_time():
     assert peak <= 1.5e6, "peak %d bytes" % peak
 
 
-@pytest.mark.parametrize("window, name", [((0.9, 4.9), "m"), ((1, 4.0), "n"), ((True, 3), "m")], ids=repr)
+@pytest.mark.parametrize(
+    "window, name",
+    [((0.9, 4.9), "m"), ((1, 4.0), "n"), ((True, 3), "m"), (("1", "3"), "m"), ((-1, "3"), "n"), ((5, "3"), "n")],
+    ids=repr,
+)
 def test_window_endpoints_that_are_not_integers_are_refused_before_the_scan(monkeypatch, window, name):
-    # run_counts(lo, mid, up, 0.9, 4.9) once answered for the window [0, 4]
+    # run_counts(lo, mid, up, 0.9, 4.9) once answered for the window [0, 4];
+    # a string once died in a TypeError from the range test, which the type
+    # test now precedes
     lo, mid, up = ordered_stack(np.random.default_rng(9).integers(0, 4, (5, 8)))
 
     def no_scan(*args, **kwargs):

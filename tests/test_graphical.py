@@ -791,6 +791,9 @@ def _proof_verdicts(monkeypatch, keep_check=False):
         return True if keep_check else verdicts[-1]
 
     monkeypatch.setattr(graphical, "_may_cross", recorded)
+    # a kept order proof would be reused without a verdict: keep none
+    monkeypatch.setattr(graphical, "_PROOFS", {})
+    monkeypatch.setattr(graphical, "PROOFS", 0)
     return verdicts
 
 
@@ -1251,6 +1254,98 @@ def test_plan_memo_is_bounded_and_keeps_no_refusal():
     assert graphical._plan.cache_info().misses == info.misses + 2
 
 
+def _proof_calls():
+    """Short lockstep calls of one shape per boundary, each differing from
+    another in one of: the start's census of packed bytes (another set of
+    ordered pairs), its frozen edge bytes (the second crosses a pair, so its
+    rings are checked), check_order; and one that differs from the first
+    only in its seed and replicas, which shares its proof.  A call gives its
+    outputs, or the message of the crossing it raised."""
+    base = cpree(sites=6, delta0=1.0, delta1=0.5, lam=3.0)
+    frozen = cpree(sites=6, delta0=1.0, delta1=0.5, lam=3.0, boundary=FrozenWords("1", "1"))
+    alt = tuple(x % 2 for x in range(6))
+    zeros = np.zeros((40, 6), dtype=np.int8)
+
+    def evolve_call(spec, layers, seed, replicas=40, check_order=True):
+        def run():
+            try:
+                res = batch_evolve(spec, spec.env_config(alt), layers, [0.3, 0.6], replicas, seed, check_order)
+            except graphical.OrderViolationError as crossing:
+                return str(crossing)
+            return [res.times, res.background, res.layers, res.counters]
+        return run
+
+    zero, alternating, one = _spin_stack(base, 3)
+    return [
+        evolve_call(base, [zero, alternating, one], 1),
+        evolve_call(base, [alternating, zero, one], 2),
+        evolve_call(frozen, [(zeros, FrozenWords("0", "0"))] * 2, 3),
+        evolve_call(frozen, [(zeros, FrozenWords("1", "1")), (zeros, FrozenWords("0", "0"))], 3),
+        evolve_call(base, [zero, alternating, one], 4, check_order=False),
+        evolve_call(base, [zero, alternating, one], 5, replicas=30),
+    ]
+
+
+def _counted_proofs(monkeypatch):
+    """The calls of `_order_proof`, each the proof it made, on an empty memo."""
+    made, real = [], graphical._order_proof
+    monkeypatch.setattr(graphical, "_order_proof", lambda *args: made.append(real(*args)) or made[-1])
+    graphical._PROOFS.clear()
+    return made
+
+
+def test_order_proofs_are_shared_only_by_calls_of_one_start(monkeypatch):
+    # interleaved twice, every call gives what it gives on empty memos; a
+    # start's census, its edge bytes and check_order each key its proof
+    calls = _proof_calls()
+    made = _counted_proofs(monkeypatch)
+    first = [call() for call in calls]
+    assert len(made) == 5 and len(graphical._PROOFS) == 5
+    second = [call() for call in calls]
+    assert len(made) == 5
+    # no two starts have one proof: another would check other pairs, or none
+    assert len({(pairs, check) for pairs, _, check in made}) == 5
+    for call, a, b in zip(calls, first, second):
+        graphical._PROOFS.clear()
+        graphical._plan.cache_clear()
+        np.testing.assert_equal(a, call())
+        np.testing.assert_equal(b, a)
+
+
+def test_order_proof_tables_are_read_only(monkeypatch):
+    made = _counted_proofs(monkeypatch)
+    for call in _proof_calls():
+        call()
+    for pairs, crossed, check in made:
+        assert type(pairs) is tuple and type(check) is bool
+        assert not crossed.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            crossed[0] = 1
+
+
+def test_order_proof_memo_is_bounded(monkeypatch):
+    # PROOFS + 3 starts of one shape, each of another census: the memo keeps
+    # the last PROOFS, and the first start's proof is made again
+    made = _counted_proofs(monkeypatch)
+    spec = cpree(sites=8)
+    rng = np.random.default_rng(141)
+    beta0 = spec.env_config((0,) * 8)
+    censuses = set()
+    for _ in range(graphical.PROOFS + 3):
+        while True:
+            layers = [spec.spin_config(tuple(int(v) for v in rng.integers(0, 2, 8))) for _ in range(3)]
+            census = frozenset(zip(*(layer.bits for layer in layers)))
+            if census not in censuses:
+                break
+        censuses.add(census)
+        batch_evolve(spec, beta0, layers, [0.05], 2, seed=1)
+        if len(made) == 1:
+            first = layers
+    assert len(made) == graphical.PROOFS + 3 and len(graphical._PROOFS) == graphical.PROOFS
+    batch_evolve(spec, beta0, first, [0.05], 2, seed=1)
+    assert len(made) == graphical.PROOFS + 4 and len(graphical._PROOFS) == graphical.PROOFS
+
+
 def _horizon_calls(name, t):
     sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
     beta0, top = sc.env_config((0, 0, 0)), sc.spin_config((1, 1, 1))
@@ -1392,6 +1487,15 @@ def test_event_stream_refuses_a_seed_that_is_not_an_integer_of_at_least_0(seed):
     sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
     with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, not %s$" % re.escape(repr(seed))):
         EventStream(sc, seed, 1.0)
+
+
+@pytest.mark.parametrize("max_events", [1.5, True, -1, "10", 1e6], ids=repr)
+def test_event_stream_refuses_a_max_events_that_is_not_an_integer_of_at_least_0(max_events):
+    # 1.5 and True once gave a budget of one ring
+    sc = preset("cpree", sites=3, **PRESET_PARAMS["cpree"])
+    message = r"^max_events must be an integer >= 0, not %s$" % re.escape(repr(max_events))
+    with pytest.raises(ValueError, match=message):
+        EventStream(sc, 1, 1.0, max_events=max_events)
 
 
 def test_event_stream_takes_a_numpy_integer_seed():
