@@ -261,14 +261,15 @@ _coupled_start = lru_cache(maxsize=64)(_CoupledStart)
 @lru_cache(maxsize=1024)
 def _final_fields(start, keys):
     """The fields' Configurations at the site keys `keys` (a tuple) of a run
-    from `start`."""
-    return tuple(Configuration._of_bits(tuple([(k >> s) & 1 for k, s in zip(keys, shifts)]), boundary)
-                 for shifts, boundary in zip(start.shifts, start.boundaries))
+    from `start`, by field name."""
+    return {name: Configuration._of_bits(tuple([(k >> s) & 1 for k, s in zip(keys, shifts)]), boundary)
+            for name, shifts, boundary in zip(start.names, start.shifts, start.boundaries)}
 
 
-# the last (cspec, initial, start) of `simulate_coupled`, matched by identity;
-# it holds both objects, so their ids are not reused while it is kept
-_last_start = None, None, None
+# the last (cspec, initial, start) of `simulate_coupled`, matched by identity,
+# and the initial fields by name; it holds both objects, so their ids are not
+# reused while it is kept
+_last_start = None, None, None, None
 
 
 def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Trajectory:
@@ -280,7 +281,9 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
     (`_key_columns`) as an integer, and its float menu comes from the
     `_float_menus` memo by that key.  A flip XORs its bits into the keys of
     the sites that read it (`_toggle_table`), and only those get new menus.
-    The draws are those of `exponential(1 / total)` and `uniform(0, total)`.
+    The draws are those of `exponential(1 / total)` and `uniform(0, total)`;
+    the run ends when its total rate is 0 or its next jump would pass
+    t_max.  Each flip is logged as an Event built straight from its tuple.
     The layer order is checked at every spin flip; a crossing raises
     OrderViolationError.  The inputs are checked before anything is drawn.
 
@@ -288,8 +291,9 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
     made once per distinct (cspec, initial) and kept in a bounded cache
     (`_coupled_start`), and the final Configurations come from a bounded
     cache keyed by the final keys (`_final_fields`): a call costs its
-    seeding and its events.  The last start is also kept by identity, since
-    hashing (cspec, initial) costs about a fifth of a call at horizon 0.
+    seeding and its events.  The last start, with its initial fields by
+    name, is also kept by identity, since hashing (cspec, initial) costs
+    about a fifth of a call at horizon 0.
     Equal starts give equal trajectories, and the trajectory's dicts are new
     on every call.
     """
@@ -297,17 +301,19 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
         raise ValueError("%d spin layers given for arity %d" % (len(initial.layers), cspec.arity))
     _finite_nonnegative("t_max", t_max)
     global _last_start
-    last_cspec, last_initial, start = _last_start
+    last_cspec, last_initial, start, fields = _last_start
     if cspec is not last_cspec or initial is not last_initial:
         start = _coupled_start(cspec, initial)
-        _last_start = cspec, initial, start
+        fields = dict(zip(start.names, (initial.beta, *initial.layers)))
+        _last_start = cspec, initial, start, fields
     _expected_events(start.total, t_max, "lower t_max", "jumps by t=%r at the start's rate")
-    n = cspec.base.size
+    last = cspec.base.size - 1
     menus_of, toggles = start.menus_of, start.toggles
     keys, menus, site_totals = list(start.keys), list(start.menus), list(start.site_totals)
 
     rng = np.random.default_rng(seed)
     events = []
+    log, event = events.append, tuple.__new__
     t = 0.0
     exponential, uniform = rng.standard_exponential, rng.random
     while True:
@@ -319,11 +325,11 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
             break
         u = uniform() * total
         acc = 0.0
-        for x in range(n):
-            acc += site_totals[x]
-            if u < acc or x == n - 1:
+        for x, site_total in enumerate(site_totals):
+            acc += site_total
+            if u < acc or x == last:
                 break
-        u -= acc - site_totals[x]
+        u -= acc - site_total
         menu = menus[x]
         for entry in menu:
             if u < entry[0]:
@@ -333,17 +339,16 @@ def simulate_coupled(cspec: CoupledSpec, initial: JointState, seed, t_max) -> Tr
             entry = menu[-1]
 
         _, flips, mask, crossed = entry
-        for name, old, new in flips:
-            events.append(Event(t, x, name, old, new))
+        for flip in flips:
+            # an Event without the NamedTuple's Python-level __new__
+            log(event(Event, (t, x, *flip)))
         if crossed is not None:
             raise OrderViolationError("%s crossed at site %d" % (crossed, x))
         for y, bits in toggles[mask][x]:
             key = keys[y] = keys[y] ^ bits
             menus[y], site_totals[y] = menus_of[key]
 
-    names = start.names
-    final = _final_fields(start, tuple(keys))
-    return Trajectory(dict(zip(names, (initial.beta, *initial.layers))), events, dict(zip(names, final)), float(t_max))
+    return Trajectory(dict(fields), events, dict(_final_fields(start, tuple(keys))), float(t_max))
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +422,19 @@ def classify_agreement(lower, middle, upper) -> AgreementClass:
 # vectorized direct simulation of the (background, spin) pair
 
 
+def _retire(state, keep, live, cur, *columns):
+    """The live replicas that the mask `keep` marks.  Every other one writes
+    its column of `cur` into its column of `state`, the replica's last
+    value; `live` (the replicas' indices), `cur` and each of `columns` (one
+    entry per live replica along the last axis) are cut to the kept ones."""
+    if keep.all():
+        return (live, cur, *columns)
+    gone = np.flatnonzero(~keep)
+    state[..., live.take(gone)] = cur.take(gone, axis=-1)
+    kept = np.flatnonzero(keep)
+    return (live.take(kept), *(a.take(kept, axis=-1) for a in (cur, *columns)))
+
+
 def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     """Many replicas of the plain two-layer chain by true direct simulation:
     per-replica exponential holding times from the summed rates and a
@@ -435,9 +453,13 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
     are added slot by slot, background slots first, and the jump is at the
     first slot whose sum reaches a uniform on [0, total).  Every iteration
     draws one exponential and one uniform for each of the `replicas`
-    (`standard_exponential`, `random`), so the stream does not depend on how
-    many still run; a replica leaves the live arrays once its clock passes t
-    or its total rate is 0.
+    (`standard_exponential`, `random`, into one reused buffer), so the
+    stream does not depend on how many still run; a replica reads its own
+    entries.  Only live replicas are gathered, timed and jumped.  A replica
+    is retired, its final column written back, when its total rate is 0 (at
+    the start or after a jump) and right after the clock update that takes
+    it past t, before the uniforms are drawn, so a stopped replica never
+    jumps.
 
     When `graphical._holds_words` accepts the call (2N <= 16 bits, and at
     least as many replicas as words), each replica is one word, bits 2x and
@@ -496,54 +518,45 @@ def batch_simulate_pair(spec: ModelSpec, beta0, eta0, t, replicas, seed):
         flip = np.append(1 << np.add.outer([0, 1], 2 * np.arange(n)).ravel(), 0).astype(np.uint16)
         state = graphical._to_words(packed[:, halo:halo + n], 2)
 
-        def total_rate(cur):
-            return table[-1].take(cur)
+        def sums_of(cur):
+            # the totals alone: the jump gathers the slot sums it needs
+            return table[-1].take(cur)[None]
 
-        def jump(cur, u):
+        def jump(cur, sums, u):
             # the slot of the jump: the number of slot sums below u, gathered
-            # a slot at a time, so no (2n, live) table is made
-            slot = np.zeros(len(cur), dtype=np.uint8)
-            for sums in table:
-                slot += sums.take(cur) < u
+            # a slot at a time, so no (2n, live) table is made; the last
+            # slot's sums are the totals, already in `sums`
+            slot = (sums[-1] < u).view(np.uint8)
+            for row in table[:-1]:
+                slot += row.take(cur) < u
             cur ^= flip.take(slot)
     else:
         state = np.concatenate([packed.T & 1, packed.T >> 1])
         # the state row each slot flips: background sites, then spin sites
         slot_rows = np.add.outer([0, width], halo + np.arange(n)).ravel()
-        cum = None
+        sums_of = slot_sums
 
-        def total_rate(cur):
-            nonlocal cum
-            cum = slot_sums(cur)
-            return cum[-1]
-
-        def jump(cur, u):
-            cur[slot_rows] ^= np.diff(cum < u, axis=0, prepend=True)
+        def jump(cur, sums, u):
+            cur[slot_rows] ^= np.diff(sums < u, axis=0, prepend=True)
 
     live = np.arange(replicas)
-    # every replica's start, one column each
+    # every replica's start, one column each; the live replicas' columns are
+    # `cur`, at first `state` itself, and `_retire` writes a column back, so
+    # `state` is whole once none is live
     state = state.take(live % len(packed), axis=-1)
-    cur = state.copy()
-    clock = np.zeros(replicas)
-    while True:
-        total = total_rate(cur)
-        running = total > 0
-        if not running.any():
+    cur, clock, sums = state, np.zeros(replicas), sums_of(state)
+    # each iteration's draws, one per replica, live or not
+    draws = np.empty(replicas)
+    live, cur, clock, sums = _retire(state, sums[-1] > 0, live, cur, clock, sums)
+    while len(live):
+        clock += rng.standard_exponential(out=draws).take(live) / np.maximum(sums[-1], 1e-300)
+        live, cur, clock, sums = _retire(state, clock <= t, live, cur, clock, sums)
+        if not len(live):
             break
-        draws = rng.standard_exponential(replicas)[live]
-        clock = clock + draws / np.maximum(total, 1e-300)
-        act = running & ~(clock > t)
-        if not act.any():
-            break
-        # the jump is at the first slot whose cumulative rate reaches u; a
-        # stopped replica's u = inf reaches none
-        u = np.where(act, rng.random(replicas)[live] * total, np.inf)
-        jump(cur, u)
-        if not act.all():
-            state[..., live[~act]] = cur[..., ~act]
-            keep = np.flatnonzero(act)
-            live, cur, clock = live[keep], cur.take(keep, axis=-1), clock[keep]
-    state[..., live] = cur
+        # the jump is at the first slot whose cumulative rate reaches u
+        jump(cur, sums, rng.random(out=draws).take(live) * sums[-1])
+        sums = sums_of(cur)
+        live, cur, clock, sums = _retire(state, sums[-1] > 0, live, cur, clock, sums)
 
     if state.ndim == 1:
         body = graphical._site_bytes(state, 2, n)

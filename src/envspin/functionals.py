@@ -194,6 +194,7 @@ def interior_run_histogram(lower, middle, upper, m, n) -> dict:
 def check_window_monotone(lower, middle, upper, m, n) -> bool:
     """True iff both functionals grow (weakly) when the window is extended one
     site on either side.  The window must be extendable within the lattice."""
+    _integers(0, m=m, n=n)
     if m - 1 < 0 or n + 1 >= _rows(middle).shape[-1]:
         raise ValueError("window must be extendable by one site on both sides")
     (f, g), *bigger = _one(lower, middle, upper, (m, n), (m - 1, n), (m, n + 1))

@@ -42,6 +42,7 @@ LATTICE = "envspin/lattice.py"
 RATES = "envspin/rates.py"
 ORACLE = "envspin/oracle.py"
 FUNCTIONALS = "envspin/functionals.py"
+COUPLING = "envspin/coupling.py"
 GOLDEN = "tests/test_engine_golden.py::test_engine_output_matches_golden_digest"
 KEYINGS = "tests/test_graphical.py::test_neighbourhood_words_match_lut_keys"
 BRUTE_RUNS = "tests/test_functionals.py::test_window_run_counts_matches_brute_force"
@@ -216,6 +217,29 @@ MUTANTS = (
         "window_rates opens an up-window at its upper end", GRAPHICAL,
         "events.append((lo if ctr == 0 else hi, ctr, k))", "events.append((hi if ctr == 0 else lo, ctr, k))",
         ("tests/test_acceptance.py::test_criterion_2_coupling_table_identity",),
+    ),
+    Mutant(
+        # the stream then depends on how many replicas still run
+        "pair uniforms drawn for the live replicas only", COUPLING,
+        "rng.random(out=draws).take(live)", "rng.random(len(live))",
+        ("tests/test_coupling.py::test_pair_replicas_do_not_depend_on_how_many_others_still_run",),
+    ),
+    Mutant(
+        "pair replicas whose clock passed t jump once more", COUPLING,
+        "        live, cur, clock, sums = _retire(state, clock <= t, live, cur, clock, sums)\n"
+        "        if not len(live):\n            break\n"
+        "        # the jump is at the first slot whose cumulative rate reaches u\n"
+        "        jump(cur, sums, rng.random(out=draws).take(live) * sums[-1])\n",
+        "        keep = clock <= t\n"
+        "        jump(cur, sums, rng.random(out=draws).take(live) * sums[-1])\n"
+        "        live, cur, clock, sums = _retire(state, keep, live, cur, clock, sums)\n"
+        "        if not len(live):\n            break\n",
+        ("tests/test_coupling.py::test_pair_replicas_whose_clock_passes_t_keep_their_state",),
+    ),
+    Mutant(
+        "simulate_coupled logs a flip with old and new swapped", COUPLING,
+        "log(event(Event, (t, x, *flip)))", "log(event(Event, (t, x, flip[0], flip[2], flip[1])))",
+        ("tests/test_coupling.py::test_simulate_coupled_replay_and_order",),
     ),
     Mutant(
         "generator diagonal summed over the incoming rates", ORACLE,

@@ -341,6 +341,51 @@ def test_pair_word_path_refuses_a_start_of_another_size(monkeypatch):
     _pair_refuses_a_start_of_another_size(monkeypatch, 2000, True)
 
 
+def _absorbing_spec(sites):
+    # the background only flips 1 -> 0 and cpree spins have c(000) = 0, so
+    # the all-0 state has rate 0
+    return preset("cpree", gamma=1.0, delta0=2.0, delta1=1.0, p=0.0, sites=sites)
+
+
+@pytest.mark.parametrize("words", [True, False], ids=["words", "bytes"])
+def test_pair_replicas_do_not_depend_on_how_many_others_still_run(monkeypatch, words):
+    # every iteration draws an exponential and a uniform for each replica, so
+    # the first 20 replicas end alike whether the other 380 start at rate 0
+    # (retired at once), all 1 (most run to t) or at random (some absorbed
+    # on the way)
+    spec, n, replicas, tracked = _absorbing_spec(3), 3, 400, 20
+    assert graphical._holds_words(2, n, 2 * n, 2 * n * replicas)
+    if not words:
+        monkeypatch.setattr(graphical, "_holds_words", lambda *args: False)
+    rng = np.random.default_rng(57)
+    first = rng.integers(0, 2, (2, tracked, n)).astype(np.int8)
+    ends, absorbed = [], []
+    for others in (np.zeros((2, replicas - tracked, n)), np.ones((2, replicas - tracked, n)),
+                   rng.integers(0, 2, (2, replicas - tracked, n))):
+        beta, eta = np.concatenate([first, others.astype(np.int8)], axis=1)
+        B, E = batch_simulate_pair(spec, (beta, spec.env_boundary), (eta, spec.spin_boundary), 2.0, replicas, 9)
+        ends.append((B[:tracked], E[:tracked]))
+        absorbed.append(int(((B == 0) & (E == 0)).all(axis=1)[tracked:].sum()))
+    assert absorbed[0] == replicas - tracked and 0 < absorbed[2] and absorbed[1] < absorbed[2], absorbed
+    for B, E in ends[1:]:
+        np.testing.assert_array_equal(B, ends[0][0])
+        np.testing.assert_array_equal(E, ends[0][1])
+
+
+@pytest.mark.parametrize("words", [True, False], ids=["words", "bytes"])
+def test_pair_replicas_whose_clock_passes_t_keep_their_state(monkeypatch, words):
+    # at t = 0 every replica's first holding time passes t: each keeps its
+    # start, though every start but the all-0 one has a positive rate
+    spec, replicas = _absorbing_spec(3), 400
+    if not words:
+        monkeypatch.setattr(graphical, "_holds_words", lambda *args: False)
+    rng = np.random.default_rng(58)
+    beta, eta = rng.integers(0, 2, (2, replicas, 3)).astype(np.int8)
+    B, E = batch_simulate_pair(spec, (beta, spec.env_boundary), (eta, spec.spin_boundary), 0.0, replicas, 3)
+    np.testing.assert_array_equal(B, beta)
+    np.testing.assert_array_equal(E, eta)
+
+
 def test_classification_examples():
     eta, xi = Configuration("0000"), Configuration("1111")
     assert classify_agreement(eta, Configuration("0000"), xi).kind == "A1"

@@ -277,6 +277,25 @@ def direct_pair_bytes():
     return h.hexdigest()
 
 
+def direct_pair_absorbed():
+    # replicas that reach rate 0 mid-run: the background only flips 1 -> 0
+    # and cpree spins have c(000) = 0, so the all-0 state absorbs (a few
+    # replicas start there); 3 sites on words and, words refused, on bytes,
+    # and 9 sites (18 bits) on bytes
+    rng = np.random.default_rng(99)
+    h = hashlib.sha256()
+    for n, replicas, words in ((3, 2000, True), (3, 2000, False), (9, 1000, False)):
+        spec = preset("cpree", sites=n, gamma=1.0, delta0=2.0, delta1=1.0, p=0.0)
+        beta = rng.integers(0, 2, (replicas, n)).astype(np.int8)
+        eta = rng.integers(0, 2, (replicas, n)).astype(np.int8)
+        assert graphical._holds_words(2, n, 2 * n, 2 * n * replicas) == (n == 3)
+        with mock.patch.object(graphical, "_holds_words", graphical._holds_words if words else lambda *args: False):
+            for t in (0.3, 2.0):
+                B, E = batch_simulate_pair(spec, (beta, spec.env_boundary), (eta, spec.spin_boundary), t, replicas, 41)
+                h.update(B.tobytes() + E.tobytes())
+    return h.hexdigest()
+
+
 def _spin_stack(spec, n_layers):
     # ordered starts: 0 <= alternating (and its mirror) <= 1
     n = spec.size
@@ -365,6 +384,7 @@ GOLDEN = {
     unchecked: "e171eba6e718eca1d15b3f1e1377cbe621bbb679e2218c89f8745a1921207818",
     direct_pair_simulation: "cb0f04e07b0ed71ed465a13874400518af39dbe477696751d12a7f873af441af",
     direct_pair_bytes: "9216f96b911c2c27df61d7918dd8cd6800990db9da48ec5ed6862a812b6a2549",
+    direct_pair_absorbed: "3ef980cc436dafe0b02b063b43d1d4410613a5938fd1e2839e1523700a90766d",
     mark_engine: "7d181352b2a5dadff2106ee634d50a4b65e63fa3d46af61458482a109118e659",
     coupled_direct: "a1bd8a63ec611aef3773186f64938e624c84687c3ef64f811cf3a9498ec796f9",
     split_steps: "0698fdf391053ec900f08993d78b295b35b3cc7107dc9a6946928837ff125283",

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -79,10 +80,17 @@ def test_window_monotone_examples():
     assert check_window_monotone(bits, bits, bits, 1, 2)
 
 
-@pytest.mark.parametrize("m, n", [(0, 2), (1, 3), (0, 3)])
+@pytest.mark.parametrize("m, n", [(0, 2), (1, 3), (0, 3), ("1", 2), (1.5, 2), (True, 2)], ids=repr)
 def test_window_monotone_refuses_a_window_that_cannot_be_extended(m, n):
+    # an end that is not an integer gets the count rule's message: '1' once
+    # died in a raw TypeError from the range test, which the type test now
+    # precedes
     bits = (0, 1, 0, 1)
-    with pytest.raises(ValueError, match="^window must be extendable by one site on both sides$"):
+    if type(m) is int:
+        message = "window must be extendable by one site on both sides"
+    else:
+        message = "m must be an integer >= 0, not %r" % (m,)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         check_window_monotone(bits, bits, bits, m, n)
 
 
