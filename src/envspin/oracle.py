@@ -8,10 +8,12 @@ Coupled generators append further layer fields below, one N-bit block each.
 Everything here is brute force on purpose: coordinate-format rate matrices
 built from the local-word rule `coupling.site_menu` (spin flips come through
 `coupling._float_menu`, at the packed local key), stationary laws from closed
-communicating classes of the jump graph (certified by reachability sweeps
-independent of the class search), long-time limits as absorption-weighted
-mixtures of those laws (one dense solve over the transient states), and time-t
-laws by uniformization with explicit truncation error.
+communicating classes of the jump graph (found by three least-label
+fixpoints over the jump arrays, ascending by least member, and certified by
+reachability sweeps independent of that search), long-time limits as
+absorption-weighted mixtures of those laws (one dense solve over the
+transient states), and time-t laws by uniformization with explicit
+truncation error.
 """
 
 from __future__ import annotations
@@ -139,11 +141,14 @@ def _build(spec: ModelSpec, n_layers) -> GeneratorMatrix:
 
     rows, cols, vals = [], [], []
     for x in range(n):
-        masks = [1 << (n * (n_layers - f) + n - 1 - x) for f in range(n_layers + 1)]  # field f's bit at x
+        # flip_of[fields]: the state bits at x of the fields set in `fields`
+        flip_of = [0]
+        for f in range(n_layers + 1):
+            flip_of += [mask | 1 << (n * (n_layers - f) + n - 1 - x) for mask in flip_of]
         brate = btab[env_words[x]]
         keep = brate > 0
         rows.append(idx[keep])
-        cols.append(idx[keep] ^ masks[0])
+        cols.append(idx[keep] ^ flip_of[1])
         vals.append(brate[keep])
 
         distinct, inverse = np.unique(keys[x, ordered], return_inverse=True)
@@ -154,7 +159,7 @@ def _build(spec: ModelSpec, n_layers) -> GeneratorMatrix:
         for k, key in enumerate(distinct.tolist()):
             spins = [(r, fields) for r, _, fields, _ in menus[key][0] if not fields & 1]
             for m, (r, fields) in enumerate(spins):
-                flip[k, m] = sum(mask for f, mask in enumerate(masks) if fields >> f & 1)
+                flip[k, m] = flip_of[fields]
                 rate[k, m] = r
         flip, rate = flip[inverse], rate[inverse]
         keep = rate > 0
@@ -214,101 +219,86 @@ class StationarySet:
 RESIDUAL_TOL = 1e-10  # largest |pi Q| entry accepted as stationary
 
 
-def _strongly_connected_components(dim, adj):
-    """Iterative Tarjan; returns a list of components (lists of states).
+def _least_reached(src, dst, label):
+    """Per state, the least `label` over the states it reaches along the
+    jumps src -> dst, its own included: the fixpoint of one minimum per jump."""
+    label = label.copy()
+    while True:
+        before = label.copy()
+        np.minimum.at(label, src, label[dst])
+        if np.array_equal(label, before):
+            return label
 
-    `adj[v]` lists v's jump targets as Python ints; the per-state marks are
-    Python lists too, since the loop reads them one state at a time."""
-    index = [-1] * dim
-    low = [0] * dim
-    on_stack = [False] * dim
-    stack = []
-    components = []
-    counter = 0
-    for root in range(dim):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = adj[v]
-            while pi < len(neighbors):
-                w = neighbors[pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return components
+
+def _closed_class_search(dim, src, dst):
+    """The closed classes of the jump graph src -> dst on `dim` states.
+
+    Returns (members, bounds): class k is `members[bounds[k]:bounds[k + 1]]`,
+    ascending, and the classes come ascending by least member.  Three
+    fixpoints of `_least_reached` find them.  First m[s], the least state s
+    reaches.  Then the untainted states, which reach no jump u -> v with
+    m[u] != m[v], so that m is m[s] on all that s reaches and all of it
+    reaches m[s].  A state is recurrent iff it is untainted and reached from
+    m[s] (then all it reaches reaches it back).  The last fixpoint spreads
+    reachability from the roots, the untainted states with m[s] == s: each
+    is the least member of a closed class and reaches that class alone.
+    """
+    states = np.arange(dim)
+    m = _least_reached(src, dst, states)
+    clean = np.ones(dim, dtype=np.int8)
+    clean[src[m[src] != m[dst]]] = 0
+    untainted = _least_reached(src, dst, clean) == 1
+    roots = untainted & (m == states)
+    recurrent = _least_reached(dst, src, (~roots).view(np.int8)) == 0
+    members = np.flatnonzero(recurrent)
+    members = members[np.argsort(m[members], kind="stable")]
+    least = m[members]
+    bounds = np.flatnonzero(np.r_[True, least[1:] != least[:-1], True])
+    return members, bounds
 
 
 def _closed_classes(G: GeneratorMatrix):
     """Closed classes of the jump graph and their stationary laws.
 
     Returns (classes, law, label): each class as a sorted list of states,
-    one full-length vector `law` holding each class's stationary law on that
+    the classes ascending by least member (`_closed_class_search`), one
+    full-length vector `law` holding each class's stationary law on that
     class's states (one dense solve on the class block of the generator) and
     0 on transient states, and `label[s]`, the index of the class holding s
     or -1 for a transient state.  Class k's own law is
     `np.where(label == k, law, 0)`.
     """
     dim = G.dim
-    targets = G.cols[np.argsort(G.rows, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(G.rows, minlength=dim)).tolist()
-    adj = [targets[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    comps = _strongly_connected_components(dim, adj)
-    comp_id = np.empty(dim, dtype=np.int64)
-    for k, comp in enumerate(comps):
-        comp_id[comp] = k
-    has_exit = np.zeros(len(comps), dtype=bool)
-    has_exit[comp_id[G.rows[comp_id[G.rows] != comp_id[G.cols]]]] = True
-    classes = [sorted(comp) for k, comp in enumerate(comps) if not has_exit[k]]
-    _check_dense(max(map(len, classes)), "closed class")
+    members, bounds = _closed_class_search(dim, G.rows, G.cols)
+    sizes = np.diff(bounds)
+    _check_dense(int(sizes.max()), "closed class")
+    flat = members.tolist()
+    classes = [flat[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
     label = np.full(dim, -1, dtype=np.int64)
+    label[members] = np.repeat(np.arange(len(classes)), sizes)
+    pos = np.zeros(dim, dtype=np.int64)  # each member's place in its class
+    pos[members] = np.arange(members.size) - np.repeat(bounds[:-1], sizes)
+    # no jump leaves a closed class, so a jump from a member stays in its
+    # class; the jumps are grouped by class in their own order
+    owner = label[G.rows]
+    inside = np.flatnonzero(owner >= 0)
+    inside = inside[np.argsort(owner[inside], kind="stable")]
+    ends = [0] + np.cumsum(np.bincount(owner[inside], minlength=len(classes))).tolist()
     law = np.zeros(dim)
-    for k, comp in enumerate(classes):
-        label[comp] = k
-        if len(comp) == 1:
-            law[comp[0]] = 1.0
-        else:
-            m = len(comp)
-            pos = np.full(dim, -1, dtype=np.int64)
-            pos[comp] = np.arange(m)
-            inside = (pos[G.rows] >= 0) & (pos[G.cols] >= 0)
-            Qc = np.zeros((m, m))
-            np.add.at(Qc, (pos[G.rows[inside]], pos[G.cols[inside]]), G.vals[inside])
-            Qc[np.arange(m), np.arange(m)] = -Qc.sum(axis=1)
-            M = Qc.T.copy()
-            M[-1, :] = 1.0
-            b = np.zeros(m)
-            b[-1] = 1.0
-            local = np.clip(np.linalg.solve(M, b), 0.0, None)
-            law[comp] = local / local.sum()
+    law[members[bounds[:-1][sizes == 1]]] = 1.0
+    for k in np.flatnonzero(sizes > 1).tolist():
+        m = int(sizes[k])
+        jumps = inside[ends[k]:ends[k + 1]]
+        Qc = np.zeros((m, m))
+        np.add.at(Qc, (pos[G.rows[jumps]], pos[G.cols[jumps]]), G.vals[jumps])
+        Qc[np.arange(m), np.arange(m)] = -Qc.sum(axis=1)
+        M = Qc.T.copy()
+        M[-1, :] = 1.0
+        b = np.zeros(m)
+        b[-1] = 1.0
+        local = np.clip(np.linalg.solve(M, b), 0.0, None)
+        law[classes[k]] = local / local.sum()
     return classes, law, label
 
 
@@ -408,13 +398,16 @@ def semigroup_apply(G: GeneratorMatrix, p0, t) -> SemigroupResult:
     The jump rate is the maximal outflow plus one; the Poisson series is cut
     once its mass reaches 1 - SERIES_TAIL, and long horizons are split into
     chunks of mean CHUNK so the leading Poisson weight never underflows.  The
-    accumulated tail mass is reported as `truncation_error`.  The horizon is
-    held to the event budget at the jump rate before any product.
+    accumulated tail mass is reported as `truncation_error`.  The start must
+    be finite (it may be any signed vector: the action is linear), and the
+    horizon is held to the event budget at the jump rate, before any product.
     """
     _finite_nonnegative("t", t)
     p = np.array(p0, dtype=float)
     if p.shape != (G.dim,):
         raise ValueError("distribution must have length %d" % G.dim)
+    if not np.isfinite(p).all():
+        raise ValueError("distribution must be finite")
     lam = float(-G.diag.min()) + 1.0
     _expected_events(lam, t, "lower t", "jumps by t=%r at the uniformization rate")
     err = 0.0

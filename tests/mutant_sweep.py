@@ -47,6 +47,7 @@ GOLDEN = "tests/test_engine_golden.py::test_engine_output_matches_golden_digest"
 KEYINGS = "tests/test_graphical.py::test_neighbourhood_words_match_lut_keys"
 BRUTE_RUNS = "tests/test_functionals.py::test_window_run_counts_matches_brute_force"
 CORNER = "tests/test_experiments.py::test_run_length_decay_interior_totals_equal_window_run_counts_summed"
+CLASS_SEARCH = "tests/test_oracle.py::test_class_search_matches_mutual_reachability_on_random_graphs"
 PROOFS_SHARED = "tests/test_graphical.py::test_order_proofs_are_shared_only_by_calls_of_one_start"
 
 MUTANTS = (
@@ -175,6 +176,30 @@ MUTANTS = (
         "class certificate without its jump-out check", ORACLE,
         "    if ((src >= 0) & (src != dst)).any():\n", "    if False:\n",
         ("tests/test_oracle.py::test_class_certificate_flags_planted_wrong_classes",),
+    ),
+    Mutant(
+        "class search spreads the greatest label reached", ORACLE,
+        "np.minimum.at(label, src, label[dst])", "np.maximum.at(label, src, label[dst])",
+        (CLASS_SEARCH,),
+    ),
+    Mutant(
+        # a state whose least reached state is itself roots a class even
+        # when it reaches a jump out of that class
+        "class search roots without the taint test", ORACLE,
+        "roots = untainted & (m == states)", "roots = m == states",
+        (CLASS_SEARCH,),
+    ),
+    Mutant(
+        # a transient state may jump straight into a class whose least
+        # member is below it, and then it is untainted
+        "class search takes every untainted state as recurrent", ORACLE,
+        "recurrent = _least_reached(dst, src, (~roots).view(np.int8)) == 0", "recurrent = untainted",
+        (CLASS_SEARCH,),
+    ),
+    Mutant(
+        "semigroup_apply without its finite-start check", ORACLE,
+        "    if not np.isfinite(p).all():\n", "    if False:\n",
+        ("tests/test_oracle.py::test_semigroup_refuses_a_distribution_that_is_not_finite_before_any_product",),
     ),
     Mutant(
         "stationary_set without its residual check", ORACLE,

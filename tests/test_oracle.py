@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from envspin import oracle
 from envspin.coupling import coupled_event_rates
 from envspin.graphical import EVENT_BUDGET, EventBudgetError
 from envspin.lattice import word_index
-from envspin.oracle import _certify_classes, _closed_classes, _strongly_connected_components
+from envspin.oracle import _certify_classes, _closed_class_search, _closed_classes
 
 from _support import random_compatible_pair, random_env, random_positive_spec
 
@@ -169,36 +170,22 @@ def _mutual_reach(dim, src, dst):
         reach = grown
 
 
-def _recursive_tarjan(adj):
-    """Textbook recursive Tarjan, neighbors in list order: the components and
-    the order they close in, for graphs small enough to recurse on."""
-    index, low, stack, out = {}, {}, [], []
-
-    def visit(v):
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        for w in adj[v]:
-            if w not in index:
-                visit(w)
-                low[v] = min(low[v], low[w])
-            elif w in stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while not comp or comp[-1] != v:
-                comp.append(stack.pop())
-            out.append(comp)
-
-    for v in range(len(adj)):
-        if v not in index:
-            visit(v)
-    return out
+def _brute_closed_classes(dim, src, dst):
+    """Brute force: the classes of mutual reachability with no jump out, each
+    ascending, the classes ascending by least member."""
+    reach = _mutual_reach(dim, src, dst)
+    same = reach & reach.T
+    closed = {tuple(np.flatnonzero(same[s])) for s in range(dim) if not (reach[s] & ~same[s]).any()}
+    return sorted(map(list, closed))
 
 
-def test_tarjan_matches_mutual_reachability_on_random_graphs():
-    # sparse random graphs with self-loops and isolated states: the components
-    # are the classes of mutual reachability, and they close in the order of
-    # the recursive algorithm, each after every component it reaches
+def _search(dim, src, dst):
+    members, bounds = _closed_class_search(dim, src, dst)
+    return [members[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def test_class_search_matches_mutual_reachability_on_random_graphs():
+    # sparse random graphs with self-loops and isolated states
     rng = np.random.default_rng(141)
     for k in range(40):
         dim = int(rng.integers(1, 60))
@@ -207,36 +194,31 @@ def test_tarjan_matches_mutual_reachability_on_random_graphs():
         src, dst = rng.choice(used, m), rng.choice(used, m)
         loops = rng.choice(dim, size=int(rng.integers(0, 3)))
         src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
-        adj = [dst[src == v].tolist() for v in range(dim)]
-        comps = _strongly_connected_components(dim, adj)
-
-        assert comps == _recursive_tarjan(adj), k
-        assert sorted(v for comp in comps for v in comp) == list(range(dim)), k
-        reach = _mutual_reach(dim, src, dst)
-        same = reach & reach.T
-        comp_of = np.empty(dim, dtype=np.int64)
-        for c, comp in enumerate(comps):
-            comp_of[comp] = c
-        assert np.array_equal(same, comp_of[:, None] == comp_of[None, :]), k
-        # an edge between components points to one that closed earlier
-        cross = comp_of[src] != comp_of[dst]
-        assert (comp_of[dst][cross] < comp_of[src][cross]).all(), k
+        assert _search(dim, src, dst) == _brute_closed_classes(dim, src, dst), k
 
 
-def test_tarjan_needs_no_recursion_on_long_paths():
-    # a path and a cycle of 5 000 states, deeper than Python's recursion limit
+def _timed_search(dim, src, dst):
+    start = time.perf_counter()
+    classes = _search(dim, src, dst)
+    assert time.perf_counter() - start < 1.0
+    return classes
+
+
+def test_class_search_on_long_paths_and_a_cycle():
+    # a path either way and a cycle of 5 000 states: the least labels cross
+    # the whole graph one jump per sweep
     n = 5_000
-    path = [[v + 1] for v in range(n - 1)] + [[]]
-    assert _strongly_connected_components(n, path) == [[v] for v in range(n - 1, -1, -1)]
-    cycle = [[(v + 1) % n] for v in range(n)]
-    assert _strongly_connected_components(n, cycle) == [list(range(n - 1, -1, -1))]
+    v = np.arange(n)
+    assert _timed_search(n, v[:-1], v[1:]) == [[n - 1]]
+    assert _timed_search(n, v[1:], v[:-1]) == [[0]]
+    assert _timed_search(n, v, (v + 1) % n) == [list(range(n))]
 
 
 def test_closed_classes_match_brute_force_reachability():
     # the closed classes are the mutual-reachability classes with no jump
     # out, each law is stationary on its class, and label[s] names the class
-    # holding s; the class order is the one the search gave when this test
-    # was written
+    # holding s; the classes come ascending by least member, the order the
+    # search gave when this test was written
     rng = np.random.default_rng(63)
     frozen = ModelSpec(random_compatible_pair(rng, positive=True), EnvRateSpec(0, (0.0, 0.0)), 3)
     for spec, expected in (
@@ -248,10 +230,7 @@ def test_closed_classes_match_brute_force_reachability():
         classes, law, label = _closed_classes(G)
         if expected is not None:
             assert classes == expected
-        reach = _mutual_reach(G.dim, G.rows, G.cols)
-        same = reach & reach.T
-        closed = {tuple(np.flatnonzero(same[s])) for s in range(G.dim) if not (reach[s] & ~same[s]).any()}
-        assert sorted(map(tuple, classes)) == sorted(closed)
+        assert classes == _brute_closed_classes(G.dim, G.rows, G.cols)
         for k, comp in enumerate(classes):
             pi = np.where(label == k, law, 0)
             assert np.array_equal(np.flatnonzero(label == k), comp)
@@ -383,6 +362,27 @@ def test_semigroup_refuses_a_distribution_of_the_wrong_length():
     G = build_generator(single_site_spec(0.7, 0.3, 0.0, 0.0))
     with pytest.raises(ValueError, match="^distribution must have length 4$"):
         semigroup_apply(G, np.full(3, 1 / 3), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_semigroup_refuses_a_distribution_that_is_not_finite_before_any_product(bad):
+    # refused before the event budget too: t = 1e300 is over it
+    G = build_generator(single_site_spec(0.7, 0.3, 0.0, 0.0))
+    p0 = np.full(4, 0.25)
+    p0[2] = bad
+    G.matvec_left = _no_product
+    for t in (1.0, 1e300):
+        with pytest.raises(ValueError, match="^distribution must be finite$"):
+            semigroup_apply(G, p0, t)
+
+
+def test_semigroup_acts_linearly_on_signed_distributions():
+    G = build_generator(single_site_spec(0.7, 0.3, 0.0, 0.0))
+    a, b = G.point_mass(0), G.point_mass(3)
+    signed = semigroup_apply(G, a - 2 * b, 0.5).dist
+    expected = semigroup_apply(G, a, 0.5).dist - 2 * semigroup_apply(G, b, 0.5).dist
+    assert np.allclose(signed, expected, rtol=0, atol=1e-12)
+    assert signed.sum() == pytest.approx(-1.0, abs=1e-12)
 
 
 def _refused_under(limit_bytes, solve, G, message):
